@@ -22,32 +22,12 @@ from fractions import Fraction
 from . import expr as ex
 from .contact import promote_form, restrict_to_section, thicken_space
 from .engel import analyze, check_defining_forms
-from .frames import FrameSpace, VectorField, d, interior, lie_form, pair, \
-    wedge
+from .frames import (FrameSpace, VectorField, d, interior, lie_form, nonzero,
+                     pair, wedge, zero)
 from .kengel import KEngelData, KEngelError, kengel_check, kengel_invariants
 from .metric import orthonormal_metric
 from .qfield import FieldError, QNum, solve_linear, span_rank
-from .sampling import is_zero_expr, is_zero_many, nonvanishing
-
-
-def circle_product(space, name="t"):
-    """The product of the base with a periodic fibre coordinate."""
-    assert name not in space.names, f"name {name!r} already used"
-    entries = list(space.entries) + [("coord", name, 0, 1, True)]
-    brackets = {}
-    for (i, j), vec in space.structure.items():
-        brackets[(space.names[i], space.names[j])] = list(vec) + [0]
-    return FrameSpace(entries, brackets=brackets, params=space.params)
-
-
-def _form_zero(w, ranges, policy):
-    return is_zero_many([ex.cleanup(c) for c in w.comps.values()]
-                        or [ex.ZERO], ranges, policy)
-
-
-def _field_zero(V, policy):
-    return is_zero_many([ex.cleanup(c) for c in V.comps],
-                        V.space.coord_ranges, policy)
+from .sampling import failed, nonvanishing
 
 
 def _scalar_d(space, f):
@@ -73,43 +53,35 @@ def boothby_wang(nspace, lam, L, a_loc, policy):
     direction is the fibre and the adapted framing is invariant along it.
     """
     assert nspace.dim == 3, "the base of the circle bundle must be 3-dim"
-    dlam = d(lam)
+    ranges = nspace.coord_ranges
     report = {}
-    vol = wedge(lam, dlam)
-    report["contact"] = nonvanishing(
-        [ex.cleanup(c) for c in vol.comps.values()] or [ex.ZERO],
-        nspace.coord_ranges, policy)
-    report["legendrian"] = is_zero_expr(ex.cleanup(pair(lam, L)),
-                                        nspace.coord_ranges, policy)
+    vol = wedge(lam, d(lam))
+    report["contact"] = nonzero(vol.cleanup(), ranges, policy)
+    report["legendrian"] = zero([pair(lam, L)], ranges, policy)
     omega = interior(L, vol)
-    report["omega closed"] = _form_zero(d(omega), nspace.coord_ranges,
-                                        policy)
-    report["primitive matches"] = _form_zero(d(a_loc) - omega,
-                                             nspace.coord_ranges, policy)
-    bad = [k for k, v in report.items()
-           if not (v[0] if isinstance(v, tuple) else v.is_zero)]
+    report["omega closed"] = zero(d(omega), ranges, policy)
+    report["primitive matches"] = zero(d(a_loc) - omega, ranges, policy)
+    bad = failed(report)
     if bad:
         raise KEngelError("circle-bundle preconditions fail: "
                           + ", ".join(bad))
-    sp4 = circle_product(nspace, "t")
+    sp4 = thicken_space(nspace, "t", 0, 1, periodic=True)
     alpha = promote_form(sp4, a_loc) + \
         sp4.one_form([ex.ZERO, ex.ZERO, ex.ZERO, ex.ONE])
     beta = promote_form(sp4, lam)
     drop = ex.cleanup(ex.neg(pair(a_loc, L)))
     W_hint = VectorField(sp4, list(L.comps) + [drop])
     kd = analyze(sp4, alpha.cleanup(), beta, policy, W=W_hint)
-    fibre = sp4.basis_field(3)
-    v = _field_zero(kd.R - fibre, policy)
-    if not v.is_zero:
+    v = zero(kd.R - sp4.basis_field(3), sp4.coord_ranges, policy)
+    if not v.ok:
         raise KEngelError(
             f"Reeb direction is not the fibre: {v.describe()}")
     for name, form in (("L_R alpha", kd.alpha), ("L_R beta", kd.beta)):
-        report[name] = _form_zero(lie_form(kd.R, form),
-                                  sp4.coord_ranges, policy)
-    inv, inv_ok = kengel_invariants(kd, policy)
+        report[name] = zero(lie_form(kd.R, form), sp4.coord_ranges, policy)
+    inv = kengel_invariants(kd, policy)
     report["invariants"] = inv
-    if not inv_ok:
-        bad = [k for k, vv in inv.items() if not vv.is_zero]
+    bad = failed(inv)
+    if bad:
         raise KEngelError("invariants fail on the circle product: "
                           + ", ".join(bad))
     g = orthonormal_metric(kd)
@@ -122,6 +94,9 @@ def boothby_wang(nspace, lam, L, a_loc, policy):
 
 # ---------------------------------------------------------------------------
 # torus bundle over a surface chart
+
+T2_CONDITIONS = ("first condition", "second condition", "third condition")
+
 
 def t2_bundle_condition(sigma, f, g, alpha0, beta0, Omega, prim1, prim2,
                         n1, n2, eps, policy, W=None, X=None):
@@ -150,10 +125,10 @@ def t2_bundle_condition(sigma, f, g, alpha0, beta0, Omega, prim1, prim2,
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise KEngelError(f"eps = {eps} is not in (0,1)")
+    ranges = sigma.coord_ranges
     for name, prim, n in (("first", prim1, n1), ("second", prim2, n2)):
-        v = _form_zero(d(prim) - Omega.scale(ex.rat(n)),
-                       sigma.coord_ranges, policy)
-        if not v.is_zero:
+        v = zero(d(prim) - Omega.scale(ex.rat(n)), ranges, policy)
+        if not v.ok:
             raise KEngelError(f"the {name} primitive does not integrate "
                               f"{n} times the area form: {v.describe()}")
     N = Fraction(n1) - eps * Fraction(n2)
@@ -164,41 +139,24 @@ def t2_bundle_condition(sigma, f, g, alpha0, beta0, Omega, prim1, prim2,
     omega_t = (Omega.scale(twist) + d(alpha0)).cleanup()
 
     report = {}
-    df_comps = [ex.normalize(c) for c in df.comps.values()] or [ex.ZERO]
-    ot_comps = [ex.normalize(c) for c in omega_t.comps.values()] or [ex.ZERO]
-    first_ok, first_pt = True, None
-    for env in policy.points(sigma.coord_ranges):
-        va = max(abs(ex.evaluate(c, env)) for c in df_comps)
-        vb = max(abs(ex.evaluate(c, env)) for c in ot_comps)
-        if va <= policy.abs_tol and vb <= policy.abs_tol:
-            first_ok, first_pt = False, env
-            break
-    report["first condition"] = (first_ok, first_pt)
-
+    # the condition fails exactly where every component is within tolerance
+    report["first condition"] = nonvanishing(
+        list(df.comps.values()) + list(omega_t.comps.values()), ranges,
+        policy)
     span_form = (Omega.scale(ex.mul(n_ex, ex.pow_(g, 2)))
                  + d(beta0).scale(g) + wedge(beta0, dg)).cleanup()
-    report["second condition"] = nonvanishing(
-        [ex.cleanup(c) for c in span_form.comps.values()] or [ex.ZERO],
-        sigma.coord_ranges, policy)
-
+    report["second condition"] = nonzero(span_form.cleanup(), ranges, policy)
     flag_form = (omega_t.scale(g) + wedge(beta0, df)).cleanup()
-    report["third condition"] = _form_zero(flag_form, sigma.coord_ranges,
-                                           policy)
+    report["third condition"] = zero(flag_form, ranges, policy)
     unweighted = (Omega.scale(ex.mul(n_ex, g)) + d(alpha0).scale(g)
                   + wedge(beta0, df)).cleanup()
-    report["third condition (unweighted twist)"] = _form_zero(
-        unweighted, sigma.coord_ranges, policy)
-
-    ok = report["first condition"][0] and report["second condition"][0] \
-        and report["third condition"].is_zero
-    if not ok:
+    report["third condition (unweighted twist)"] = zero(unweighted, ranges,
+                                                        policy)
+    if failed({k: report[k] for k in T2_CONDITIONS}):
         return report, None
 
-    assert "p" not in sigma.names and "q" not in sigma.names
-    sp4 = FrameSpace(list(sigma.entries)
-                     + [("coord", "p", 0, 1, True),
-                        ("coord", "q", 0, 1, True)],
-                     params=sigma.params)
+    sp4 = thicken_space(thicken_space(sigma, "p", 0, 1, periodic=True),
+                        "q", 0, 1, periodic=True)
     theta1 = sp4.one_form([prim1.comp((0,)), prim1.comp((1,)),
                            ex.ONE, ex.ZERO])
     theta2 = sp4.one_form([prim2.comp((0,)), prim2.comp((1,)),
@@ -219,14 +177,14 @@ def t2_bundle_condition(sigma, f, g, alpha0, beta0, Omega, prim1, prim2,
         hints["X"] = VectorField(sp4, [ex.cleanup(c) for c in X])
     kd = analyze(sp4, alpha, beta, policy, **hints)
     r_expected = VectorField(sp4, [ex.ZERO, ex.ZERO, ex.rat(eps), ex.ONE])
-    v = _field_zero(kd.R - r_expected, policy)
-    if not v.is_zero:
+    v = zero(kd.R - r_expected, sp4.coord_ranges, policy)
+    if not v.ok:
         raise KEngelError(f"Reeb direction is not the declared torus "
                           f"direction: {v.describe()}")
-    inv, inv_ok = kengel_invariants(kd, policy)
+    inv = kengel_invariants(kd, policy)
     report["invariants"] = inv
-    if not inv_ok:
-        bad = [k for k, vv in inv.items() if not vv.is_zero]
+    bad = failed(inv)
+    if bad:
         raise KEngelError("invariants fail on the torus bundle: "
                           + ", ".join(bad))
     gm = orthonormal_metric(kd)
@@ -333,36 +291,26 @@ def filling_check(kdata, policy):
     eta = (beta5 + alpha5.scale(ex.pow_(r, 2))).cleanup()
     deta = d(eta)
     vol = wedge(eta, wedge(deta, deta))
-    report = {"contact volume": nonvanishing(
-        [ex.cleanup(c) for c in vol.comps.values()] or [ex.ZERO],
-        sp5.coord_ranges, policy)}
+    ranges, ranges5 = sp.coord_ranges, sp5.coord_ranges
+    report = {"contact volume": nonzero(vol.cleanup(), ranges5, policy)}
     L = VectorField(sp5, [ex.ZERO] * sp.dim + [ex.div(ex.ONE, r)])
     leta = lie_form(L, eta)
-    report["flow rate is twice alpha"] = _form_zero(
-        leta - alpha5.scale(ex.rat(2)), sp5.coord_ranges, policy)
+    report["flow rate is twice alpha"] = zero(
+        leta - alpha5.scale(ex.rat(2)), ranges5, policy)
     boundary = restrict_to_section(eta, ex.ONE, sp)
-    report["boundary form is beta + alpha"] = _form_zero(
-        boundary - (data.beta + data.alpha), sp.coord_ranges, policy)
+    report["boundary form is beta + alpha"] = zero(
+        boundary - (data.beta + data.alpha), ranges, policy)
     induced_alpha = restrict_to_section(leta, ex.ONE, sp)
-    annihilate = []
-    for form in (induced_alpha, boundary):
-        for V in (data.W, data.X):
-            annihilate.append(ex.cleanup(pair(form, V)))
-    report["induced pair annihilates the plane"] = is_zero_many(
-        annihilate, sp.coord_ranges, policy)
+    report["induced pair annihilates the plane"] = zero(
+        [pair(form, V) for form in (induced_alpha, boundary)
+         for V in (data.W, data.X)], ranges, policy)
     even = wedge(data.alpha, d(data.alpha))
-    report["alpha even contact"] = nonvanishing(
-        [ex.cleanup(c) for c in even.comps.values()] or [ex.ZERO],
-        sp.coord_ranges, policy)
-    report["flag"] = _form_zero(wedge(even, data.beta), sp.coord_ranges,
-                                policy)
-    lvol = lie_form(L, vol)
-    squeezed = [ex.cleanup(ex.substitute(c, {"r": ex.ONE}))
-                for c in lvol.comps.values()] or [ex.ZERO]
-    report["preserves boundary contact volume"] = is_zero_many(
-        squeezed, sp.coord_ranges, policy)
-    bad = [k for k, v in report.items()
-           if not (v[0] if isinstance(v, tuple) else v.is_zero)]
+    report["alpha even contact"] = nonzero(even.cleanup(), ranges, policy)
+    report["flag"] = zero(wedge(even, data.beta), ranges, policy)
+    report["preserves boundary contact volume"] = zero(
+        [ex.substitute(c, {"r": ex.ONE})
+         for c in lie_form(L, vol).comps.values()], ranges, policy)
+    bad = failed(report)
     if bad:
         raise KEngelError("filling verdicts fail: " + ", ".join(bad))
     return report

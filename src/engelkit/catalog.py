@@ -23,7 +23,7 @@ from .frames import FrameSpace, dual_coframe
 from .kengel import KEngelData, kengel_check, kengel_invariants
 from .metric import orthonormal_metric
 from .qfield import rational_rank
-from .sampling import SamplingPolicy
+from .sampling import SamplingPolicy, failed
 
 
 class CatalogError(Exception):
@@ -383,10 +383,8 @@ def geometry_row(name, params=None, policy=None):
                        search["R"], policy)
     g = orthonormal_metric(data)
     R_field = data.space.field([ex.rat(c) for c in search["R"]])
-    check = kengel_check(data, g, R_field, policy)
-    inv, inv_ok = kengel_invariants(data, policy)
-    row["triple_ok"] = check["ok"]
-    row["invariants_ok"] = inv_ok
+    row["triple_ok"] = kengel_check(data, g, R_field, policy)["ok"]
+    row["invariants_ok"] = not failed(kengel_invariants(data, policy))
     row["data"] = KEngelData(data, g, R_field)
     return row
 

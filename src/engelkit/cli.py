@@ -39,8 +39,8 @@ def _fmt_params(params):
     if not params:
         return "-"
     return " ".join(
-        f"{k}={','.join(str(x) for x in v)}" if isinstance(v, tuple)
-        else f"{k}={v}" for k, v in sorted(params.items()))
+        f"{k}={','.join(str(x) for x in val)}" if isinstance(val, tuple)
+        else f"{k}={val}" for k, val in sorted(params.items()))
 
 
 def catalog_table(rows):

@@ -10,14 +10,17 @@ restricts back to graph sections.
 
 from . import expr as ex
 from .frames import (DiffForm, FrameSpace, VectorField, d, interior,
-                     lie_form, pair, solve_kernel, wedge)
-from .sampling import is_zero_many, nonvanishing
+                     lie_form, pair, perm_sign, solve_kernel, wedge, zero)
+from .sampling import nonvanishing
 
 
-def thicken_space(space, name="s", lo=-1, hi=1):
-    """The product of the base with a non-periodic interval coordinate."""
+def thicken_space(space, name="s", lo=-1, hi=1, periodic=False):
+    """The product of the base with one more coordinate direction.
+
+    An interval by default; a circle fibre with periodic=True.
+    """
     assert name not in space.names, f"name {name!r} already used"
-    entries = list(space.entries) + [("coord", name, lo, hi, False)]
+    entries = list(space.entries) + [("coord", name, lo, hi, periodic)]
     brackets = {}
     for (i, j), vec in space.structure.items():
         brackets[(space.names[i], space.names[j])] = list(vec) + [0]
@@ -26,10 +29,6 @@ def thicken_space(space, name="s", lo=-1, hi=1):
 
 def promote_form(space5, w):
     return DiffForm(space5, w.degree, dict(w.comps))
-
-
-def promote_field(space5, V):
-    return VectorField(space5, list(V.comps) + [ex.ZERO])
 
 
 def contact_form(data, space5=None):
@@ -67,24 +66,19 @@ def contactization_report(data, policy):
     sp5, eta = contact_form(data)
     out = {"eta": eta}
     deta = d(eta)
+    ranges = sp5.coord_ranges
+    # the top-degree volume form has a single density component
     vol = wedge(wedge(eta, deta), deta)
-    ok, low, pt = nonvanishing(list(vol.comps.values()) or [ex.ZERO],
-                               sp5.coord_ranges, policy)
-    out["contact volume"] = (ok, low, pt)
+    out["contact volume"] = nonvanishing([vol.comp(range(sp5.dim))], ranges,
+                                         policy)
     closed = reeb_closed_form(data, sp5)
     out["closed form"] = closed
-    out["pairs to one"] = is_zero_many(
-        [ex.cleanup(ex.add(pair(eta, closed), ex.rat(-1)))],
-        sp5.coord_ranges, policy)
-    contracted = interior(closed, deta)
-    out["contracts to zero"] = is_zero_many(
-        [ex.cleanup(c) for c in contracted.comps.values()] or [ex.ZERO],
-        sp5.coord_ranges, policy)
+    out["pairs to one"] = zero([ex.add(pair(eta, closed), ex.rat(-1))],
+                               ranges, policy)
+    out["contracts to zero"] = zero(interior(closed, deta), ranges, policy)
     solved = reeb_solved(sp5, eta, policy)
     out["solved"] = solved
-    diff = closed - solved
-    out["closed form matches solve"] = is_zero_many(
-        [ex.cleanup(c) for c in diff.comps], sp5.coord_ranges, policy)
+    out["closed form matches solve"] = zero(closed - solved, ranges, policy)
     return out
 
 
@@ -131,21 +125,11 @@ def pullback_section_map(form5, h, sp5):
                 full = tuple(sorted(rest + (i,)))
                 # sign of inserting i into the slot where s sat, then sorting
                 perm = list(rest) + [i]
-                sgn = _sort_sign(perm)
+                sgn = perm_sign(perm)
                 term = ex.mul(base, dh)
                 out[full] = ex.add(out.get(full, ex.ZERO),
                                    term if sgn == 1 else ex.neg(term))
     return DiffForm(sp5, form5.degree, {k: v for k, v in out.items()})
-
-
-def _sort_sign(perm):
-    sign = 1
-    perm = list(perm)
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
 
 
 def contactomorphism_report(base_eta_data, new_data, lam, mu, nu, policy):
@@ -159,38 +143,18 @@ def contactomorphism_report(base_eta_data, new_data, lam, mu, nu, policy):
     f, g = interval_map(lam, mu, nu)
     h = ex.add(ex.mul(f, ex.var("s")), g)
     pulled = pullback_section_map(eta2, h, sp5)
-    diff = pulled - eta.scale(mu)
-    verdict = is_zero_many([ex.cleanup(c) for c in diff.comps.values()]
-                           or [ex.ZERO], sp5.coord_ranges, policy)
+    verdict = zero(pulled - eta.scale(mu), sp5.coord_ranges, policy)
     return {"f": f, "g": g, "pullback matches mu eta": verdict}
 
 
 def restrict_to_section(form5, g_expr, base_space):
-    """Restrict a thickened form to the graph section s = g(p)."""
-    n5 = base_space.dim + 1
-    s_idx = n5 - 1
-    sub = {form5.space.names[s_idx]: g_expr}
-    out = {}
-    for idx, c in form5.comps.items():
-        if s_idx not in idx:
-            out[idx] = ex.add(out.get(idx, ex.ZERO), ex.substitute(c, sub))
-        else:
-            rest = tuple(i for i in idx if i != s_idx)
-            sign = 1 if (len(idx) - 1 - idx.index(s_idx)) % 2 == 0 else -1
-            base = ex.substitute(c, sub)
-            if sign < 0:
-                base = ex.neg(base)
-            for i in range(base_space.dim):
-                dg = base_space.dir_deriv(i, ex.normalize(g_expr))
-                if dg == ex.ZERO or i in rest:
-                    continue
-                perm = list(rest) + [i]
-                sgn = _sort_sign(perm)
-                term = ex.mul(base, dg)
-                full = tuple(sorted(rest + (i,)))
-                out[full] = ex.add(out.get(full, ex.ZERO),
-                                   term if sgn == 1 else ex.neg(term))
-    return DiffForm(base_space, form5.degree, out)
+    """Restrict a thickened form to the graph section s = g(p).
+
+    This is the pullback along (p, s) -> (p, g(p)) moved onto the base; g
+    must not depend on s, so no interval leg survives.
+    """
+    pulled = pullback_section_map(form5, g_expr, form5.space)
+    return DiffForm(base_space, form5.degree, pulled.comps)
 
 
 def graph_recovery_report(data, nu, policy):
@@ -204,13 +168,8 @@ def graph_recovery_report(data, nu, policy):
     alpha_rec = restrict_to_section(lie_form(sp5.basis_field(sp5.dim - 1),
                                              eta), ex.ZERO, data.space)
     want_beta = data.beta + data.alpha.scale(nu)
-    out = {}
-    diff = beta_rec - want_beta
-    out["section recovers sheared beta"] = is_zero_many(
-        [ex.cleanup(c) for c in diff.comps.values()] or [ex.ZERO],
-        data.space.coord_ranges, policy)
-    diff = alpha_rec - data.alpha
-    out["s-derivative recovers alpha"] = is_zero_many(
-        [ex.cleanup(c) for c in diff.comps.values()] or [ex.ZERO],
-        data.space.coord_ranges, policy)
-    return out
+    ranges = data.space.coord_ranges
+    return {"section recovers sheared beta": zero(beta_rec - want_beta,
+                                                  ranges, policy),
+            "s-derivative recovers alpha": zero(alpha_rec - data.alpha,
+                                                ranges, policy)}

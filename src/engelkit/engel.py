@@ -10,10 +10,10 @@ criteria expressed through the coframe dual to the framing.
 """
 
 from . import expr as ex
-from .frames import (DiffForm, VectorField, bracket, d, determinant,
-                     dual_coframe, interior, lie_form, pair, solve_kernel,
-                     solve_kernel_greedy, wedge)
-from .sampling import ZeroVerdict, is_zero_expr, is_zero_many, nonvanishing
+from .frames import (bracket, d, determinant, dual_coframe, interior,
+                     lie_form, nonzero, pair, solve_kernel,
+                     solve_kernel_greedy, wedge, zero)
+from .sampling import nonvanishing
 
 PAIRS = ("WX", "WT", "WR", "XT", "XR", "TR")
 LETTERS = ("a", "b", "c", "d")
@@ -31,20 +31,12 @@ def check_defining_forms(space, alpha, beta, policy):
     flag:             alpha ^ dalpha ^ beta vanishes identically
     """
     da = d(alpha)
-    db = d(beta)
-    out = {}
-    w = wedge(alpha, da)
-    ok, low, pt = nonvanishing(list(w.comps.values()) or [ex.ZERO],
-                               space.coord_ranges, policy)
-    out["nonintegrability"] = (ok, low, pt)
-    w = wedge(wedge(alpha, beta), db)
-    ok, low, pt = nonvanishing(list(w.comps.values()) or [ex.ZERO],
-                               space.coord_ranges, policy)
-    out["span"] = (ok, low, pt)
-    w = wedge(wedge(alpha, da), beta)
-    out["flag"] = is_zero_many(list(w.comps.values()) or [ex.ZERO],
-                               space.coord_ranges, policy)
-    return out
+    ranges = space.coord_ranges
+    return {
+        "nonintegrability": nonzero(wedge(alpha, da), ranges, policy),
+        "span": nonzero(wedge(wedge(alpha, beta), d(beta)), ranges, policy),
+        "flag": zero(wedge(wedge(alpha, da), beta), ranges, policy),
+    }
 
 
 def characteristic_field(space, alpha, policy):
@@ -86,8 +78,7 @@ def complement_field(space, alpha, beta, W, policy):
         minors = [ex.add(ex.mul(W.comps[i], f.comps[j]),
                          ex.neg(ex.mul(W.comps[j], f.comps[i])))
                   for i in range(space.dim) for j in range(i + 1, space.dim)]
-        ok, _, _ = nonvanishing(minors, space.coord_ranges, policy)
-        if not ok:
+        if not nonvanishing(minors, space.coord_ranges, policy).ok:
             continue
         quality = (any(ex.has_div(c) for c in f.comps),
                    sum(ex.size(c) for c in f.comps), k)
@@ -139,12 +130,10 @@ def adapted_framing(space, alpha, beta, W, X, T, policy):
     independent of the admissible choices of W and X.
     """
     c_wx = ex.cleanup(pair(beta, bracket(W, X)))
-    ok, _, _ = nonvanishing([c_wx], space.coord_ranges, policy)
-    if not ok:
+    if not nonvanishing([c_wx], space.coord_ranges, policy).ok:
         raise EngelError("beta([W,X]) vanishes somewhere: framing degenerate")
     d_xt = ex.cleanup(pair(alpha, bracket(X, T)))
-    ok, _, _ = nonvanishing([d_xt], space.coord_ranges, policy)
-    if not ok:
+    if not nonvanishing([d_xt], space.coord_ranges, policy).ok:
         raise EngelError("alpha([X,T]) vanishes somewhere: framing degenerate")
     u = ex.cleanup(ex.div(d_xt, c_wx))
     v = ex.cleanup(ex.div(ex.ONE, d_xt))
@@ -152,9 +141,8 @@ def adapted_framing(space, alpha, beta, W, X, T, policy):
     Xp = X.scale(v).cleanup()
     for name, val in (("beta([W',X'])", pair(beta, bracket(Wp, Xp))),
                       ("alpha([X',T])", pair(alpha, bracket(Xp, T)))):
-        res = ex.cleanup(ex.add(val, ex.rat(-1)))
-        verdict = is_zero_expr(res, space.coord_ranges, policy)
-        if not verdict.is_zero:
+        verdict = zero([ex.add(val, ex.rat(-1))], space.coord_ranges, policy)
+        if not verdict.ok:
             raise EngelError(f"{name} != 1 after rescaling: "
                              f"{verdict.describe()}")
     return Wp, Xp, u, v
@@ -206,26 +194,22 @@ def analyze(space, alpha, beta, policy, W=None, X=None, check_defining=True):
         if check_defining else None
     da = d(alpha)
     if W is not None:
-        contracted = interior(W, wedge(alpha, da))
-        v = is_zero_many(list(contracted.comps.values()) or [ex.ZERO],
-                         space.coord_ranges, policy)
-        if not v.is_zero:
+        v = zero(interior(W, wedge(alpha, da)), space.coord_ranges, policy)
+        if not v.ok:
             raise EngelError(
                 f"W hint not in ker(alpha ^ dalpha): {v.describe()}")
     else:
         W = characteristic_field(space, alpha, policy)
     if X is not None:
-        v = is_zero_many([pair(alpha, X), pair(beta, X)],
-                         space.coord_ranges, policy)
-        if not v.is_zero:
+        v = zero([pair(alpha, X), pair(beta, X)], space.coord_ranges, policy)
+        if not v.ok:
             raise EngelError(f"X hint not in ker alpha ∩ ker beta: "
                              f"{v.describe()}")
     else:
         X = complement_field(space, alpha, beta, W, policy)
     T, R = reeb_pair(space, alpha, beta, policy)
     det = determinant([W, X, T, R])
-    ok, _, _ = nonvanishing([det], space.coord_ranges, policy)
-    if not ok:
+    if not nonvanishing([det], space.coord_ranges, policy).ok:
         raise EngelError("framing (W, X, T, R) degenerates somewhere")
     Wp, Xp, u, v = adapted_framing(space, alpha, beta, W, X, T, policy)
     return EngelData(space, alpha, beta, Wp, Xp, T, R, u, v, W, X,
@@ -236,7 +220,7 @@ def analyze(space, alpha, beta, policy, W=None, X=None, check_defining=True):
 # structural identities of the adapted bracket table
 
 def identity_suite(data, policy):
-    """Relations every adapted bracket table satisfies, as named residuals.
+    """Relations every adapted bracket table satisfies, as named verdicts.
 
     Directional derivatives of table entries appear as W f, X f, T f.
     """
@@ -278,11 +262,7 @@ def identity_suite(data, policy):
          ex.add(t["a_TR"], ex.neg(L(X, t["c_TR"])),
                 m(t["d_XR"], t["c_TR"]))),
     ]
-    out = []
-    for name, e in checks:
-        v = is_zero_expr(ex.cleanup(e), sp.coord_ranges, policy)
-        out.append((name, v))
-    return out
+    return {name: zero([e], sp.coord_ranges, policy) for name, e in checks}
 
 
 # ---------------------------------------------------------------------------
@@ -294,29 +274,24 @@ def integrability_report(data, policy):
     c_tr = data.c_TR
     db = d(data.beta)
     out = {"c_TR": c_tr}
-    out["c_TR matches dbeta(R,T)"] = is_zero_expr(
-        ex.cleanup(ex.add(pair(db, R, T), ex.neg(c_tr))),
-        sp.coord_ranges, policy)
+    ranges = sp.coord_ranges
+    out["c_TR matches dbeta(R,T)"] = zero(
+        [ex.add(pair(db, R, T), ex.neg(c_tr))], ranges, policy)
     # the plane field span(T, R) is the kernel of dbeta + c_TR beta ^ alpha
     omega = db + wedge(data.beta, data.alpha).scale(c_tr)
     for name, V in (("T", T), ("R", R)):
-        contracted = interior(V, omega)
-        out[f"kernel contains {name}"] = is_zero_many(
-            [ex.cleanup(c) for c in contracted.comps.values()] or [ex.ZERO],
-            sp.coord_ranges, policy)
-    obstruction = wedge(d(data.alpha.scale(c_tr)), data.beta)
-    out["integrable"] = is_zero_many(
-        [ex.cleanup(c) for c in obstruction.comps.values()] or [ex.ZERO],
-        sp.coord_ranges, policy)
+        out[f"kernel contains {name}"] = zero(interior(V, omega), ranges,
+                                              policy)
+    out["integrable"] = zero(wedge(d(data.alpha.scale(c_tr)), data.beta),
+                             ranges, policy)
     tr = bracket(T, R)
     for name, V in (("W", W), ("X", X)):
-        det = ex.cleanup(determinant([T, R, tr, V]))
-        out[f"closure det with {name}"] = is_zero_expr(
-            det, sp.coord_ranges, policy)
+        out[f"closure det with {name}"] = zero(
+            [determinant([T, R, tr, V])], ranges, policy)
     out["frobenius agrees"] = (
-        out["integrable"].is_zero
-        == (out["closure det with W"].is_zero
-            and out["closure det with X"].is_zero))
+        out["integrable"].ok
+        == (out["closure det with W"].ok
+            and out["closure det with X"].ok))
     return out
 
 
@@ -347,13 +322,10 @@ def transform_forms(data, lam, mu, nu, policy):
         return sp.lie_scalar(V, f)
 
     def fields_match(name, A, B):
-        diff = A - B
-        checks[name] = is_zero_many([ex.cleanup(c) for c in diff.comps],
-                                    sp.coord_ranges, policy)
+        checks[name] = zero(A - B, sp.coord_ranges, policy)
 
     def scalar_match(name, a, b):
-        checks[name] = is_zero_expr(ex.cleanup(ex.add(a, ex.neg(b))),
-                                    sp.coord_ranges, policy)
+        checks[name] = zero([ex.add(a, ex.neg(b))], sp.coord_ranges, policy)
 
     if mu == ex.ONE and nu == ex.ZERO:
         fields_match("T unchanged", new.T, T)
@@ -402,16 +374,13 @@ def dbeta2_criterion(data, policy):
     a_wr = ex.cleanup(pair(theta[0], bracket(W, R)))
     b_xr = ex.cleanup(pair(theta[1], bracket(X, R)))
     out = {}
-    out["a_WR + b_XR"] = is_zero_expr(ex.cleanup(ex.add(a_wr, b_xr)),
-                                      sp.coord_ranges, policy)
+    out["a_WR + b_XR"] = zero([ex.add(a_wr, b_xr)], sp.coord_ranges, policy)
     c_wx = ex.cleanup(pair(data.beta, bracket(W, X)))
     mu = ex.cleanup(ex.div(ex.ONE, c_wx))
     out["mu"] = mu
     scaled = data.beta.scale(mu).cleanup()
-    dsq = wedge(d(scaled), d(scaled))
-    out["d(mu beta)^2"] = is_zero_many(
-        [ex.cleanup(c) for c in dsq.comps.values()] or [ex.ZERO],
-        sp.coord_ranges, policy)
+    out["d(mu beta)^2"] = zero(wedge(d(scaled), d(scaled)), sp.coord_ranges,
+                               policy)
     return out
 
 
@@ -425,29 +394,20 @@ def rho_criterion(data, policy):
     """
     sp = data.space
     W, X, T, R = data.framing()
+    ranges = sp.coord_ranges
     out = {}
     da = d(data.alpha)
-    sq = wedge(da, da)
-    out["dalpha^2"] = is_zero_many(
-        [ex.cleanup(c) for c in sq.comps.values()] or [ex.ZERO],
-        sp.coord_ranges, policy)
-    lxa = lie_form(X, data.alpha)
-    residual = data.beta + lxa
-    out["beta + X(alpha)"] = is_zero_many(
-        [ex.cleanup(c) for c in residual.comps.values()] or [ex.ZERO],
-        sp.coord_ranges, policy)
+    out["dalpha^2"] = zero(wedge(da, da), ranges, policy)
+    out["beta + X(alpha)"] = zero(data.beta + lie_form(X, data.alpha),
+                                  ranges, policy)
     rho = dual_coframe([W, X, T, R])[0]
-    lr = lie_form(R, rho)
-    wb = wedge(lr, data.beta)
-    out["(L_R rho) ^ beta"] = is_zero_many(
-        [ex.cleanup(c) for c in wb.comps.values()] or [ex.ZERO],
-        sp.coord_ranges, policy)
-    out["a_WR"] = is_zero_expr(data.table["a_WR"], sp.coord_ranges, policy)
-    out["a_XR"] = is_zero_expr(data.table["a_XR"], sp.coord_ranges, policy)
+    out["(L_R rho) ^ beta"] = zero(wedge(lie_form(R, rho), data.beta),
+                                   ranges, policy)
+    out["a_WR"] = zero([data.table["a_WR"]], ranges, policy)
+    out["a_XR"] = zero([data.table["a_XR"]], ranges, policy)
     drho = d(rho).cleanup()
     out["drho"] = drho
-    out["drho zero"] = is_zero_many(
-        list(drho.comps.values()) or [ex.ZERO], sp.coord_ranges, policy)
+    out["drho zero"] = zero(drho, ranges, policy)
     return out
 
 
@@ -462,15 +422,10 @@ def even_contact_symmetry(space, alpha, policy):
     whenever the system still solves and verifies.
     """
     da = d(alpha)
-    sq = wedge(da, da)
-    v = is_zero_many(list(sq.comps.values()) or [ex.ZERO],
-                     space.coord_ranges, policy)
-    if not v.is_zero:
+    v = zero(wedge(da, da), space.coord_ranges, policy)
+    if not v.ok:
         raise EngelError(f"dalpha^2 != 0: {v.describe()}")
-    ok, _, _ = nonvanishing(
-        list(wedge(alpha, da).comps.values()) or [ex.ZERO],
-        space.coord_ranges, policy)
-    if not ok:
+    if not nonzero(wedge(alpha, da), space.coord_ranges, policy).ok:
         raise EngelError("alpha ^ dalpha has zeros")
     best = solve_kernel_greedy(space, [(da, ex.ZERO), (alpha, ex.ONE)],
                                policy)

@@ -97,12 +97,6 @@ def ln(a):
     return ("ln", a)
 
 
-def is_rat(e, q=None) -> bool:
-    if e[0] != "rat":
-        return False
-    return True if q is None else e[1] == Fraction(q)
-
-
 def children(e):
     if e[0] in ("add", "mul"):
         return e[1]

@@ -230,6 +230,34 @@ class DiffForm:
         return f"DiffForm(deg={self.degree}, {render_form(self)})"
 
 
+def _components(x):
+    if isinstance(x, DiffForm):
+        return list(x.comps.values())
+    if isinstance(x, VectorField):
+        return list(x.comps)
+    return list(x)
+
+
+def zero(x, coords, policy):
+    """Does a form, a field or a list of scalars vanish identically?
+
+    Every component is cleaned up first, so that identities such as
+    sin^2 + cos^2 = 1 are decided exactly rather than by sampling.
+    """
+    return is_zero_many([ex.cleanup(c) for c in _components(x)], coords,
+                        policy)
+
+
+def nonzero(x, coords, policy):
+    """Does a form or a field vanish nowhere?
+
+    At every sample some component must exceed tolerance.  Components are
+    taken as given, without cleanup; for a plain list of scalars this is
+    `nonvanishing` itself.
+    """
+    return nonvanishing(_components(x), coords, policy)
+
+
 def perm_sign(perm):
     sign = 1
     perm = list(perm)
@@ -402,10 +430,6 @@ def dual_coframe(fields):
 # ---------------------------------------------------------------------------
 # rendering
 
-def render_expr(e):
-    return ex.to_str(e)
-
-
 def render_field(V):
     sp = V.space
     pieces = []
@@ -534,8 +558,7 @@ def solve_kernel(space, conditions, policy, pinned=None):
                 changed = True
                 continue
             coeffs = [c for c, _ in grp]
-            ok, _, _ = nonvanishing(coeffs, ranges, policy)
-            if ok:
+            if nonvanishing(coeffs, ranges, policy).ok:
                 c, r = max(grp, key=lambda cr: ex.size(cr[0]))
                 solved[i] = ex.cleanup(ex.div(r, c))
                 changed = True
@@ -553,10 +576,9 @@ def solve_kernel(space, conditions, policy, pinned=None):
         if form.degree == 1:
             res = [ex.add(pair(form, field), ex.neg(rhs))]
         else:
-            contracted = interior(field, form)
-            res = list(contracted.comps.values()) or [ex.ZERO]
-        verdict = is_zero_many(res, ranges, policy)
-        if not verdict.is_zero:
+            res = interior(field, form)
+        verdict = zero(res, ranges, policy)
+        if not verdict.ok:
             return SolveResult(field, False,
                                f"condition check failed: {verdict.describe()}")
     return SolveResult(field, True)
@@ -611,8 +633,7 @@ def _solve_square(space, work, solved, unknowns, policy):
         mat = [rows[r][0] for r in subset]
         rhs = [rows[r][1] for r in subset]
         det = ex.normalize(_det(mat))
-        ok, _, _ = nonvanishing([det], ranges, policy)
-        if not ok:
+        if not nonvanishing([det], ranges, policy).ok:
             continue
         out = {}
         for col, i in enumerate(unknowns):

@@ -9,10 +9,10 @@ with it, and the table entries are constant along its orbits.
 
 from . import expr as ex
 from .engel import analyze
-from .frames import bracket, d, determinant, dual_coframe, lie_form, pair, \
-    wedge
+from .frames import (bracket, d, determinant, dual_coframe, lie_form, pair,
+                     wedge, zero)
 from .metric import framing_metric, killing_report
-from .sampling import fmt_float, is_zero_expr, is_zero_many, nonvanishing
+from .sampling import failed, fmt_point, nonvanishing
 
 
 class KEngelError(Exception):
@@ -36,27 +36,14 @@ class KEngelData:
         return self.data.framing()
 
 
-def _fmt_point(env):
-    return ",".join(f"{k}={fmt_float(v)}" for k, v in sorted(env.items()))
-
-
-def _field_zero(V, policy):
-    return is_zero_many([ex.cleanup(c) for c in V.comps],
-                        V.space.coord_ranges, policy)
-
-
 def form_conditions(space, alpha, beta, policy):
     """The three closedness conditions the good defining pair satisfies."""
     da = d(alpha)
     db = d(beta)
-    out = {}
-    for name, form in (("d(alpha)^2", wedge(da, da)),
-                       ("d(beta)^2", wedge(db, db)),
-                       ("beta ^ d(alpha)", wedge(beta, da))):
-        out[name] = is_zero_many(
-            [ex.cleanup(c) for c in form.comps.values()] or [ex.ZERO],
-            space.coord_ranges, policy)
-    return out
+    return {name: zero(form, space.coord_ranges, policy)
+            for name, form in (("d(alpha)^2", wedge(da, da)),
+                               ("d(beta)^2", wedge(db, db)),
+                               ("beta ^ d(alpha)", wedge(beta, da)))}
 
 
 def kengel_invariants(data, policy):
@@ -67,21 +54,19 @@ def kengel_invariants(data, policy):
     b_XT = -a_WT.
     """
     sp = data.space
+    ranges = sp.coord_ranges
     W, X, T, R = data.framing()
     t = data.table
     out = dict(form_conditions(sp, data.alpha, data.beta, policy))
     for name, V in (("[W,R]", bracket(W, R)), ("[X,R]", bracket(X, R)),
                     ("[T,R]", bracket(T, R))):
-        out[name] = _field_zero(V, policy)
+        out[name] = zero(V, ranges, policy)
     for key in ("a_WX", "a_WT", "b_WT", "a_XT"):
-        out[f"R({key})"] = is_zero_expr(
-            ex.cleanup(sp.lie_scalar(R, t[key])), sp.coord_ranges, policy)
-    out["b_WX"] = is_zero_expr(t["b_WX"], sp.coord_ranges, policy)
-    out["d_WR"] = is_zero_expr(t["d_WR"], sp.coord_ranges, policy)
-    out["b_XT + a_WT"] = is_zero_expr(
-        ex.cleanup(ex.add(t["b_XT"], t["a_WT"])), sp.coord_ranges, policy)
-    ok = all(v.is_zero for v in out.values())
-    return out, ok
+        out[f"R({key})"] = zero([sp.lie_scalar(R, t[key])], ranges, policy)
+    out["b_WX"] = zero([t["b_WX"]], ranges, policy)
+    out["d_WR"] = zero([t["d_WR"]], ranges, policy)
+    out["b_XT + a_WT"] = zero([ex.add(t["b_XT"], t["a_WT"])], ranges, policy)
+    return out
 
 
 def kengel_check(data, g, Z, policy):
@@ -91,26 +76,49 @@ def kengel_check(data, g, Z, policy):
     Y = bracket(W, X)
     engel = {}
     for name, V in (("[Z,W]", bracket(Z, W)), ("[Z,X]", bracket(Z, X))):
-        dets = [ex.cleanup(determinant([W, X, V, T])),
-                ex.cleanup(determinant([W, X, V, R]))]
-        engel[f"{name} stays in the plane"] = is_zero_many(
-            dets, sp.coord_ranges, policy)
-    killing, killing_ok = killing_report(g, Z, policy)
+        dets = [determinant([W, X, V, T]), determinant([W, X, V, R])]
+        engel[f"{name} stays in the plane"] = zero(dets, sp.coord_ranges,
+                                                   policy)
+    killing = killing_report(g, Z, policy)
     ortho = {}
     for name, V in (("g(Z,W)", W), ("g(Z,X)", X), ("g(Z,[W,X])", Y)):
-        ortho[name] = is_zero_expr(g.inner(Z, V), sp.coord_ranges, policy)
-    ok = all(v.is_zero for v in engel.values()) and killing_ok and \
-        all(v.is_zero for v in ortho.values())
-    return {"engel": engel, "killing": killing, "orthogonal": ortho,
-            "ok": ok}
+        ortho[name] = zero([g.inner(Z, V)], sp.coord_ranges, policy)
+    report = {"engel": engel, "killing": killing, "orthogonal": ortho}
+    report["ok"] = not failing(report)
+    return report
 
 
-def _failing(report):
-    names = [k for k, v in report["engel"].items() if not v.is_zero]
-    names += [f"Killing {k}" for k, v in report["killing"].items()
-              if not v.is_zero]
-    names += [k for k, v in report["orthogonal"].items() if not v.is_zero]
-    return names
+def failing(report):
+    """Names of the failed checks in a kengel_check report."""
+    return (failed(report["engel"])
+            + [f"Killing {k}" for k in failed(report["killing"])]
+            + failed(report["orthogonal"]))
+
+
+def _refibre(data, Z, policy, label):
+    """Rescale alpha so alpha(Z) = 1, rebuild beta = -L_X alpha, re-analyze.
+
+    The rebuilt pair must have Reeb direction Z and pass every K-Engel
+    invariant; label names Z in error messages.
+    """
+    sp = data.space
+    a = ex.cleanup(pair(data.alpha, Z))
+    v = nonvanishing([a], sp.coord_ranges, policy)
+    if not v.ok:
+        raise KEngelError(f"alpha({label}) = {ex.to_str(a)} vanishes near "
+                          f"{fmt_point(v.point)}")
+    alpha1 = data.alpha.scale(ex.div(ex.ONE, a)).cleanup()
+    beta1 = lie_form(data.X, alpha1).scale(ex.rat(-1)).cleanup()
+    kd = analyze(sp, alpha1, beta1, policy, W=data.W, X=data.X)
+    v = zero(kd.R - Z, sp.coord_ranges, policy)
+    if not v.ok:
+        raise KEngelError(f"Reeb direction of the rebuilt pair is not "
+                          f"{label}: {v.describe()}")
+    bad = failed(kengel_invariants(kd, policy))
+    if bad:
+        raise KEngelError("invariants fail on the rebuilt pair: "
+                          + ", ".join(bad))
+    return kd
 
 
 def kengel_framing(data, g, Z, policy):
@@ -123,25 +131,8 @@ def kengel_framing(data, g, Z, policy):
     check = kengel_check(data, g, Z, policy)
     if not check["ok"]:
         raise KEngelError(
-            "the triple check fails: " + ", ".join(_failing(check)))
-    sp = data.space
-    a = ex.cleanup(pair(data.alpha, Z))
-    ok, low, pt = nonvanishing([a], sp.coord_ranges, policy)
-    if not ok:
-        raise KEngelError(
-            f"alpha(Z) = {ex.to_str(a)} vanishes near {_fmt_point(pt)}")
-    alpha1 = data.alpha.scale(ex.div(ex.ONE, a)).cleanup()
-    beta1 = lie_form(data.X, alpha1).scale(ex.rat(-1)).cleanup()
-    kd = analyze(sp, alpha1, beta1, policy, W=data.W, X=data.X)
-    v = _field_zero(kd.R - Z, policy)
-    if not v.is_zero:
-        raise KEngelError(
-            f"Reeb direction of the rebuilt pair is not Z: {v.describe()}")
-    inv, inv_ok = kengel_invariants(kd, policy)
-    if not inv_ok:
-        bad = [k for k, vv in inv.items() if not vv.is_zero]
-        raise KEngelError("invariants fail: " + ", ".join(bad))
-    return KEngelData(kd, g, Z)
+            "the triple check fails: " + ", ".join(failing(check)))
+    return KEngelData(_refibre(data, Z, policy, "Z"), g, Z)
 
 
 def converse_metric(data, X, policy):
@@ -152,41 +143,39 @@ def converse_metric(data, X, policy):
     from the given section orthonormal; (D, g, R) passes kengel_check.
     """
     sp = data.space
-    fc = form_conditions(sp, data.alpha, data.beta, policy)
-    bad = [k for k, v in fc.items() if not v.is_zero]
+    bad = failed(form_conditions(sp, data.alpha, data.beta, policy))
     if bad:
         raise KEngelError("form conditions fail: " + ", ".join(bad))
-    v = is_zero_many([ex.cleanup(pair(data.alpha, X)),
-                      ex.cleanup(pair(data.beta, X))],
-                     sp.coord_ranges, policy)
-    if not v.is_zero:
+    v = zero([pair(data.alpha, X), pair(data.beta, X)], sp.coord_ranges,
+             policy)
+    if not v.ok:
         raise KEngelError(f"the section is not tangent to the plane field: "
                           f"{v.describe()}")
     W, _, T, R = data.framing()
     framing = (W, X, T, R)
-    ok, low, pt = nonvanishing([ex.cleanup(determinant(list(framing)))],
-                               sp.coord_ranges, policy)
-    if not ok:
+    v = nonvanishing([ex.cleanup(determinant(list(framing)))],
+                     sp.coord_ranges, policy)
+    if not v.ok:
         raise KEngelError(f"the section is parallel to the characteristic "
-                          f"direction near {_fmt_point(pt)}")
+                          f"direction near {fmt_point(v.point)}")
     theta = dual_coframe(list(framing))
     rx = bracket(R, X)
     comps = {name: ex.cleanup(pair(th, rx))
              for name, th in zip("WXTR", theta)}
-    wv = is_zero_expr(comps["W"], sp.coord_ranges, policy)
-    if not wv.is_zero:
+    wv = zero([comps["W"]], sp.coord_ranges, policy)
+    if not wv.ok:
         raise KEngelError(
             f"[R,X] has a W-component, so no metric makes R act "
             f"diagonally on this section: {wv.describe()}")
     report = {"[R,X] along W": wv}
     for name in "TR":
-        report[f"[R,X] along {name}"] = is_zero_expr(
-            comps[name], sp.coord_ranges, policy)
-    scale = is_zero_expr(comps["X"], sp.coord_ranges, policy)
+        report[f"[R,X] along {name}"] = zero([comps[name]], sp.coord_ranges,
+                                             policy)
+    scale = zero([comps["X"]], sp.coord_ranges, policy)
     report["[R,X] along X"] = scale
-    if not all(vv.is_zero for vv in report.values()):
-        bad = [k for k, vv in report.items() if not vv.is_zero]
-        if scale.is_zero:
+    bad = failed(report)
+    if bad:
+        if scale.ok:
             raise KEngelError("[R,X] leaves the section's line: "
                               + ", ".join(bad))
         # a genuinely scaling action would need an integrating factor
@@ -195,16 +184,16 @@ def converse_metric(data, X, policy):
             f"R rescales the section ([R,X] along X: "
             f"{ex.to_str(comps['X'])}); pick a commuting section")
     for name, V in (("[R,W]", bracket(R, W)), ("[R,T]", bracket(R, T))):
-        vz = _field_zero(V, policy)
+        vz = zero(V, sp.coord_ranges, policy)
         report[name] = vz
-        if not vz.is_zero:
+        if not vz.ok:
             raise KEngelError(f"{name} != 0: {vz.describe()}")
     g = framing_metric(sp, framing)
     check = kengel_check(data, g, R, policy)
     report["triple check"] = check
     if not check["ok"]:
         raise KEngelError("constructed metric fails the triple check: "
-                          + ", ".join(_failing(check)))
+                          + ", ".join(failing(check)))
     return g, report
 
 
@@ -215,28 +204,10 @@ def rank1_perturbation(kdata, Ri, policy):
     pair must again pass the full invariant set, now with Reeb = Ri.
     """
     data = kdata.data
-    sp = data.space
     for name, V in zip(("W", "X", "T", "R"), data.framing()):
-        v = _field_zero(bracket(Ri, V), policy)
-        if not v.is_zero:
+        v = zero(bracket(Ri, V), data.space.coord_ranges, policy)
+        if not v.ok:
             raise KEngelError(f"Ri does not commute with {name}: "
                               f"{v.describe()}")
-    a = ex.cleanup(pair(data.alpha, Ri))
-    ok, low, pt = nonvanishing([a], sp.coord_ranges, policy)
-    if not ok:
-        raise KEngelError(
-            f"alpha(Ri) = {ex.to_str(a)} vanishes near {_fmt_point(pt)}")
-    alpha_i = data.alpha.scale(ex.div(ex.ONE, a)).cleanup()
-    beta_i = lie_form(data.X, alpha_i).scale(ex.rat(-1)).cleanup()
-    kd = analyze(sp, alpha_i, beta_i, policy, W=data.W, X=data.X)
-    v = _field_zero(kd.R - Ri, policy)
-    if not v.is_zero:
-        raise KEngelError(
-            f"Reeb direction of the re-fibred pair is not Ri: "
-            f"{v.describe()}")
-    inv, inv_ok = kengel_invariants(kd, policy)
-    if not inv_ok:
-        bad = [k for k, vv in inv.items() if not vv.is_zero]
-        raise KEngelError("invariants fail after re-fibring: "
-                          + ", ".join(bad))
-    return KEngelData(kd, kdata.g, Ri, rank=kdata.rank)
+    return KEngelData(_refibre(data, Ri, policy, "Ri"), kdata.g, Ri,
+                      rank=kdata.rank)

@@ -3,7 +3,7 @@
 A manifest declares one frame space, any number of named forms, fields,
 metrics and lattices over it, and a sequence of tasks with their expected
 outcomes.  The grammar is line-oriented with `[section]` headers; see
-README for the full description.  Everything is parsed eagerly so that a
+README.md for the full description.  Everything is parsed eagerly so that a
 bad manifest fails before any task runs.
 """
 
@@ -140,7 +140,7 @@ class _Parser:
                               "usage: coord NAME LO HI [periodic]")
                 try:
                     lo, hi = _bound(tokens[2]), _bound(tokens[3])
-                except ValueError:
+                except (ValueError, ZeroDivisionError):
                     self.fail(lineno, "coordinate bounds must be rational "
                                       "or a rational multiple of pi")
                 entries.append(("coord", tokens[1], lo, hi,

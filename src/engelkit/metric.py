@@ -7,8 +7,7 @@ same checks.
 """
 
 from . import expr as ex
-from .frames import VectorField, _det, bracket, dual_coframe
-from .sampling import is_zero_expr
+from .frames import VectorField, _det, bracket, dual_coframe, zero
 
 
 class Metric:
@@ -92,19 +91,16 @@ def killing_report(g, Z, policy):
     """Residuals of the Killing equation for Z, one per basis pair."""
     sp = g.space
     out = {}
-    all_zero = True
     zbr = [bracket(Z, sp.basis_field(i)) for i in range(sp.dim)]
     for i in range(sp.dim):
         for j in range(i, sp.dim):
             ei, ej = sp.basis_field(i), sp.basis_field(j)
-            resid = ex.cleanup(ex.add(
-                sp.lie_scalar(Z, g.matrix[i][j]),
-                ex.neg(g.inner(zbr[i], ej)),
-                ex.neg(g.inner(ei, zbr[j]))))
-            verdict = is_zero_expr(resid, sp.coord_ranges, policy)
-            out[f"({sp.names[i]},{sp.names[j]})"] = verdict
-            all_zero = all_zero and verdict.is_zero
-    return out, all_zero
+            resid = ex.add(sp.lie_scalar(Z, g.matrix[i][j]),
+                           ex.neg(g.inner(zbr[i], ej)),
+                           ex.neg(g.inner(ei, zbr[j])))
+            out[f"({sp.names[i]},{sp.names[j]})"] = zero(
+                [resid], sp.coord_ranges, policy)
+    return out
 
 
 def tangency_expr(g, U, Up, V):
@@ -147,10 +143,10 @@ def tangency_report(data, g, plane, policy):
             nb, Up = tangent[bi]
             for nv, V in normal:
                 e = tangency_expr(g, U, Up, V)
-                verdict = is_zero_expr(e, data.space.coord_ranges, policy)
+                verdict = zero([e], data.space.coord_ranges, policy)
                 name = f"({na},{nb};{nv})"
                 checks[name] = (e, verdict)
-                if not verdict.is_zero:
+                if not verdict.ok:
                     geodesic = False
                     if witness is None:
                         witness = (name, ex.to_str(e))
@@ -167,20 +163,12 @@ def bracket_pattern_report(data, policy):
     whose plane field is totally geodesic: nine entries vanish and two
     antisymmetric pairs cancel."""
     t = data.table
-    sp = data.space
-    out = {}
-    all_zero = True
-    for key in COMMUTATOR_ZEROS:
-        verdict = is_zero_expr(ex.cleanup(t[key]), sp.coord_ranges, policy)
-        out[key] = verdict
-        all_zero = all_zero and verdict.is_zero
+    ranges = data.space.coord_ranges
+    out = {key: zero([t[key]], ranges, policy) for key in COMMUTATOR_ZEROS}
     for name, a, b in (("a_XT + b_WT", t["a_XT"], t["b_WT"]),
                        ("a_XR + b_WR", t["a_XR"], t["b_WR"])):
-        verdict = is_zero_expr(ex.cleanup(ex.add(a, b)),
-                               sp.coord_ranges, policy)
-        out[name] = verdict
-        all_zero = all_zero and verdict.is_zero
-    return out, all_zero
+        out[name] = zero([ex.add(a, b)], ranges, policy)
+    return out
 
 
 def dual_pair_report(data, g, policy):
@@ -191,14 +179,9 @@ def dual_pair_report(data, g, policy):
     T, R = data.T, data.R
     gab = g.inner(A, B)
     out = {"A": A, "B": B}
-    diff = A - (T.scale(gab) + R.scale(g.norm_sq(A)))
-    out["alpha dual in span"] = _field_zero(diff, data.space, policy)
-    diff = B - (T.scale(g.norm_sq(B)) + R.scale(gab))
-    out["beta dual in span"] = _field_zero(diff, data.space, policy)
+    ranges = data.space.coord_ranges
+    out["alpha dual in span"] = zero(
+        A - (T.scale(gab) + R.scale(g.norm_sq(A))), ranges, policy)
+    out["beta dual in span"] = zero(
+        B - (T.scale(g.norm_sq(B)) + R.scale(gab)), ranges, policy)
     return out
-
-
-def _field_zero(V, sp, policy):
-    from .sampling import is_zero_many
-    return is_zero_many([ex.cleanup(c) for c in V.comps],
-                        sp.coord_ranges, policy)

@@ -15,42 +15,24 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import expr as ex
-from .bundles import (boothby_wang, filling_check, t2_bundle_condition,
-                      torus_family)
+from .bundles import (T2_CONDITIONS, boothby_wang, filling_check,
+                      t2_bundle_condition, torus_family)
 from .catalog import (CatalogError, LieAlgebra4, fmt_vec,
                       kengel_framing_search)
 from .contact import contactization_report
 from .engel import EngelError, analyze, dbeta2_criterion, identity_suite
-from .frames import VectorField
-from .kengel import (KEngelData, KEngelError, kengel_check,
+from .expr import ExprError
+from .kengel import (KEngelData, KEngelError, failing, kengel_check,
                      kengel_invariants)
 from .manifest import ManifestError
 from .metric import (bracket_pattern_report, orthonormal_metric,
                      tangency_report)
 from .qfield import FieldError
-from .sampling import SamplingPolicy, ZeroVerdict, fmt_float
+from .sampling import SamplingPolicy, failed, fmt_float, fmt_point, weakest
 
 
 # ---------------------------------------------------------------------------
 # rendering helpers
-
-def fmt_point(pt):
-    if not pt:
-        return "-"
-    return ",".join(f"{k}={fmt_float(v)}" for k, v in sorted(pt.items()))
-
-
-def render_verdict(v):
-    if isinstance(v, ZeroVerdict):
-        return v.describe()
-    if isinstance(v, tuple) and len(v) == 3:
-        ok, low, pt = v
-        word = "yes" if ok else "NO"
-        return f"nonvanishing={word} min={fmt_float(low)} at {fmt_point(pt)}"
-    if isinstance(v, bool):
-        return "yes" if v else "no"
-    raise TypeError(f"cannot render verdict {v!r}")
-
 
 def fmt_field(V):
     return "; ".join(ex.to_str(c) for c in V.comps)
@@ -80,7 +62,27 @@ class TaskResult:
             self.token(kind, n)
 
     def verdict(self, name, v):
-        self.lines.append(("verdict", name, render_verdict(v)))
+        """A Verdict line, or yes/no for a plain flag."""
+        if isinstance(v, bool):
+            text = "yes" if v else "no"
+        else:
+            text = v.describe()
+        self.lines.append(("verdict", name, text))
+
+    def outcome(self, prefix, bad):
+        """`<prefix>_pass`, or `<prefix>_fail` once bare and once per name."""
+        if bad:
+            self.fail_tokens(f"{prefix}_fail", bad)
+        else:
+            self.token(f"{prefix}_pass")
+        return not bad
+
+    def verdicts(self, prefix, verdicts, names=None):
+        """Render the named verdicts (all by default), then the outcome."""
+        shown = {k: verdicts[k] for k in names or verdicts}
+        for name, v in shown.items():
+            self.verdict(name, v)
+        return self.outcome(prefix, failed(shown))
 
     def derived(self, name, text):
         self.lines.append(("derived", name, text))
@@ -111,6 +113,11 @@ def _field(mf, task, key, optional=False):
     if name not in mf.fields:
         raise ManifestError(f"task '{task.name}': unknown field '{name}'")
     return mf.fields[name]
+
+
+def _engel(out):
+    """The analyzed pair inside a task output."""
+    return out.data if isinstance(out, KEngelData) else out
 
 
 def _data(outputs, task, key="data", want=None):
@@ -183,27 +190,12 @@ def op_engel(mf, task, policy, outputs, res):
     except EngelError as err:
         # name the defining condition that broke, if one did
         checks = check_defining_forms(mf.space, alpha, beta, policy)
-        bad = []
-        for name in ("nonintegrability", "span", "flag"):
-            v = checks[name]
+        for name, v in checks.items():
             res.verdict(name, v)
-            ok = v[0] if isinstance(v, tuple) else v.is_zero
-            if not ok:
-                bad.append(name)
-        res.fail_tokens("engel_fail", bad or ["analysis"])
+        res.fail_tokens("engel_fail", failed(checks) or ["analysis"])
         res.derived("error", str(err))
         return
-    bad = []
-    for name in ("nonintegrability", "span", "flag"):
-        v = data.defining[name]
-        res.verdict(name, v)
-        ok = v[0] if isinstance(v, tuple) else v.is_zero
-        if not ok:
-            bad.append(name)
-    if bad:
-        res.fail_tokens("engel_fail", bad)
-    else:
-        res.token("engel_pass")
+    res.verdicts("engel", data.defining)
     for name, V in (("W", data.W), ("X", data.X), ("T", data.T),
                     ("R", data.R)):
         res.derived(name, fmt_field(V))
@@ -217,87 +209,45 @@ def op_engel(mf, task, policy, outputs, res):
 
 
 def op_kengel(mf, task, policy, outputs, res):
-    data = _data(outputs, task)
-    if isinstance(data, KEngelData):
-        data = data.data
+    data = _engel(_data(outputs, task))
     Z = _field(mf, task, "Z")
     g = _metric(mf, task, data)
+    rank = task.args.get("rank")
+    try:
+        rank = int(rank) if rank is not None else None
+    except ValueError:
+        raise ManifestError(f"task '{task.name}': rank must be an integer, "
+                            f"got {rank!r}")
     report = kengel_check(data, g, Z, policy)
     for group in ("engel", "orthogonal"):
         for name, v in report[group].items():
             res.verdict(name, v)
-    killing_bad = [f"Killing {k}" for k, v in report["killing"].items()
-                   if not v.is_zero]
-    res.verdict("Killing equation",
-                ZeroVerdict("exact") if not killing_bad
-                else next(v for v in report["killing"].values()
-                          if not v.is_zero))
-    if report["ok"]:
-        res.token("kengel_pass")
-    else:
-        bad = [k for k, v in report["engel"].items() if not v.is_zero]
-        bad += killing_bad
-        bad += [k for k, v in report["orthogonal"].items() if not v.is_zero]
-        res.fail_tokens("kengel_fail", bad)
-    rank = task.args.get("rank")
-    res.output = KEngelData(data, g, Z,
-                            rank=int(rank) if rank is not None else None)
+    res.verdict("Killing equation", weakest(report["killing"].values()))
+    res.outcome("kengel", failing(report))
+    res.output = KEngelData(data, g, Z, rank=rank)
 
 
 def op_kinvariants(mf, task, policy, outputs, res):
-    data = _data(outputs, task)
-    if isinstance(data, KEngelData):
-        data = data.data
-    report, ok = kengel_invariants(data, policy)
-    for name, v in report.items():
-        res.verdict(name, v)
-    if ok:
-        res.token("invariants_pass")
-    else:
-        res.fail_tokens("invariants_fail",
-                        [k for k, v in report.items() if not v.is_zero])
+    data = _engel(_data(outputs, task))
+    res.verdicts("invariants", kengel_invariants(data, policy))
 
 
 def op_identities(mf, task, policy, outputs, res):
-    data = _data(outputs, task)
-    if isinstance(data, KEngelData):
-        data = data.data
-    suite = identity_suite(data, policy)
-    bad = []
-    for name, v in suite:
-        res.verdict(name, v)
-        if not v.is_zero:
-            bad.append(name)
-    if bad:
-        res.fail_tokens("identities_fail", bad)
-    else:
-        res.token("identities_pass")
+    data = _engel(_data(outputs, task))
+    res.verdicts("identities", identity_suite(data, policy))
 
 
 def op_contact(mf, task, policy, outputs, res):
-    data = _data(outputs, task)
-    if isinstance(data, KEngelData):
-        data = data.data
+    data = _engel(_data(outputs, task))
     report = contactization_report(data, policy)
-    bad = []
-    for name in ("contact volume", "pairs to one", "contracts to zero",
-                 "closed form matches solve"):
-        v = report[name]
-        res.verdict(name, v)
-        ok = v[0] if isinstance(v, tuple) else v.is_zero
-        if not ok:
-            bad.append(name)
+    res.verdicts("contact", report,
+                 ("contact volume", "pairs to one", "contracts to zero",
+                  "closed form matches solve"))
     res.derived("closed form", fmt_field(report["closed form"]))
-    if bad:
-        res.fail_tokens("contact_fail", bad)
-    else:
-        res.token("contact_pass")
 
 
 def op_geodesic(mf, task, policy, outputs, res):
-    data = _data(outputs, task)
-    if isinstance(data, KEngelData):
-        data = data.data
+    data = _engel(_data(outputs, task))
     plane = task.args.get("plane", "D")
     if plane not in ("D", "R"):
         raise ManifestError(f"task '{task.name}': plane must be D or R")
@@ -316,34 +266,15 @@ def op_geodesic(mf, task, policy, outputs, res):
 
 
 def op_pattern(mf, task, policy, outputs, res):
-    data = _data(outputs, task)
-    if isinstance(data, KEngelData):
-        data = data.data
-    report, ok = bracket_pattern_report(data, policy)
-    for name, v in report.items():
-        res.verdict(name, v)
-    if ok:
-        res.token("pattern_pass")
-    else:
-        res.fail_tokens("pattern_fail",
-                        [k for k, v in report.items() if not v.is_zero])
+    data = _engel(_data(outputs, task))
+    res.verdicts("pattern", bracket_pattern_report(data, policy))
 
 
 def op_dbeta2(mf, task, policy, outputs, res):
-    data = _data(outputs, task)
-    if isinstance(data, KEngelData):
-        data = data.data
+    data = _engel(_data(outputs, task))
     report = dbeta2_criterion(data, policy)
-    bad = []
-    for name in ("a_WR + b_XR", "d(mu beta)^2"):
-        res.verdict(name, report[name])
-        if not report[name].is_zero:
-            bad.append(name)
+    res.verdicts("dbeta2", report, ("a_WR + b_XR", "d(mu beta)^2"))
     res.derived("mu", ex.to_str(report["mu"]))
-    if bad:
-        res.fail_tokens("dbeta2_fail", bad)
-    else:
-        res.token("dbeta2_pass")
 
 
 def op_commutant(mf, task, policy, outputs, res):
@@ -417,11 +348,10 @@ def op_bw(mf, task, policy, outputs, res):
                         [n.strip() for n in names.split(",") if n.strip()])
         res.derived("error", str(err))
         return
-    for name in ("contact", "legendrian", "omega closed",
-                 "primitive matches", "L_R alpha", "L_R beta"):
-        res.verdict(name, report[name])
+    res.verdicts("bw", report, ("contact", "legendrian", "omega closed",
+                                "primitive matches", "L_R alpha",
+                                "L_R beta"))
     res.verdict("triple check", report["triple check"]["ok"])
-    res.token("bw_pass")
     res.derived("alpha", fmt_form(kdata.data.alpha))
     res.derived("beta", fmt_form(kdata.data.beta))
     res.derived("R", fmt_field(kdata.data.R))
@@ -438,9 +368,7 @@ def op_filling(mf, task, policy, outputs, res):
                         [n.strip() for n in names.split(",") if n.strip()])
         res.derived("error", str(err))
         return
-    for name, v in report.items():
-        res.verdict(name, v)
-    res.token("filling_pass")
+    res.verdicts("filling", report)
     res.output = report
 
 
@@ -483,25 +411,14 @@ def op_t2(mf, task, policy, outputs, res):
         res.fail_tokens("t2_fail", ["input"])
         res.derived("error", str(err))
         return
-    bad = []
-    first_ok, first_env = report["first condition"]
+    first = report["first condition"]
     res.lines.append(("verdict", "first condition",
-                      "holds" if first_ok
-                      else f"fails at {fmt_point(first_env)}"))
-    if not first_ok:
-        bad.append("first condition")
-    for name in ("second condition", "third condition"):
-        v = report[name]
-        res.verdict(name, v)
-        ok = v[0] if isinstance(v, tuple) else v.is_zero
-        if not ok:
-            bad.append(name)
-    res.verdict("third condition (unweighted twist)",
-                report["third condition (unweighted twist)"])
-    if bad:
-        res.fail_tokens("t2_fail", bad)
+                      "holds" if first.ok
+                      else f"fails at {fmt_point(first.point)}"))
+    for name in T2_CONDITIONS[1:] + ("third condition (unweighted twist)",):
+        res.verdict(name, report[name])
+    if not res.outcome("t2", failed({k: report[k] for k in T2_CONDITIONS})):
         return
-    res.token("t2_pass")
     res.derived("alpha", fmt_form(kdata.data.alpha))
     res.derived("beta", fmt_form(kdata.data.beta))
     res.derived("R", fmt_field(kdata.data.R))
@@ -535,13 +452,15 @@ def match_expect(mf, raw, res):
         if len(parts) < 4 or parts[2] != "=" or parts[1] not in "WXTR":
             raise ManifestError(f"bad expectation {raw!r}; usage: "
                                 f"reeb F = c1; c2; ...")
-        data = res.output
-        if isinstance(data, KEngelData):
-            data = data.data
+        data = _engel(res.output)
         if data is None or not hasattr(data, parts[1]):
             return False
         want_text = raw.split("=", 1)[1]
-        comps = [mf.space.scalar(p.strip()) for p in want_text.split(";")]
+        try:
+            comps = [mf.space.scalar(p.strip())
+                     for p in want_text.split(";")]
+        except ExprError as err:
+            raise ManifestError(f"bad expectation {raw!r}: {err}")
         if len(comps) != mf.space.dim:
             raise ManifestError(f"expectation {raw!r} needs "
                                 f"{mf.space.dim} components")
@@ -627,7 +546,8 @@ def run_manifest(mf, policy, manifest_name=None):
         res = TaskResult(task.name, task.op)
         report.results.append(res)
         if task.op not in OPS:
-            report.reference_error = (f"task '{task.name}': unknown op "
+            report.reference_error = (f"{mf.path}:{task.lineno}: task "
+                                      f"'{task.name}': unknown op "
                                       f"'{task.op}'")
             break
         task_policy = policy
@@ -640,7 +560,7 @@ def run_manifest(mf, policy, manifest_name=None):
         try:
             OPS[task.op](mf, task, task_policy, outputs, res)
         except ManifestError as err:
-            report.reference_error = str(err)
+            report.reference_error = f"{mf.path}:{task.lineno}: {err}"
             break
         except (EngelError, KEngelError, CatalogError, FieldError) as err:
             res.token("task_error")
@@ -652,7 +572,7 @@ def run_manifest(mf, policy, manifest_name=None):
             for raw in task.expects:
                 res.expect_results.append((raw, match_expect(mf, raw, res)))
         except ManifestError as err:
-            report.reference_error = str(err)
+            report.reference_error = f"{mf.path}:{task.lineno}: {err}"
             break
         if not task.expects and "task_error" in res.tokens:
             res.expect_results.append(("no unexpected error", False))

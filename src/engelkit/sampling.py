@@ -6,8 +6,6 @@ probed on a low-discrepancy point set and the verdict records either
 pure function of (seed, sample count), so repeated runs agree byte for byte.
 """
 
-from fractions import Fraction
-
 from . import expr as ex
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -69,63 +67,81 @@ class SamplingPolicy:
         return env
 
 
-class ZeroVerdict:
-    """Outcome of a vanishing check.
+class Verdict:
+    """Outcome of a vanishing or a nonvanishing check.
 
-    kind is one of 'exact' (zero by normalization), 'sampled' (below
-    tolerance at every sample point), 'nonzero' (witness recorded).
+    kind is 'exact' (zero by normalization), 'sampled' (below tolerance at
+    every sample point) or 'nonzero' (a witness point and value) for a
+    zero check; 'nonvanishing' or 'vanishing' for a nonvanishing check,
+    with the smallest sampled magnitude as value and where it was taken.
     """
 
-    def __init__(self, kind, witness=None, value=None):
-        assert kind in ("exact", "sampled", "nonzero")
+    PASSING = ("exact", "sampled", "nonvanishing")
+
+    def __init__(self, kind, value=None, point=None):
+        assert kind in self.PASSING + ("nonzero", "vanishing")
         self.kind = kind
-        self.witness = witness
         self.value = value
+        self.point = point
 
     @property
-    def is_zero(self):
-        return self.kind in ("exact", "sampled")
+    def ok(self):
+        return self.kind in self.PASSING
 
     def __repr__(self):
-        return f"ZeroVerdict({self.describe()})"
+        return f"Verdict({self.describe()})"
 
     def describe(self):
-        if self.kind == "exact":
-            return "zero=exact"
-        if self.kind == "sampled":
-            return "zero=sampled"
-        pt = ",".join(f"{k}={fmt_float(v)}" for k, v in sorted(self.witness.items()))
-        return f"zero=no value={fmt_float(self.value)} at {pt or '-'}"
+        if self.kind in ("exact", "sampled"):
+            return f"zero={self.kind}"
+        if self.kind == "nonzero":
+            return (f"zero=no value={fmt_float(self.value)} "
+                    f"at {fmt_point(self.point)}")
+        word = "yes" if self.ok else "NO"
+        return (f"nonvanishing={word} min={fmt_float(self.value)} "
+                f"at {fmt_point(self.point)}")
+
+
+def failed(verdicts):
+    """Names of the failing checks in a {name: Verdict} dict."""
+    return [name for name, v in verdicts.items() if not v.ok]
+
+
+def weakest(verdicts):
+    """One verdict standing for several zero checks.
+
+    The first failure if any fails; otherwise 'sampled' when any passed only
+    by sampling, else 'exact'.
+    """
+    verdicts = list(verdicts)
+    bad = [v for v in verdicts if not v.ok]
+    if bad:
+        return bad[0]
+    if any(v.kind == "sampled" for v in verdicts):
+        return Verdict("sampled")
+    return Verdict("exact")
 
 
 def fmt_float(v):
     return f"{float(v):.12g}"
 
 
+def fmt_point(pt):
+    if not pt:
+        return "-"
+    return ",".join(f"{k}={fmt_float(v)}" for k, v in sorted(pt.items()))
+
+
 def is_zero_expr(e, coords, policy, env_extra=None):
     """Decide whether a scalar expression vanishes identically on the box."""
-    e = ex.normalize(e)
-    if e == ex.ZERO:
-        return ZeroVerdict("exact")
-    base = dict(env_extra or {})
-    worst = 0.0
-    for env in policy.points(coords):
-        env = {**base, **env}
-        try:
-            v = ex.evaluate(e, env)
-        except ex.SingularPoint:
-            continue
-        if abs(v) > policy.abs_tol:
-            return ZeroVerdict("nonzero", witness=env, value=v)
-        worst = max(worst, abs(v))
-    return ZeroVerdict("sampled")
+    return is_zero_many([e], coords, policy, env_extra)
 
 
 def is_zero_many(exprs, coords, policy, env_extra=None):
     """Joint vanishing check; first non-vanishing component wins."""
     normed = [ex.normalize(e) for e in exprs]
     if all(e == ex.ZERO for e in normed):
-        return ZeroVerdict("exact")
+        return Verdict("exact")
     base = dict(env_extra or {})
     for env in policy.points(coords):
         env = {**base, **env}
@@ -137,15 +153,17 @@ def is_zero_many(exprs, coords, policy, env_extra=None):
             except ex.SingularPoint:
                 continue
             if abs(v) > policy.abs_tol:
-                return ZeroVerdict("nonzero", witness=env, value=v)
-    return ZeroVerdict("sampled")
+                return Verdict("nonzero", value=v, point=env)
+    return Verdict("sampled")
 
 
 def nonvanishing(exprs, coords, policy, env_extra=None):
     """Certify that at every sample some component exceeds tolerance.
 
-    Returns (ok, min_over_samples_of_max_abs, worst_point).  Singular
-    sample points are retried from a fallback sequence.
+    The verdict's value is the minimum over samples of the largest
+    component magnitude, taken at its point; an empty list is the zero
+    form and vanishes everywhere.  Singular sample points are retried from
+    a fallback sequence.
     """
     normed = [ex.normalize(e) for e in exprs]
     base = dict(env_extra or {})
@@ -157,11 +175,12 @@ def nonvanishing(exprs, coords, policy, env_extra=None):
     while queue:
         env = {**base, **queue.pop(0)}
         try:
-            m = max(abs(ex.evaluate(e, env)) for e in normed)
+            m = max((abs(ex.evaluate(e, env)) for e in normed),
+                    default=0.0)
         except ex.SingularPoint:
             retries += 1
             if retries > policy.max_retries:
-                return False, 0.0, env
+                return Verdict("vanishing", value=0.0, point=env)
             queue.append(policy.extra_point(coords, k))
             k += 1
             continue
@@ -169,4 +188,5 @@ def nonvanishing(exprs, coords, policy, env_extra=None):
             best_min = m
             worst_pt = env
     ok = best_min is not None and best_min > policy.abs_tol
-    return ok, (best_min or 0.0), worst_pt
+    return Verdict("nonvanishing" if ok else "vanishing",
+                   value=best_min or 0.0, point=worst_pt)

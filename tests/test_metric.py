@@ -4,6 +4,7 @@ import engelkit.expr as ex
 from engelkit.metric import (Metric, bracket_pattern_report, dual_pair_report,
                              frame_metric, killing_report, orthonormal_metric,
                              tangency_expr, tangency_report)
+from engelkit.sampling import failed
 
 
 def test_torus_metric_is_orthonormal_on_framing(torus):
@@ -37,8 +38,8 @@ def test_dual_fields_recover_reeb_pair(torus):
 def test_dual_pair_identities_orthonormal(torus, policy):
     g = orthonormal_metric(torus)
     rep = dual_pair_report(torus, g, policy)
-    assert rep["alpha dual in span"].is_zero
-    assert rep["beta dual in span"].is_zero
+    assert rep["alpha dual in span"].ok
+    assert rep["beta dual in span"].ok
 
 
 def test_dual_pair_identities_weighted(nil4, policy):
@@ -54,7 +55,8 @@ def test_dual_pair_identities_weighted(nil4, policy):
 
 def test_nil4_killing(nil4, policy):
     g = orthonormal_metric(nil4)
-    out, all_zero = killing_report(g, nil4.R, policy)
+    out = killing_report(g, nil4.R, policy)
+    all_zero = not failed(out)
     assert all_zero
     assert len(out) == 10
     assert all(v.kind == "exact" for v in out.values())
@@ -62,10 +64,11 @@ def test_nil4_killing(nil4, policy):
 
 def test_torus_killing(torus, policy):
     g = orthonormal_metric(torus)
-    out, all_zero = killing_report(g, torus.R, policy)
+    out = killing_report(g, torus.R, policy)
+    all_zero = not failed(out)
     assert all_zero
     # the interval direction is not Killing: the matrix varies along it
-    _, flat = killing_report(g, torus.X, policy)
+    flat = not failed(killing_report(g, torus.X, policy))
     assert not flat
 
 
@@ -100,13 +103,15 @@ def test_tangency_expr_values(nil4):
 
 
 def test_bracket_pattern(torus, nil4, policy):
-    out, all_zero = bracket_pattern_report(nil4, policy)
+    out = bracket_pattern_report(nil4, policy)
+    all_zero = not failed(out)
     assert all_zero
     assert len(out) == 11
-    out, all_zero = bracket_pattern_report(torus, policy)
+    out = bracket_pattern_report(torus, policy)
+    all_zero = not failed(out)
     assert not all_zero
-    assert not out["a_XT + b_WT"].is_zero
-    assert out["a_WR"].is_zero
+    assert not out["a_XT + b_WT"].ok
+    assert out["a_WR"].ok
 
 
 def test_metric_rejects_asymmetric_matrix(torus):

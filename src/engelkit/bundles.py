@@ -24,21 +24,28 @@ from .contact import promote_form, restrict_to_section, thicken_space
 from .engel import analyze, check_defining_forms
 from .frames import (FrameSpace, VectorField, d, interior, lie_form, nonzero,
                      pair, wedge, zero)
-from .kengel import KEngelData, KEngelError, kengel_check, kengel_invariants
+from .kengel import KEngelData, KEngelError, certify, failing, kengel_check
 from .metric import orthonormal_metric
 from .qfield import FieldError, QNum, solve_linear, span_rank
 from .sampling import failed, nonvanishing
 
 
-def _scalar_d(space, f):
-    """The differential of a chart function, as a one-form."""
-    comps = []
-    for i, name in enumerate(space.names):
-        if space.kinds[i] == "coord":
-            comps.append(ex.differentiate(f, name))
-        else:
-            comps.append(ex.ZERO)
-    return space.one_form(comps)
+def _certified(kd, Z, report, policy, rank, not_reeb, where, direction):
+    """The tail both bundle constructions share.
+
+    Z must be the Reeb direction of kd with every K-Engel invariant, and
+    pass the triple check for the metric making the framing orthonormal;
+    the verdicts go into report.
+    """
+    report["invariants"] = certify(kd, Z, policy, not_reeb, where)
+    g = orthonormal_metric(kd)
+    check = kengel_check(kd, g, kd.R, policy)
+    report["triple check"] = check
+    bad = failing(check)
+    if bad:
+        raise KEngelError(f"{direction} direction fails the triple check",
+                          bad)
+    return KEngelData(kd, g, kd.R, rank=rank)
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +71,7 @@ def boothby_wang(nspace, lam, L, a_loc, policy):
     bad = failed(report)
     if bad:
         raise KEngelError("circle-bundle preconditions fail: "
-                          + ", ".join(bad))
+                          + ", ".join(bad), bad)
     sp4 = thicken_space(nspace, "t", 0, 1, periodic=True)
     alpha = promote_form(sp4, a_loc) + \
         sp4.one_form([ex.ZERO, ex.ZERO, ex.ZERO, ex.ONE])
@@ -72,24 +79,12 @@ def boothby_wang(nspace, lam, L, a_loc, policy):
     drop = ex.cleanup(ex.neg(pair(a_loc, L)))
     W_hint = VectorField(sp4, list(L.comps) + [drop])
     kd = analyze(sp4, alpha.cleanup(), beta, policy, W=W_hint)
-    v = zero(kd.R - sp4.basis_field(3), sp4.coord_ranges, policy)
-    if not v.ok:
-        raise KEngelError(
-            f"Reeb direction is not the fibre: {v.describe()}")
     for name, form in (("L_R alpha", kd.alpha), ("L_R beta", kd.beta)):
         report[name] = zero(lie_form(kd.R, form), sp4.coord_ranges, policy)
-    inv = kengel_invariants(kd, policy)
-    report["invariants"] = inv
-    bad = failed(inv)
-    if bad:
-        raise KEngelError("invariants fail on the circle product: "
-                          + ", ".join(bad))
-    g = orthonormal_metric(kd)
-    check = kengel_check(kd, g, kd.R, policy)
-    report["triple check"] = check
-    if not check["ok"]:
-        raise KEngelError("fibre direction fails the triple check")
-    return KEngelData(kd, g, kd.R, rank=1), report
+    kdata = _certified(kd, sp4.basis_field(3), report, policy, rank=1,
+                       not_reeb="Reeb direction is not the fibre",
+                       where="the circle product", direction="fibre")
+    return kdata, report
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +128,8 @@ def t2_bundle_condition(sigma, f, g, alpha0, beta0, Omega, prim1, prim2,
                               f"{n} times the area form: {v.describe()}")
     N = Fraction(n1) - eps * Fraction(n2)
     n_ex = ex.rat(N)
-    df = _scalar_d(sigma, f)
-    dg = _scalar_d(sigma, g)
+    df = d(sigma.form(0, {(): f}))
+    dg = d(sigma.form(0, {(): g}))
     twist = ex.cleanup(ex.add(ex.mul(f, n_ex), ex.rat(n2)))
     omega_t = (Omega.scale(twist) + d(alpha0)).cleanup()
 
@@ -177,22 +172,10 @@ def t2_bundle_condition(sigma, f, g, alpha0, beta0, Omega, prim1, prim2,
         hints["X"] = VectorField(sp4, [ex.cleanup(c) for c in X])
     kd = analyze(sp4, alpha, beta, policy, **hints)
     r_expected = VectorField(sp4, [ex.ZERO, ex.ZERO, ex.rat(eps), ex.ONE])
-    v = zero(kd.R - r_expected, sp4.coord_ranges, policy)
-    if not v.ok:
-        raise KEngelError(f"Reeb direction is not the declared torus "
-                          f"direction: {v.describe()}")
-    inv = kengel_invariants(kd, policy)
-    report["invariants"] = inv
-    bad = failed(inv)
-    if bad:
-        raise KEngelError("invariants fail on the torus bundle: "
-                          + ", ".join(bad))
-    gm = orthonormal_metric(kd)
-    check = kengel_check(kd, gm, kd.R, policy)
-    report["triple check"] = check
-    if not check["ok"]:
-        raise KEngelError("torus direction fails the triple check")
-    return report, KEngelData(kd, gm, kd.R, rank=2)
+    return report, _certified(
+        kd, r_expected, report, policy, rank=2,
+        not_reeb="Reeb direction is not the declared torus direction",
+        where="the torus bundle", direction="torus")
 
 
 # ---------------------------------------------------------------------------
@@ -312,5 +295,5 @@ def filling_check(kdata, policy):
          for c in lie_form(L, vol).comps.values()], ranges, policy)
     bad = failed(report)
     if bad:
-        raise KEngelError("filling verdicts fail: " + ", ".join(bad))
+        raise KEngelError("filling verdicts fail: " + ", ".join(bad), bad)
     return report

@@ -19,10 +19,10 @@ from fractions import Fraction
 
 from . import expr as ex
 from .engel import analyze
-from .frames import FrameSpace, dual_coframe
+from .frames import FrameSpace, dual_coframe, jacobi_residuals
 from .kengel import KEngelData, kengel_check, kengel_invariants
 from .metric import orthonormal_metric
-from .qfield import rational_rank
+from .qfield import rational_rank, reduce_rows
 from .sampling import SamplingPolicy, failed
 
 
@@ -99,47 +99,20 @@ def fmt_vec(names, vec):
 
 def jacobi_check(lie):
     """Exact Jacobi verdict; failures list the offending triples."""
-    violations = []
-    for i in range(4):
-        for j in range(i + 1, 4):
-            for k in range(j + 1, 4):
-                ei = [Fraction(int(m == i)) for m in range(4)]
-                ej = [Fraction(int(m == j)) for m in range(4)]
-                ek = [Fraction(int(m == k)) for m in range(4)]
-                total = [Fraction(0)] * 4
-                for a, b, c in ((ei, ej, ek), (ej, ek, ei), (ek, ei, ej)):
-                    term = lie.bracket_vec(a, lie.bracket_vec(b, c))
-                    for m in range(4):
-                        total[m] += term[m]
-                if any(total):
-                    names = (lie.names[i], lie.names[j], lie.names[k])
-                    violations.append((names, total))
+    violations = [(tuple(lie.names[i] for i in triple), total)
+                  for triple, total in jacobi_residuals(lie.basis_bracket,
+                                                        4, range(4))]
     return not violations, violations
 
 
 def _nullspace(rows):
     """Exact basis of {z : M z = 0} for a list of Fraction rows."""
     m = [list(map(Fraction, r)) for r in rows]
-    n = 4
-    pivots = []
-    rank = 0
-    for col in range(n):
-        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        pivots.append(col)
-        rank += 1
+    pivots, _ = reduce_rows(m, 4)
     basis = []
-    free = [c for c in range(n) if c not in pivots]
+    free = [c for c in range(4) if c not in pivots]
     for fc in free:
-        vec = [Fraction(0)] * n
+        vec = [Fraction(0)] * 4
         vec[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
             vec[pc] = -m[r][fc]
@@ -163,21 +136,7 @@ def commutant(lie, elements):
 def det4(vectors):
     """Exact determinant of four component vectors as columns."""
     m = [[Fraction(vectors[j][i]) for j in range(4)] for i in range(4)]
-    det = Fraction(1)
-    for col in range(4):
-        piv = next((r for r in range(col, 4) if m[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, 4):
-            if m[r][col]:
-                f = m[r][col] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return det
+    return reduce_rows(m, 4)[1]
 
 
 def bracket_generates(lie, W, X):

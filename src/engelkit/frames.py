@@ -117,19 +117,12 @@ class FrameSpace:
 
     def _check_jacobi(self):
         lie = [i for i, k in enumerate(self.kinds) if k == "lie"]
-        for i, j, k in combinations(lie, 3):
-            total = [Fraction(0)] * self.dim
-            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                inner = self.cbr(b, c)
-                for m, cm in enumerate(inner):
-                    if cm:
-                        outer = self.cbr(a, m)
-                        for r in range(self.dim):
-                            total[r] += cm * outer[r]
-            if any(total):
-                raise FrameError(
-                    f"structure brackets violate the Jacobi identity on "
-                    f"({self.names[i]},{self.names[j]},{self.names[k]})")
+        bad = jacobi_residuals(self.cbr, self.dim, lie)
+        if bad:
+            (i, j, k), _ = bad[0]
+            raise FrameError(
+                f"structure brackets violate the Jacobi identity on "
+                f"({self.names[i]},{self.names[j]},{self.names[k]})")
 
     def dir_deriv(self, i, f):
         """Derivative of a scalar along frame direction i."""
@@ -256,6 +249,27 @@ def nonzero(x, coords, policy):
     `nonvanishing` itself.
     """
     return nonvanishing(_components(x), coords, policy)
+
+
+def jacobi_residuals(cbr, dim, indices):
+    """The nonzero cyclic sums [a,[b,c]] + [b,[c,a]] + [c,[a,b]].
+
+    cbr(i, j) is the constant bracket of basis directions i and j as a
+    length-dim vector; a, b, c run over the triples of indices.  Returns
+    ((a, b, c), sum) pairs in triple order.
+    """
+    out = []
+    for i, j, k in combinations(indices, 3):
+        total = [Fraction(0)] * dim
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, cm in enumerate(cbr(b, c)):
+                if cm:
+                    outer = cbr(a, m)
+                    for r in range(dim):
+                        total[r] += cm * outer[r]
+        if any(total):
+            out.append(((i, j, k), total))
+    return out
 
 
 def perm_sign(perm):
@@ -401,6 +415,16 @@ def _det(rows):
         term = ex.mul(rows[0][j], _det(minor))
         terms.append(term if j % 2 == 0 else ex.neg(term))
     return ex.add(*terms) if terms else ex.ZERO
+
+
+def cramer(rows, rhs, det):
+    """Solve rows * u = rhs by Cramer's rule; det is the cleaned-up,
+    nonzero determinant of rows."""
+    out = []
+    for i in range(len(rows)):
+        repl = [[*row[:i], r, *row[i + 1:]] for row, r in zip(rows, rhs)]
+        out.append(ex.cleanup(ex.div(ex.cleanup(_det(repl)), det)))
+    return out
 
 
 def dual_coframe(fields):
@@ -635,12 +659,7 @@ def _solve_square(space, work, solved, unknowns, policy):
         det = ex.normalize(_det(mat))
         if not nonvanishing([det], ranges, policy).ok:
             continue
-        out = {}
-        for col, i in enumerate(unknowns):
-            mcol = [[rhs[r] if c == col else mat[r][c] for c in range(k)]
-                    for r in range(k)]
-            out[i] = ex.cleanup(ex.div(ex.cleanup(_det(mcol)),
-                                       ex.cleanup(det)))
+        out = dict(zip(unknowns, cramer(mat, rhs, ex.cleanup(det))))
         quality = (any(ex.has_div(c) for c in out.values()),
                    sum(ex.size(c) for c in out.values()))
         if best_quality is None or quality < best_quality:

@@ -16,7 +16,11 @@ from .sampling import failed, fmt_point, nonvanishing
 
 
 class KEngelError(Exception):
-    pass
+    """A construction failed; names lists the failing checks, if any."""
+
+    def __init__(self, message, names=()):
+        super().__init__(message)
+        self.names = list(names)
 
 
 class KEngelData:
@@ -31,9 +35,6 @@ class KEngelData:
         self.g = g
         self.Z = Z
         self.rank = rank
-
-    def kframing(self):
-        return self.data.framing()
 
 
 def form_conditions(space, alpha, beta, policy):
@@ -95,6 +96,23 @@ def failing(report):
             + failed(report["orthogonal"]))
 
 
+def certify(kd, Z, policy, not_reeb, where):
+    """Z must be the Reeb direction of kd and every K-Engel invariant hold.
+
+    Raises KEngelError with the text not_reeb, or naming the failing
+    invariants on `where`; returns the invariant verdicts.
+    """
+    v = zero(kd.R - Z, kd.space.coord_ranges, policy)
+    if not v.ok:
+        raise KEngelError(f"{not_reeb}: {v.describe()}", ["Reeb direction"])
+    inv = kengel_invariants(kd, policy)
+    bad = failed(inv)
+    if bad:
+        raise KEngelError(f"invariants fail on {where}: " + ", ".join(bad),
+                          bad)
+    return inv
+
+
 def _refibre(data, Z, policy, label):
     """Rescale alpha so alpha(Z) = 1, rebuild beta = -L_X alpha, re-analyze.
 
@@ -110,14 +128,9 @@ def _refibre(data, Z, policy, label):
     alpha1 = data.alpha.scale(ex.div(ex.ONE, a)).cleanup()
     beta1 = lie_form(data.X, alpha1).scale(ex.rat(-1)).cleanup()
     kd = analyze(sp, alpha1, beta1, policy, W=data.W, X=data.X)
-    v = zero(kd.R - Z, sp.coord_ranges, policy)
-    if not v.ok:
-        raise KEngelError(f"Reeb direction of the rebuilt pair is not "
-                          f"{label}: {v.describe()}")
-    bad = failed(kengel_invariants(kd, policy))
-    if bad:
-        raise KEngelError("invariants fail on the rebuilt pair: "
-                          + ", ".join(bad))
+    certify(kd, Z, policy,
+            f"Reeb direction of the rebuilt pair is not {label}",
+            "the rebuilt pair")
     return kd
 
 
@@ -128,10 +141,9 @@ def kengel_framing(data, g, Z, policy):
     the re-analyzed pair must have Reeb direction Z and satisfy every
     K-Engel invariant.
     """
-    check = kengel_check(data, g, Z, policy)
-    if not check["ok"]:
-        raise KEngelError(
-            "the triple check fails: " + ", ".join(failing(check)))
+    bad = failing(kengel_check(data, g, Z, policy))
+    if bad:
+        raise KEngelError("the triple check fails: " + ", ".join(bad), bad)
     return KEngelData(_refibre(data, Z, policy, "Z"), g, Z)
 
 
@@ -145,7 +157,7 @@ def converse_metric(data, X, policy):
     sp = data.space
     bad = failed(form_conditions(sp, data.alpha, data.beta, policy))
     if bad:
-        raise KEngelError("form conditions fail: " + ", ".join(bad))
+        raise KEngelError("form conditions fail: " + ", ".join(bad), bad)
     v = zero([pair(data.alpha, X), pair(data.beta, X)], sp.coord_ranges,
              policy)
     if not v.ok:
@@ -177,7 +189,7 @@ def converse_metric(data, X, policy):
     if bad:
         if scale.ok:
             raise KEngelError("[R,X] leaves the section's line: "
-                              + ", ".join(bad))
+                              + ", ".join(bad), bad)
         # a genuinely scaling action would need an integrating factor
         # along the R-flow, which these chart models never require
         raise KEngelError(
@@ -191,9 +203,10 @@ def converse_metric(data, X, policy):
     g = framing_metric(sp, framing)
     check = kengel_check(data, g, R, policy)
     report["triple check"] = check
-    if not check["ok"]:
+    bad = failing(check)
+    if bad:
         raise KEngelError("constructed metric fails the triple check: "
-                          + ", ".join(failing(check)))
+                          + ", ".join(bad), bad)
     return g, report
 
 

@@ -7,7 +7,7 @@ same checks.
 """
 
 from . import expr as ex
-from .frames import VectorField, _det, bracket, dual_coframe, zero
+from .frames import VectorField, _det, bracket, cramer, dual_coframe, zero
 
 
 class Metric:
@@ -42,18 +42,11 @@ class Metric:
     def dual_field(self, w):
         """The vector field A with g(A, V) = w(V) for every V."""
         assert w.degree == 1
-        n = self.space.dim
-        rows = [list(row) for row in self.matrix]
-        rhs = [w.comp((i,)) for i in range(n)]
-        det = ex.cleanup(_det(rows))
+        det = ex.cleanup(_det(self.matrix))
         if det == ex.ZERO:
             raise ValueError("metric matrix is degenerate")
-        comps = []
-        for i in range(n):
-            repl = [row[:i] + [rhs[k]] + row[i + 1:]
-                    for k, row in enumerate(rows)]
-            comps.append(ex.cleanup(ex.div(ex.cleanup(_det(repl)), det)))
-        return VectorField(self.space, comps)
+        rhs = [w.comp((i,)) for i in range(self.space.dim)]
+        return VectorField(self.space, cramer(self.matrix, rhs, det))
 
 
 def framing_metric(space, framing, weights=None):

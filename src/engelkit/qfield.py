@@ -8,7 +8,7 @@ needs; exact rank over floats would be undecidable.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 
 class FieldError(Exception):
@@ -98,7 +98,13 @@ class QNum:
     def __neg__(self):
         return QNum(self.gens, {k: -q for k, q in self.terms.items()})
 
+    def __bool__(self):
+        return bool(self.terms)
+
     def __mul__(self, other):
+        if not isinstance(other, QNum):
+            return QNum(self.gens,
+                        {k: q * other for k, q in self.terms.items()})
         out = {}
         for k1, q1 in self.terms.items():
             for k2, q2 in other.terms.items():
@@ -116,8 +122,9 @@ class QNum:
         basis = self.gens.monomials()
         pos = {key: i for i, key in enumerate(basis)}
         n = len(basis)
-        # column j of m is self * basis[j], written in the basis
-        m = [[Fraction(0)] * n for _ in range(n)]
+        # column j of m is self * basis[j], written in the basis; column n
+        # is the right-hand side 1
+        m = [[Fraction(0)] * (n + 1) for _ in range(n)]
         for j, bkey in enumerate(basis):
             for key, q in self.terms.items():
                 prod = key ^ bkey
@@ -125,13 +132,11 @@ class QNum:
                 for d in key & bkey:
                     f *= d
                 m[pos[prod]][j] += f
-        rhs = [Fraction(0)] * n
-        rhs[pos[frozenset()]] = Fraction(1)
-        sol = _solve_rational(m, rhs)
-        if sol is None:
+        m[pos[frozenset()]][n] = Fraction(1)
+        if len(reduce_rows(m, n)[0]) < n:
             raise FieldError("element is a zero divisor; generators are "
                              "not independent")
-        return QNum(self.gens, {basis[i]: sol[i] for i in range(n)})
+        return QNum(self.gens, {basis[i]: m[i][n] for i in range(n)})
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -174,22 +179,35 @@ class QNum:
         return out
 
 
-def _solve_rational(m, rhs):
-    """Gaussian elimination over the rationals; None when singular."""
-    n = len(m)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
+def reduce_rows(rows, ncols):
+    """Gauss-Jordan elimination in place, over Fraction or QNum entries.
+
+    Pivots are sought in the first ncols columns; later columns ride along,
+    so an augmented right-hand side ends up solved.  Returns the pivot
+    columns and the determinant of the leading ncols x ncols block, which
+    is zero when some column has no pivot.
+    """
+    pivots = []
+    det = Fraction(1)
+    for col in range(ncols):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]),
+                   None)
         if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
+            det *= 0
+            continue
+        if piv != rank:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            det = -det
+        p = rows[rank][col]
+        det = p * det
+        rows[rank] = [x / p for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        pivots.append(col)
+    return pivots, det
 
 
 def parse_qnum(text, gens):
@@ -244,42 +262,16 @@ def _factor_key(rad, gens):
 def solve_linear(matrix, rhs):
     """Solve M u = rhs over the field; M is a list of QNum rows."""
     n = len(matrix)
-    gens = rhs[0].gens
     a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not a[r][col].is_zero()),
-                   None)
-        if piv is None:
-            raise FieldError("singular lattice matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col].inverse()
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and not a[r][col].is_zero():
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
+    if len(reduce_rows(a, n)[0]) < n:
+        raise FieldError("singular lattice matrix")
+    return [row[n] for row in a]
 
 
 def rational_rank(rows):
     """Rank over Q of a list of Fraction vectors."""
     work = [list(map(Fraction, row)) for row in rows]
-    rank = 0
-    cols = len(work[0]) if work else 0
-    for col in range(cols):
-        piv = next((r for r in range(rank, len(work)) if work[r][col]),
-                   None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = 1 / work[rank][col]
-        work[rank] = [x * inv for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col]:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[rank])]
-        rank += 1
-    return rank
+    return len(reduce_rows(work, len(work[0]) if work else 0)[0])
 
 
 def span_rank(vectors):

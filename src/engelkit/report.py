@@ -337,15 +337,15 @@ def op_lattice(mf, task, policy, outputs, res):
 
 
 def op_bw(mf, task, policy, outputs, res):
+    if mf.space.dim != 3:
+        raise ManifestError(f"task '{task.name}': needs a 3-dim base space")
     lam = _form(mf, task, "lam")
     L = _field(mf, task, "L")
     a_loc = _form(mf, task, "a")
     try:
         kdata, report = boothby_wang(mf.space, lam, L, a_loc, policy)
     except KEngelError as err:
-        names = str(err).split(":", 1)[-1].strip()
-        res.fail_tokens("bw_fail",
-                        [n.strip() for n in names.split(",") if n.strip()])
+        res.fail_tokens("bw_fail", err.names)
         res.derived("error", str(err))
         return
     res.verdicts("bw", report, ("contact", "legendrian", "omega closed",
@@ -363,9 +363,7 @@ def op_filling(mf, task, policy, outputs, res):
     try:
         report = filling_check(kdata, policy)
     except KEngelError as err:
-        names = str(err).split(":", 1)[-1].strip()
-        res.fail_tokens("filling_fail",
-                        [n.strip() for n in names.split(",") if n.strip()])
+        res.fail_tokens("filling_fail", err.names)
         res.derived("error", str(err))
         return
     res.verdicts("filling", report)
@@ -373,6 +371,8 @@ def op_filling(mf, task, policy, outputs, res):
 
 
 def op_t2(mf, task, policy, outputs, res):
+    if mf.space.dim != 2 or "lie" in mf.space.kinds:
+        raise ManifestError(f"task '{task.name}': needs a 2-dim chart")
     f = _scalar_arg(mf, task, "f")
     g = _scalar_arg(mf, task, "g")
     alpha0 = _form(mf, task, "alpha0")

@@ -42,28 +42,24 @@ class SamplingPolicy:
     def points(self, coords):
         """Sample points for named coordinate ranges.
 
-        coords: sequence of (name, lo, hi, periodic).  Periodic coordinates
-        sample the half-open cell [lo, hi); the rest the closed box.
+        coords: sequence of (name, lo, hi, periodic).  Every coordinate,
+        periodic or not, samples the half-open range [lo, hi): the Halton
+        radical inverse never reaches 1.
         """
-        pts = []
-        for i in range(self.n_samples):
-            index = self.seed * self.n_samples + i
-            env = {}
-            for j, (name, lo, hi, periodic) in enumerate(coords):
-                u = halton(index, PRIMES[j % len(PRIMES)])
-                lo = float(lo)
-                hi = float(hi)
-                env[name] = lo + u * (hi - lo)
-            pts.append(env)
-        return pts
+        return [self._point(coords, self.seed * self.n_samples + i)
+                for i in range(self.n_samples)]
 
     def extra_point(self, coords, k):
         """Fallback point k past the base sequence, for retries."""
-        index = (self.seed + 1) * self.n_samples + k
+        return self._point(coords, (self.seed + 1) * self.n_samples + k)
+
+    @staticmethod
+    def _point(coords, index):
         env = {}
-        for j, (name, lo, hi, periodic) in enumerate(coords):
+        for j, (name, lo, hi, _) in enumerate(coords):
             u = halton(index, PRIMES[j % len(PRIMES)])
-            env[name] = float(lo) + u * (float(hi) - float(lo))
+            lo, hi = float(lo), float(hi)
+            env[name] = lo + u * (hi - lo)
         return env
 
 

@@ -106,3 +106,52 @@ def test_unknown_op_exits_2(tmp_path, capsys):
     assert code == 2
     assert f"{path}:{line_of(text, '[task odd]')}:" in err
     assert "unknown op 'nosuchop'" in err
+
+
+WRONG_DIM = {
+    "bw": ("xyzt", """
+[form lam]
+comps = 0; x; 1; 0
+
+[form a]
+comps = 0; 0; 0; 0
+
+[field L]
+comps = 1; 0; 0; 0
+
+[task bundle]
+op = bw
+lam = lam
+L = L
+a = a
+""", "needs a 3-dim base space"),
+    "t2": ("xyz", """
+[form zero]
+comps = 0; 0; 0
+
+[form area]
+comps = 0; 0; 1
+
+[task bundle]
+op = t2
+f = x
+g = 1
+alpha0 = zero
+beta0 = zero
+Omega = area
+prim1 = zero
+prim2 = zero
+n = 0 0
+""", "needs a 2-dim chart"),
+}
+
+
+@pytest.mark.parametrize("op", sorted(WRONG_DIM))
+def test_bundle_on_a_wrong_dimension_space_exits_2(tmp_path, capsys, op):
+    coords, body, message = WRONG_DIM[op]
+    text = "engelkit-manifest 1\n\n[space]\n" + "".join(
+        f"coord {c} 0 1\n" for c in coords) + body
+    code, err, path = run_text(tmp_path, capsys, text)
+    assert code == 2
+    assert f"{path}:{line_of(text, '[task bundle]')}:" in err
+    assert message in err

@@ -8,8 +8,8 @@ import pytest
 from engelkit import expr as ex
 from engelkit.engel import analyze
 from engelkit.frames import FrameSpace, bracket
-from engelkit.kengel import (KEngelError, form_conditions, kengel_check,
-                             kengel_framing, kengel_invariants,
+from engelkit.kengel import (KEngelError, certify, form_conditions,
+                             kengel_check, kengel_framing, kengel_invariants,
                              converse_metric, rank1_perturbation)
 from engelkit.metric import orthonormal_metric
 from engelkit.sampling import failed, is_zero_many
@@ -286,3 +286,17 @@ def test_rank1_perturbation_rejects_vanishing_pairing(torus, policy):
     Ri = (torus.R + torus.space.basis_field(0)).cleanup()
     with pytest.raises(KEngelError, match="vanishes near"):
         rank1_perturbation(kd, Ri, policy)
+
+
+def test_certify_passes_the_reeb_direction(torus, policy):
+    inv = certify(torus, torus.R, policy, "Reeb direction is not R",
+                  "the torus")
+    assert inv and not failed(inv)
+
+
+def test_certify_names_a_failing_reeb_check(torus, policy):
+    with pytest.raises(KEngelError,
+                       match="^Reeb direction is not W: zero=no ") as err:
+        certify(torus, torus.W, policy, "Reeb direction is not W",
+                "the torus")
+    assert err.value.names == ["Reeb direction"]

@@ -50,3 +50,30 @@ def test_killing_equation_shows_the_first_failing_residual():
     lines, tokens = triple_lines(torus_with_kengel_metric("1; 1; 1 + z; 1"))
     assert lines["Killing equation"].startswith("zero=no value=1 at ")
     assert "kengel_fail Killing (z,z)" in tokens
+
+
+def task_tokens(text, name):
+    report = run_manifest(parse_manifest(text),
+                          SamplingPolicy(seed=0, n_samples=32))
+    return next(r for r in report.results if r.name == name).tokens
+
+
+def test_filling_on_a_rank_three_lattice_emits_no_junk_tokens():
+    head = (ROOT / "corpus" / "torus.ek").read_text(encoding="utf-8")
+    tokens = task_tokens(head.split("[task ")[0] + """
+[lattice irrational]
+gens = 2 3
+row = 1; 0; 0; 0
+row = 0; 1; 0; 0
+row = -sqrt2; -sqrt3; 1; 0
+row = 0; 0; 0; 1
+
+[task quotient]
+op = lattice
+lattice = irrational
+
+[task fill]
+op = filling
+data = quotient
+""", "fill")
+    assert tokens == {"filling_fail"}

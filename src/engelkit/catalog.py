@@ -19,7 +19,8 @@ from fractions import Fraction
 
 from . import expr as ex
 from .engel import analyze
-from .frames import FrameSpace, dual_coframe, jacobi_residuals
+from .frames import (FrameSpace, const_bracket, dual_coframe,
+                     jacobi_residuals)
 from .kengel import KEngelData, kengel_check, kengel_invariants
 from .metric import orthonormal_metric
 from .qfield import rational_rank, reduce_rows
@@ -47,12 +48,7 @@ class LieAlgebra4:
             self.brackets[(i, j)] = tuple(Fraction(c) for c in vec)
 
     def basis_bracket(self, i, j):
-        if i == j:
-            return (Fraction(0),) * 4
-        if i < j:
-            return self.brackets.get((i, j), (Fraction(0),) * 4)
-        vec = self.brackets.get((j, i), (Fraction(0),) * 4)
-        return tuple(-c for c in vec)
+        return const_bracket(self.brackets, 4, i, j)
 
     def bracket_vec(self, u, v):
         """[u, v] for exact component vectors, by bilinearity."""
@@ -364,27 +360,6 @@ def catalog_run(policy=None):
     """All geometries, with the weight-triple family in both regimes."""
     return [geometry_row(name, params, policy)
             for name, params in CATALOG_SEQUENCE]
-
-
-def sol_zero_position_report():
-    """Which position of the zero weight admits a framing, and which
-    respects the ordering constraints c1 > c2 > c3, sum = 0.
-
-    Only the middle zero is compatible with the ordering; the other two
-    positions still admit framings for representative unordered triples.
-    """
-    report = {}
-    for pos, triple in ((1, (0, 1, -1)), (2, (1, 0, -1)), (3, (1, -1, 0))):
-        lie = _sol_mn_algebra(triple)
-        search = kengel_framing_search(lie, (1, 1, 1, 0), (0, 0, 0, 1))
-        report[pos] = {
-            "triple": triple,
-            "ordering": _check_sol_ordering(triple),
-            "found": search["found"],
-            "R": fmt_vec(lie.names, search["R"]) if search["found"]
-            else None,
-        }
-    return report
 
 
 def blind_framing_search(lie, height=2):

@@ -152,7 +152,7 @@ class EngelData:
     """A defining pair with its adapted framing and bracket table."""
 
     def __init__(self, space, alpha, beta, W, X, T, R, u, v, W_raw, X_raw,
-                 defining=None):
+                 defining):
         self.space = space
         self.alpha = alpha
         self.beta = beta
@@ -184,14 +184,13 @@ class EngelData:
         return (self.W, self.X, self.T, self.R)
 
 
-def analyze(space, alpha, beta, policy, W=None, X=None, check_defining=True):
+def analyze(space, alpha, beta, policy, W=None, X=None):
     """Full pipeline from a defining pair to adapted data.
 
     W and X hints are verified (kernel membership resp. annihilation) and
     derived from scratch when absent.
     """
-    defining = check_defining_forms(space, alpha, beta, policy) \
-        if check_defining else None
+    defining = check_defining_forms(space, alpha, beta, policy)
     da = d(alpha)
     if W is not None:
         v = zero(interior(W, wedge(alpha, da)), space.coord_ranges, policy)
@@ -312,8 +311,7 @@ def transform_forms(data, lam, mu, nu, policy):
     nu = ex.normalize(nu)
     alpha2 = data.alpha.scale(lam).cleanup()
     beta2 = (data.beta.scale(mu) + data.alpha.scale(nu)).cleanup()
-    new = analyze(sp, alpha2, beta2, policy, W=data.W, X=data.X,
-                  check_defining=False)
+    new = analyze(sp, alpha2, beta2, policy, W=data.W, X=data.X)
     W, X, T, R = data.framing()
     t = data.table
     checks = {}

@@ -194,28 +194,15 @@ def _norm_mul(factors):
         return _norm_div(_norm_mul(nums), _norm_mul(dens))
     coeff = Fraction(1)
     powers = {}   # base -> multiplicity
-    order = []
     for f in flat:
         if f[0] == "rat":
             coeff *= f[1]
             continue
         base, n = (f[1], f[2]) if f[0] == "pow" else (f, 1)
-        if base not in powers:
-            powers[base] = 0
-            order.append(base)
-        powers[base] += n
+        powers[base] = powers.get(base, 0) + n
     if coeff == 0:
         return ZERO
-    out = []
-    for base in sorted(powers):
-        n = powers[base]
-        if n:
-            out.append(base if n == 1 else ("pow", base, n))
-    if not out:
-        return ("rat", coeff)
-    if coeff == 1:
-        return out[0] if len(out) == 1 else ("mul", tuple(out))
-    return ("mul", (("rat", coeff),) + tuple(out))
+    return _from_factor_map(coeff, powers)
 
 
 def split_coeff(term):
@@ -252,7 +239,6 @@ def _norm_add(terms):
         else:
             flat.append(t)
     acc = {}
-    order = []
     for t in flat:
         q, key = split_coeff(t)
         if key not in acc:

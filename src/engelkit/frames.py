@@ -108,12 +108,7 @@ class FrameSpace:
 
     def cbr(self, i, j):
         """Constant bracket [e_i, e_j] as a Fraction vector."""
-        if i == j:
-            return (Fraction(0),) * self.dim
-        if i < j:
-            return self.structure.get((i, j), (Fraction(0),) * self.dim)
-        vec = self.structure.get((j, i), (Fraction(0),) * self.dim)
-        return tuple(-c for c in vec)
+        return const_bracket(self.structure, self.dim, i, j)
 
     def _check_jacobi(self):
         lie = [i for i, k in enumerate(self.kinds) if k == "lie"]
@@ -249,6 +244,15 @@ def nonzero(x, coords, policy):
     `nonvanishing` itself.
     """
     return nonvanishing(_components(x), coords, policy)
+
+
+def const_bracket(structure, dim, i, j):
+    """[e_i, e_j] from structure constants {(a, b): vector} with a < b."""
+    if i == j:
+        return (Fraction(0),) * dim
+    if i < j:
+        return structure.get((i, j), (Fraction(0),) * dim)
+    return tuple(-c for c in structure.get((j, i), (Fraction(0),) * dim))
 
 
 def jacobi_residuals(cbr, dim, indices):
@@ -508,9 +512,6 @@ class SolveResult:
         self.ok = ok
         self.message = message
 
-    def __bool__(self):
-        return self.ok
-
 
 def solve_kernel(space, conditions, policy, pinned=None):
     """Solve linear pointwise conditions for a vector field.
@@ -520,7 +521,8 @@ def solve_kernel(space, conditions, policy, pinned=None):
     one scalar row per (p-1)-component.  `pinned` maps frame indices to
     fixed component expressions.
 
-    Strategy: substitute pinned components; repeatedly solve rows that
+    Strategy: pinned components start out solved, and every solved
+    component moves to the right-hand side; repeatedly solve rows that
     mention a single unknown (certifying the coefficient is nonvanishing on
     samples, or concluding an exact zero when the rhs vanishes identically);
     finish any k x k remainder by exact Cramer elimination over row subsets
@@ -528,7 +530,6 @@ def solve_kernel(space, conditions, policy, pinned=None):
     against every original condition before being returned.
     """
     n = space.dim
-    pinned = dict(pinned or {})
     rows = []
     for form, rhs in conditions:
         if form.degree == 1:
@@ -542,22 +543,9 @@ def solve_kernel(space, conditions, policy, pinned=None):
                 coeffs = [per_dir[i].comp(J) for i in range(n)]
                 if any(c != ex.ZERO for c in coeffs):
                     rows.append((coeffs, ex.ZERO))
-    # fold pinned components into the right-hand sides
-    solved = {}
-    for i, val in pinned.items():
-        solved[i] = ex.normalize(val)
-    work = []
-    for coeffs, rhs in rows:
-        moved = [rhs]
-        free = {}
-        for i, c in enumerate(coeffs):
-            if c == ex.ZERO:
-                continue
-            if i in solved:
-                moved.append(ex.neg(ex.mul(c, solved[i])))
-            else:
-                free[i] = c
-        work.append((free, ex.normalize(ex.add(*moved))))
+    solved = {i: ex.normalize(val) for i, val in (pinned or {}).items()}
+    work = [({i: c for i, c in enumerate(coeffs) if c != ex.ZERO}, rhs)
+            for coeffs, rhs in rows]
 
     ranges = space.coord_ranges
     changed = True

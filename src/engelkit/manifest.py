@@ -278,38 +278,22 @@ class _Parser:
         return LatticeSpec(gens, rows)
 
     def build_task(self, section):
-        args = {}
-        expects = []
-        overrides = {}
-        op = None
-        for lineno, line in section[2]:
-            if "=" not in line:
-                self.fail(lineno, "expected 'key = value'")
-            key, value = line.split("=", 1)
-            key = key.strip()
-            value = value.strip()
-            if key == "op":
-                if op is not None:
-                    self.fail(lineno, "duplicate op")
-                op = value
-            elif key == "expect":
-                expects.append(" ".join(value.split()))
-            elif key in ("samples", "tol"):
-                overrides[key] = (lineno, value)
-            elif key in args:
-                self.fail(lineno, f"duplicate argument '{key}'")
-            else:
-                args[key] = value
-        if op is None:
+        kv = self.keyvals(section, repeatable=("expect",))
+        if "op" not in kv:
             self.fail(section[3], f"task '{section[1]}' has no op")
-        parsed_over = {}
-        for key, (lineno, value) in overrides.items():
+        op = kv.pop("op")[1]
+        expects = [" ".join(value.split())
+                   for _, value in kv.pop("expect", [])]
+        overrides = {}
+        for key in [k for k in kv if k in ("samples", "tol")]:
+            lineno, value = kv.pop(key)
             try:
-                parsed_over[key] = int(value) if key == "samples" \
+                overrides[key] = int(value) if key == "samples" \
                     else float(value)
             except ValueError:
                 self.fail(lineno, f"bad {key} override {value!r}")
-        return Task(section[1], op, args, expects, parsed_over, section[3])
+        args = {key: value for key, (_, value) in kv.items()}
+        return Task(section[1], op, args, expects, overrides, section[3])
 
     def build(self):
         self.scan()

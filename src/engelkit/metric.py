@@ -66,18 +66,9 @@ def framing_metric(space, framing, weights=None):
     return Metric(space, matrix)
 
 
-def frame_metric(data, weights=None):
-    """A metric diagonal in the adapted framing with the given weights.
-
-    Any such metric keeps the plane field orthogonal to span(T, R), which
-    is what the dual-pair identities need.
-    """
-    return framing_metric(data.space, data.framing(), weights)
-
-
 def orthonormal_metric(data):
     """The metric making the adapted framing W, X, T, R orthonormal."""
-    return frame_metric(data)
+    return framing_metric(data.space, data.framing())
 
 
 def killing_report(g, Z, policy):

@@ -74,9 +74,6 @@ class QNum:
     def of(cls, gens, q):
         return cls(gens, {frozenset(): Fraction(q)})
 
-    def is_zero(self):
-        return not self.terms
-
     def is_rational(self):
         return all(not key for key in self.terms)
 
@@ -117,7 +114,7 @@ class QNum:
 
     def inverse(self):
         """Invert by solving x*y = 1 over the monomial basis."""
-        if self.is_zero():
+        if not self:
             raise ZeroDivisionError("field inverse of zero")
         basis = self.gens.monomials()
         pos = {key: i for i, key in enumerate(basis)}

@@ -17,7 +17,7 @@ from itertools import combinations
 from . import expr as ex
 from .bundles import (T2_CONDITIONS, boothby_wang, filling_check,
                       t2_bundle_condition, torus_family)
-from .catalog import (CatalogError, LieAlgebra4, fmt_vec,
+from .catalog import (CatalogError, LieAlgebra4, commutant, fmt_vec,
                       kengel_framing_search)
 from .contact import contactization_report
 from .engel import EngelError, analyze, dbeta2_criterion, identity_suite
@@ -97,22 +97,26 @@ def _need(task, key):
     return task.args[key]
 
 
-def _form(mf, task, key):
+def _named(task, name, table, kind):
+    if name not in table:
+        raise ManifestError(f"task '{task.name}': unknown {kind} '{name}'")
+    return table[name]
+
+
+def _form(mf, task, key, degree):
     name = _need(task, key)
-    if name not in mf.forms:
-        raise ManifestError(f"task '{task.name}': unknown form '{name}'")
-    return mf.forms[name]
+    w = _named(task, name, mf.forms, "form")
+    if w.degree != degree:
+        raise ManifestError(f"task '{task.name}': '{key}' needs a "
+                            f"{degree}-form, but form '{name}' has degree "
+                            f"{w.degree}")
+    return w
 
 
 def _field(mf, task, key, optional=False):
-    name = task.args.get(key)
-    if name is None:
-        if optional:
-            return None
-        raise ManifestError(f"task '{task.name}': missing argument '{key}'")
-    if name not in mf.fields:
-        raise ManifestError(f"task '{task.name}': unknown field '{name}'")
-    return mf.fields[name]
+    if optional and key not in task.args:
+        return None
+    return _named(task, _need(task, key), mf.fields, "field")
 
 
 def _engel(out):
@@ -139,9 +143,7 @@ def _metric(mf, task, data):
     name = task.args.get("metric", "orthonormal")
     if name == "orthonormal":
         return orthonormal_metric(data)
-    if name not in mf.metrics:
-        raise ManifestError(f"task '{task.name}': unknown metric '{name}'")
-    return mf.metrics[name]
+    return _named(task, name, mf.metrics, "metric")
 
 
 def _rational_vec(task, V):
@@ -165,13 +167,10 @@ def _lie_algebra(mf, task):
     return LieAlgebra4(sp.names, brackets)
 
 
-def _scalar_arg(mf, task, key, default=None):
-    if key not in task.args:
-        if default is not None:
-            return default
-        raise ManifestError(f"task '{task.name}': missing argument '{key}'")
+def _scalar_arg(mf, task, key):
+    text = _need(task, key)
     try:
-        return mf.space.scalar(task.args[key])
+        return mf.space.scalar(text)
     except Exception as err:
         raise ManifestError(f"task '{task.name}': bad expression for "
                             f"'{key}': {err}")
@@ -181,8 +180,8 @@ def _scalar_arg(mf, task, key, default=None):
 # operations
 
 def op_engel(mf, task, policy, outputs, res):
-    alpha = _form(mf, task, "alpha")
-    beta = _form(mf, task, "beta")
+    alpha = _form(mf, task, "alpha", 1)
+    beta = _form(mf, task, "beta", 1)
     W = _field(mf, task, "W", optional=True)
     X = _field(mf, task, "X", optional=True)
     try:
@@ -279,14 +278,8 @@ def op_dbeta2(mf, task, policy, outputs, res):
 
 def op_commutant(mf, task, policy, outputs, res):
     lie = _lie_algebra(mf, task)
-    names = _need(task, "set").split()
-    vecs = []
-    for name in names:
-        if name not in mf.fields:
-            raise ManifestError(f"task '{task.name}': unknown field "
-                                f"'{name}'")
-        vecs.append(_rational_vec(task, mf.fields[name]))
-    from .catalog import commutant
+    vecs = [_rational_vec(task, _named(task, name, mf.fields, "field"))
+            for name in _need(task, "set").split()]
     basis = commutant(lie, vecs)
     res.token("commutant_dim", len(basis))
     for i, vec in enumerate(basis):
@@ -298,12 +291,9 @@ def op_framing(mf, task, policy, outputs, res):
     lie = _lie_algebra(mf, task)
     W = _rational_vec(task, _field(mf, task, "W"))
     X = _rational_vec(task, _field(mf, task, "X"))
-    R_hint = task.args.get("R")
+    R_hint = _field(mf, task, "R", optional=True)
     if R_hint is not None:
-        if R_hint not in mf.fields:
-            raise ManifestError(f"task '{task.name}': unknown field "
-                                f"'{R_hint}'")
-        R_hint = _rational_vec(task, mf.fields[R_hint])
+        R_hint = _rational_vec(task, R_hint)
     try:
         search = kengel_framing_search(lie, W, X, R_hint=R_hint)
     except CatalogError as err:
@@ -323,11 +313,9 @@ def op_framing(mf, task, policy, outputs, res):
 
 
 def op_lattice(mf, task, policy, outputs, res):
-    name = _need(task, "lattice")
-    if name not in mf.lattices:
-        raise ManifestError(f"task '{task.name}': unknown lattice '{name}'")
+    lattice = _named(task, _need(task, "lattice"), mf.lattices, "lattice")
     try:
-        kdata, rank = torus_family(mf.lattices[name], policy)
+        kdata, rank = torus_family(lattice, policy)
     except (KEngelError, FieldError) as err:
         res.token("lattice_error")
         res.derived("error", str(err))
@@ -339,9 +327,9 @@ def op_lattice(mf, task, policy, outputs, res):
 def op_bw(mf, task, policy, outputs, res):
     if mf.space.dim != 3:
         raise ManifestError(f"task '{task.name}': needs a 3-dim base space")
-    lam = _form(mf, task, "lam")
+    lam = _form(mf, task, "lam", 1)
     L = _field(mf, task, "L")
-    a_loc = _form(mf, task, "a")
+    a_loc = _form(mf, task, "a", 1)
     try:
         kdata, report = boothby_wang(mf.space, lam, L, a_loc, policy)
     except KEngelError as err:
@@ -375,11 +363,11 @@ def op_t2(mf, task, policy, outputs, res):
         raise ManifestError(f"task '{task.name}': needs a 2-dim chart")
     f = _scalar_arg(mf, task, "f")
     g = _scalar_arg(mf, task, "g")
-    alpha0 = _form(mf, task, "alpha0")
-    beta0 = _form(mf, task, "beta0")
-    Omega = _form(mf, task, "Omega")
-    prim1 = _form(mf, task, "prim1")
-    prim2 = _form(mf, task, "prim2")
+    alpha0 = _form(mf, task, "alpha0", 1)
+    beta0 = _form(mf, task, "beta0", 1)
+    Omega = _form(mf, task, "Omega", 2)
+    prim1 = _form(mf, task, "prim1", 1)
+    prim2 = _form(mf, task, "prim2", 1)
     n_parts = _need(task, "n").split()
     if len(n_parts) != 2:
         raise ManifestError(f"task '{task.name}': n needs two integers")

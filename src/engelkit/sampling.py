@@ -9,6 +9,7 @@ pure function of (seed, sample count), so repeated runs agree byte for byte.
 from . import expr as ex
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MAX_RETRIES = 16   # singular samples `nonvanishing` replaces before failing
 
 
 def halton(index: int, base: int) -> float:
@@ -32,11 +33,10 @@ class SamplingPolicy:
     on purpose.
     """
 
-    def __init__(self, seed=0, n_samples=64, abs_tol=1e-9, max_retries=16):
+    def __init__(self, seed=0, n_samples=64, abs_tol=1e-9):
         self.seed = int(seed)
         self.n_samples = int(n_samples)
         self.abs_tol = float(abs_tol)
-        self.max_retries = int(max_retries)
         assert self.n_samples > 0 and self.abs_tol > 0
 
     def points(self, coords):
@@ -128,19 +128,17 @@ def fmt_point(pt):
     return ",".join(f"{k}={fmt_float(v)}" for k, v in sorted(pt.items()))
 
 
-def is_zero_expr(e, coords, policy, env_extra=None):
+def is_zero_expr(e, coords, policy):
     """Decide whether a scalar expression vanishes identically on the box."""
-    return is_zero_many([e], coords, policy, env_extra)
+    return is_zero_many([e], coords, policy)
 
 
-def is_zero_many(exprs, coords, policy, env_extra=None):
+def is_zero_many(exprs, coords, policy):
     """Joint vanishing check; first non-vanishing component wins."""
     normed = [ex.normalize(e) for e in exprs]
     if all(e == ex.ZERO for e in normed):
         return Verdict("exact")
-    base = dict(env_extra or {})
     for env in policy.points(coords):
-        env = {**base, **env}
         for e in normed:
             if e == ex.ZERO:
                 continue
@@ -153,7 +151,7 @@ def is_zero_many(exprs, coords, policy, env_extra=None):
     return Verdict("sampled")
 
 
-def nonvanishing(exprs, coords, policy, env_extra=None):
+def nonvanishing(exprs, coords, policy):
     """Certify that at every sample some component exceeds tolerance.
 
     The verdict's value is the minimum over samples of the largest
@@ -162,20 +160,19 @@ def nonvanishing(exprs, coords, policy, env_extra=None):
     a fallback sequence.
     """
     normed = [ex.normalize(e) for e in exprs]
-    base = dict(env_extra or {})
     best_min = None
     worst_pt = None
     retries = 0
     queue = list(policy.points(coords))
     k = 0
     while queue:
-        env = {**base, **queue.pop(0)}
+        env = queue.pop(0)
         try:
             m = max((abs(ex.evaluate(e, env)) for e in normed),
                     default=0.0)
         except ex.SingularPoint:
             retries += 1
-            if retries > policy.max_retries:
+            if retries > MAX_RETRIES:
                 return Verdict("vanishing", value=0.0, point=env)
             queue.append(policy.extra_point(coords, k))
             k += 1

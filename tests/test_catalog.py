@@ -10,7 +10,7 @@ from engelkit import expr as ex
 from engelkit.catalog import (CatalogError, GEOMETRIES, LieAlgebra4,
                               blind_framing_search, catalog_run, commutant,
                               det4, fmt_vec, geometry_row, jacobi_check,
-                              kengel_framing_search, sol_zero_position_report)
+                              kengel_framing_search)
 from engelkit.qfield import rational_rank
 from engelkit.sampling import SamplingPolicy
 
@@ -246,12 +246,16 @@ def test_ordering_flag():
 
 
 def test_zero_position_report():
-    report = sol_zero_position_report()
-    assert {pos: rep["ordering"] for pos, rep in report.items()} == {
+    # which position of the zero weight admits a framing, and which respects
+    # the ordering c1 > c2 > c3
+    report = {pos: geometry_row("sol_mn", {"c": triple})
+              for pos, triple in ((1, (0, 1, -1)), (2, (1, 0, -1)),
+                                  (3, (1, -1, 0)))}
+    assert {pos: row["ordering"] for pos, row in report.items()} == {
         1: False, 2: True, 3: False}
-    assert {pos: rep["found"] for pos, rep in report.items()} == {
+    assert {pos: row["search"]["found"] for pos, row in report.items()} == {
         1: True, 2: True, 3: True}
-    assert {pos: rep["R"] for pos, rep in report.items()} == {
+    assert {pos: row["framing"]["R"] for pos, row in report.items()} == {
         1: "X1", 2: "X2", 3: "X3"}
 
 

@@ -5,9 +5,11 @@ from pathlib import Path
 
 import pytest
 
+from engelkit.catalog import GEOMETRIES
 from engelkit.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 
 NIL4_HEAD = """engelkit-manifest 1
 
@@ -155,3 +157,59 @@ def test_bundle_on_a_wrong_dimension_space_exits_2(tmp_path, capsys, op):
     assert code == 2
     assert f"{path}:{line_of(text, '[task bundle]')}:" in err
     assert message in err
+
+
+def _redeclare(manifest, old, new):
+    text = (ROOT / "corpus" / manifest).read_text(encoding="utf-8")
+    assert old in text
+    return text.replace(old, new)
+
+
+WRONG_DEGREE = {
+    "t2 Omega": (_redeclare("t2_bundle_flat.ek",
+                            "[form Omega]\ndegree = 2\ncomps = 1\n",
+                            "[form Omega]\ndegree = 1\ncomps = 1; 0\n"),
+                 "[task bundle]", "'Omega' needs a 2-form"),
+    "t2 prim1": (_redeclare("t2_bundle_flat.ek",
+                            "[form prim1]\ncomps = 0; x\n",
+                            "[form prim1]\ndegree = 2\ncomps = x\n"),
+                 "[task bundle]", "'prim1' needs a 1-form"),
+    "bw lam": (_redeclare("heisenberg_bw.ek",
+                          "[form lam]\ncomps = 0; -x; 1\n",
+                          "[form lam]\ndegree = 2\ncomps = 0; -x; 1\n"),
+               "[task bundle]", "'lam' needs a 1-form"),
+    "bw a": (_redeclare("heisenberg_bw.ek",
+                        "[form a]\ncomps = 0; z; 0\n",
+                        "[form a]\ndegree = 2\ncomps = 0; z; 0\n"),
+             "[task bundle]", "'a' needs a 1-form"),
+    "engel alpha": (NIL4_HEAD.replace(
+        "[form alpha]\ncomps = 0; 0; -1; 0\n",
+        "[form alpha]\ndegree = 2\ncomps = 0; 0; -1; 0; 0; 0\n"),
+        "[task structure]", "'alpha' needs a 1-form"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_DEGREE))
+def test_wrong_degree_form_argument_exits_2(tmp_path, capsys, case):
+    text, section, message = WRONG_DEGREE[case]
+    code, err, path = run_text(tmp_path, capsys, text)
+    assert code == 2
+    assert f"{path}:{line_of(text, section)}:" in err
+    assert message in err
+
+
+def test_catalog_table_matches_golden(capsys):
+    assert main(["catalog"]) == 0
+    want = (GOLDEN / "catalog.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+def test_emitted_manifest_matches_golden_and_runs(tmp_path, capsys,
+                                                  geometry):
+    path = tmp_path / f"{geometry}.ek"
+    assert main(["catalog", "--geometry", geometry,
+                 "--emit-manifest", str(path)]) == 0
+    want = (GOLDEN / f"emit_{geometry}.ek").read_text(encoding="utf-8")
+    assert path.read_text(encoding="utf-8") == want
+    assert main(["run", str(path)]) == 0

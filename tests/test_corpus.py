@@ -1,8 +1,8 @@
 """Every corpus manifest reproduces its checked-in machine report.
 
-The golden files in tests/golden/ are the `--machine-out` reports at seed 0
-and 64 samples.  A refactor that changes any verdict text, witness point or
-token shows up here as a byte-level diff.
+The golden `<manifest>.txt` files in tests/golden/ are the `--machine-out`
+reports at seed 0 and 64 samples.  A refactor that changes any verdict
+text, witness point or token shows up here as a byte-level diff.
 """
 
 from pathlib import Path
@@ -19,7 +19,9 @@ MANIFESTS = sorted((ROOT / "corpus").glob("*.ek"))
 
 def test_every_manifest_has_a_golden_report():
     names = {p.stem for p in MANIFESTS}
-    golden = {p.stem for p in (ROOT / "tests" / "golden").glob("*.txt")}
+    # catalog.txt is the `engelkit catalog` table, checked in test_cli
+    golden = {p.stem for p in (ROOT / "tests" / "golden").glob("*.txt")
+              if p.stem != "catalog"}
     assert names and names == golden
 
 

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import engelkit.expr as ex
 from engelkit.metric import (Metric, bracket_pattern_report, dual_pair_report,
-                             frame_metric, killing_report, orthonormal_metric,
-                             tangency_expr, tangency_report)
+                             framing_metric, killing_report,
+                             orthonormal_metric, tangency_expr,
+                             tangency_report)
 from engelkit.sampling import failed
 
 
@@ -44,7 +45,7 @@ def test_dual_pair_identities_orthonormal(torus, policy):
 
 def test_dual_pair_identities_weighted(nil4, policy):
     w = [ex.rat(2), ex.ONE, ex.ONE, ex.rat(3)]
-    g = frame_metric(nil4, weights=w)
+    g = framing_metric(nil4.space, nil4.framing(), w)
     assert g.inner(nil4.W, nil4.W) == ex.rat(2)
     assert g.inner(nil4.R, nil4.R) == ex.rat(3)
     assert g.inner(nil4.W, nil4.R) == ex.ZERO
@@ -127,8 +128,8 @@ def test_metric_rejects_asymmetric_matrix(torus):
 
 
 def test_weighted_metric_determinant(nil4):
-    g = frame_metric(nil4, weights=[ex.rat(Fraction(1, 2)), ex.ONE,
-                                    ex.rat(2), ex.ONE])
+    g = framing_metric(nil4.space, nil4.framing(),
+                       [ex.rat(Fraction(1, 2)), ex.ONE, ex.rat(2), ex.ONE])
     A = g.dual_field(nil4.alpha)
     # alpha = R-dual leg, so its dual field is R / g(R,R)
     assert all(ex.cleanup(ex.add(a, ex.neg(r))) == ex.ZERO

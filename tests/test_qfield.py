@@ -96,7 +96,7 @@ def test_solve_linear_two_by_two():
     assert str(u[1]) == "3/5*sqrt2+1/5*sqrt3"
     # residuals vanish exactly
     assert (m[0][0] * u[0] + m[0][1] * u[1]) == one
-    assert (m[1][0] * u[0] + m[1][1] * u[1]).is_zero()
+    assert (m[1][0] * u[0] + m[1][1] * u[1]) == zero
 
 
 def test_solve_linear_singular_raises():

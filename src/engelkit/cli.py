@@ -190,7 +190,10 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "run" and not (args.samples > 0 and args.tol > 0):
+        parser.error("--samples and --tol must be positive")
     return args.func(args)
 
 

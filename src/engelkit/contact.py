@@ -9,8 +9,9 @@ restricts back to graph sections.
 """
 
 from . import expr as ex
-from .frames import (DiffForm, FrameSpace, VectorField, d, interior,
-                     lie_form, pair, perm_sign, solve_kernel, wedge, zero)
+from .frames import (DiffForm, FrameError, FrameSpace, VectorField, d,
+                     interior, lie_form, pair, perm_sign, solve_kernel, wedge,
+                     zero)
 from .sampling import nonvanishing
 
 
@@ -19,7 +20,9 @@ def thicken_space(space, name="s", lo=-1, hi=1, periodic=False):
 
     An interval by default; a circle fibre with periodic=True.
     """
-    assert name not in space.names, f"name {name!r} already used"
+    if name in space.names:
+        raise FrameError(f"cannot thicken by {name!r}: the space already "
+                         f"has a direction of that name")
     entries = list(space.entries) + [("coord", name, lo, hi, periodic)]
     brackets = {}
     for (i, j), vec in space.structure.items():
@@ -58,7 +61,7 @@ def reeb_solved(sp5, eta, policy):
     """The Reeb direction from its defining conditions alone."""
     res = solve_kernel(sp5, [(d(eta), ex.ZERO), (eta, ex.ONE)], policy)
     if not res.ok:
-        raise ValueError(f"contact Reeb solve failed: {res.message}")
+        raise FrameError(f"contact Reeb solve failed: {res.message}")
     return res.field.cleanup()
 
 

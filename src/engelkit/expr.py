@@ -18,6 +18,8 @@ nodes (sin(0) stays sin(0)); structural identities such as sin^2+cos^2 = 1
 live in the separate, opt-in `cleanup` pass that post-processes solver output.
 """
 
+import ast
+import re
 from fractions import Fraction
 
 SINGULAR_EPS = 1e-14
@@ -159,12 +161,10 @@ def _norm_pow(b, n):
         return _norm_mul([_norm_pow(f, n) for f in b[1]])
     if b[0] == "div":
         return _norm_div(_norm_pow(b[1], n), _norm_pow(b[2], n))
-    if b[0] == "add":
-        if n > 0:
-            return _norm_mul([b] * n)
-        return _norm_div(ONE, _norm_pow(b, -n))
+    if b[0] == "add" and n > 0:
+        return _norm_mul([b] * n)
     if n < 0:
-        return _norm_div(ONE, ("pow", b, -n))
+        return _norm_div(ONE, _norm_pow(b, -n))
     return ("pow", b, n)
 
 
@@ -408,146 +408,69 @@ def evaluate(e, env) -> float:
 # ---------------------------------------------------------------------------
 # parsing
 
-def tokenize(text):
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    seen_dot = True
-                j += 1
-            toks.append(("num", text[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(("name", text[i:j], i))
-            i = j
-            continue
-        if text.startswith("**", i):
-            toks.append(("op", "^", i))
-            i += 2
-            continue
-        if c in "+-*/^()":
-            toks.append(("op", c, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r} at position {i}")
-    toks.append(("end", "", n))
-    return toks
+_NUMBER = re.compile(r"[0-9]+\.?[0-9]*|\.[0-9]+")
 
-
-class _Parser:
-    def __init__(self, text, variables, constants):
-        self.text = text
-        self.toks = tokenize(text)
-        self.pos = 0
-        self.variables = set(variables)
-        self.constants = dict(constants or {})
-
-    def peek(self):
-        return self.toks[self.pos]
-
-    def take(self, kind=None, value=None):
-        tok = self.toks[self.pos]
-        if kind and tok[0] != kind or value and tok[1] != value:
-            raise ParseError(
-                f"expected {value or kind} at position {tok[2]} in {self.text!r}")
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        e = self.expr()
-        if self.peek()[0] != "end":
-            tok = self.peek()
-            raise ParseError(
-                f"trailing input at position {tok[2]} in {self.text!r}")
-        return e
-
-    def expr(self):
-        node = self.term()
-        while self.peek()[:2] in (("op", "+"), ("op", "-")):
-            op = self.take()[1]
-            rhs = self.term()
-            node = add(node, rhs) if op == "+" else add(node, neg(rhs))
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek()[:2] in (("op", "*"), ("op", "/")):
-            op = self.take()[1]
-            rhs = self.factor()
-            node = mul(node, rhs) if op == "*" else div(node, rhs)
-        return node
-
-    def factor(self):
-        if self.peek()[:2] == ("op", "-"):
-            self.take()
-            return neg(self.factor())
-        if self.peek()[:2] == ("op", "+"):
-            self.take()
-            return self.factor()
-        node = self.primary()
-        if self.peek()[:2] == ("op", "^"):
-            self.take()
-            node = pow_(node, self.int_exponent())
-        return node
-
-    def int_exponent(self):
-        sign = 1
-        if self.peek()[:2] == ("op", "-"):
-            self.take()
-            sign = -1
-        tok = self.take("num")
-        if "." in tok[1]:
-            raise ParseError(f"exponent must be an integer, got {tok[1]}")
-        return sign * int(tok[1])
-
-    def primary(self):
-        tok = self.peek()
-        if tok[0] == "num":
-            self.take()
-            return rat(Fraction(tok[1]))
-        if tok[0] == "name":
-            self.take()
-            name = tok[1]
-            if name in FUNCS:
-                self.take("op", "(")
-                arg = self.expr()
-                self.take("op", ")")
-                return (name, arg)
-            if name == "pi":
-                return PI
-            if name in self.constants:
-                return rat(self.constants[name])
-            if name in self.variables:
-                return var(name)
-            raise ParseError(f"unknown symbol '{name}' in {self.text!r}")
-        if tok[:2] == ("op", "("):
-            self.take()
-            e = self.expr()
-            self.take("op", ")")
-            return e
-        raise ParseError(
-            f"unexpected token at position {tok[2]} in {self.text!r}")
+_OPS = {ast.Add: add, ast.Sub: lambda a, b: add(a, neg(b)), ast.Mult: mul,
+        ast.Div: div, ast.UAdd: lambda a: a, ast.USub: neg}
 
 
 def parse(text, variables=(), constants=None):
     """Parse an infix expression into canonical form.
 
-    Decimal literals become exact rationals.  Names in `constants` are
-    substituted by their exact values at parse time; 'pi' stays symbolic.
+    The text is read as a Python expression with `^` for `**`.  Accepted:
+    `+ - * /`, unary signs, powers to an integer literal, decimal literals,
+    names, and sin/cos/exp/ln of one argument.  Decimal literals become
+    exact rationals.  Names in `constants` are substituted by their exact
+    values at parse time; 'pi' stays symbolic.
     """
-    return normalize(_Parser(text, variables, constants).parse())
+    source = text.strip().replace("^", "**")
+    constants = constants or {}
+
+    def reject(node, what):
+        segment = ast.get_source_segment(source, node)
+        raise ParseError(f"{what} {segment!r} in {text!r}")
+
+    def number(node):
+        digits = ast.get_source_segment(source, node)
+        if not _NUMBER.fullmatch(digits):
+            reject(node, "not a decimal number:")
+        return Fraction(digits)
+
+    def convert(node):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            n, sign = node.right, 1
+            if isinstance(n, ast.UnaryOp) and isinstance(n.op, ast.USub):
+                n, sign = n.operand, -1
+            if not (isinstance(n, ast.Constant) and type(n.value) is int):
+                reject(n, "exponent must be an integer, got")
+            return pow_(convert(node.left), sign * int(number(n)))
+        if isinstance(node, ast.BinOp) and type(node.op) in _OPS:
+            return _OPS[type(node.op)](convert(node.left),
+                                       convert(node.right))
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _OPS:
+            return _OPS[type(node.op)](convert(node.operand))
+        if isinstance(node, ast.Constant):
+            return rat(number(node))
+        if isinstance(node, ast.Name):
+            if node.id == "pi":
+                return PI
+            if node.id in constants:
+                return rat(constants[node.id])
+            if node.id in variables:
+                return var(node.id)
+            raise ParseError(f"unknown symbol '{node.id}' in {text!r}")
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in FUNCS and len(node.args) == 1 \
+                and not node.keywords:
+            return (node.func.id, convert(node.args[0]))
+        reject(node, "unsupported syntax")
+
+    try:
+        return normalize(convert(ast.parse(source, mode="eval").body))
+    except (SyntaxError, ValueError) as err:
+        raise ParseError(f"{err.args[0]} in {text!r}") from None
+    except (RecursionError, MemoryError):
+        raise ParseError(f"expression nested too deeply: {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -762,7 +685,7 @@ def _sin_reduce(e):
     return normalize(("add", tuple(new_terms)))
 
 
-def _to_poly(e):
+def to_poly(e):
     """Canonical expr -> {monomial: coeff} over non-rational atomic bases.
 
     Returns None if the expression contains quotients (not a polynomial).
@@ -787,8 +710,8 @@ def _poly_quotient(n, d):
     in graded lexicographic order (a genuine monomial order, so the division
     loop succeeds exactly when d divides n).
     """
-    pn = _to_poly(n)
-    pd = _to_poly(d)
+    pn = to_poly(n)
+    pd = to_poly(d)
     if pn is None or pd is None or not pd:
         return None
     if not pn:

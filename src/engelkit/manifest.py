@@ -7,6 +7,7 @@ README.md for the full description.  Everything is parsed eagerly so that a
 bad manifest fails before any task runs.
 """
 
+import keyword
 import math
 import re
 from fractions import Fraction
@@ -86,6 +87,12 @@ class _Parser:
     def fail(self, lineno, msg):
         raise ManifestError(f"{self.path}:{lineno}: {msg}")
 
+    def check_name(self, lineno, name):
+        """Coordinates and parameters are read inside expressions."""
+        if not name.isidentifier() or keyword.iskeyword(name):
+            self.fail(lineno, f"name {name!r} must be an identifier and "
+                              f"not a Python keyword")
+
     def scan(self):
         current = None
         header_seen = False
@@ -143,6 +150,7 @@ class _Parser:
                 except (ValueError, ZeroDivisionError):
                     self.fail(lineno, "coordinate bounds must be rational "
                                       "or a rational multiple of pi")
+                self.check_name(lineno, tokens[1])
                 entries.append(("coord", tokens[1], lo, hi,
                                 len(tokens) == 5))
             elif tokens[0] == "lie":
@@ -152,6 +160,7 @@ class _Parser:
             elif tokens[0] == "param":
                 if len(tokens) != 4 or tokens[2] != "=":
                     self.fail(lineno, "usage: param NAME = VALUE")
+                self.check_name(lineno, tokens[1])
                 try:
                     params[tokens[1]] = Fraction(tokens[3])
                 except ValueError:
@@ -159,18 +168,14 @@ class _Parser:
             elif tokens[0] == "bracket":
                 if len(tokens) < 5 or tokens[3] != "=":
                     self.fail(lineno, "usage: bracket A B = c1; c2; ...")
-                comps_text = line.split("=", 1)[1]
-                comps = []
-                for part in _split_list(comps_text):
-                    if part in params:
-                        comps.append(params[part])
-                        continue
-                    try:
-                        comps.append(Fraction(part))
-                    except ValueError:
-                        self.fail(lineno, f"bracket component {part!r} is "
-                                  f"neither rational nor a parameter")
-                brackets[(tokens[1], tokens[2])] = comps
+                try:
+                    comps = [ex.parse(part, (), params) for part
+                             in _split_list(line.split("=", 1)[1])]
+                except ex.ExprError as err:
+                    self.fail(lineno, f"bad bracket component: {err}")
+                if any(c[0] != "rat" for c in comps):
+                    self.fail(lineno, "bracket components must be rational")
+                brackets[(tokens[1], tokens[2])] = [c[1] for c in comps]
             else:
                 self.fail(lineno, f"unknown space directive '{tokens[0]}'")
         try:
@@ -292,6 +297,8 @@ class _Parser:
                     else float(value)
             except ValueError:
                 self.fail(lineno, f"bad {key} override {value!r}")
+            if not overrides[key] > 0:
+                self.fail(lineno, f"{key} must be positive, got {value!r}")
         args = {key: value for key, (_, value) in kv.items()}
         return Task(section[1], op, args, expects, overrides, section[3])
 

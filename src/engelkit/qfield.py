@@ -7,8 +7,11 @@ by symmetric difference alone.  This is all the lattice rank computation
 needs; exact rank over floats would be undecidable.
 """
 
+import re
 from fractions import Fraction
 from math import gcd
+
+from . import expr as ex
 
 
 class FieldError(Exception):
@@ -208,37 +211,29 @@ def reduce_rows(rows, ncols):
 
 
 def parse_qnum(text, gens):
-    """Read '1 - 2/3*sqrt2 + sqrt6' into a QNum."""
-    s = text.replace(" ", "")
-    if not s:
-        raise FieldError("empty field element")
-    terms = {}
-    i = 0
-    while i < len(s):
-        sign = 1
-        while i < len(s) and s[i] in "+-":
-            if s[i] == "-":
-                sign = -sign
-            i += 1
-        j = i
-        while j < len(s) and s[j] not in "+-":
-            j += 1
-        piece = s[i:j]
-        i = j
-        if not piece:
-            raise FieldError(f"dangling sign in {text!r}")
-        coeff = Fraction(1)
-        if "*" in piece:
-            num, _, piece = piece.partition("*")
-            coeff = Fraction(num)
-        if piece.startswith("sqrt"):
-            rad = int(piece[4:])
-            key = _factor_key(rad, gens)
-        else:
-            coeff *= Fraction(piece)
-            key = frozenset()
-        terms[key] = terms.get(key, Fraction(0)) + sign * coeff
-    return QNum(gens, terms)
+    """Read a polynomial in rationals and sqrtN names into a QNum.
+
+    For example '1 - 2/3*sqrt2 + sqrt6' or '(1 + sqrt2)^2'.
+    """
+    roots = set(re.findall(r"sqrt[0-9]+", text))
+    try:
+        poly = ex.to_poly(ex.parse(text, roots))
+    except ex.ExprError as err:
+        raise FieldError(str(err)) from None
+    if poly is None:
+        raise FieldError(f"{text!r} is a quotient, not a polynomial")
+    total = QNum(gens)
+    for mono, q in poly.items():
+        term = QNum.of(gens, q)
+        for base, n in mono:
+            if base[0] != "var":
+                raise FieldError(f"{ex.to_str(base)} in {text!r} is not a "
+                                 f"square root")
+            root = QNum(gens, {_factor_key(int(base[1][4:]), gens): 1})
+            for _ in range(n):
+                term = term * root
+        total = total + term
+    return total
 
 
 def _factor_key(rad, gens):

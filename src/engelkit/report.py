@@ -22,6 +22,7 @@ from .catalog import (CatalogError, LieAlgebra4, commutant, fmt_vec,
 from .contact import contactization_report
 from .engel import EngelError, analyze, dbeta2_criterion, identity_suite
 from .expr import ExprError
+from .frames import FrameError
 from .kengel import (KEngelData, KEngelError, failing, kengel_check,
                      kengel_invariants)
 from .manifest import ManifestError
@@ -550,7 +551,8 @@ def run_manifest(mf, policy, manifest_name=None):
         except ManifestError as err:
             report.reference_error = f"{mf.path}:{task.lineno}: {err}"
             break
-        except (EngelError, KEngelError, CatalogError, FieldError) as err:
+        except (EngelError, KEngelError, CatalogError, FieldError,
+                FrameError, ExprError) as err:
             res.token("task_error")
             res.token("task_error", type(err).__name__)
             res.derived("error", str(err))

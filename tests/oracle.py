@@ -15,7 +15,6 @@ dict increasing-index-tuple -> coefficient function.
 
 from fractions import Fraction
 import itertools
-import math
 
 H = 1e-5
 

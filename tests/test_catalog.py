@@ -12,7 +12,6 @@ from engelkit.catalog import (CatalogError, GEOMETRIES, LieAlgebra4,
                               det4, fmt_vec, geometry_row, jacobi_check,
                               kengel_framing_search)
 from engelkit.qfield import rational_rank
-from engelkit.sampling import SamplingPolicy
 
 
 def build(name, params=None):

@@ -1,6 +1,7 @@
 """`engelkit run` exit codes: bad manifests and bad references exit 2 with
 `path:line` on stderr instead of a traceback."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -61,6 +62,19 @@ def run_text(tmp_path, capsys, text):
     path.write_text(text, encoding="utf-8")
     code = main(["run", str(path)])
     return code, capsys.readouterr().err, str(path)
+
+
+def task_block(tmp_path, capsys, text, task):
+    """The exit code and the machine-report lines of one task."""
+    path = tmp_path / "case.ek"
+    out = tmp_path / "report.txt"
+    path.write_text(text, encoding="utf-8")
+    code = main(["run", str(path), "--machine-out", str(out)])
+    capsys.readouterr()
+    lines = out.read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines)
+                 if line.startswith(f"task {task} :: "))
+    return code, lines[start:lines.index(f"end {task}") + 1]
 
 
 def test_corpus_manifest_exits_zero(tmp_path, capsys):
@@ -213,3 +227,142 @@ def test_emitted_manifest_matches_golden_and_runs(tmp_path, capsys,
     want = (GOLDEN / f"emit_{geometry}.ek").read_text(encoding="utf-8")
     assert path.read_text(encoding="utf-8") == want
     assert main(["run", str(path)]) == 0
+
+
+@pytest.mark.parametrize("flag, value", [("--samples", "0"), ("--tol", "-1")])
+def test_non_positive_samples_or_tol_exits_2(capsys, flag, value):
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", str(ROOT / "corpus" / "nil4.ek"), flag, value])
+    assert exit_.value.code == 2
+    assert "--samples and --tol must be positive" in capsys.readouterr().err
+
+
+TORUS_HEAD = (ROOT / "corpus" / "torus.ek").read_text(
+    encoding="utf-8").split("[task ")[0]
+
+
+@pytest.mark.parametrize("entry, code", [("2*3*sqrt2", 0),
+                                         ("(1 + sqrt2)^2", 0),
+                                         ("sqrtx", 2), ("1/0", 2)])
+def test_lattice_entries_are_polynomials_in_square_roots(tmp_path, capsys,
+                                                         entry, code):
+    row = f"row = {entry}; -sqrt3; 1; 0"
+    text = TORUS_HEAD + f"""[lattice L]
+gens = 2 3
+row = 1; 0; 0; 0
+row = 0; 1; 0; 0
+{row}
+row = 0; 0; 0; 1
+
+[task quotient]
+op = lattice
+lattice = L
+expect = rank 3
+"""
+    got, err, path = run_text(tmp_path, capsys, text)
+    assert got == code
+    if code == 2:
+        assert err.startswith(f"error: {path}:{line_of(text, row)}: "
+                              f"bad lattice entry")
+
+
+def _renamed(manifest, old, new, before=None):
+    """A corpus manifest with coordinate `old` renamed, cut at `before`."""
+    text = (ROOT / "corpus" / manifest).read_text(encoding="utf-8")
+    return re.sub(rf"\b{old}\b", new, text.split(before)[0] if before
+                  else text)
+
+
+# each op thickens its space by a fixed name, which the base already uses
+CLASHES = {
+    "contact": (_renamed("torus.ek", "t", "s"), "lift"),
+    "filling": (_renamed("torus.ek", "t", "r"), "fill"),
+    "bw": (_renamed("heisenberg_bw.ek", "z", "t", "[task invariants]"),
+           "bundle"),
+    "t2": (_renamed("t2_bundle.ek", "y", "q", "[task invariants]"),
+           "bundle"),
+}
+
+
+@pytest.mark.parametrize("op", sorted(CLASHES))
+def test_thickening_by_a_used_name_is_a_task_error(tmp_path, capsys, op):
+    text, task = CLASHES[op]
+    code, block = task_block(tmp_path, capsys, text, task)
+    assert code == 1
+    assert "token task_error FrameError" in block
+    assert any(line.startswith("derived error :: cannot thicken by ")
+               for line in block)
+
+
+FAILURE_TOKENS = {
+    "framing_rejected": (NIL4_HEAD.split("[task structure]")[0] + """
+[field B]
+comps = 0; 1; 0; 0
+
+[task search]
+op = framing
+W = W
+X = B
+expect = framing_rejected
+""", "search", ["task search :: framing", "token framing_rejected",
+                "derived error :: the plane span{W, X} does not "
+                "bracket-generate", "expect framing_rejected :: ok"]),
+    "lattice_error": (TORUS_HEAD + """[lattice L]
+gens = 2
+row = 1; 0; 0; 0
+row = 0; 1; 0; 0
+row = sqrt2; 0; 1; 0
+row = 0; 0; 1; 1
+
+[task quotient]
+op = lattice
+lattice = L
+expect = lattice_error
+""", "quotient", ["task quotient :: lattice", "token lattice_error",
+                  "derived error :: the fourth lattice vector must be the "
+                  "fibre (0,0,0,1)", "expect lattice_error :: ok"]),
+    "t2_fail input": ((ROOT / "corpus" / "t2_bundle.ek").read_text(
+        encoding="utf-8").split("[task invariants]")[0].replace(
+        "eps = 1/2\n", "eps = 2\n").replace("t2_pass", "t2_fail input"),
+        "bundle", ["task bundle :: t2", "token t2_fail",
+                   "token t2_fail input",
+                   "derived error :: eps = 2 is not in (0,1)",
+                   "expect t2_fail input :: ok"]),
+}
+
+
+@pytest.mark.parametrize("token", sorted(FAILURE_TOKENS))
+def test_failure_token_report(tmp_path, capsys, token):
+    text, task, want = FAILURE_TOKENS[token]
+    code, block = task_block(tmp_path, capsys, text, task)
+    assert code == 0
+    assert block == want + [f"end {task}"]
+
+
+KILLING_TOL = TORUS_HEAD + """[metric g]
+diag = 1; 1; 1 + z/1000000000000; 1
+
+[task structure]
+op = engel
+alpha = alpha
+beta = beta
+W = W
+X = X
+
+[task triple]
+op = kengel
+data = structure
+Z = R
+metric = g
+{override}"""
+
+
+@pytest.mark.parametrize("override, verdict", [
+    ("", "zero=sampled"),
+    ("tol = 1e-15\n", "zero=no value=1e-12 at t=0,x=0,y=0,z=0")])
+def test_task_tol_override_changes_a_verdict(tmp_path, capsys, override,
+                                             verdict):
+    text = KILLING_TOL.format(override=override)
+    _, block = task_block(tmp_path, capsys, text, "triple")
+    assert f"verdict Killing equation :: {verdict}" in block
+    assert ("token kengel_fail Killing (z,z)" in block) == bool(override)

@@ -6,7 +6,7 @@ from engelkit.contact import (contact_form, contactization_report,
                               interval_map, pullback_section_map,
                               restrict_to_section, thicken_space)
 from engelkit.engel import transform_forms
-from engelkit.frames import d, wedge
+from engelkit.frames import d
 
 
 def P(text, extra=()):

@@ -8,8 +8,7 @@ from engelkit.engel import (EngelError, analyze, characteristic_field,
                             reeb_pair, rho_criterion, transform_forms)
 from engelkit.frames import render_field
 
-from conftest import nil4_forms, nil4_space, torus_forms, torus_framing_hints, \
-    torus_space
+from conftest import torus_forms, torus_framing_hints, torus_space
 
 
 def test_torus_defining(torus, policy):

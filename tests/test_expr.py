@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -69,6 +68,11 @@ def test_div_by_rational_becomes_coefficient():
 def test_negative_power_becomes_quotient():
     e = P("x^-2")
     assert e == ("div", ("rat", Fraction(1)), ("pow", ("var", "x"), 2))
+
+
+def test_negative_first_power_is_the_reciprocal():
+    assert P("x^-1") == P("1/x") == ("div", ex.ONE, ("var", "x"))
+    assert ex.to_str(P("x^-1")) == "1/x"
 
 
 def test_no_function_folding():
@@ -188,7 +192,7 @@ def leaves():
     )
 
 
-def exprs(max_depth=4):
+def exprs(max_depth=4, exponents=st.integers(1, 3)):
     return st.recursive(
         leaves(),
         lambda sub: st.one_of(
@@ -197,7 +201,7 @@ def exprs(max_depth=4):
             sub.map(ex.neg),
             sub.map(ex.sin),
             sub.map(ex.cos),
-            st.tuples(sub, st.integers(1, 3)).map(lambda bn: ex.pow_(*bn)),
+            st.tuples(sub, exponents).map(lambda bn: ex.pow_(*bn)),
         ),
         max_leaves=12,
     )
@@ -240,6 +244,21 @@ def test_cleanup_preserves_value(e):
     c = ex.cleanup(e)
     assert ex.evaluate(c, ENV) == pytest.approx(ex.evaluate(e, ENV),
                                                 rel=1e-9, abs=1e-9)
+
+
+def exponents_in(e):
+    own = [e[2]] if e[0] == "pow" else []
+    return own + [n for c in ex.children(e) for n in exponents_in(c)]
+
+
+@given(exprs(exponents=st.integers(-3, 3)))
+@settings(max_examples=200, deadline=None)
+def test_normalized_powers_have_exponents_of_at_least_two(e):
+    try:
+        n = ex.normalize(e)
+    except ex.EvalError:   # a base that folds to 0, raised to a power < 0
+        return
+    assert all(k >= 2 for k in exponents_in(n))
 
 
 @given(exprs())

@@ -4,6 +4,8 @@ Each case marks the line the error must name with a trailing `# <-`
 comment, which the parser strips like any other comment.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from engelkit.manifest import ManifestError, parse_manifest
@@ -21,6 +23,23 @@ comps = 1; 0
 
 [field W]
 comps = 1; 0
+"""
+
+LIE = """engelkit-manifest 1
+
+[space]
+lie A
+lie B
+param c = 3/2
+"""
+
+LATTICE = SPACE + """
+[lattice L]
+gens = 2
+row = 1; 0; 0; 0
+row = 0; 1; 0; 0
+row = {entry}; 0; 1; 0  # <-
+row = 0; 0; 0; 1
 """
 
 CASES = {
@@ -75,6 +94,22 @@ row = 0; 0; 1; 0
                           "W = W  # <-\n", "duplicate key 'W'"),
     "repeated samples": (TASK + "\n[task t]\nop = commutant\nsamples = 8\n"
                          "samples = 16  # <-\n", "duplicate key 'samples'"),
+    "zero samples": (TASK + "\n[task t]\nop = commutant\n"
+                     "samples = 0  # <-\n", "samples must be positive"),
+    "negative tol": (TASK + "\n[task t]\nop = commutant\n"
+                     "tol = -1  # <-\n", "tol must be positive"),
+    "keyword coord": (SPACE + "coord lambda 0 1  # <-\n",
+                      "name 'lambda' must be an identifier"),
+    "param name": (SPACE + "param 2c = 1  # <-\n",
+                   "name '2c' must be an identifier"),
+    "unknown bracket symbol": (LIE + "bracket A B = 0; y  # <-\n",
+                               "bad bracket component: unknown symbol 'y'"),
+    "irrational bracket": (LIE + "bracket A B = 0; pi  # <-\n",
+                           "bracket components must be rational"),
+    "lattice entry sqrtx": (LATTICE.format(entry="sqrtx"),
+                            "bad lattice entry: unknown symbol 'sqrtx'"),
+    "lattice entry 1/0": (LATTICE.format(entry="1/0"),
+                          "bad lattice entry: exact division by zero"),
 }
 
 
@@ -87,3 +122,11 @@ def test_malformed_manifest_names_its_line(case):
         parse_manifest(text, "case.ek")
     assert str(err.value).startswith(f"case.ek:{line}:")
     assert message in str(err.value)
+
+
+@pytest.mark.parametrize("text, value", [("-c", Fraction(-3, 2)),
+                                         ("2*c", Fraction(3)),
+                                         ("c/3 + 0.5", Fraction(1))])
+def test_bracket_components_are_rational_expressions(text, value):
+    mf = parse_manifest(LIE + f"bracket A B = 0; {text}\n", "case.ek")
+    assert mf.space.structure[(0, 1)] == (0, value)

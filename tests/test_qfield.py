@@ -64,6 +64,23 @@ def test_parse_factors_composite_radicand():
     assert num("sqrt6") == num("sqrt2") * num("sqrt3")
 
 
+@pytest.mark.parametrize("text, want", [
+    ("2*3*sqrt2", "6*sqrt2"),
+    ("(1 + sqrt2)^2", "3+2*sqrt2"),
+    ("sqrt2^3 - sqrt6*sqrt3", "-sqrt2"),
+    ("sqrt2/2 + 0.5", "1/2+1/2*sqrt2"),
+])
+def test_parse_polynomial_entries(text, want):
+    assert str(num(text)) == want
+
+
+@pytest.mark.parametrize("text", ["sqrtx", "1/0", "1/sqrt2", "sin(sqrt2)",
+                                  "pi", "2*", "", "sqrt1"])
+def test_parse_rejects_what_is_not_a_field_polynomial(text):
+    with pytest.raises(FieldError):
+        num(text)
+
+
 def test_inverse_of_one_plus_sqrt2():
     x = num("1 + sqrt2")
     assert str(x.inverse()) == "-1+sqrt2"

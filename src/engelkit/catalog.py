@@ -361,38 +361,3 @@ def catalog_run(policy=None):
     return [geometry_row(name, params, policy)
             for name, params in CATALOG_SEQUENCE]
 
-
-def blind_framing_search(lie, height=2):
-    """Search D = span{W, X} over small integer vectors, paper hints unused.
-
-    Candidates have component height at most `height` and at most two
-    nonzero entries; the first bracket-generating pair admitting a
-    commuting transverse R wins.
-    """
-    candidates = []
-    rng = range(-height, height + 1)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            for a in rng:
-                for b in rng:
-                    if a == 0 and b == 0:
-                        continue
-                    vec = [Fraction(0)] * 4
-                    vec[i], vec[j] = Fraction(a), Fraction(b)
-                    candidates.append(vec)
-    seen = set()
-    unique = []
-    for vec in candidates:
-        lead = next(c for c in vec if c)
-        normed = tuple(c / lead for c in vec)
-        if normed not in seen:
-            seen.add(normed)
-            unique.append([Fraction(c) for c in normed])
-    for i, W in enumerate(unique):
-        for X in unique[i + 1:]:
-            if not bracket_generates(lie, W, X):
-                continue
-            search = kengel_framing_search(lie, W, X)
-            if search["found"]:
-                return {"W": W, "X": X, **search}
-    return None

@@ -3,15 +3,14 @@
 With (alpha, beta) a defining pair on the 4-space, eta = beta + s alpha is a
 contact form on the product with the interval s in [-1, 1].  The module
 computes its Reeb direction both from the closed-form expression through the
-adapted bracket table and by solving the defining conditions from scratch,
-builds the reparametrizing maps induced by rescaling/shearing the pair, and
-restricts back to graph sections.
+adapted bracket table and by solving the defining conditions from scratch.
+It also pulls thickened forms back along sections s = h(p, s) and restricts
+them to graph sections s = g(p), which the contact filling's boundary uses.
 """
 
 from . import expr as ex
 from .frames import (DiffForm, FrameError, FrameSpace, VectorField, d,
-                     interior, lie_form, pair, perm_sign, solve_kernel, wedge,
-                     zero)
+                     interior, pair, perm_sign, solve_kernel, wedge, zero)
 from .sampling import nonvanishing
 
 
@@ -85,21 +84,6 @@ def contactization_report(data, policy):
     return out
 
 
-# ---------------------------------------------------------------------------
-# the induced reparametrization of the interval
-
-def interval_map(lam, mu, nu):
-    """The affine reparametrization induced by the pair transformation.
-
-    For alpha' = lam alpha, beta' = mu beta + nu alpha, the section
-    coordinate maps by s -> f s + g with f = mu/lam, g = -nu/lam, and the
-    pulled-back contact form rescales by mu.
-    """
-    f = ex.cleanup(ex.div(mu, lam))
-    g = ex.cleanup(ex.div(ex.neg(nu), lam))
-    return f, g
-
-
 def pullback_section_map(form5, h, sp5):
     """Pull a form back along (p, s) -> (p, h(p, s)).
 
@@ -135,21 +119,6 @@ def pullback_section_map(form5, h, sp5):
     return DiffForm(sp5, form5.degree, {k: v for k, v in out.items()})
 
 
-def contactomorphism_report(base_eta_data, new_data, lam, mu, nu, policy):
-    """Check that the induced interval map intertwines the contact forms.
-
-    eta and eta' are the thickenings of the original and transformed pairs;
-    the map (p, s) -> (p, f s + g) must pull eta' back to mu eta.
-    """
-    sp5, eta = contact_form(base_eta_data)
-    _, eta2 = contact_form(new_data, space5=sp5)
-    f, g = interval_map(lam, mu, nu)
-    h = ex.add(ex.mul(f, ex.var("s")), g)
-    pulled = pullback_section_map(eta2, h, sp5)
-    verdict = zero(pulled - eta.scale(mu), sp5.coord_ranges, policy)
-    return {"f": f, "g": g, "pullback matches mu eta": verdict}
-
-
 def restrict_to_section(form5, g_expr, base_space):
     """Restrict a thickened form to the graph section s = g(p).
 
@@ -159,20 +128,3 @@ def restrict_to_section(form5, g_expr, base_space):
     pulled = pullback_section_map(form5, g_expr, form5.space)
     return DiffForm(base_space, form5.degree, pulled.comps)
 
-
-def graph_recovery_report(data, nu, policy):
-    """Recover the sheared pair from the contact thickening.
-
-    Restricting eta to the section s = nu gives beta + nu alpha, and the
-    s-derivative of eta restricts to alpha.
-    """
-    sp5, eta = contact_form(data)
-    beta_rec = restrict_to_section(eta, nu, data.space)
-    alpha_rec = restrict_to_section(lie_form(sp5.basis_field(sp5.dim - 1),
-                                             eta), ex.ZERO, data.space)
-    want_beta = data.beta + data.alpha.scale(nu)
-    ranges = data.space.coord_ranges
-    return {"section recovers sheared beta": zero(beta_rec - want_beta,
-                                                  ranges, policy),
-            "s-derivative recovers alpha": zero(alpha_rec - data.alpha,
-                                                ranges, policy)}

@@ -4,7 +4,7 @@ A defining pair (alpha, beta) on a framed 4-space cuts out D = ker alpha ∩
 ker beta.  The module checks the three defining-form conditions, derives the
 characteristic direction W, the transverse pair (T, R), the adapted framing
 with its 24-entry bracket table, the structural identities that table must
-satisfy, the integrability test for the span([T, R]) plane field, the exact
+satisfy, the integrability test for the span(T, R) plane field, the exact
 transformation laws under rescaling/shearing the pair, and two curvature-type
 criteria expressed through the coframe dual to the framing.
 """
@@ -268,6 +268,13 @@ def identity_suite(data, policy):
 # integrability of the transverse plane field
 
 def integrability_report(data, policy):
+    """Integrability of the Reeb plane field span(T, R).
+
+    "integrable" is the vanishing of d(c_TR alpha) ^ beta.  The closure
+    determinants det(T, R, [T,R], W) and det(T, R, [T,R], X) vanish exactly
+    when [T, R] lies in span(T, R), the Frobenius criterion; the two
+    answers must agree.
+    """
     sp = data.space
     W, X, T, R = data.framing()
     c_tr = data.c_TR
@@ -287,10 +294,6 @@ def integrability_report(data, policy):
     for name, V in (("W", W), ("X", X)):
         out[f"closure det with {name}"] = zero(
             [determinant([T, R, tr, V])], ranges, policy)
-    out["frobenius agrees"] = (
-        out["integrable"].ok
-        == (out["closure det with W"].ok
-            and out["closure det with X"].ok))
     return out
 
 
@@ -408,25 +411,3 @@ def rho_criterion(data, policy):
     out["drho zero"] = zero(drho, ranges, policy)
     return out
 
-
-# ---------------------------------------------------------------------------
-# symmetry of the even-contact structure
-
-def even_contact_symmetry(space, alpha, policy):
-    """A direction Z with alpha(Z) = 1 and i_Z dalpha = 0 (so L_Z alpha = 0).
-
-    The solution is pinned down greedily: walk the frame directions in
-    order, tentatively force the component to zero, and keep the pin
-    whenever the system still solves and verifies.
-    """
-    da = d(alpha)
-    v = zero(wedge(da, da), space.coord_ranges, policy)
-    if not v.ok:
-        raise EngelError(f"dalpha^2 != 0: {v.describe()}")
-    if not nonzero(wedge(alpha, da), space.coord_ranges, policy).ok:
-        raise EngelError("alpha ^ dalpha has zeros")
-    best = solve_kernel_greedy(space, [(da, ex.ZERO), (alpha, ex.ONE)],
-                               policy)
-    if best is None:
-        raise EngelError("no symmetry direction found")
-    return best.cleanup()

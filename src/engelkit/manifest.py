@@ -87,11 +87,19 @@ class _Parser:
     def fail(self, lineno, msg):
         raise ManifestError(f"{self.path}:{lineno}: {msg}")
 
-    def check_name(self, lineno, name):
-        """Coordinates and parameters are read inside expressions."""
+    def check_name(self, lineno, name, declared):
+        """Coordinates and parameters are read inside expressions, so each
+        name must be new and must not shadow a constant or a function."""
         if not name.isidentifier() or keyword.iskeyword(name):
             self.fail(lineno, f"name {name!r} must be an identifier and "
                               f"not a Python keyword")
+        if name == "pi" or name in ex.FUNCS:
+            self.fail(lineno, f"name {name!r} is taken by a constant or a "
+                              f"function")
+        if name in declared:
+            self.fail(lineno, f"name {name!r} is already a coordinate or a "
+                              f"parameter")
+        declared.add(name)
 
     def scan(self):
         current = None
@@ -138,6 +146,7 @@ class _Parser:
         entries = []
         brackets = {}
         params = {}
+        declared = set()
         for lineno, line in section[2]:
             tokens = line.split()
             if tokens[0] == "coord":
@@ -150,7 +159,7 @@ class _Parser:
                 except (ValueError, ZeroDivisionError):
                     self.fail(lineno, "coordinate bounds must be rational "
                                       "or a rational multiple of pi")
-                self.check_name(lineno, tokens[1])
+                self.check_name(lineno, tokens[1], declared)
                 entries.append(("coord", tokens[1], lo, hi,
                                 len(tokens) == 5))
             elif tokens[0] == "lie":
@@ -160,7 +169,7 @@ class _Parser:
             elif tokens[0] == "param":
                 if len(tokens) != 4 or tokens[2] != "=":
                     self.fail(lineno, "usage: param NAME = VALUE")
-                self.check_name(lineno, tokens[1])
+                self.check_name(lineno, tokens[1], declared)
                 try:
                     params[tokens[1]] = Fraction(tokens[3])
                 except ValueError:

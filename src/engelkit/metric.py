@@ -1,4 +1,4 @@
-"""Frame metrics: duals of the defining pair, Killing residuals, tangency.
+"""Frame metrics: Killing residuals, tangency and the bracket pattern.
 
 The metric a computation needs is almost always the one making the adapted
 framing orthonormal; it is stored as a symmetric matrix of components over
@@ -154,18 +154,3 @@ def bracket_pattern_report(data, policy):
         out[name] = zero([ex.add(a, b)], ranges, policy)
     return out
 
-
-def dual_pair_report(data, g, policy):
-    """The metric duals of the defining pair lie in span(T, R) with
-    coefficients read off from their inner products."""
-    A = g.dual_field(data.alpha)
-    B = g.dual_field(data.beta)
-    T, R = data.T, data.R
-    gab = g.inner(A, B)
-    out = {"A": A, "B": B}
-    ranges = data.space.coord_ranges
-    out["alpha dual in span"] = zero(
-        A - (T.scale(gab) + R.scale(g.norm_sq(A))), ranges, policy)
-    out["beta dual in span"] = zero(
-        B - (T.scale(g.norm_sq(B)) + R.scale(gab)), ranges, policy)
-    return out

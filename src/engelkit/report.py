@@ -20,11 +20,12 @@ from .bundles import (T2_CONDITIONS, boothby_wang, filling_check,
 from .catalog import (CatalogError, LieAlgebra4, commutant, fmt_vec,
                       kengel_framing_search)
 from .contact import contactization_report
-from .engel import EngelError, analyze, dbeta2_criterion, identity_suite
+from .engel import (EngelError, analyze, dbeta2_criterion, identity_suite,
+                    integrability_report, rho_criterion, transform_forms)
 from .expr import ExprError
 from .frames import FrameError
 from .kengel import (KEngelData, KEngelError, failing, kengel_check,
-                     kengel_invariants)
+                     kengel_framing, kengel_invariants)
 from .manifest import ManifestError
 from .metric import (bracket_pattern_report, orthonormal_metric,
                      tangency_report)
@@ -227,6 +228,21 @@ def op_kengel(mf, task, policy, outputs, res):
     res.output = KEngelData(data, g, Z, rank=rank)
 
 
+def op_kframing(mf, task, policy, outputs, res):
+    kd = _data(outputs, task, want=KEngelData)
+    try:
+        kdata = kengel_framing(kd.data, kd.g, kd.Z, policy, rank=kd.rank)
+    except KEngelError as err:
+        res.fail_tokens("kframing_fail", err.names)
+        res.derived("error", str(err))
+        return
+    res.token("kframing_pass")
+    res.derived("alpha", fmt_form(kdata.data.alpha))
+    res.derived("beta", fmt_form(kdata.data.beta))
+    res.derived("R", fmt_field(kdata.data.R))
+    res.output = kdata
+
+
 def op_kinvariants(mf, task, policy, outputs, res):
     data = _engel(_data(outputs, task))
     res.verdicts("invariants", kengel_invariants(data, policy))
@@ -275,6 +291,51 @@ def op_dbeta2(mf, task, policy, outputs, res):
     report = dbeta2_criterion(data, policy)
     res.verdicts("dbeta2", report, ("a_WR + b_XR", "d(mu beta)^2"))
     res.derived("mu", ex.to_str(report["mu"]))
+
+
+def op_integrability(mf, task, policy, outputs, res):
+    data = _engel(_data(outputs, task))
+    report = integrability_report(data, policy)
+    c_tr = report.pop("c_TR")
+    for name, v in report.items():
+        res.verdict(name, v)
+    res.derived("c_TR", ex.to_str(c_tr))
+    closes = (report["closure det with W"].ok
+              and report["closure det with X"].ok)
+    agrees = report["integrable"].ok == closes
+    res.derived("frobenius agrees", "yes" if agrees else "no")
+    bad = failed(report)
+    if not agrees:
+        res.fail_tokens("integrability_fail", ["frobenius disagrees"])
+    elif bad:
+        res.fail_tokens("not_integrable", bad)
+    else:
+        res.token("integrable")
+
+
+def op_transform(mf, task, policy, outputs, res):
+    data = _engel(_data(outputs, task))
+    moves = [key for key in ("lam", "mu", "nu") if key in task.args]
+    if len(moves) != 1:
+        raise ManifestError(f"task '{task.name}': transform needs exactly "
+                            f"one of lam, mu, nu, got {len(moves)}")
+    coeffs = {"lam": ex.ONE, "mu": ex.ONE, "nu": ex.ZERO}
+    coeffs[moves[0]] = _scalar_arg(mf, task, moves[0])
+    new, checks = transform_forms(data, coeffs["lam"], coeffs["mu"],
+                                  coeffs["nu"], policy)
+    res.verdicts("transform", checks)
+    res.derived("T", fmt_field(new.T))
+    res.derived("R", fmt_field(new.R))
+    res.output = new
+
+
+def op_rho(mf, task, policy, outputs, res):
+    data = _engel(_data(outputs, task))
+    report = rho_criterion(data, policy)
+    res.verdicts("rho", report, ("dalpha^2", "beta + X(alpha)",
+                                 "(L_R rho) ^ beta", "a_WR", "a_XR"))
+    res.verdict("drho zero", report["drho zero"])
+    res.derived("drho", fmt_form(report["drho"]))
 
 
 def op_commutant(mf, task, policy, outputs, res):
@@ -417,12 +478,16 @@ def op_t2(mf, task, policy, outputs, res):
 OPS = {
     "engel": op_engel,
     "kengel": op_kengel,
+    "kframing": op_kframing,
     "kinvariants": op_kinvariants,
     "identities": op_identities,
     "contact": op_contact,
     "geodesic": op_geodesic,
     "pattern": op_pattern,
     "dbeta2": op_dbeta2,
+    "integrability": op_integrability,
+    "transform": op_transform,
+    "rho": op_rho,
     "commutant": op_commutant,
     "framing": op_framing,
     "lattice": op_lattice,

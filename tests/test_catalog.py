@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from engelkit import expr as ex
 from engelkit.catalog import (CatalogError, GEOMETRIES, LieAlgebra4,
-                              blind_framing_search, catalog_run, commutant,
-                              det4, fmt_vec, geometry_row, jacobi_check,
+                              catalog_run, commutant, det4, fmt_vec,
+                              geometry_row, jacobi_check,
                               kengel_framing_search)
 from engelkit.qfield import rational_rank
 
@@ -257,12 +257,3 @@ def test_zero_position_report():
     assert {pos: row["framing"]["R"] for pos, row in report.items()} == {
         1: "X1", 2: "X2", 3: "X3"}
 
-
-def test_blind_search_agrees_on_existence():
-    found = blind_framing_search(build("nil4"))
-    assert found is not None
-    lie = build("nil4")
-    for s in (found["W"], found["X"], found["Y"]):
-        assert not any(lie.bracket_vec(found["R"], s))
-    assert det4([found["W"], found["X"], found["Y"], found["R"]]) != 0
-    assert blind_framing_search(build("sol0")) is None

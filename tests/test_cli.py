@@ -307,6 +307,24 @@ expect = framing_rejected
 """, "search", ["task search :: framing", "token framing_rejected",
                 "derived error :: the plane span{W, X} does not "
                 "bracket-generate", "expect framing_rejected :: ok"]),
+    "kframing_fail": (NIL4_HEAD + """
+[task triple]
+op = kengel
+data = structure
+Z = W
+rank = 1
+
+[task framing]
+op = kframing
+data = triple
+expect = kframing_fail
+""", "framing", ["task framing :: kframing", "token kframing_fail",
+                 "token kframing_fail Killing (B,D)",
+                 "token kframing_fail [Z,X] stays in the plane",
+                 "token kframing_fail g(Z,W)",
+                 "derived error :: the triple check fails: [Z,X] stays in "
+                 "the plane, Killing (B,D), g(Z,W)",
+                 "expect kframing_fail :: ok"]),
     "lattice_error": (TORUS_HEAD + """[lattice L]
 gens = 2
 row = 1; 0; 0; 0
@@ -366,3 +384,36 @@ def test_task_tol_override_changes_a_verdict(tmp_path, capsys, override,
     _, block = task_block(tmp_path, capsys, text, "triple")
     assert f"verdict Killing equation :: {verdict}" in block
     assert ("token kengel_fail Killing (z,z)" in block) == bool(override)
+
+
+TRANSFORM = NIL4_HEAD + """
+[task moved]
+op = transform
+data = structure
+{moves}"""
+
+
+@pytest.mark.parametrize("moves", ["", "lam = 2\nnu = 1\n"],
+                         ids=["no move", "two moves"])
+def test_transform_needs_exactly_one_move(tmp_path, capsys, moves):
+    text = TRANSFORM.format(moves=moves)
+    code, err, path = run_text(tmp_path, capsys, text)
+    assert code == 2
+    assert f"{path}:{line_of(text, '[task moved]')}:" in err
+    assert "transform needs exactly one of lam, mu, nu" in err
+
+
+def test_kframing_on_an_engel_task_exits_2(tmp_path, capsys):
+    text = NIL4_HEAD + "\n[task framing]\nop = kframing\ndata = structure\n"
+    code, err, path = run_text(tmp_path, capsys, text)
+    assert code == 2
+    assert f"{path}:{line_of(text, '[task framing]')}:" in err
+    assert "task 'structure' did not produce KEngelData" in err
+
+
+def test_integrability_of_an_unknown_task_exits_2(tmp_path, capsys):
+    text = NIL4_HEAD + "\n[task reeb]\nop = integrability\ndata = nosuch\n"
+    code, err, path = run_text(tmp_path, capsys, text)
+    assert code == 2
+    assert f"{path}:{line_of(text, '[task reeb]')}:" in err
+    assert "no prior task 'nosuch'" in err

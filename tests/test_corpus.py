@@ -2,7 +2,9 @@
 
 The golden `<manifest>.txt` files in tests/golden/ are the `--machine-out`
 reports at seed 0 and 64 samples.  A refactor that changes any verdict
-text, witness point or token shows up here as a byte-level diff.
+text, witness point or token shows up here as a byte-level diff.  The
+manifests in tests/manifests/ carry their golden report beside them; they
+stay out of corpus/, which the benchmark runs.
 """
 
 from pathlib import Path
@@ -15,6 +17,14 @@ from engelkit.sampling import SamplingPolicy
 
 ROOT = Path(__file__).resolve().parent.parent
 MANIFESTS = sorted((ROOT / "corpus").glob("*.ek"))
+TEST_MANIFESTS = sorted((ROOT / "tests" / "manifests").glob("*.ek"))
+
+
+def _golden_run(path, golden):
+    report = run_manifest(load_manifest(str(path)),
+                          SamplingPolicy(seed=0, n_samples=64))
+    assert report.machine_text() == golden.read_text(encoding="utf-8")
+    assert report.exit_code == 0
 
 
 def test_every_manifest_has_a_golden_report():
@@ -27,9 +37,9 @@ def test_every_manifest_has_a_golden_report():
 
 @pytest.mark.parametrize("path", MANIFESTS, ids=lambda p: p.stem)
 def test_corpus_report_matches_golden(path):
-    report = run_manifest(load_manifest(str(path)),
-                          SamplingPolicy(seed=0, n_samples=64))
-    want = (ROOT / "tests" / "golden" / f"{path.stem}.txt").read_text(
-        encoding="utf-8")
-    assert report.machine_text() == want
-    assert report.exit_code == 0
+    _golden_run(path, ROOT / "tests" / "golden" / f"{path.stem}.txt")
+
+
+@pytest.mark.parametrize("path", TEST_MANIFESTS, ids=lambda p: p.stem)
+def test_extra_manifest_matches_golden(path):
+    _golden_run(path, path.with_suffix(".txt"))

@@ -1,4 +1,5 @@
-"""The triple check, the adapted K-Engel framing, and the converse metric."""
+"""The triple check, the adapted K-Engel framing, and the metric a section
+of the plane field induces."""
 
 import math
 from fractions import Fraction
@@ -8,10 +9,9 @@ import pytest
 from engelkit import expr as ex
 from engelkit.engel import analyze
 from engelkit.frames import FrameSpace, bracket
-from engelkit.kengel import (KEngelError, certify, form_conditions,
-                             kengel_check, kengel_framing, kengel_invariants,
-                             converse_metric, rank1_perturbation)
-from engelkit.metric import orthonormal_metric
+from engelkit.kengel import (KEngelError, certify, failing, form_conditions,
+                             kengel_check, kengel_framing, kengel_invariants)
+from engelkit.metric import framing_metric, orthonormal_metric
 from engelkit.sampling import failed, is_zero_many
 
 TAU = 2 * math.pi
@@ -187,11 +187,26 @@ def test_cartan_flipped_circle_direction_fails(policy):
     assert not report["engel"]["[Z,X] stays in the plane"].ok
 
 
-# -- converse construction of the metric -------------------------------------
+def test_kengel_framing_rescales_alpha(torus, policy):
+    # 2R passes the triple check, so alpha is halved to make alpha(Z) = 1
+    Z = torus.R.scale(ex.rat(2)).cleanup()
+    kd = kengel_framing(torus, orthonormal_metric(torus), Z, policy, rank=1)
+    half = ex.rat(Fraction(1, 2))
+    assert form_is_zero(kd.data.alpha - torus.alpha.scale(half), policy)
+    assert field_is_zero(kd.data.R - Z, policy)
+    assert kd.rank == 1
+    assert not failed(kengel_invariants(kd.data, policy))
+
+
+# -- the metric making the framing built from a section orthonormal ----------
+
+def section_metric(data, X):
+    return framing_metric(data.space, (data.W, X, data.T, data.R))
+
 
 def test_converse_metric_torus(torus, policy):
-    g, report = converse_metric(torus, torus.X, policy)
-    assert report["triple check"]["ok"]
+    g = section_metric(torus, torus.X)
+    assert kengel_check(torus, g, torus.R, policy)["ok"]
     gref = orthonormal_metric(torus)
     for i in range(4):
         for j in range(4):
@@ -202,25 +217,26 @@ def test_converse_metric_torus(torus, policy):
 
 def test_converse_metric_plain_circle_section(torus, policy):
     # any constant rescaling of the section gives another valid metric
-    g, report = converse_metric(torus, torus.space.basis_field(3), policy)
-    assert report["triple check"]["ok"]
-    assert report["[R,X] along W"].ok
+    g = section_metric(torus, torus.space.basis_field(3))
+    assert kengel_check(torus, g, torus.R, policy)["ok"]
 
 
 def test_converse_metric_nil4_exact(nil4, policy):
-    g, report = converse_metric(nil4, nil4.X, policy)
-    assert report["triple check"]["ok"]
-    assert report["[R,X] along W"].kind == "exact"
-    assert report["[R,W]"].kind == "exact"
+    report = kengel_check(nil4, section_metric(nil4, nil4.X), nil4.R, policy)
+    assert report["ok"]
+    assert all(v.kind == "exact" for group in ("engel", "orthogonal")
+               for v in report[group].values())
 
 
 def test_converse_metric_needs_eigen_section(torus, policy):
-    # adding z times W to the section makes [R, X] pick up a W-component
+    # adding z times W to the section makes [R, X] pick up a W-component,
+    # and the R-flow no longer preserves the induced metric
     sp = torus.space
     z = sp.scalar("z")
     X = (sp.basis_field(3) + torus.W.scale(z)).cleanup()
-    with pytest.raises(KEngelError, match="no metric makes R act"):
-        converse_metric(torus, X, policy)
+    report = kengel_check(torus, section_metric(torus, X), torus.R, policy)
+    assert failing(report) == ["Killing (x,t)", "Killing (y,t)",
+                               "Killing (t,t)"]
 
 
 def test_converse_metric_rejects_rescaling_flow(torus, policy):
@@ -228,8 +244,8 @@ def test_converse_metric_rejects_rescaling_flow(torus, policy):
     sp = torus.space
     f = sp.scalar("2 + sin(2*pi*z)")
     X = torus.X.scale(f).cleanup()
-    with pytest.raises(KEngelError, match="rescales the section"):
-        converse_metric(torus, X, policy)
+    report = kengel_check(torus, section_metric(torus, X), torus.R, policy)
+    assert failing(report) == ["Killing (t,t)"]
 
 
 def test_converse_metric_rejects_bad_forms(torus, policy):
@@ -239,53 +255,8 @@ def test_converse_metric_rejects_bad_forms(torus, policy):
     beta = torus.beta.scale(f).cleanup()
     data = analyze(sp, torus.alpha, beta, policy,
                    W=torus.W_raw, X=torus.X_raw)
-    with pytest.raises(KEngelError, match=r"form conditions fail.*d\(beta\)"):
-        converse_metric(data, data.X, policy)
-
-
-def test_converse_metric_rejects_transverse_section(torus, policy):
-    with pytest.raises(KEngelError, match="not tangent"):
-        converse_metric(torus, torus.T, policy)
-
-
-# -- re-fibring along a commuting field --------------------------------------
-
-def kdata_torus(torus, policy):
-    kd = kengel_framing(torus, orthonormal_metric(torus), torus.R, policy)
-    kd.rank = 1
-    return kd
-
-
-def test_rank1_perturbation_identity(torus, policy):
-    kd = kdata_torus(torus, policy)
-    out = rank1_perturbation(kd, torus.R, policy)
-    assert form_is_zero(out.data.alpha - torus.alpha, policy)
-    assert out.rank == 1
-
-
-def test_rank1_perturbation_rescales_alpha(torus, policy):
-    kd = kdata_torus(torus, policy)
-    Ri = torus.R.scale(ex.rat(2)).cleanup()
-    out = rank1_perturbation(kd, Ri, policy)
-    half = ex.rat(Fraction(1, 2))
-    assert form_is_zero(out.data.alpha - torus.alpha.scale(half), policy)
-    assert field_is_zero(out.data.R - Ri, policy)
-    ok = not failed(kengel_invariants(out.data, policy))
-    assert ok
-
-
-def test_rank1_perturbation_needs_commuting_field(torus, policy):
-    kd = kdata_torus(torus, policy)
-    with pytest.raises(KEngelError, match="does not commute"):
-        rank1_perturbation(kd, torus.space.basis_field(3), policy)
-
-
-def test_rank1_perturbation_rejects_vanishing_pairing(torus, policy):
-    # alpha(R + dx-direction) = 1 - cos(2 pi t) dies at t = 0
-    kd = kdata_torus(torus, policy)
-    Ri = (torus.R + torus.space.basis_field(0)).cleanup()
-    with pytest.raises(KEngelError, match="vanishes near"):
-        rank1_perturbation(kd, Ri, policy)
+    assert failed(form_conditions(sp, data.alpha, data.beta,
+                                  policy)) == ["d(beta)^2"]
 
 
 def test_certify_passes_the_reeb_direction(torus, policy):

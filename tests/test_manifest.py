@@ -102,6 +102,25 @@ row = 0; 0; 1; 0
                       "name 'lambda' must be an identifier"),
     "param name": (SPACE + "param 2c = 1  # <-\n",
                    "name '2c' must be an identifier"),
+    "param shadows a coordinate": (SPACE + "param x = 0  # <-\n",
+                                   "name 'x' is already a coordinate"),
+    "coordinate after a param": ("""engelkit-manifest 1
+
+[space]
+param c = 1
+coord c 0 1  # <-
+""", "name 'c' is already a coordinate"),
+    "coordinate named pi": (SPACE + "coord pi 0 1  # <-\n",
+                            "name 'pi' is taken by a constant"),
+    "param named pi": (SPACE + "param pi = 2  # <-\n",
+                       "name 'pi' is taken by a constant"),
+    "coordinate named sin": (SPACE + "coord sin 0 1  # <-\n",
+                             "name 'sin' is taken by a constant or a "
+                             "function"),
+    "param named ln": (LIE + "param ln = 1  # <-\n",
+                       "name 'ln' is taken by a constant or a function"),
+    "repeated param": (LIE + "param c = 2  # <-\n",
+                       "name 'c' is already a coordinate or a parameter"),
     "unknown bracket symbol": (LIE + "bracket A B = 0; y  # <-\n",
                                "bad bracket component: unknown symbol 'y'"),
     "irrational bracket": (LIE + "bracket A B = 0; pi  # <-\n",

@@ -2,9 +2,10 @@
 
 from pathlib import Path
 
+from engelkit import report as report_module
 from engelkit.manifest import parse_manifest
 from engelkit.report import run_manifest
-from engelkit.sampling import SamplingPolicy
+from engelkit.sampling import SamplingPolicy, Verdict
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -77,3 +78,27 @@ op = filling
 data = quotient
 """, "fill")
     assert tokens == {"filling_fail"}
+
+
+def test_integrability_fails_when_frobenius_disagrees(monkeypatch):
+    # a closure determinant that fails beside a passing "integrable" verdict
+    real = report_module.integrability_report
+
+    def skewed(data, policy):
+        out = real(data, policy)
+        out["closure det with W"] = Verdict("nonzero", 1.0, {"z": 0.0})
+        return out
+
+    monkeypatch.setattr(report_module, "integrability_report", skewed)
+    head = (ROOT / "corpus" / "torus.ek").read_text(encoding="utf-8")
+    report = run_manifest(parse_manifest(head.split("[task triple]")[0] + """
+[task reeb]
+op = integrability
+data = structure
+expect = not_integrable
+"""), SamplingPolicy(seed=0, n_samples=32))
+    res = report.results[-1]
+    assert res.tokens == {"integrability_fail",
+                          "integrability_fail frobenius disagrees"}
+    assert ("derived", "frobenius agrees", "no") in res.lines
+    assert report.exit_code == 1

@@ -198,6 +198,24 @@ def test_kengel_framing_rescales_alpha(torus, policy):
     assert not failed(kengel_invariants(kd.data, policy))
 
 
+def test_rank1_perturbation_identity(torus, policy):
+    # re-fibring along R itself leaves the forms alone and carries the rank
+    kd = kengel_framing(torus, orthonormal_metric(torus), torus.R, policy,
+                        rank=1)
+    assert form_is_zero(kd.data.alpha - torus.alpha, policy)
+    assert form_is_zero(kd.data.beta - torus.beta, policy)
+    assert kd.rank == 1
+
+
+def test_rank1_perturbation_needs_commuting_field(torus, policy):
+    # the circle direction does not commute with the framing: it drags W
+    # out of the plane, and that is named among the failed checks
+    with pytest.raises(KEngelError, match="triple check fails") as err:
+        kengel_framing(torus, orthonormal_metric(torus),
+                       torus.space.basis_field(3), policy, rank=1)
+    assert "[Z,W] stays in the plane" in err.value.names
+
+
 # -- the metric making the framing built from a section orthonormal ----------
 
 def section_metric(data, X):

@@ -16,6 +16,13 @@ Expressions are immutable nested tuples.  Node shapes:
 exact rational folding and like-term cancellation.  It never rewrites function
 nodes (sin(0) stays sin(0)); structural identities such as sin^2+cos^2 = 1
 live in the separate, opt-in `cleanup` pass that post-processes solver output.
+
+Canonical nodes are hash-consed (Filliatre & Conchon, "Type-Safe Modular
+Hash-Consing", 2006): `normalize` returns the one interned node of each
+canonical value, and `normalize` of an interned node is that node itself.
+The invariant: an interned node is canonical, and no node is ever mutated.
+`cleanup` is remembered per interned node.  The tables live for the process
+and are dropped together once one holds more than TABLE_LIMIT entries.
 """
 
 import ast
@@ -124,29 +131,103 @@ def size(e) -> int:
 # ---------------------------------------------------------------------------
 # normalization
 
+# Interning: every canonical node that `normalize` returns is held in
+# _CANON under its identity, so a later `normalize` of it is one lookup.  A
+# raw node is looked up by a shallow key: its tag, its exponent or rational,
+# and the identities of its normalized children, so no lookup hashes a deep
+# tree.  The tables hold every node whose identity a key names, so no
+# identity is reused while it is a key.  Errors are never stored.
+
+# Entries one table may hold before all are dropped together.  An entry
+# takes 0.2-0.5 kB; a corpus manifest makes at most ~720 keys, and 100
+# catalog rows about 2,000.
+TABLE_LIMIT = 20_000
+
+_CANON = {}    # id(node) -> node, for every interned canonical node
+_VALUES = {}   # canonical node -> the one interned node of that value
+_NODES = {}    # shallow key of a raw node -> interned normal form
+_CLEAN = {}    # id(interned node) -> its cleanup
+
+
+def clear_tables():
+    """Forget every interned node; later calls rebuild what they need."""
+    for table in (_CANON, _VALUES, _NODES, _CLEAN):
+        table.clear()
+
+
+def _intern(node, held):
+    """The interned node equal to canonical `node`.
+
+    `held` are nodes whose identities the caller is about to use in a key;
+    they are (re)entered so that those identities stay taken.
+    """
+    if len(_NODES) > TABLE_LIMIT or len(_CANON) > TABLE_LIMIT:
+        clear_tables()
+    node = _VALUES.setdefault(node, node)
+    _CANON[id(node)] = node
+    for h in held:
+        _CANON[id(h)] = h
+    return node
+
+
 def normalize(e):
+    """The interned canonical form of e; raises EvalError on an exact
+    division by zero."""
+    if id(e) in _CANON:
+        return e
     tag = e[0]
     if tag == "rat":
-        return ("rat", Fraction(e[1]))
-    if tag in ("const", "var"):
-        return e
-    if tag == "neg":
-        return normalize(mul(rat(-1), e[1]))
-    if tag in FUNCS:
-        return (tag, normalize(e[1]))
-    if tag == "pow":
-        return _norm_pow(normalize(e[1]), e[2])
-    if tag == "mul":
-        return _norm_mul([normalize(f) for f in e[1]])
+        kids = ()
+        q = e[1] if type(e[1]) is Fraction else Fraction(e[1])
+        key = (tag, q.numerator, q.denominator)
+    elif tag == "add" or tag == "mul":
+        kids = tuple([normalize(t) for t in e[1]])
+        key = (tag, *map(id, kids))
+    elif tag == "pow":
+        assert isinstance(e[2], int), "exponents must be integers"
+        kids = (normalize(e[1]),)
+        key = (tag, id(kids[0]), e[2])
+    elif tag == "div":
+        kids = (normalize(e[1]), normalize(e[2]))
+        key = (tag, id(kids[0]), id(kids[1]))
+    elif tag == "neg":
+        return normalize(mul(_MINUS_ONE, e[1]))
+    elif tag in FUNCS:
+        kids = (normalize(e[1]),)
+        key = (tag, id(kids[0]))
+    elif tag == "const" or tag == "var":
+        kids = ()
+        key = e
+    else:
+        raise ExprError(f"unknown node tag {tag!r}")
+    out = _NODES.get(key)
+    if out is not None:
+        return out
     if tag == "add":
-        return _norm_add([normalize(t) for t in e[1]])
-    if tag == "div":
-        return _norm_div(normalize(e[1]), normalize(e[2]))
-    raise ExprError(f"unknown node tag {tag!r}")
+        out = _norm_add(kids)
+    elif tag == "mul":
+        out = _norm_mul(kids)
+    elif tag == "pow":
+        out = _norm_pow(kids[0], e[2])
+    elif tag == "div":
+        out = _norm_div(*kids)
+    elif tag == "rat":
+        out = ("rat", q)
+    elif kids:
+        out = (tag, kids[0])
+    else:
+        out = e
+    out = _intern(out, kids)
+    _NODES[key] = out
+    return out
+
+
+# the constants every module builds with are interned from the start
+ZERO, ONE, PI = normalize(ZERO), normalize(ONE), normalize(PI)
+_MINUS_ONE = normalize(rat(-1))
 
 
 def _norm_pow(b, n):
-    assert isinstance(n, int), "exponents must be integers"
     if n == 0:
         return ONE
     if n == 1:
@@ -539,7 +620,12 @@ def cleanup(e):
     else is returned unchanged (in canonical form).
     """
     e = normalize(e)
-    return _cleanup(e)
+    out = _CLEAN.get(id(e))
+    if out is None:
+        out = _cleanup(e)
+        _CANON[id(e)] = e   # held again: _cleanup may have dropped the tables
+        _CLEAN[id(e)] = out
+    return out
 
 
 def _cleanup(e):

@@ -6,6 +6,8 @@ probed on a low-discrepancy point set and the verdict records either
 pure function of (seed, sample count), so repeated runs agree byte for byte.
 """
 
+from types import MappingProxyType
+
 from . import expr as ex
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -38,16 +40,25 @@ class SamplingPolicy:
         self.n_samples = int(n_samples)
         self.abs_tol = float(abs_tol)
         assert self.n_samples > 0 and self.abs_tol > 0
+        self._points = {}   # coordinate tuple -> its sample points
 
     def points(self, coords):
         """Sample points for named coordinate ranges.
 
         coords: sequence of (name, lo, hi, periodic).  Every coordinate,
         periodic or not, samples the half-open range [lo, hi): the Halton
-        radical inverse never reaches 1.
+        radical inverse never reaches 1.  The points are built once per
+        coordinate tuple and returned as the same tuple of read-only
+        mappings on every later call.
         """
-        return [self._point(coords, self.seed * self.n_samples + i)
-                for i in range(self.n_samples)]
+        coords = tuple(coords)
+        pts = self._points.get(coords)
+        if pts is None:
+            pts = self._points[coords] = tuple(
+                MappingProxyType(self._point(coords,
+                                             self.seed * self.n_samples + i))
+                for i in range(self.n_samples))
+        return pts
 
     def extra_point(self, coords, k):
         """Fallback point k past the base sequence, for retries."""
@@ -160,6 +171,11 @@ def nonvanishing(exprs, coords, policy):
     a fallback sequence.
     """
     normed = [ex.normalize(e) for e in exprs]
+    if all(e[0] == "rat" for e in normed):
+        # the same magnitude at every sample: the loop would keep the first
+        m = max((abs(float(e[1])) for e in normed), default=0.0)
+        return Verdict("nonvanishing" if m > policy.abs_tol else "vanishing",
+                       value=m, point=policy.points(coords)[0])
     best_min = None
     worst_pt = None
     retries = 0

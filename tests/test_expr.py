@@ -192,29 +192,119 @@ def leaves():
     )
 
 
-def exprs(max_depth=4, exponents=st.integers(1, 3)):
-    return st.recursive(
-        leaves(),
-        lambda sub: st.one_of(
-            st.tuples(sub, sub).map(lambda ab: ex.add(*ab)),
-            st.tuples(sub, sub).map(lambda ab: ex.mul(*ab)),
-            sub.map(ex.neg),
-            sub.map(ex.sin),
-            sub.map(ex.cos),
-            st.tuples(sub, exponents).map(lambda bn: ex.pow_(*bn)),
-        ),
-        max_leaves=12,
-    )
+def exprs(max_depth=4, exponents=st.integers(1, 3), quotients=False):
+    """Raw trees; with quotients, also div, exp and ln nodes.
+
+    A quotient tree may divide by an exact zero, so a test drawing one
+    catches EvalError.
+    """
+    def nodes(sub):
+        out = [st.tuples(sub, sub).map(lambda ab: ex.add(*ab)),
+               st.tuples(sub, sub).map(lambda ab: ex.mul(*ab)),
+               sub.map(ex.neg),
+               sub.map(ex.sin),
+               sub.map(ex.cos),
+               st.tuples(sub, exponents).map(lambda bn: ex.pow_(*bn))]
+        if quotients:
+            out += [st.tuples(sub, sub).map(lambda ab: ex.div(*ab)),
+                    sub.map(ex.exp),
+                    sub.map(ex.ln)]
+        return st.one_of(*out)
+
+    return st.recursive(leaves(), nodes, max_leaves=12)
 
 
 ENV = {"t": 0.37, "x": -1.21, "y": 0.64}
 
 
-@given(exprs())
+@given(exprs(quotients=True))
 @settings(max_examples=200, deadline=None)
 def test_normalize_idempotent(e):
-    n = ex.normalize(e)
+    try:
+        n = ex.normalize(e)
+    except ex.EvalError:   # a quotient by an exact zero
+        return
+    # n is interned now, so normalize(n) would return it unexamined
+    ex.clear_tables()
     assert ex.normalize(n) == n
+
+
+def normal_and_clean(e):
+    """(normalize(e), cleanup(e)), or the name of the error either raises."""
+    try:
+        return ex.normalize(e), ex.cleanup(e)
+    except ex.EvalError as err:
+        return type(err).__name__
+
+
+@given(st.lists(exprs(quotients=True), min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_warm_tables_agree_with_cleared_tables(es):
+    # warm: each tree after the ones before it, then all of them again
+    warm = [normal_and_clean(e) for e in es + es]
+    cold = []
+    for e in es:
+        ex.clear_tables()
+        cold.append(normal_and_clean(e))
+    assert warm == cold + cold
+
+
+@given(st.lists(exprs(quotients=True), min_size=1, max_size=4))
+@settings(max_examples=50, deadline=None)
+def test_tables_dropped_mid_computation_change_no_result(es):
+    cold = []
+    for e in es:
+        ex.clear_tables()
+        cold.append(normal_and_clean(e))
+    limit = ex.TABLE_LIMIT
+    ex.TABLE_LIMIT = 3   # so the tables are dropped inside most calls
+    tiny = []
+    try:
+        for e in es + es:
+            tiny.append(normal_and_clean(e))
+            assert keys_name_interned_nodes()
+    finally:
+        ex.TABLE_LIMIT = limit
+    assert tiny == cold + cold
+
+
+def keys_name_interned_nodes():
+    """Every identity in a table key is that of a node the tables hold.
+
+    Otherwise the node could be freed and its identity reused by another.
+    """
+    named = list(ex._CLEAN)
+    for key in ex._NODES:
+        if key[0] in ("add", "mul", "div"):
+            named += key[1:]
+        elif key[0] in ex.FUNCS or key[0] == "pow":
+            named.append(key[1])
+    return all(i in ex._CANON for i in named)
+
+
+def test_normalize_returns_an_interned_node_itself():
+    n = P("x*sin(y) + 2/x")
+    assert ex.normalize(n) is n
+    assert ex.normalize(ex.add(n, ex.ZERO)) is n
+
+
+def test_exact_division_by_zero_raises_on_every_call():
+    for e in (ex.div(ex.var("x"), ex.rat(0)), ex.pow_(ex.rat(0), -2)):
+        for _ in range(2):
+            with pytest.raises(ex.EvalError):
+                ex.normalize(e)
+
+
+def test_float_exponent_fails_after_the_integer_power_is_interned():
+    x = ex.var("x")
+    ex.normalize(ex.pow_(x, 2))
+    with pytest.raises(AssertionError, match="integers"):
+        ex.normalize(ex.pow_(x, 2.0))
+
+
+def test_int_and_fraction_rationals_are_one_node():
+    assert ex.normalize(("rat", 1)) is ex.normalize(("rat", Fraction(1)))
+    assert ex.normalize(("rat", 1)) == ex.ONE
 
 
 @given(exprs())

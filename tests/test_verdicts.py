@@ -1,8 +1,13 @@
-"""The Verdict type and the zero/nonzero check helpers."""
+"""The Verdict type, the zero/nonzero check helpers and sample points."""
+
+from fractions import Fraction
+
+import pytest
 
 from engelkit import expr as ex
 from engelkit.frames import FrameSpace, nonzero, zero
-from engelkit.sampling import SamplingPolicy, Verdict, failed, weakest
+from engelkit.sampling import (PRIMES, SamplingPolicy, Verdict, failed,
+                               halton, is_zero_expr, nonvanishing, weakest)
 
 POLICY = SamplingPolicy(n_samples=16)
 
@@ -62,3 +67,72 @@ def test_nonzero_treats_empty_as_zero():
     assert v.describe() == nonzero([ex.ZERO], ranges, POLICY).describe()
     assert not nonzero(box().one_form([ex.ZERO, ex.ZERO]), ranges,
                        POLICY).ok
+
+
+COORDS = (("x", 0, 1, True), ("y", Fraction(-1), 2, False))
+
+
+def halton_points(seed, n, coords):
+    """The sample points written out from the Halton sequence."""
+    return [{name: float(lo) + halton(seed * n + i, PRIMES[j])
+             * (float(hi) - float(lo))
+             for j, (name, lo, hi, _) in enumerate(coords)}
+            for i in range(n)]
+
+
+def test_points_are_built_once_and_equal_a_fresh_policy():
+    pol = SamplingPolicy(seed=5, n_samples=8)
+    first = pol.points(COORDS)
+    assert pol.points(list(COORDS)) is first
+    assert first == SamplingPolicy(seed=5, n_samples=8).points(COORDS)
+    assert [dict(p) for p in first] == halton_points(5, 8, COORDS)
+
+
+@pytest.mark.parametrize("seed, n, coords", [
+    (6, 8, COORDS), (5, 9, COORDS), (5, 8, COORDS[:1]),
+    (5, 8, (("x", 0, 2, True),) + COORDS[1:])])
+def test_points_differ_across_seed_count_and_coords(seed, n, coords):
+    pol = SamplingPolicy(seed=5, n_samples=8)
+    pol.points(COORDS)
+    other = SamplingPolicy(seed=seed, n_samples=n)
+    assert other.points(coords) != pol.points(COORDS)
+    assert [dict(p) for p in other.points(coords)] \
+        == halton_points(seed, n, coords)
+
+
+def test_a_verdict_point_cannot_change_later_points():
+    pol = SamplingPolicy(n_samples=8)
+    v = is_zero_expr(ex.parse("x - 2", ("x", "y")), COORDS, pol)
+    assert v.kind == "nonzero"
+    with pytest.raises(TypeError):
+        v.point["x"] = 7.0
+    with pytest.raises(TypeError):
+        pol.points(COORDS)[0]["y"] = 7.0
+    assert [dict(p) for p in pol.points(COORDS)] == halton_points(0, 8,
+                                                                  COORDS)
+
+
+def sampled_nonvanishing(exprs, coords, policy):
+    """kind, value and point of nonvanishing's sampling loop, written out."""
+    best = None
+    for env in policy.points(coords):
+        m = max((abs(ex.evaluate(e, env)) for e in exprs), default=0.0)
+        if best is None or m < best[0]:
+            best = (m, env)
+    kind = "nonvanishing" if best[0] > policy.abs_tol else "vanishing"
+    return kind, best[0] or 0.0, best[1]
+
+
+@pytest.mark.parametrize("values, kind", [
+    ([2], "nonvanishing"), ([0], "vanishing"),
+    ([-3, Fraction(1, 2)], "nonvanishing"), ([], "vanishing"),
+    ([Fraction(1, 10**9)], "vanishing"),
+    ([Fraction(-1, 10**12), 0], "vanishing")])
+def test_rational_nonvanishing_matches_the_sampling_loop(values, kind):
+    pol = SamplingPolicy(seed=2, n_samples=8)   # abs_tol 1e-9
+    exprs = [ex.rat(q) for q in values]
+    v = nonvanishing(exprs, COORDS, pol)
+    assert v.kind == kind
+    assert (v.kind, v.value, v.point) \
+        == sampled_nonvanishing(exprs, COORDS, pol)
+    assert type(v.value) is float

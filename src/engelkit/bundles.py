@@ -91,6 +91,7 @@ def boothby_wang(nspace, lam, L, a_loc, policy):
 # torus bundle over a surface chart
 
 T2_CONDITIONS = ("first condition", "second condition", "third condition")
+T2_FIBRE = ("p", "q")  # the periodic fibre coordinates, in frame order
 
 
 def t2_bundle_condition(sigma, f, g, alpha0, beta0, Omega, prim1, prim2,
@@ -113,19 +114,21 @@ def t2_bundle_condition(sigma, f, g, alpha0, beta0, Omega, prim1, prim2,
     The third is also evaluated with the f-weight dropped from the twist,
     for comparison; only the weighted form is equivalent to
     beta ^ d(alpha) = 0.  Returns (report, data) with data None when a
-    condition fails.
+    condition fails.  Bad input, eps outside (0,1) or a primitive that does
+    not integrate n_i Omega, raises KEngelError naming "input".
     """
     assert sigma.dim == 2 and all(k == "coord" for k in sigma.kinds), \
         "the base must be a 2-dim chart"
     eps = Fraction(eps)
     if not 0 < eps < 1:
-        raise KEngelError(f"eps = {eps} is not in (0,1)")
+        raise KEngelError(f"eps = {eps} is not in (0,1)", ["input"])
     ranges = sigma.coord_ranges
     for name, prim, n in (("first", prim1, n1), ("second", prim2, n2)):
         v = zero(d(prim) - Omega.scale(ex.rat(n)), ranges, policy)
         if not v.ok:
             raise KEngelError(f"the {name} primitive does not integrate "
-                              f"{n} times the area form: {v.describe()}")
+                              f"{n} times the area form: {v.describe()}",
+                              ["input"])
     N = Fraction(n1) - eps * Fraction(n2)
     n_ex = ex.rat(N)
     df = d(sigma.form(0, {(): f}))
@@ -150,8 +153,9 @@ def t2_bundle_condition(sigma, f, g, alpha0, beta0, Omega, prim1, prim2,
     if failed({k: report[k] for k in T2_CONDITIONS}):
         return report, None
 
-    sp4 = thicken_space(thicken_space(sigma, "p", 0, 1, periodic=True),
-                        "q", 0, 1, periodic=True)
+    sp4 = sigma
+    for name in T2_FIBRE:
+        sp4 = thicken_space(sp4, name, 0, 1, periodic=True)
     theta1 = sp4.one_form([prim1.comp((0,)), prim1.comp((1,)),
                            ex.ONE, ex.ZERO])
     theta2 = sp4.one_form([prim2.comp((0,)), prim2.comp((1,)),

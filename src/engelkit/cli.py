@@ -11,8 +11,8 @@ import argparse
 import sys
 from fractions import Fraction
 
-from . import expr as ex
 from .catalog import (CatalogError, GEOMETRIES, catalog_run, geometry_row)
+from .frames import fmt_form
 from .manifest import HEADER, ManifestError, load_manifest
 from .report import run_manifest
 from .sampling import SamplingPolicy
@@ -98,12 +98,10 @@ def geometry_manifest(name, params=None, policy=None):
                   "expect = commutant_dim 0"]
         return "\n".join(lines) + "\n"
     data = row["data"].data
-    alpha = "; ".join(ex.to_str(data.alpha.comp((i,))) for i in range(4))
-    beta = "; ".join(ex.to_str(data.beta.comp((i,))) for i in range(4))
     lines += ["", "[field R]",
               f"comps = {_vec_line(row['search']['R'])}",
-              "", "[form alpha]", f"comps = {alpha}",
-              "", "[form beta]", f"comps = {beta}",
+              "", "[form alpha]", f"comps = {fmt_form(data.alpha)}",
+              "", "[form beta]", f"comps = {fmt_form(data.beta)}",
               "", "[task search]", "op = framing", "W = W", "X = X",
               "R = R", "expect = framing_found",
               "", "[task structure]", "op = engel", "alpha = alpha",

@@ -491,6 +491,11 @@ def evaluate(e, env) -> float:
 
 _NUMBER = re.compile(r"[0-9]+\.?[0-9]*|\.[0-9]+")
 
+# Deepest accepted nesting: the longest chain of expression nodes from the
+# whole expression to a leaf, so `x` is 1 deep, `-x` and `x + y` are 2 and
+# `x + y + z`, read as `(x + y) + z`, is 3.
+MAX_DEPTH = 100
+
 _OPS = {ast.Add: add, ast.Sub: lambda a, b: add(a, neg(b)), ast.Mult: mul,
         ast.Div: div, ast.UAdd: lambda a: a, ast.USub: neg}
 
@@ -502,7 +507,8 @@ def parse(text, variables=(), constants=None):
     `+ - * /`, unary signs, powers to an integer literal, decimal literals,
     names, and sin/cos/exp/ln of one argument.  Decimal literals become
     exact rationals.  Names in `constants` are substituted by their exact
-    values at parse time; 'pi' stays symbolic.
+    values at parse time; 'pi' stays symbolic.  An expression nested deeper
+    than MAX_DEPTH is a ParseError.
     """
     source = text.strip().replace("^", "**")
     constants = constants or {}
@@ -547,11 +553,25 @@ def parse(text, variables=(), constants=None):
         reject(node, "unsupported syntax")
 
     try:
-        return normalize(convert(ast.parse(source, mode="eval").body))
+        tree = ast.parse(source, mode="eval").body
+        if _depth(tree) <= MAX_DEPTH:
+            return normalize(convert(tree))
     except (SyntaxError, ValueError) as err:
         raise ParseError(f"{err.args[0]} in {text!r}") from None
     except (RecursionError, MemoryError):
-        raise ParseError(f"expression nested too deeply: {text!r}") from None
+        pass  # a safety net: the depth bound should stop this first
+    raise ParseError(f"expression nested too deeply: {text!r}")
+
+
+def _depth(tree):
+    """Nesting depth of an expression tree, measured without recursion."""
+    deepest, todo = 0, [(tree, 1)]
+    while todo:
+        node, level = todo.pop()
+        deepest = max(deepest, level)
+        todo.extend((child, level + 1) for child in ast.iter_child_nodes(node)
+                    if isinstance(child, ast.expr))
+    return deepest
 
 
 # ---------------------------------------------------------------------------

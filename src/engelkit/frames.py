@@ -99,11 +99,6 @@ class FrameSpace:
         comps[i] = ex.ONE
         return VectorField(self, comps)
 
-    def display_name(self, i):
-        if self.kinds[i] == "coord":
-            return "∂" + self.names[i]
-        return self.names[i]
-
     # -- structure ----------------------------------------------------------
 
     def cbr(self, i, j):
@@ -159,7 +154,7 @@ class VectorField:
         return VectorField(self.space, [ex.cleanup(c) for c in self.comps])
 
     def __repr__(self):
-        return f"VectorField({render_field(self)})"
+        return f"VectorField({fmt_field(self)})"
 
 
 class DiffForm:
@@ -215,7 +210,7 @@ class DiffForm:
                         {k: ex.cleanup(c) for k, c in self.comps.items()})
 
     def __repr__(self):
-        return f"DiffForm(deg={self.degree}, {render_form(self)})"
+        return f"DiffForm(deg={self.degree}, {fmt_form(self)})"
 
 
 def _components(x):
@@ -458,49 +453,15 @@ def dual_coframe(fields):
 # ---------------------------------------------------------------------------
 # rendering
 
-def render_field(V):
-    sp = V.space
-    pieces = []
-    for i, c in enumerate(V.comps):
-        if c == ex.ZERO:
-            continue
-        name = sp.display_name(i)
-        if c == ex.ONE:
-            pieces.append(name)
-        else:
-            s = ex.to_str(c)
-            if c[0] == "add":
-                s = f"({s})"
-            pieces.append(f"{s}*{name}")
-    if not pieces:
-        return "0"
-    return " + ".join(pieces).replace("+ -", "- ")
+def fmt_field(V):
+    """Components in frame order, as `c1; c2; ...` (the manifest notation)."""
+    return "; ".join(ex.to_str(c) for c in V.comps)
 
 
-def render_form(w):
-    sp = w.space
-    if w.degree == 0:
-        return ex.to_str(w.comp(()))
-    pieces = []
-    for idx in sorted(w.comps):
-        c = w.comps[idx]
-        label = "∧".join(coframe_label(sp, i) for i in idx)
-        if c == ex.ONE:
-            pieces.append(label)
-        else:
-            s = ex.to_str(c)
-            if c[0] == "add":
-                s = f"({s})"
-            pieces.append(f"{s}*{label}")
-    if not pieces:
-        return "0"
-    return " + ".join(pieces).replace("+ -", "- ")
-
-
-def coframe_label(sp, i):
-    if sp.kinds[i] == "coord":
-        return "d" + sp.names[i]
-    return sp.names[i] + "^"
+def fmt_form(w):
+    """Components over increasing index tuples, as `c1; c2; ...`."""
+    idx = combinations(range(w.space.dim), w.degree)
+    return "; ".join(ex.to_str(w.comp(i)) for i in idx)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import keyword
 import math
 import re
 from fractions import Fraction
+from itertools import combinations
 
 from . import expr as ex
 from .frames import DiffForm, FrameError, FrameSpace, VectorField
@@ -69,11 +70,6 @@ def _bound(text):
         head += "1"
     value = Fraction(head) / (Fraction(den) if den else 1)
     return Fraction(float(value) * math.pi)
-
-
-def _index_tuples(dim, degree):
-    from itertools import combinations
-    return list(combinations(range(dim), degree))
 
 
 class _Parser:
@@ -172,7 +168,7 @@ class _Parser:
                 self.check_name(lineno, tokens[1], declared)
                 try:
                     params[tokens[1]] = Fraction(tokens[3])
-                except ValueError:
+                except (ValueError, ZeroDivisionError):
                     self.fail(lineno, "parameter values must be rational")
             elif tokens[0] == "bracket":
                 if len(tokens) < 5 or tokens[3] != "=":
@@ -219,17 +215,16 @@ class _Parser:
     def build_form(self, space, section):
         kv = self.keyvals(section)
         lineno, raw = kv.pop("degree", (section[3], "1"))
-        try:
-            degree = int(raw)
-        except ValueError:
-            self.fail(lineno, "degree must be an integer")
+        if not raw.isdecimal():
+            self.fail(lineno, "degree must be a non-negative integer")
+        degree = int(raw)
         if "comps" not in kv:
             self.fail(section[3], f"form '{section[1]}' needs comps")
         lineno, raw = kv.pop("comps")
         if kv:
             self.fail(section[3], f"unknown keys {sorted(kv)} in form")
         parts = _split_list(raw)
-        keys = _index_tuples(space.dim, degree)
+        keys = list(combinations(range(space.dim), degree))
         if len(parts) != len(keys):
             self.fail(lineno, f"degree {degree} needs {len(keys)} "
                       f"components, got {len(parts)}")

@@ -7,7 +7,7 @@ same checks.
 """
 
 from . import expr as ex
-from .frames import VectorField, _det, bracket, cramer, dual_coframe, zero
+from .frames import bracket, dual_coframe, zero
 
 
 class Metric:
@@ -36,32 +36,17 @@ class Metric:
                 terms.append(ex.mul(ui, self.matrix[i][j], vj))
         return ex.cleanup(ex.add(*terms)) if terms else ex.ZERO
 
-    def norm_sq(self, U):
-        return self.inner(U, U)
 
-    def dual_field(self, w):
-        """The vector field A with g(A, V) = w(V) for every V."""
-        assert w.degree == 1
-        det = ex.cleanup(_det(self.matrix))
-        if det == ex.ZERO:
-            raise ValueError("metric matrix is degenerate")
-        rhs = [w.comp((i,)) for i in range(self.space.dim)]
-        return VectorField(self.space, cramer(self.matrix, rhs, det))
-
-
-def framing_metric(space, framing, weights=None):
-    """A metric diagonal in an arbitrary framing with the given weights."""
+def framing_metric(space, framing):
+    """The metric making an arbitrary framing orthonormal."""
     theta = dual_coframe(list(framing))
-    if weights is None:
-        weights = [ex.ONE] * len(theta)
     n = space.dim
     matrix = []
     for i in range(n):
         row = []
         for j in range(n):
             row.append(ex.cleanup(ex.add(
-                *[ex.mul(w, th.comp((i,)), th.comp((j,)))
-                  for w, th in zip(weights, theta)])))
+                *[ex.mul(th.comp((i,)), th.comp((j,))) for th in theta])))
         matrix.append(row)
     return Metric(space, matrix)
 

@@ -141,15 +141,6 @@ class QNum:
     def __truediv__(self, other):
         return self * other.inverse()
 
-    def to_float(self):
-        total = 0.0
-        for key, q in self.terms.items():
-            r = 1.0
-            for d in key:
-                r *= d ** 0.5
-            total += float(q) * r
-        return total
-
     def __repr__(self):
         return f"QNum({self})"
 

@@ -12,10 +12,9 @@ human-readable output.
 
 import time
 from fractions import Fraction
-from itertools import combinations
 
 from . import expr as ex
-from .bundles import (T2_CONDITIONS, boothby_wang, filling_check,
+from .bundles import (T2_CONDITIONS, T2_FIBRE, boothby_wang, filling_check,
                       t2_bundle_condition, torus_family)
 from .catalog import (CatalogError, LieAlgebra4, commutant, fmt_vec,
                       kengel_framing_search)
@@ -23,7 +22,7 @@ from .contact import contactization_report
 from .engel import (EngelError, analyze, dbeta2_criterion, identity_suite,
                     integrability_report, rho_criterion, transform_forms)
 from .expr import ExprError
-from .frames import FrameError
+from .frames import FrameError, fmt_field, fmt_form
 from .kengel import (KEngelData, KEngelError, failing, kengel_check,
                      kengel_framing, kengel_invariants)
 from .manifest import ManifestError
@@ -31,18 +30,6 @@ from .metric import (bracket_pattern_report, orthonormal_metric,
                      tangency_report)
 from .qfield import FieldError
 from .sampling import SamplingPolicy, failed, fmt_float, fmt_point, weakest
-
-
-# ---------------------------------------------------------------------------
-# rendering helpers
-
-def fmt_field(V):
-    return "; ".join(ex.to_str(c) for c in V.comps)
-
-
-def fmt_form(w):
-    idx = combinations(range(w.space.dim), w.degree)
-    return "; ".join(ex.to_str(w.comp(i)) for i in idx)
 
 
 class TaskResult:
@@ -88,6 +75,13 @@ class TaskResult:
 
     def derived(self, name, text):
         self.lines.append(("derived", name, text))
+
+    def built(self, kdata):
+        """A constructed K-Engel pair: its forms and Reeb field, as output."""
+        self.derived("alpha", fmt_form(kdata.data.alpha))
+        self.derived("beta", fmt_form(kdata.data.beta))
+        self.derived("R", fmt_field(kdata.data.R))
+        self.output = kdata
 
 
 # ---------------------------------------------------------------------------
@@ -230,17 +224,9 @@ def op_kengel(mf, task, policy, outputs, res):
 
 def op_kframing(mf, task, policy, outputs, res):
     kd = _data(outputs, task, want=KEngelData)
-    try:
-        kdata = kengel_framing(kd.data, kd.g, kd.Z, policy, rank=kd.rank)
-    except KEngelError as err:
-        res.fail_tokens("kframing_fail", err.names)
-        res.derived("error", str(err))
-        return
+    kdata = kengel_framing(kd.data, kd.g, kd.Z, policy, rank=kd.rank)
     res.token("kframing_pass")
-    res.derived("alpha", fmt_form(kdata.data.alpha))
-    res.derived("beta", fmt_form(kdata.data.beta))
-    res.derived("R", fmt_field(kdata.data.R))
-    res.output = kdata
+    res.built(kdata)
 
 
 def op_kinvariants(mf, task, policy, outputs, res):
@@ -392,30 +378,17 @@ def op_bw(mf, task, policy, outputs, res):
     lam = _form(mf, task, "lam", 1)
     L = _field(mf, task, "L")
     a_loc = _form(mf, task, "a", 1)
-    try:
-        kdata, report = boothby_wang(mf.space, lam, L, a_loc, policy)
-    except KEngelError as err:
-        res.fail_tokens("bw_fail", err.names)
-        res.derived("error", str(err))
-        return
+    kdata, report = boothby_wang(mf.space, lam, L, a_loc, policy)
     res.verdicts("bw", report, ("contact", "legendrian", "omega closed",
                                 "primitive matches", "L_R alpha",
                                 "L_R beta"))
     res.verdict("triple check", report["triple check"]["ok"])
-    res.derived("alpha", fmt_form(kdata.data.alpha))
-    res.derived("beta", fmt_form(kdata.data.beta))
-    res.derived("R", fmt_field(kdata.data.R))
-    res.output = kdata
+    res.built(kdata)
 
 
 def op_filling(mf, task, policy, outputs, res):
     kdata = _data(outputs, task, want=KEngelData)
-    try:
-        report = filling_check(kdata, policy)
-    except KEngelError as err:
-        res.fail_tokens("filling_fail", err.names)
-        res.derived("error", str(err))
-        return
+    report = filling_check(kdata, policy)
     res.verdicts("filling", report)
     res.output = report
 
@@ -430,17 +403,16 @@ def op_t2(mf, task, policy, outputs, res):
     Omega = _form(mf, task, "Omega", 2)
     prim1 = _form(mf, task, "prim1", 1)
     prim2 = _form(mf, task, "prim2", 1)
-    n_parts = _need(task, "n").split()
-    if len(n_parts) != 2:
-        raise ManifestError(f"task '{task.name}': n needs two integers")
+    n, eps = _need(task, "n"), task.args.get("eps", "1/2")
     try:
-        n1, n2 = int(n_parts[0]), int(n_parts[1])
-        eps = Fraction(task.args.get("eps", "1/2"))
-    except ValueError as err:
-        raise ManifestError(f"task '{task.name}': {err}")
+        n1, n2 = map(int, n.split())
+        eps = Fraction(eps)
+    except (ValueError, ZeroDivisionError):
+        raise ManifestError(f"task '{task.name}': n needs two integers and "
+                            f"eps a rational, got n = {n!r}, eps = {eps!r}")
     hints = {}
-    # hint components live on the total space, whose fibre legs are p, q
-    variables = list(mf.space.names) + ["p", "q"]
+    # hint components live on the total space, with its two fibre legs
+    variables = list(mf.space.names) + list(T2_FIBRE)
     for key in ("W", "X"):
         if key in task.args:
             parts = [p.strip() for p in task.args[key].split(";")]
@@ -453,26 +425,17 @@ def op_t2(mf, task, policy, outputs, res):
             except Exception as err:
                 raise ManifestError(f"task '{task.name}': bad {key} hint: "
                                     f"{err}")
-    try:
-        report, kdata = t2_bundle_condition(
-            mf.space, f, g, alpha0, beta0, Omega, prim1, prim2, n1, n2,
-            eps, policy, W=hints.get("W"), X=hints.get("X"))
-    except KEngelError as err:
-        res.fail_tokens("t2_fail", ["input"])
-        res.derived("error", str(err))
-        return
+    report, kdata = t2_bundle_condition(
+        mf.space, f, g, alpha0, beta0, Omega, prim1, prim2, n1, n2, eps,
+        policy, W=hints.get("W"), X=hints.get("X"))
     first = report["first condition"]
     res.lines.append(("verdict", "first condition",
                       "holds" if first.ok
                       else f"fails at {fmt_point(first.point)}"))
     for name in T2_CONDITIONS[1:] + ("third condition (unweighted twist)",):
         res.verdict(name, report[name])
-    if not res.outcome("t2", failed({k: report[k] for k in T2_CONDITIONS})):
-        return
-    res.derived("alpha", fmt_form(kdata.data.alpha))
-    res.derived("beta", fmt_form(kdata.data.beta))
-    res.derived("R", fmt_field(kdata.data.R))
-    res.output = kdata
+    if res.outcome("t2", failed({k: report[k] for k in T2_CONDITIONS})):
+        res.built(kdata)
 
 
 OPS = {
@@ -616,8 +579,12 @@ def run_manifest(mf, policy, manifest_name=None):
         except ManifestError as err:
             report.reference_error = f"{mf.path}:{task.lineno}: {err}"
             break
-        except (EngelError, KEngelError, CatalogError, FieldError,
-                FrameError, ExprError) as err:
+        except KEngelError as err:
+            # a construction that cannot be built, whichever op tried
+            res.fail_tokens(f"{task.op}_fail", err.names)
+            res.derived("error", str(err))
+        except (EngelError, CatalogError, FieldError, FrameError,
+                ExprError) as err:
             res.token("task_error")
             res.token("task_error", type(err).__name__)
             res.derived("error", str(err))

@@ -357,6 +357,16 @@ def test_failure_token_report(tmp_path, capsys, token):
     assert block == want + [f"end {task}"]
 
 
+def test_t2_eps_over_zero_exits_2(tmp_path, capsys):
+    text = (ROOT / "corpus" / "t2_bundle.ek").read_text(
+        encoding="utf-8").replace("eps = 1/2\n", "eps = 1/0\n")
+    code, err, path = run_text(tmp_path, capsys, text)
+    assert code == 2
+    assert f"{path}:{line_of(text, '[task bundle]')}:" in err
+    assert "eps = '1/0'" in err
+    assert "Traceback" not in err
+
+
 KILLING_TOL = TORUS_HEAD + """[metric g]
 diag = 1; 1; 1 + z/1000000000000; 1
 

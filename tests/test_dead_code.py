@@ -1,4 +1,5 @@
-"""No dead code: every analysis function runs from the product surface, and
+"""No dead code: every analysis function runs from the product surface,
+every public method is called from somewhere other than its own body, and
 no module imports a name it never reads.
 
 Reachability follows name references between top-level definitions (a
@@ -10,6 +11,7 @@ module, so a clash can only hide dead code, never report live code.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -21,14 +23,16 @@ def _tree(path):
     return ast.parse(path.read_text(encoding="utf-8"), str(path))
 
 
-def _refs(node):
-    out = set()
+def _ref_names(node):
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            out.add(sub.id)
+            yield sub.id
         elif isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
-    return out
+            yield sub.attr
+
+
+def _refs(node):
+    return set(_ref_names(node))
 
 
 def _definitions():
@@ -48,15 +52,20 @@ def _definitions():
     return graph
 
 
-def _roots():
-    roots = {"OPS"}
-    roots.update(node.name for node in _tree(SRC / "cli.py").body
-                 if isinstance(node, ast.FunctionDef))
+def _tracer_names():
+    """Every name on an attribute path the benchmark tracer wraps."""
     for node in _tree(ROOT / "bench" / "tracer.py").body:
         if isinstance(node, ast.Assign) and \
                 getattr(node.targets[0], "id", None) == "TARGETS":
-            for _, path in ast.literal_eval(node.value).values():
-                roots.update(path.split("."))
+            return {part for _, path in ast.literal_eval(node.value).values()
+                    for part in path.split(".")}
+    return set()
+
+
+def _roots():
+    roots = {"OPS"} | _tracer_names()
+    roots.update(node.name for node in _tree(SRC / "cli.py").body
+                 if isinstance(node, ast.FunctionDef))
     return roots
 
 
@@ -84,6 +93,28 @@ def unreachable_functions():
     return out
 
 
+def uncalled_methods():
+    """Public methods whose name is read nowhere in src/ but in their own
+    body, and that the tracer does not wrap.  Dunder and private methods
+    are exempt."""
+    trees = [_tree(path) for path in sorted(SRC.glob("*.py"))]
+    reads = Counter(name for tree in trees for name in _ref_names(tree))
+    traced = _tracer_names()
+    out = []
+    for tree in trees:
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef) or \
+                        node.name.startswith("_") or node.name in traced:
+                    continue
+                own = sum(1 for name in _ref_names(node) if name == node.name)
+                if reads[node.name] == own:
+                    out.append(f"{cls.name}.{node.name}")
+    return out
+
+
 def unused_imports(path):
     tree = _tree(path)
     imported = {}
@@ -102,6 +133,10 @@ def unused_imports(path):
 
 def test_every_analysis_function_is_reachable():
     assert unreachable_functions() == []
+
+
+def test_every_public_method_is_called():
+    assert uncalled_methods() == []
 
 
 def test_no_unused_imports():

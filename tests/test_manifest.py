@@ -100,6 +100,10 @@ row = 0; 0; 1; 0
                      "tol = -1  # <-\n", "tol must be positive"),
     "keyword coord": (SPACE + "coord lambda 0 1  # <-\n",
                       "name 'lambda' must be an identifier"),
+    "param over zero": (SPACE + "param c = 1/0  # <-\n",
+                        "parameter values must be rational"),
+    "negative degree": (SPACE + "\n[form a]\ndegree = -1  # <-\n"
+                        "comps = 1\n", "degree must be a non-negative integer"),
     "param name": (SPACE + "param 2c = 1  # <-\n",
                    "name '2c' must be an identifier"),
     "param shadows a coordinate": (SPACE + "param x = 0  # <-\n",

@@ -1,6 +1,7 @@
 """The expression language: what parses, to which canonical tree, and what
 is rejected with `ParseError`."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -102,3 +103,38 @@ def test_leading_zero_integers_and_keyword_names_are_rejected(text,
 def test_deep_nesting_is_a_parse_error(depth):
     with pytest.raises(ex.ParseError, match="nested too deeply"):
         ex.parse("-" * depth + "x", VARIABLES)
+
+
+# expressions n deep: n - 1 signs or calls around x, or a sum of n terms,
+# which reads as ((x + x) + x) + ...
+NESTED = {"minus": lambda n: "-" * (n - 1) + "x",
+          "sin": lambda n: "sin(" * (n - 1) + "x" + ")" * (n - 1),
+          "sum": lambda n: "+".join(["x"] * n)}
+
+
+def _iterate(f, n, x):
+    for _ in range(n):
+        x = f(x)
+    return x
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_expression_at_the_depth_bound_survives_every_pass(shape):
+    n = ex.MAX_DEPTH
+    e = ex.parse(NESTED[shape](n), VARIABLES)
+    value = {"minus": _iterate(lambda v: -v, n - 1, 0.5),
+             "sin": _iterate(math.sin, n - 1, 0.5),
+             "sum": n * 0.5}[shape]
+    assert ex.evaluate(e, {"x": 0.5}) == pytest.approx(value)
+    de = ex.cleanup(ex.differentiate(e, "x"))
+    h = 1e-6
+    slope = (ex.evaluate(e, {"x": 0.5 + h})
+             - ex.evaluate(e, {"x": 0.5 - h})) / (2 * h)
+    assert ex.evaluate(de, {"x": 0.5}) == pytest.approx(slope, rel=1e-4)
+    assert ex.to_str(e) and ex.to_str(de)
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_one_level_past_the_depth_bound_is_a_parse_error(shape):
+    with pytest.raises(ex.ParseError, match="nested too deeply"):
+        ex.parse(NESTED[shape](ex.MAX_DEPTH + 1), VARIABLES)

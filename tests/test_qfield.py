@@ -98,11 +98,6 @@ def test_inverse_of_zero_raises():
         QNum.of(gens23(), 0).inverse()
 
 
-def test_to_float():
-    x = num("1 + sqrt2")
-    assert abs(x.to_float() - 2.414213562373095) < 1e-12
-
-
 def test_solve_linear_two_by_two():
     g = gens23()
     one = QNum.of(g, 1)

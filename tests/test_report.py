@@ -3,6 +3,7 @@
 from pathlib import Path
 
 from engelkit import report as report_module
+from engelkit.kengel import KEngelError
 from engelkit.manifest import parse_manifest
 from engelkit.report import run_manifest
 from engelkit.sampling import SamplingPolicy, Verdict
@@ -101,4 +102,24 @@ expect = not_integrable
     assert res.tokens == {"integrability_fail",
                           "integrability_fail frobenius disagrees"}
     assert ("derived", "frobenius agrees", "no") in res.lines
+    assert report.exit_code == 1
+
+
+def test_a_construction_error_fails_its_op_with_the_failing_checks(
+        monkeypatch):
+    # every op reports a KEngelError the same way: <op>_fail, one token per
+    # failing check, and the message as an error line
+    def broken(*args, **kwargs):
+        raise KEngelError("the Reeb field is not the torus direction",
+                          ["Reeb direction"])
+
+    monkeypatch.setattr(report_module, "t2_bundle_condition", broken)
+    text = (ROOT / "corpus" / "t2_bundle.ek").read_text(encoding="utf-8")
+    report = run_manifest(parse_manifest(text.split("[task invariants]")[0]),
+                          SamplingPolicy(seed=0, n_samples=32))
+    res = report.results[-1]
+    assert res.tokens == {"t2_fail", "t2_fail Reeb direction"}
+    assert res.lines == [("derived", "error",
+                          "the Reeb field is not the torus direction")]
+    assert res.output is None
     assert report.exit_code == 1

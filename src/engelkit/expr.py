@@ -21,11 +21,13 @@ Canonical nodes are hash-consed (Filliatre & Conchon, "Type-Safe Modular
 Hash-Consing", 2006): `normalize` returns the one interned node of each
 canonical value, and `normalize` of an interned node is that node itself.
 The invariant: an interned node is canonical, and no node is ever mutated.
-`cleanup` is remembered per interned node.  The tables live for the process
+`cleanup`, and the Python function that `evaluate` compiles an expression
+into, are remembered per interned node.  The tables live for the process
 and are dropped together once one holds more than TABLE_LIMIT entries.
 """
 
 import ast
+import math
 import re
 from fractions import Fraction
 
@@ -138,20 +140,22 @@ def size(e) -> int:
 # tree.  The tables hold every node whose identity a key names, so no
 # identity is reused while it is a key.  Errors are never stored.
 
-# Entries one table may hold before all are dropped together.  An entry
-# takes 0.2-0.5 kB; a corpus manifest makes at most ~720 keys, and 100
-# catalog rows about 2,000.
+# Entries one table may hold before all are dropped together; _CLEAN and
+# _EVAL are keyed by identities that _CANON holds, so they are no larger.
+# An entry takes 0.2-0.5 kB; a corpus manifest makes at most ~720 keys, and
+# 100 catalog rows about 2,000.
 TABLE_LIMIT = 20_000
 
 _CANON = {}    # id(node) -> node, for every interned canonical node
 _VALUES = {}   # canonical node -> the one interned node of that value
 _NODES = {}    # shallow key of a raw node -> interned normal form
 _CLEAN = {}    # id(interned node) -> its cleanup
+_EVAL = {}     # id(interned node) -> its compiled float function
 
 
 def clear_tables():
     """Forget every interned node; later calls rebuild what they need."""
-    for table in (_CANON, _VALUES, _NODES, _CLEAN):
+    for table in (_CANON, _VALUES, _NODES, _CLEAN, _EVAL):
         table.clear()
 
 
@@ -438,52 +442,122 @@ def substitute(e, mapping):
     raise ExprError(f"cannot substitute into {tag!r}")
 
 
+# Evaluation compiles an expression into a straight-line Python function of
+# the point: one statement per distinct node, in the order of a recursive
+# walk that evaluates a denominator before its numerator.  So the float
+# operations, their order and the first error raised are those of the walk,
+# and a shared subexpression is computed once (evaluation is pure).  A sum
+# is `sum` of a flat tuple and a product a chain from 1.0 cut into short
+# statements, so the code nests no deeper as terms are added.  Names enter
+# the source only as repr() literals, and rationals only through the
+# function's globals.
+
+_CHUNK = 32   # factors per product statement
+
+
+def _unbound(kind, name):
+    raise EvalError(f"unbound {kind} '{name}'")
+
+
+_GLOBALS = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
+            "log": math.log, "pi": math.pi, "EPS": SINGULAR_EPS,
+            "SingularPoint": SingularPoint, "ExprError": ExprError,
+            "_unbound": _unbound}
+
+
 def evaluate(e, env) -> float:
-    import math
-    tag = e[0]
-    if tag == "rat":
-        return float(e[1])
-    if tag == "const":
-        if e[1] == "pi":
-            return math.pi
-        if e[1] in env:
-            return float(env[e[1]])
-        raise EvalError(f"unbound constant '{e[1]}'")
-    if tag == "var":
-        if e[1] in env:
-            return float(env[e[1]])
-        raise EvalError(f"unbound variable '{e[1]}'")
-    if tag == "neg":
-        return -evaluate(e[1], env)
-    if tag == "add":
-        return sum(evaluate(t, env) for t in e[1])
-    if tag == "mul":
-        out = 1.0
-        for f in e[1]:
-            out *= evaluate(f, env)
-        return out
-    if tag == "pow":
-        b = evaluate(e[1], env)
-        if e[2] < 0 and abs(b) < SINGULAR_EPS:
-            raise SingularPoint("negative power of a vanishing base")
-        return b ** e[2]
-    if tag == "div":
-        d = evaluate(e[2], env)
-        if abs(d) < SINGULAR_EPS:
-            raise SingularPoint("vanishing denominator")
-        return evaluate(e[1], env) / d
-    if tag == "sin":
-        return math.sin(evaluate(e[1], env))
-    if tag == "cos":
-        return math.cos(evaluate(e[1], env))
-    if tag == "exp":
-        return math.exp(evaluate(e[1], env))
-    if tag == "ln":
-        a = evaluate(e[1], env)
-        if a < SINGULAR_EPS:
-            raise SingularPoint("log of a non-positive value")
-        return math.log(a)
-    raise ExprError(f"cannot evaluate {tag!r}")
+    """The float value of e at the point env (name -> number).
+
+    Raises SingularPoint at a vanishing denominator, a negative power of a
+    vanishing base, the log of a non-positive value or a value that
+    overflows a float, and EvalError for an unbound name.
+    """
+    f = _EVAL.get(id(e))
+    if f is None:
+        f = _compile(e)
+        if id(e) in _CANON:
+            _EVAL[id(e)] = f
+    try:
+        return f(env)
+    except OverflowError:
+        raise SingularPoint("value overflows a float") from None
+
+
+def _compile(e):
+    """The straight-line float function of e."""
+    space = dict(_GLOBALS)
+    lines = []
+    named = {}   # a leaf, or the identity of an inner node -> its name
+    todo = [(e, "walk")]
+    while todo:
+        node, step = todo.pop()
+        tag = node[0]
+        leaf = tag in ("rat", "const", "var")
+        key = _key(node)
+        if step == "walk" and key in named:
+            continue
+        v = f"v{len(named)}"
+        if step == "walk" and not leaf:
+            todo.append((node, "emit"))
+            if tag == "div":
+                todo += [(node[1], "walk"), (node, "check"),
+                         (node[2], "walk")]
+            else:
+                todo += [(k, "walk") for k in reversed(children(node))]
+            continue
+        if step == "check":
+            lines.append(f"if abs({named[_key(node[2])]}) < EPS: "
+                         "raise SingularPoint('vanishing denominator')")
+            continue
+        args = [named[_key(k)] for k in children(node)]
+        if tag == "rat":
+            c = f"c{len(named)}"
+            try:
+                space[c] = float(node[1])
+                v = c
+            except OverflowError:   # raise it where the walk would
+                space[c] = node[1]
+                lines.append(f"{v} = float({c})")
+        elif tag == "const" and node[1] == "pi":
+            v = "pi"
+        elif leaf:
+            kind = "constant" if tag == "const" else "variable"
+            name = repr(node[1])
+            lines.append(f"{v} = float(env[{name}]) if {name} in env "
+                         f"else _unbound({kind!r}, {name})")
+        elif tag == "add":
+            lines.append(f"{v} = sum(({''.join(a + ', ' for a in args)}))")
+        elif tag == "mul":
+            acc = "1.0"
+            for i in range(0, max(len(args), 1), _CHUNK):
+                lines.append(f"{v} = {' * '.join([acc] + args[i:i + _CHUNK])}")
+                acc = v
+        elif tag == "pow":
+            if node[2] < 0:
+                lines.append(f"if abs({args[0]}) < EPS: raise SingularPoint("
+                             "'negative power of a vanishing base')")
+            space[f"n{len(named)}"] = node[2]
+            lines.append(f"{v} = {args[0]} ** n{len(named)}")
+        elif tag == "div":
+            lines.append(f"{v} = {args[0]} / {args[1]}")
+        elif tag == "neg":
+            lines.append(f"{v} = -{args[0]}")
+        elif tag == "ln":
+            lines.append(f"if {args[0]} < EPS: "
+                         "raise SingularPoint('log of a non-positive value')")
+            lines.append(f"{v} = log({args[0]})")
+        elif tag in FUNCS:
+            lines.append(f"{v} = {tag}({args[0]})")
+        else:
+            lines.append(f"raise ExprError({f'cannot evaluate {tag!r}'!r})")
+        named[key] = v
+    body = "".join(f"    {line}\n" for line in lines)
+    exec(f"def f(env):\n{body}    return {named[_key(e)]}\n", space)
+    return space["f"]
+
+
+def _key(node):
+    return node if node[0] in ("rat", "const", "var") else id(node)
 
 
 # ---------------------------------------------------------------------------

@@ -40,25 +40,40 @@ class SamplingPolicy:
         self.n_samples = int(n_samples)
         self.abs_tol = float(abs_tol)
         assert self.n_samples > 0 and self.abs_tol > 0
-        self._points = {}   # coordinate tuple -> its sample points
+        self._points = {}    # coordinate tuple -> its sample points
+        self._columns = {}   # prime -> its Halton column
 
     def points(self, coords):
         """Sample points for named coordinate ranges.
 
         coords: sequence of (name, lo, hi, periodic).  Every coordinate,
         periodic or not, samples the half-open range [lo, hi): the Halton
-        radical inverse never reaches 1.  The points are built once per
-        coordinate tuple and returned as the same tuple of read-only
-        mappings on every later call.
+        radical inverse never reaches 1.  Coordinate j of sample i is
+        lo + halton(seed*n + i, PRIMES[j]) * (hi - lo); each column of
+        Halton values is computed once per policy.  The points are built
+        once per coordinate tuple and returned as the same tuple of
+        read-only mappings on every later call.
         """
         coords = tuple(coords)
         pts = self._points.get(coords)
         if pts is None:
+            cols = [self._scaled(j, float(lo), float(hi))
+                    for j, (_, lo, hi, _) in enumerate(coords)]
+            names = [c[0] for c in coords]
+            rows = zip(*cols) if cols else [()] * self.n_samples
             pts = self._points[coords] = tuple(
-                MappingProxyType(self._point(coords,
-                                             self.seed * self.n_samples + i))
-                for i in range(self.n_samples))
+                MappingProxyType(dict(zip(names, row))) for row in rows)
         return pts
+
+    def _scaled(self, j, lo, hi):
+        """Coordinate j of every sample, for the float range [lo, hi)."""
+        base = PRIMES[j % len(PRIMES)]
+        col = self._columns.get(base)
+        if col is None:
+            start = self.seed * self.n_samples
+            col = self._columns[base] = [halton(start + i, base)
+                                         for i in range(self.n_samples)]
+        return [lo + u * (hi - lo) for u in col]
 
     def extra_point(self, coords, k):
         """Fallback point k past the base sequence, for retries."""
@@ -145,20 +160,28 @@ def is_zero_expr(e, coords, policy):
 
 
 def is_zero_many(exprs, coords, policy):
-    """Joint vanishing check; first non-vanishing component wins."""
-    normed = [ex.normalize(e) for e in exprs]
-    if all(e == ex.ZERO for e in normed):
+    """Joint vanishing check; first non-vanishing component wins.
+
+    A sample where a component is singular is skipped for that component,
+    but every component must be evaluated somewhere: one that no sample
+    could evaluate fails with value nan at the first sample.
+    """
+    live = [e for e in map(ex.normalize, exprs) if e != ex.ZERO]
+    if not live:
         return Verdict("exact")
-    for env in policy.points(coords):
-        for e in normed:
-            if e == ex.ZERO:
-                continue
+    pts = policy.points(coords)
+    unseen = set(range(len(live)))
+    for env in pts:
+        for i, e in enumerate(live):
             try:
                 v = ex.evaluate(e, env)
             except ex.SingularPoint:
                 continue
+            unseen.discard(i)
             if abs(v) > policy.abs_tol:
                 return Verdict("nonzero", value=v, point=env)
+    if unseen:
+        return Verdict("nonzero", value=float("nan"), point=pts[0])
     return Verdict("sampled")
 
 

@@ -266,6 +266,32 @@ expect = rank 3
                               f"bad lattice entry")
 
 
+def test_an_overflowing_sample_is_skipped_not_a_traceback(tmp_path,
+                                                         capsys):
+    # exp(exp(exp(10*z))) overflows a float at most samples
+    text = TORUS_HEAD + """[metric g]
+diag = 1; 1; 1 + exp(exp(exp(10*z)))*(sin(2*z) - 2*sin(z)*cos(z)); 1
+
+[task structure]
+op = engel
+alpha = alpha
+beta = beta
+W = W
+X = X
+
+[task triple]
+op = kengel
+data = structure
+Z = R
+metric = g
+"""
+    code, block = task_block(tmp_path, capsys, text, "triple")
+    assert code in (0, 1)
+    assert block[0] == "task triple :: kengel"
+    assert any(line.startswith("verdict Killing equation :: ")
+               for line in block)
+
+
 def _renamed(manifest, old, new, before=None):
     """A corpus manifest with coordinate `old` renamed, cut at `before`."""
     text = (ROOT / "corpus" / manifest).read_text(encoding="utf-8")

@@ -1,8 +1,10 @@
 """Every corpus manifest reproduces its checked-in machine report.
 
 The golden `<manifest>.txt` files in tests/golden/ are the `--machine-out`
-reports at seed 0 and 64 samples.  A refactor that changes any verdict
-text, witness point or token shows up here as a byte-level diff.  The
+reports at seed 0 and 64 samples, and tests/golden/dense/ holds them at
+seed 137 and 1024 samples, where a change in float evaluation order moves
+witness values first.  A refactor that changes any verdict text, witness
+point or token shows up here as a byte-level diff.  The
 manifests in tests/manifests/ carry their golden report beside them; they
 stay out of corpus/, which the benchmark runs.
 """
@@ -20,9 +22,9 @@ MANIFESTS = sorted((ROOT / "corpus").glob("*.ek"))
 TEST_MANIFESTS = sorted((ROOT / "tests" / "manifests").glob("*.ek"))
 
 
-def _golden_run(path, golden):
+def _golden_run(path, golden, policy=None):
     report = run_manifest(load_manifest(str(path)),
-                          SamplingPolicy(seed=0, n_samples=64))
+                          policy or SamplingPolicy(seed=0, n_samples=64))
     assert report.machine_text() == golden.read_text(encoding="utf-8")
     assert report.exit_code == 0
 
@@ -33,11 +35,19 @@ def test_every_manifest_has_a_golden_report():
     golden = {p.stem for p in (ROOT / "tests" / "golden").glob("*.txt")
               if p.stem != "catalog"}
     assert names and names == golden
+    dense = {p.stem for p in (ROOT / "tests" / "golden" / "dense").glob("*")}
+    assert dense == names
 
 
 @pytest.mark.parametrize("path", MANIFESTS, ids=lambda p: p.stem)
 def test_corpus_report_matches_golden(path):
     _golden_run(path, ROOT / "tests" / "golden" / f"{path.stem}.txt")
+
+
+@pytest.mark.parametrize("path", MANIFESTS, ids=lambda p: p.stem)
+def test_dense_corpus_report_matches_golden(path):
+    _golden_run(path, ROOT / "tests" / "golden" / "dense" / f"{path.stem}.txt",
+                SamplingPolicy(seed=137, n_samples=1024))
 
 
 @pytest.mark.parametrize("path", TEST_MANIFESTS, ids=lambda p: p.stem)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -356,3 +357,185 @@ def test_normalized_powers_have_exponents_of_at_least_two(e):
 def test_to_str_reparses(e):
     n = ex.normalize(e)
     assert ex.parse(ex.to_str(n), ("t", "x", "y")) == n
+
+
+# --- the compiled evaluator against a tree walk ---------------------------
+
+def walk(e, env):
+    """The recursive evaluator the compiled one replaced, kept as a
+    reference: same float operations, same order, same first error."""
+    tag = e[0]
+    if tag == "rat":
+        return float(e[1])
+    if tag == "const":
+        if e[1] == "pi":
+            return math.pi
+        if e[1] in env:
+            return float(env[e[1]])
+        raise ex.EvalError(f"unbound constant '{e[1]}'")
+    if tag == "var":
+        if e[1] in env:
+            return float(env[e[1]])
+        raise ex.EvalError(f"unbound variable '{e[1]}'")
+    if tag == "neg":
+        return -walk(e[1], env)
+    if tag == "add":
+        return sum(walk(t, env) for t in e[1])
+    if tag == "mul":
+        out = 1.0
+        for f in e[1]:
+            out *= walk(f, env)
+        return out
+    if tag == "pow":
+        b = walk(e[1], env)
+        if e[2] < 0 and abs(b) < ex.SINGULAR_EPS:
+            raise ex.SingularPoint("negative power of a vanishing base")
+        return b ** e[2]
+    if tag == "div":
+        d = walk(e[2], env)
+        if abs(d) < ex.SINGULAR_EPS:
+            raise ex.SingularPoint("vanishing denominator")
+        return walk(e[1], env) / d
+    if tag == "sin":
+        return math.sin(walk(e[1], env))
+    if tag == "cos":
+        return math.cos(walk(e[1], env))
+    if tag == "exp":
+        return math.exp(walk(e[1], env))
+    if tag == "ln":
+        a = walk(e[1], env)
+        if a < ex.SINGULAR_EPS:
+            raise ex.SingularPoint("log of a non-positive value")
+        return math.log(a)
+    raise ex.ExprError(f"cannot evaluate {tag!r}")
+
+
+def outcome(evaluate, e, env):
+    """The value, or the class and text of the error raised.
+
+    The walk lets a float overflow through; the compiled evaluator names
+    it a singular point.
+    """
+    try:
+        value = evaluate(e, env)
+    except OverflowError:
+        return ("SingularPoint", "value overflows a float")
+    except (ex.ExprError, ValueError) as err:
+        return (type(err).__name__, str(err))
+    return value.hex() if isinstance(value, float) else value
+
+
+ENVS = (ENV, {"t": 0.0, "x": 0.0, "y": 1.0}, {"t": 2.5, "x": 3.0, "y": -4.0},
+        {"x": 0.5})   # t and y unbound
+
+
+def shared(trees):
+    """Trees whose subtrees recur by identity, in both div operands."""
+    return st.tuples(trees, trees).map(
+        lambda ab: ex.add(ab[0], ex.div(ex.mul(ab[0], ab[1]),
+                                        ex.add(ab[1], ex.neg(ab[0])))))
+
+
+def agree(e):
+    """The compiled evaluator and the walk agree on e and on its normal
+    form (interned, so compiled once and reused), at every point."""
+    trees = [e]
+    try:
+        trees.append(ex.normalize(e))
+    except ex.EvalError:   # an exact division by zero
+        pass
+    for tree in trees:
+        for env in ENVS:
+            assert outcome(ex.evaluate, tree, env) == outcome(walk, tree, env)
+
+
+@given(st.one_of(exprs(quotients=True), shared(exprs(quotients=True))))
+@settings(max_examples=120, deadline=None)
+def test_compiled_evaluate_equals_the_tree_walk(e):
+    agree(e)
+
+
+@given(st.lists(exprs(quotients=True), min_size=1, max_size=3))
+@settings(max_examples=30, deadline=None)
+def test_compiled_evaluate_survives_dropped_tables(es):
+    limit = ex.TABLE_LIMIT
+    ex.TABLE_LIMIT = 3   # so the tables, _EVAL too, are dropped in most calls
+    try:
+        for e in es + es:
+            agree(e)
+    finally:
+        ex.TABLE_LIMIT = limit
+
+
+X, T = ex.var("x"), ex.var("t")
+
+
+@pytest.mark.parametrize("e, error", [
+    (P("1/(t - 1/2)"), "vanishing denominator"),
+    (ex.pow_(ex.add(T, ex.rat(Fraction(-1, 2))), -2),
+     "negative power of a vanishing base"),
+    (P("ln(x - 1)"), "log of a non-positive value"),
+    (P("exp(exp(exp(10*x)))"), "value overflows a float"),
+    (P("exp(x)^2000"), "value overflows a float"),
+    (ex.rat(Fraction(10**400, 3)), "value overflows a float"),
+    (P("3*x^400 / z"), "unbound variable 'z'"),
+    (ex.mul(X, ex.const("c")), "unbound constant 'c'")])
+def test_evaluation_errors_keep_their_text(e, error):
+    env = {"x": 1.0, "t": 0.5}
+    with pytest.raises(ex.ExprError, match=error) as err:
+        ex.evaluate(e, env)
+    want = ex.EvalError if "unbound" in error else ex.SingularPoint
+    assert type(err.value) is want
+
+
+def test_a_bound_constant_is_read_from_the_point():
+    assert ex.evaluate(ex.const("c"), {"c": 2}) == 2.0
+    assert ex.evaluate(ex.PI, {"pi": 3}) == math.pi
+
+
+def test_an_unknown_node_raises_where_the_walk_reaches_it():
+    e = ex.add(ex.div(ex.ONE, ex.var("x")), ("bogus", ex.ONE))
+    for env in ({"x": 0.0}, {"x": 1.0}):
+        assert outcome(ex.evaluate, e, env) == outcome(walk, e, env)
+
+
+@pytest.mark.parametrize("n", [3000, 20000])
+def test_long_sums_evaluate(n):
+    # `0 + v1 + v2 + ...` as one expression cannot even be compiled
+    e = ex.add(*[ex.mul(ex.rat(Fraction(k, 7)), X) for k in range(n)])
+    env = {"x": 0.3}
+    assert ex.evaluate(e, env) == walk(e, env)
+
+
+def test_long_products_evaluate():
+    e = ex.mul(*[ex.add(ex.ONE, ex.mul(ex.rat(Fraction(1, k)), ex.var("x")))
+                 for k in range(1, 3001)])
+    assert ex.evaluate(e, {"x": 1e-4}) == walk(e, {"x": 1e-4})
+
+
+def test_a_max_depth_chain_evaluates():
+    e = ex.var("x")
+    for k in range(ex.MAX_DEPTH - 1):
+        e = (ex.sin, ex.neg, lambda a: ex.add(a, ex.ONE))[k % 3](e)
+    agree(e)
+
+
+def test_an_interned_node_is_compiled_once(monkeypatch):
+    built = []
+    compile_ = ex._compile
+
+    def counted(e):
+        built.append(e)
+        return compile_(e)
+
+    monkeypatch.setattr(ex, "_compile", counted)
+    raw = ex.add(ex.sin(ex.var("x")), ex.div(ex.var("x"), ex.var("t")))
+    e = ex.normalize(raw)
+    for env in (ENV, ENVS[2], {"x": 0.5, "t": 1.0}):
+        ex.evaluate(e, env)
+        ex.evaluate(raw, env)
+    assert built.count(e) == 1
+    assert sum(1 for b in built if b is raw) == 3
+    ex.clear_tables()
+    ex.evaluate(e, ENV)
+    assert built.count(e) == 2

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from engelkit import expr as ex
+from engelkit import sampling
 from engelkit.frames import FrameSpace, nonzero, zero
 from engelkit.sampling import (PRIMES, SamplingPolicy, Verdict, failed,
                                halton, is_zero_expr, nonvanishing, weakest)
@@ -100,6 +101,44 @@ def test_points_differ_across_seed_count_and_coords(seed, n, coords):
         == halton_points(seed, n, coords)
 
 
+MIXED = (("x", 0, 1, True), ("y", Fraction(-1, 3), 2, False),
+         ("z", Fraction(1, 7), Fraction(5, 3), False),
+         ("t", -2, Fraction(1, 2), True))
+
+
+@pytest.mark.parametrize("seed", [0, 137])
+@pytest.mark.parametrize("n", [64, 1024])
+def test_column_built_points_equal_the_formula_bit_for_bit(seed, n):
+    pts = SamplingPolicy(seed=seed, n_samples=n).points(MIXED)
+    assert len(pts) == n
+    for i, pt in enumerate(pts):
+        assert list(pt) == ["x", "y", "z", "t"]
+        for j, (name, lo, hi, _) in enumerate(MIXED):
+            want = float(lo) + halton(seed * n + i, PRIMES[j]) \
+                * (float(hi) - float(lo))
+            assert pt[name].hex() == want.hex()
+
+
+def test_coordinate_tuples_share_their_halton_columns(monkeypatch):
+    calls = []
+
+    def counted(index, base):
+        calls.append(base)
+        return halton(index, base)
+
+    monkeypatch.setattr(sampling, "halton", counted)
+    pol = SamplingPolicy(seed=3, n_samples=16)
+    pol.points(MIXED[:3])
+    pol.points(MIXED)
+    assert len(calls) == 4 * 16
+    assert sorted(set(calls)) == [2, 3, 5, 7]
+
+
+def test_a_space_without_coordinates_has_n_empty_points():
+    pts = SamplingPolicy(n_samples=8).points(())
+    assert [dict(p) for p in pts] == [{}] * 8
+
+
 def test_a_verdict_point_cannot_change_later_points():
     pol = SamplingPolicy(n_samples=8)
     v = is_zero_expr(ex.parse("x - 2", ("x", "y")), COORDS, pol)
@@ -136,3 +175,41 @@ def test_rational_nonvanishing_matches_the_sampling_loop(values, kind):
     assert (v.kind, v.value, v.point) \
         == sampled_nonvanishing(exprs, COORDS, pol)
     assert type(v.value) is float
+
+
+@pytest.mark.parametrize("text, lo, hi", [
+    ("ln(x)", -2, -1),                  # singular at every sample
+    ("exp(exp(exp(10*x)))", 1, 2)])     # overflows at every sample
+def test_no_sample_evaluated_is_not_a_zero(text, lo, hi):
+    coords = (("x", lo, hi, False),)
+    pol = SamplingPolicy(n_samples=16)
+    v = is_zero_expr(ex.parse(text, ("x",)), coords, pol)
+    assert not v.ok and v.kind == "nonzero"
+    assert v.value != v.value   # nan
+    assert v.point == pol.points(coords)[0]
+    assert v.describe() == f"zero=no value=nan at x={lo}"
+
+
+def test_every_component_needs_an_evaluated_sample():
+    coords = (("x", -2, -1, False),)
+    pol = SamplingPolicy(n_samples=16)
+    x_minus_x = ex.add(ex.var("x"), ex.neg(ex.var("x")))
+    v = sampling.is_zero_many([x_minus_x, ex.parse("ln(x)", ("x",))],
+                              coords, pol)
+    assert v.kind == "nonzero"
+    v = sampling.is_zero_many([ex.parse("sin(x)^2 + cos(x)^2 - 1", ("x",)),
+                               ex.parse("ln(-x) - ln(-x)", ("x",))],
+                              coords, pol)
+    assert v.kind == "sampled"
+
+
+def test_overflow_is_a_singular_sample_for_nonvanishing():
+    # exp(exp(exp(10*x))) overflows a float from x = 0.1882 on
+    e = ex.parse("exp(exp(exp(10*x)))", ("x",))
+    coords = (("x", 0, Fraction(1, 4), False),)
+    pol = SamplingPolicy(n_samples=16)
+    assert any(p["x"] > 0.1882 for p in pol.points(coords))
+    v = nonvanishing([e], coords, pol)
+    assert v.ok and v.point == {"x": 0.0}
+    v = nonvanishing([e], (("x", 1, 2, False),), pol)
+    assert v.kind == "vanishing" and v.value == 0.0

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import expr as ex
 from .contact import promote_form, restrict_to_section, thicken_space
-from .engel import analyze, check_defining_forms
+from .engel import analyze
 from .frames import (FrameSpace, VectorField, d, interior, lie_form, nonzero,
                      pair, wedge, zero)
 from .kengel import KEngelData, KEngelError, certify, failing, kengel_check
@@ -166,8 +166,6 @@ def t2_bundle_condition(sigma, f, g, alpha0, beta0, Omega, prim1, prim2,
              + promote_form(sp4, alpha0)).cleanup()
     beta = ((theta1 - theta2.scale(eps_ex)).scale(g)
             + promote_form(sp4, beta0)).cleanup()
-    report["defining checks"] = check_defining_forms(sp4, alpha, beta,
-                                                     policy)
     # hints arrive as component lists, since the 4-space only exists here
     hints = {}
     if W is not None:
@@ -175,6 +173,7 @@ def t2_bundle_condition(sigma, f, g, alpha0, beta0, Omega, prim1, prim2,
     if X is not None:
         hints["X"] = VectorField(sp4, [ex.cleanup(c) for c in X])
     kd = analyze(sp4, alpha, beta, policy, **hints)
+    report["defining checks"] = kd.defining
     r_expected = VectorField(sp4, [ex.ZERO, ex.ZERO, ex.rat(eps), ex.ONE])
     return report, _certified(
         kd, r_expected, report, policy, rank=2,

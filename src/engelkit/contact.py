@@ -3,14 +3,14 @@
 With (alpha, beta) a defining pair on the 4-space, eta = beta + s alpha is a
 contact form on the product with the interval s in [-1, 1].  The module
 computes its Reeb direction both from the closed-form expression through the
-adapted bracket table and by solving the defining conditions from scratch.
+adapted bracket table and from eta alone, as the kernel line of deta ^ deta.
 It also pulls thickened forms back along sections s = h(p, s) and restricts
 them to graph sections s = g(p), which the contact filling's boundary uses.
 """
 
 from . import expr as ex
 from .frames import (DiffForm, FrameError, FrameSpace, VectorField, d,
-                     interior, pair, perm_sign, solve_kernel, wedge, zero)
+                     interior, kernel_line, pair, perm_sign, wedge, zero)
 from .sampling import nonvanishing
 
 
@@ -57,11 +57,16 @@ def reeb_closed_form(data, sp5):
 
 
 def reeb_solved(sp5, eta, policy):
-    """The Reeb direction from its defining conditions alone."""
-    res = solve_kernel(sp5, [(d(eta), ex.ZERO), (eta, ex.ONE)], policy)
-    if not res.ok:
-        raise FrameError(f"contact Reeb solve failed: {res.message}")
-    return res.field.cleanup()
+    """The Reeb direction from eta alone: K / eta(K) for the kernel line K
+    of deta ^ deta, so i_K deta = 0 (deta has rank 4), and eta(K) is the
+    density of the contact volume eta ^ deta ^ deta."""
+    deta = d(eta)
+    K = kernel_line(wedge(deta, deta))
+    norm = ex.cleanup(pair(eta, K))
+    verdict = nonvanishing([norm], sp5.coord_ranges, policy)
+    if not verdict.ok:
+        raise FrameError(f"contact Reeb field: eta(K) {verdict.describe()}")
+    return K.scale(ex.div(ex.ONE, norm)).cleanup()
 
 
 def contactization_report(data, policy):

@@ -2,16 +2,17 @@
 
 A defining pair (alpha, beta) on a framed 4-space cuts out D = ker alpha ∩
 ker beta.  The module checks the three defining-form conditions, derives the
-characteristic direction W, the transverse pair (T, R), the adapted framing
-with its 24-entry bracket table, the structural identities that table must
-satisfy, the integrability test for the span(T, R) plane field, the exact
-transformation laws under rescaling/shearing the pair, and two curvature-type
-criteria expressed through the coframe dual to the framing.
+characteristic direction W and the transverse pair (T, R) as kernel lines of
+3-forms, the adapted framing with its 24-entry bracket table, the structural
+identities that table must satisfy, the integrability test for the span(T, R)
+plane field, the exact transformation laws under rescaling/shearing the pair,
+and two curvature-type criteria expressed through the coframe dual to the
+framing.  Only X, a line in the plane ker alpha ∩ ker beta, is solved for.
 """
 
 from . import expr as ex
 from .frames import (bracket, d, determinant, dual_coframe, interior,
-                     lie_form, nonzero, pair, solve_kernel,
+                     kernel_line, lie_form, nonzero, pair,
                      solve_kernel_greedy, wedge, zero)
 from .sampling import nonvanishing
 
@@ -40,20 +41,21 @@ def check_defining_forms(space, alpha, beta, policy):
 
 
 def characteristic_field(space, alpha, policy):
-    """Span of ker(alpha ^ dalpha), normalized by pinning one component to 1.
+    """Span of ker(alpha ^ dalpha), normalized to a unit component.
 
-    Every pinning that solves is collected and the best representative wins:
-    quotient-free components first, then structurally smallest, then the
-    earliest frame direction.
+    Each component K_k of K = kernel_line(alpha ^ dalpha) that vanishes
+    nowhere gives a candidate K / K_k; quotient-free candidates win first,
+    then structurally smallest, then the earliest frame direction.
     """
     w3 = wedge(alpha, d(alpha))
     if w3.is_structurally_zero():
         raise EngelError("alpha ^ dalpha vanishes identically")
+    K = kernel_line(w3)
     candidates = []
-    for k in range(space.dim):
-        res = solve_kernel(space, [(w3, ex.ZERO)], policy, pinned={k: ex.ONE})
-        if res.ok:
-            f = res.field.cleanup()
+    for k, ck in enumerate(K.comps):
+        ck = ex.cleanup(ck)
+        if nonvanishing([ck], space.coord_ranges, policy).ok:
+            f = K.scale(ex.div(ex.ONE, ck)).cleanup()
             quality = (any(ex.has_div(c) for c in f.comps),
                        sum(ex.size(c) for c in f.comps), k)
             candidates.append((quality, f))
@@ -94,17 +96,24 @@ def reeb_pair(space, alpha, beta, policy):
 
         i_T (alpha ^ dbeta) = 0,  beta(T) = 1,  alpha(T) = 0
         i_R (beta ^ dbeta) = 0,   beta(R) = 0,  alpha(R) = 1
+
+    T = K_T / beta(K_T) and R = K_R / alpha(K_R) for the kernel lines of
+    alpha ^ dbeta and beta ^ dbeta; the normalizers are minus and plus the
+    density of alpha ^ beta ^ dbeta, nonvanishing by the span condition.
+    alpha(T) = 0 and beta(R) = 0 hold identically.
     """
     db = d(beta)
-    rt = solve_kernel(space, [(wedge(alpha, db), ex.ZERO),
-                              (beta, ex.ONE), (alpha, ex.ZERO)], policy)
-    if not rt.ok:
-        raise EngelError(f"transverse direction T: {rt.message}")
-    rr = solve_kernel(space, [(wedge(beta, db), ex.ZERO),
-                              (beta, ex.ZERO), (alpha, ex.ONE)], policy)
-    if not rr.ok:
-        raise EngelError(f"transverse direction R: {rr.message}")
-    return rt.field.cleanup(), rr.field.cleanup()
+    out = []
+    for name, w, theta in (("T", wedge(alpha, db), beta),
+                           ("R", wedge(beta, db), alpha)):
+        K = kernel_line(w)
+        norm = ex.cleanup(pair(theta, K))
+        verdict = nonvanishing([norm], space.coord_ranges, policy)
+        if not verdict.ok:
+            raise EngelError(f"transverse direction {name}: "
+                             f"{verdict.describe()}")
+        out.append(K.scale(ex.div(ex.ONE, norm)).cleanup())
+    return tuple(out)
 
 
 def bracket_table(framing):

@@ -469,8 +469,9 @@ def evaluate(e, env) -> float:
     """The float value of e at the point env (name -> number).
 
     Raises SingularPoint at a vanishing denominator, a negative power of a
-    vanishing base, the log of a non-positive value or a value that
-    overflows a float, and EvalError for an unbound name.
+    vanishing base, the log of a non-positive value, a value outside a
+    function's domain (sin of inf) or a result that overflows a float or
+    is not finite, and EvalError for an unbound name.
     """
     f = _EVAL.get(id(e))
     if f is None:
@@ -478,9 +479,14 @@ def evaluate(e, env) -> float:
         if id(e) in _CANON:
             _EVAL[id(e)] = f
     try:
-        return f(env)
+        value = f(env)
     except OverflowError:
         raise SingularPoint("value overflows a float") from None
+    except ValueError:
+        raise SingularPoint("value outside a function's domain") from None
+    if not math.isfinite(value):
+        raise SingularPoint("value overflows a float")
+    return value
 
 
 def _compile(e):

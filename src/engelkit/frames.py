@@ -417,12 +417,20 @@ def _det(rows):
 
 
 def cramer(rows, rhs, det):
-    """Solve rows * u = rhs by Cramer's rule; det is the cleaned-up,
-    nonzero determinant of rows."""
+    """Solve rows * u = rhs by Cramer's rule: u_i sums rhs_j times the
+    (j, i) cofactor, skipping zero rhs_j, over det, the cleaned-up nonzero
+    determinant of rows."""
+    n = len(rows)
     out = []
-    for i in range(len(rows)):
-        repl = [[*row[:i], r, *row[i + 1:]] for row, r in zip(rows, rhs)]
-        out.append(ex.cleanup(ex.div(ex.cleanup(_det(repl)), det)))
+    for i in range(n):
+        terms = []
+        for j in range(n):
+            if rhs[j] != ex.ZERO:
+                minor = [row[:i] + row[i + 1:]
+                         for k, row in enumerate(rows) if k != j]
+                term = ex.mul(rhs[j], _det(minor) if minor else ex.ONE)
+                terms.append(term if (i + j) % 2 == 0 else ex.neg(term))
+        out.append(ex.cleanup(ex.div(ex.cleanup(ex.add(*terms)), det)))
     return out
 
 
@@ -434,20 +442,27 @@ def dual_coframe(fields):
     det = ex.cleanup(determinant(fields))
     if det == ex.ZERO:
         raise FrameError("frame fields are linearly dependent")
-    rows = [[f.comps[i] for f in fields] for i in range(n)]
-    out = []
-    for k in range(n):
-        comps = []
-        for i in range(n):
-            # adjugate entry: cofactor of rows[i][k]
-            minor = [[rows[r][c] for c in range(n) if c != k]
-                     for r in range(n) if r != i]
-            cof = ex.cleanup(_det(minor)) if minor else ex.ONE
-            if (i + k) % 2 == 1:
-                cof = ex.neg(cof)
-            comps.append(ex.cleanup(ex.div(cof, det)))
-        out.append(sp.one_form(comps))
-    return out
+    rows = [f.comps for f in fields]
+    units = [[ex.ONE if j == k else ex.ZERO for j in range(n)]
+             for k in range(n)]
+    return [sp.one_form(cramer(rows, e, det)) for e in units]
+
+
+def kernel_line(w):
+    """The field K with i_K vol = w, for an (n-1)-form w and the frame
+    volume form vol = e^0 ^ ... ^ e^(n-1): K^i = (-1)^i w_(0..i-1, i+1..n-1).
+
+    i_K w = i_K i_K vol = 0, so K spans the kernel of w wherever w has no
+    zeros, and theta(K) is the density of theta ^ w for a 1-form theta.
+    """
+    sp = w.space
+    n = sp.dim
+    assert w.degree == n - 1
+    comps = []
+    for i in range(n):
+        c = w.comp(tuple(j for j in range(n) if j != i))
+        comps.append(c if i % 2 == 0 else ex.neg(c))
+    return VectorField(sp, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -467,46 +482,26 @@ def fmt_form(w):
 # ---------------------------------------------------------------------------
 # linear solving along the frame
 
-class SolveResult:
-    def __init__(self, field, ok, message=""):
-        self.field = field
-        self.ok = ok
-        self.message = message
-
-
 def solve_kernel(space, conditions, policy, pinned=None):
-    """Solve linear pointwise conditions for a vector field.
+    """Solve pointwise 1-form conditions for a vector field.
 
-    conditions: list of (form, rhs) pairs.  A 1-form theta with scalar rhs c
-    imposes theta(V) = c; a p-form (p >= 2) with rhs 0 imposes i_V w = 0,
-    one scalar row per (p-1)-component.  `pinned` maps frame indices to
-    fixed component expressions.
+    conditions: list of (theta, c) pairs; the 1-form theta with scalar c
+    imposes theta(V) = c.  `pinned` maps frame indices to fixed component
+    expressions.  A kernel line, cut out by a form of degree n - 1, needs
+    no solve: see kernel_line.
 
     Strategy: pinned components start out solved, and every solved
     component moves to the right-hand side; repeatedly solve rows that
     mention a single unknown (certifying the coefficient is nonvanishing on
     samples, or concluding an exact zero when the rhs vanishes identically);
-    finish any k x k remainder by exact Cramer elimination over row subsets
-    with sampled-nonvanishing determinant.  The assembled field is verified
-    against every original condition before being returned.
+    finish a square remainder by exact Cramer elimination.  The assembled
+    field is verified against every condition; returns it, or None when no
+    step solves or the verification fails.
     """
     n = space.dim
-    rows = []
-    for form, rhs in conditions:
-        if form.degree == 1:
-            coeffs = [form.comp((i,)) for i in range(n)]
-            rows.append((coeffs, ex.normalize(rhs)))
-        else:
-            assert ex.normalize(rhs) == ex.ZERO, \
-                "higher-degree conditions must be homogeneous"
-            per_dir = [interior(space.basis_field(i), form) for i in range(n)]
-            for J in combinations(range(n), form.degree - 1):
-                coeffs = [per_dir[i].comp(J) for i in range(n)]
-                if any(c != ex.ZERO for c in coeffs):
-                    rows.append((coeffs, ex.ZERO))
     solved = {i: ex.normalize(val) for i, val in (pinned or {}).items()}
-    work = [({i: c for i, c in enumerate(coeffs) if c != ex.ZERO}, rhs)
-            for coeffs, rhs in rows]
+    work = [({i: c for (i,), c in sorted(form.comps.items())},
+             ex.normalize(rhs)) for form, rhs in conditions]
 
     ranges = space.coord_ranges
     changed = True
@@ -539,22 +534,14 @@ def solve_kernel(space, conditions, policy, pinned=None):
     if remaining:
         sub = _solve_square(space, work, solved, remaining, policy)
         if sub is None:
-            return SolveResult(None, False,
-                               "no nondegenerate row subset found")
+            return None
         solved.update(sub)
-    comps = [solved.get(i, ex.ZERO) for i in range(n)]
-    field = VectorField(space, comps)
-    # verify every original condition
+    field = VectorField(space, [solved.get(i, ex.ZERO) for i in range(n)])
     for form, rhs in conditions:
-        if form.degree == 1:
-            res = [ex.add(pair(form, field), ex.neg(rhs))]
-        else:
-            res = interior(field, form)
-        verdict = zero(res, ranges, policy)
-        if not verdict.ok:
-            return SolveResult(field, False,
-                               f"condition check failed: {verdict.describe()}")
-    return SolveResult(field, True)
+        if not zero([ex.add(pair(form, field), ex.neg(rhs))], ranges,
+                    policy).ok:
+            return None
+    return field
 
 
 def solve_kernel_greedy(space, conditions, policy, pinned=None):
@@ -566,25 +553,25 @@ def solve_kernel_greedy(space, conditions, policy, pinned=None):
     last successful field, or None.
     """
     pins = {k: ex.normalize(v) for k, v in (pinned or {}).items()}
-    best = None
-    res = solve_kernel(space, conditions, policy, pinned=pins)
-    if res.ok:
-        best = res.field
+    best = solve_kernel(space, conditions, policy, pinned=pins)
     for k in range(space.dim):
         if k in pins:
             continue
         trial = dict(pins)
         trial[k] = ex.ZERO
-        res = solve_kernel(space, conditions, policy, pinned=trial)
-        if res.ok:
+        field = solve_kernel(space, conditions, policy, pinned=trial)
+        if field is not None:
             pins = trial
-            best = res.field
+            best = field
     return best
 
 
 def _solve_square(space, work, solved, unknowns, policy):
-    """Cramer elimination for the remaining unknowns; None if degenerate."""
-    k = len(unknowns)
+    """One Cramer solve when exactly as many rows as unknowns remain and
+    their determinant is nonvanishing; None otherwise.  No row subset is
+    searched: complement_field poses two conditions, so more rows mean one
+    unknown whose coefficients jointly failed the single-row step, and no
+    one of them can pivot alone."""
     rows = []
     for free, rhs in work:
         live = {i: c for i, c in free.items() if i in unknowns}
@@ -594,25 +581,11 @@ def _solve_square(space, work, solved, unknowns, policy):
                  for i, c in free.items() if i in solved]
         rhs2 = ex.normalize(ex.add(rhs, *extra)) if extra else rhs
         rows.append(([live.get(i, ex.ZERO) for i in unknowns], rhs2))
-    if len(rows) < k:
+    if len(rows) != len(unknowns):
         return None
-    ranges = space.coord_ranges
-    # sampling cannot certify that a pivot determinant is nonvanishing
-    # everywhere, so gather every subset that passes and prefer solutions
-    # without quotients (a hidden singular pivot always leaves one behind)
-    best = None
-    best_quality = None
-    for subset in combinations(range(len(rows)), k):
-        mat = [rows[r][0] for r in subset]
-        rhs = [rows[r][1] for r in subset]
-        det = ex.normalize(_det(mat))
-        if not nonvanishing([det], ranges, policy).ok:
-            continue
-        out = dict(zip(unknowns, cramer(mat, rhs, ex.cleanup(det))))
-        quality = (any(ex.has_div(c) for c in out.values()),
-                   sum(ex.size(c) for c in out.values()))
-        if best_quality is None or quality < best_quality:
-            best, best_quality = out, quality
-        if best_quality[0] is False and best_quality[1] <= k:
-            break
-    return best
+    mat = [coeffs for coeffs, _ in rows]
+    det = ex.normalize(_det(mat))
+    if not nonvanishing([det], space.coord_ranges, policy).ok:
+        return None
+    return dict(zip(unknowns, cramer(mat, [r for _, r in rows],
+                                     ex.cleanup(det))))

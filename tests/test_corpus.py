@@ -5,8 +5,9 @@ reports at seed 0 and 64 samples, and tests/golden/dense/ holds them at
 seed 137 and 1024 samples, where a change in float evaluation order moves
 witness values first.  A refactor that changes any verdict text, witness
 point or token shows up here as a byte-level diff.  The
-manifests in tests/manifests/ carry their golden report beside them; they
-stay out of corpus/, which the benchmark runs.
+manifests in tests/manifests/ carry both golden reports beside them, as
+`<name>.txt` and `<name>.dense.txt`; they stay out of corpus/, which the
+benchmark runs.
 """
 
 from pathlib import Path
@@ -53,3 +54,9 @@ def test_dense_corpus_report_matches_golden(path):
 @pytest.mark.parametrize("path", TEST_MANIFESTS, ids=lambda p: p.stem)
 def test_extra_manifest_matches_golden(path):
     _golden_run(path, path.with_suffix(".txt"))
+
+
+@pytest.mark.parametrize("path", TEST_MANIFESTS, ids=lambda p: p.stem)
+def test_dense_extra_manifest_matches_golden(path):
+    _golden_run(path, path.with_suffix(".dense.txt"),
+                SamplingPolicy(seed=137, n_samples=1024))

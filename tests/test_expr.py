@@ -363,7 +363,21 @@ def test_to_str_reparses(e):
 
 def walk(e, env):
     """The recursive evaluator the compiled one replaced, kept as a
-    reference: same float operations, same order, same first error."""
+    reference: same float operations, same order, same first error.  As in
+    `evaluate`, an overflow, a non-finite value and a math domain error
+    are singular points."""
+    try:
+        value = _walk(e, env)
+    except OverflowError:
+        raise ex.SingularPoint("value overflows a float") from None
+    except ValueError:
+        raise ex.SingularPoint("value outside a function's domain") from None
+    if not math.isfinite(value):
+        raise ex.SingularPoint("value overflows a float")
+    return value
+
+
+def _walk(e, env):
     tag = e[0]
     if tag == "rat":
         return float(e[1])
@@ -378,32 +392,32 @@ def walk(e, env):
             return float(env[e[1]])
         raise ex.EvalError(f"unbound variable '{e[1]}'")
     if tag == "neg":
-        return -walk(e[1], env)
+        return -_walk(e[1], env)
     if tag == "add":
-        return sum(walk(t, env) for t in e[1])
+        return sum(_walk(t, env) for t in e[1])
     if tag == "mul":
         out = 1.0
         for f in e[1]:
-            out *= walk(f, env)
+            out *= _walk(f, env)
         return out
     if tag == "pow":
-        b = walk(e[1], env)
+        b = _walk(e[1], env)
         if e[2] < 0 and abs(b) < ex.SINGULAR_EPS:
             raise ex.SingularPoint("negative power of a vanishing base")
         return b ** e[2]
     if tag == "div":
-        d = walk(e[2], env)
+        d = _walk(e[2], env)
         if abs(d) < ex.SINGULAR_EPS:
             raise ex.SingularPoint("vanishing denominator")
-        return walk(e[1], env) / d
+        return _walk(e[1], env) / d
     if tag == "sin":
-        return math.sin(walk(e[1], env))
+        return math.sin(_walk(e[1], env))
     if tag == "cos":
-        return math.cos(walk(e[1], env))
+        return math.cos(_walk(e[1], env))
     if tag == "exp":
-        return math.exp(walk(e[1], env))
+        return math.exp(_walk(e[1], env))
     if tag == "ln":
-        a = walk(e[1], env)
+        a = _walk(e[1], env)
         if a < ex.SINGULAR_EPS:
             raise ex.SingularPoint("log of a non-positive value")
         return math.log(a)
@@ -411,16 +425,10 @@ def walk(e, env):
 
 
 def outcome(evaluate, e, env):
-    """The value, or the class and text of the error raised.
-
-    The walk lets a float overflow through; the compiled evaluator names
-    it a singular point.
-    """
+    """The value, or the class and text of the error raised."""
     try:
         value = evaluate(e, env)
-    except OverflowError:
-        return ("SingularPoint", "value overflows a float")
-    except (ex.ExprError, ValueError) as err:
+    except ex.ExprError as err:
         return (type(err).__name__, str(err))
     return value.hex() if isinstance(value, float) else value
 

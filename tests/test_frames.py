@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 from engelkit import expr as ex
 from engelkit.frames import (DiffForm, FrameError, FrameSpace, VectorField,
                              bracket, d, determinant, dual_coframe, fmt_field,
-                             interior, lie_form, pair, solve_kernel, wedge)
+                             interior, kernel_line, lie_form, pair,
+                             solve_kernel, wedge)
 from engelkit.sampling import SamplingPolicy
 
 
@@ -135,26 +136,24 @@ def test_lie_form_invariance(torus, torus_alpha):
 
 
 def test_solve_kernel_characteristic(torus, torus_alpha):
-    pol = SamplingPolicy(n_samples=32)
-    w3 = wedge(torus_alpha, d(torus_alpha))
-    res = solve_kernel(torus, [(w3, ex.ZERO)], pol, pinned={2: ex.ONE})
-    assert res.ok
-    assert res.field.comps == (torus.scalar("cos(2*pi*t)"),
-                               torus.scalar("sin(2*pi*t)"), ex.ONE, ex.ZERO)
+    # the characteristic line needs no solve: it is kernel_line(alpha ^
+    # dalpha), here normalized by its third component
+    K = kernel_line(wedge(torus_alpha, d(torus_alpha)))
+    W = K.scale(ex.div(ex.ONE, K.comps[2])).cleanup()
+    assert W.comps == (torus.scalar("cos(2*pi*t)"),
+                       torus.scalar("sin(2*pi*t)"), ex.ONE, ex.ZERO)
 
 
 def test_solve_kernel_one_form_targets(torus, torus_alpha):
-    pol = SamplingPolicy(n_samples=32)
     beta = torus.one_form([torus.scalar("-sin(2*pi*t)"),
                            torus.scalar("cos(2*pi*t)"), ex.ZERO, ex.ZERO])
-    dbeta = d(beta)
     # the span-transverse direction: i_T (alpha ^ dbeta) = 0, beta(T) = 1,
-    # alpha(T) = 0
-    res = solve_kernel(torus, [(wedge(torus_alpha, dbeta), ex.ZERO),
-                               (beta, ex.ONE), (torus_alpha, ex.ZERO)], pol)
-    assert res.ok
-    assert res.field.comps == (torus.scalar("-sin(2*pi*t)"),
-                               torus.scalar("cos(2*pi*t)"), ex.ZERO, ex.ZERO)
+    # alpha(T) = 0, from the kernel line of alpha ^ dbeta over beta(K)
+    K = kernel_line(wedge(torus_alpha, d(beta)))
+    T = K.scale(ex.div(ex.ONE, pair(beta, K))).cleanup()
+    assert T.comps == (torus.scalar("-sin(2*pi*t)"),
+                       torus.scalar("cos(2*pi*t)"), ex.ZERO, ex.ZERO)
+    assert ex.cleanup(pair(torus_alpha, T)) == ex.ZERO
 
 
 def test_solve_kernel_degenerate_reports_failure():
@@ -162,8 +161,7 @@ def test_solve_kernel_degenerate_reports_failure():
     pol = SamplingPolicy(n_samples=16)
     # theta(V) = 1 with theta = 0 is unsolvable
     theta = sp.one_form([ex.ZERO, ex.ZERO])
-    res = solve_kernel(sp, [(theta, ex.ONE)], pol)
-    assert not res.ok
+    assert solve_kernel(sp, [(theta, ex.ONE)], pol) is None
 
 
 def test_render_field(torus):

@@ -179,15 +179,21 @@ def test_rational_nonvanishing_matches_the_sampling_loop(values, kind):
 
 @pytest.mark.parametrize("text, lo, hi", [
     ("ln(x)", -2, -1),                  # singular at every sample
-    ("exp(exp(exp(10*x)))", 1, 2)])     # overflows at every sample
+    ("exp(exp(exp(10*x)))", 1, 2),      # overflows at every sample
+    # inf - inf is nan at every sample, without an OverflowError
+    ("exp(700*x)*exp(701*x) - exp(700*x)*exp(702*x)", 1, 2),
+    # sin of inf is a math domain error at every sample
+    ("sin(exp(700*x)*exp(701*x))", 1, 2)])
 def test_no_sample_evaluated_is_not_a_zero(text, lo, hi):
     coords = (("x", lo, hi, False),)
     pol = SamplingPolicy(n_samples=16)
-    v = is_zero_expr(ex.parse(text, ("x",)), coords, pol)
+    e = ex.parse(text, ("x",))
+    v = is_zero_expr(e, coords, pol)
     assert not v.ok and v.kind == "nonzero"
     assert v.value != v.value   # nan
     assert v.point == pol.points(coords)[0]
     assert v.describe() == f"zero=no value=nan at x={lo}"
+    assert nonvanishing([e], coords, pol).kind == "vanishing"
 
 
 def test_every_component_needs_an_evaluated_sample():

@@ -294,14 +294,21 @@ def _check_sol_ordering(c):
     return c[0] > c[1] > c[2]
 
 
+def _shape(value):
+    return len(value) if isinstance(value, tuple) else None
+
+
 def geometry_row(name, params=None, policy=None):
     """One catalog row: search for the framing, export and verify if found."""
     if name not in GEOMETRIES:
         raise CatalogError(f"unknown geometry {name!r}")
     entry = GEOMETRIES[name]
     merged = dict(entry["params"])
-    if params:
-        merged.update(params)
+    for key, value in (params or {}).items():
+        if key not in merged or _shape(value) != _shape(merged[key]):
+            raise CatalogError(f"bad parameter {key!r} for {name}; "
+                               f"defaults: {entry['params'] or 'none'}")
+        merged[key] = value
     lie = entry["build"](merged)
     row = {"name": name, "label": entry["label"], "params": merged}
     ok, violations = jacobi_check(lie)

@@ -30,7 +30,7 @@ def parse_params(tokens):
                 out[key] = Fraction(parts[0])
             else:
                 out[key] = tuple(Fraction(p) for p in parts)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise CatalogError(f"parameter {token!r} is not rational")
     return out
 
@@ -192,6 +192,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "run" and not (args.samples > 0 and args.tol > 0):
         parser.error("--samples and --tol must be positive")
+    if args.command == "run" and args.seed < 0:
+        parser.error("--seed must be non-negative")
     return args.func(args)
 
 

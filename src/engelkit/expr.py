@@ -14,8 +14,8 @@ Expressions are immutable nested tuples.  Node shapes:
 
 `normalize` produces a canonical form: fully expanded sums of monomials with
 exact rational folding and like-term cancellation.  It never rewrites function
-nodes (sin(0) stays sin(0)); structural identities such as sin^2+cos^2 = 1
-live in the separate, opt-in `cleanup` pass that post-processes solver output.
+nodes (sin(0) stays sin(0)); sin^2+cos^2 = 1 and exact polynomial quotients
+live in the separate, opt-in `cleanup` pass, applied before any verdict.
 
 Canonical nodes are hash-consed (Filliatre & Conchon, "Type-Safe Modular
 Hash-Consing", 2006): `normalize` returns the one interned node of each
@@ -711,13 +711,16 @@ def _render(e, outer):
 
 
 # ---------------------------------------------------------------------------
-# cleanup: opt-in structural simplification for solver output
+# cleanup: opt-in structural simplification of derived expressions
 
 def cleanup(e):
-    """Fold sin^2+cos^2 pairs and cancel exact polynomial quotients.
+    """Apply sin(u)^2 + cos(u)^2 = 1 and cancel exact polynomial quotients.
 
-    Only rewrites that provably preserve the value are applied; anything
-    else is returned unchanged (in canonical form).
+    Each sum becomes its sine normal form (every cos(u)^2 written as
+    1 - sin(u)^2) when that is strictly smaller: the remainder modulo the
+    Groebner basis {sin(u)^2 + cos(u)^2 - 1, one per angle} (Cox, Little &
+    O'Shea), so a polynomial that vanishes by the identity cleans to ZERO.
+    n/d becomes the quotient when d divides n as a polynomial.
     """
     e = normalize(e)
     out = _CLEAN.get(id(e))
@@ -739,14 +742,11 @@ def _cleanup(e):
     if tag == "mul":
         return normalize(("mul", tuple(_cleanup(f) for f in e[1])))
     if tag == "add":
-        folded = _pythagoras(normalize(("add", tuple(_cleanup(t)
-                                                     for t in e[1]))))
-        return folded
+        return _pythagoras(normalize(("add", tuple(_cleanup(t)
+                                                    for t in e[1]))))
     if tag == "div":
         n = _cleanup(e[1])
         d = _cleanup(e[2])
-        n = _pythagoras(n)
-        d = _pythagoras(d)
         q = _poly_quotient(n, d)
         if q is not None:
             return _pythagoras(q)
@@ -779,63 +779,11 @@ def _from_factor_map(q, fmap):
 
 
 def _pythagoras(e):
-    """Iterated fold of q*sin(u)^2*M + q*cos(u)^2*M into q*M."""
+    """A sum's sine normal form if that is strictly smaller, else the sum."""
     if e[0] != "add":
         return e
-    terms = [split_coeff(t) for t in e[1]]
-    entries = []
-    for q, key in terms:
-        entries.append((q, key, _factor_map(key)))
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(entries)):
-            q1, _, m1 = entries[i]
-            if m1 is None:
-                continue
-            sin_bases = [b for b, n in m1.items() if b[0] == "sin" and n >= 2]
-            for sb in sin_bases:
-                want = dict(m1)
-                want[sb] -= 2
-                cb = ("cos", sb[1])
-                want[cb] = want.get(cb, 0) + 2
-                want = {b: n for b, n in want.items() if n}
-                for j in range(len(entries)):
-                    if j == i:
-                        continue
-                    q2, k2, m2 = entries[j]
-                    if m2 == want and (q1 > 0) == (q2 > 0):
-                        # fold the shared part; unequal coefficients leave
-                        # a residual term behind
-                        f = q1 if abs(q1) <= abs(q2) else q2
-                        merged = {b: n for b, n in m1.items() if b != sb or n > 2}
-                        if sb in m1 and m1[sb] > 2:
-                            merged[sb] = m1[sb] - 2
-                        else:
-                            merged.pop(sb, None)
-                        new = _from_factor_map(f, merged)
-                        nq, nk = split_coeff(normalize(new))
-                        keep = [entries[k] for k in range(len(entries))
-                                if k not in (i, j)]
-                        if q1 != f:
-                            keep.append((q1 - f, entries[i][1], m1))
-                        if q2 != f:
-                            keep.append((q2 - f, k2, m2))
-                        keep.append((nq, nk, _factor_map(nk)))
-                        entries = keep
-                        changed = True
-                        break
-                if changed:
-                    break
-            if changed:
-                break
-    out = _norm_add([with_coeff(q, k) for q, k, _ in entries])
-    # greedy pairing can dead-end on high powers; the cosine-elimination
-    # normal form is canonical, so prefer it whenever it is smaller
-    cand = _sin_reduce(out)
-    if cand != out and size(cand) < size(out):
-        return cand
-    return out
+    cand = _sin_reduce(e)
+    return cand if size(cand) < size(e) else e
 
 
 def _sin_reduce(e):

@@ -466,7 +466,7 @@ OPS = {
 def match_expect(mf, raw, res):
     parts = raw.split()
     if parts and parts[0] == "reeb":
-        if len(parts) < 4 or parts[2] != "=" or parts[1] not in "WXTR":
+        if len(parts) < 4 or parts[2] != "=" or parts[1] not in tuple("WXTR"):
             raise ManifestError(f"bad expectation {raw!r}; usage: "
                                 f"reeb F = c1; c2; ...")
         data = _engel(res.output)

@@ -39,7 +39,8 @@ class SamplingPolicy:
         self.seed = int(seed)
         self.n_samples = int(n_samples)
         self.abs_tol = float(abs_tol)
-        assert self.n_samples > 0 and self.abs_tol > 0
+        if self.seed < 0 or not (self.n_samples > 0 and self.abs_tol > 0):
+            raise ValueError("need seed >= 0, n_samples > 0 and abs_tol > 0")
         self._points = {}    # coordinate tuple -> its sample points
         self._columns = {}   # prime -> its Halton column
 

@@ -109,11 +109,13 @@ rank = =
 
 
 def test_bad_reeb_expectation_exits_2(tmp_path, capsys):
-    text = NIL4_HEAD + "expect = reeb R = 0; 0; 1 +; 0\n"
-    code, err, path = run_text(tmp_path, capsys, text)
-    assert code == 2
-    assert f"{path}:{line_of(text, '[task structure]')}:" in err
-    assert "bad expectation" in err
+    # a bad value, and a field name that is no single one of W, X, T, R
+    for expect in ("reeb R = 0; 0; 1 +; 0", "reeb WX = 0; 0; 1; 0"):
+        text = NIL4_HEAD + f"expect = {expect}\n"
+        code, err, path = run_text(tmp_path, capsys, text)
+        assert code == 2
+        assert f"{path}:{line_of(text, '[task structure]')}:" in err
+        assert "bad expectation" in err
 
 
 def test_unknown_op_exits_2(tmp_path, capsys):
@@ -235,6 +237,26 @@ def test_non_positive_samples_or_tol_exits_2(capsys, flag, value):
         main(["run", str(ROOT / "corpus" / "nil4.ek"), flag, value])
     assert exit_.value.code == 2
     assert "--samples and --tol must be positive" in capsys.readouterr().err
+
+
+def test_negative_seed_exits_2(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", str(ROOT / "corpus" / "nil4.ek"), "--seed", "-1"])
+    assert exit_.value.code == 2
+    assert "--seed must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("geometry, param", [
+    ("sol0", "a=1/0"),      # a zero denominator
+    ("sol_mn", "c=1"),      # a scalar for a triple
+    ("sol_mn", "c=1,-1"),   # a pair for a triple
+    ("sol0", "a=1,2"),      # a pair for a scalar
+    ("nil4", "q=3")])       # a name the geometry does not take
+def test_bad_catalog_params_exit_2(capsys, geometry, param):
+    assert main(["catalog", "--geometry", geometry, "--params", param]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ")
+    assert "Traceback" not in out.err
 
 
 TORUS_HEAD = (ROOT / "corpus" / "torus.ek").read_text(

@@ -1,6 +1,6 @@
-"""No dead code: every analysis function runs from the product surface,
-every public method is called from somewhere other than its own body, and
-no module imports a name it never reads.
+"""No dead code: every analysis function and every private helper runs
+from the product surface, every public method is called from somewhere
+other than its own body, and no module imports a name it never reads.
 
 Reachability follows name references between top-level definitions (a
 class carries the references of its methods, a module-level assignment
@@ -93,6 +93,16 @@ def unreachable_functions():
     return out
 
 
+def unreachable_private_functions():
+    """Private top-level functions of any src/ module that no root reaches,
+    such as a helper orphaned by a deletion."""
+    seen = _reachable()
+    return [f"{path.stem}.{node.name}" for path in sorted(SRC.glob("*.py"))
+            for node in _tree(path).body
+            if isinstance(node, ast.FunctionDef)
+            and node.name.startswith("_") and node.name not in seen]
+
+
 def uncalled_methods():
     """Public methods whose name is read nowhere in src/ but in their own
     body, and that the tracer does not wrap.  Dunder and private methods
@@ -133,6 +143,10 @@ def unused_imports(path):
 
 def test_every_analysis_function_is_reachable():
     assert unreachable_functions() == []
+
+
+def test_every_private_function_is_reachable():
+    assert unreachable_private_functions() == []
 
 
 def test_every_public_method_is_called():

@@ -150,6 +150,14 @@ def test_cleanup_mixed():
     assert ex.cleanup(e) == ex.ONE
 
 
+@pytest.mark.parametrize("text, want", [
+    ("sin(t)^4 + 2*sin(t)^2*cos(t)^2 + cos(t)^4 - 1", "0"),
+    ("sin(t)^2 + cos(t)^2 + sin(2*t)^2 + cos(2*t)^2", "2"),
+    ("x*cos(t)^2 + x*sin(t)^2 + y", "x + y")])
+def test_cleanup_applies_sin_squared_plus_cos_squared(text, want):
+    assert ex.cleanup(P(text)) == P(want)
+
+
 def test_halton_starts_at_corner():
     assert halton(0, 2) == 0.0
     assert halton(1, 2) == 0.5
@@ -335,6 +343,33 @@ def test_cleanup_preserves_value(e):
     c = ex.cleanup(e)
     assert ex.evaluate(c, ENV) == pytest.approx(ex.evaluate(e, ENV),
                                                 rel=1e-9, abs=1e-9)
+
+
+ANGLES = (P("t"), P("2*t"), P("x"))
+TRIG_ATOMS = [f(u) for u in ANGLES for f in (ex.sin, ex.cos)]
+POLY_ATOMS = [ex.var("x"), ex.var("y"), ex.var("t")] + TRIG_ATOMS
+
+
+def monomials():
+    powers = st.tuples(st.sampled_from(POLY_ATOMS), st.integers(1, 4))
+    return st.tuples(st.integers(-3, 3), st.lists(powers, max_size=3)).map(
+        lambda cf: ex.mul(ex.rat(cf[0]), *(ex.pow_(b, n) for b, n in cf[1])))
+
+
+def polynomials():
+    return st.lists(monomials(), min_size=1, max_size=3).map(
+        lambda ms: ex.add(*ms))
+
+
+@given(st.lists(st.tuples(st.sampled_from(ANGLES), polynomials()),
+                min_size=1, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_cleanup_of_a_pythagorean_ideal_member_is_zero(terms):
+    """sum_u P_u * (sin(u)^2 + cos(u)^2 - 1) cleans to ZERO."""
+    member = ex.add(*(ex.mul(p, ex.add(ex.pow_(ex.sin(u), 2),
+                                       ex.pow_(ex.cos(u), 2), ex.rat(-1)))
+                      for u, p in terms))
+    assert ex.cleanup(member) == ex.ZERO
 
 
 def exponents_in(e):

@@ -219,3 +219,12 @@ def test_overflow_is_a_singular_sample_for_nonvanishing():
     assert v.ok and v.point == {"x": 0.0}
     v = nonvanishing([e], (("x", 1, 2, False),), pol)
     assert v.kind == "vanishing" and v.value == 0.0
+
+
+@pytest.mark.parametrize("kwargs", [{"seed": -1}, {"n_samples": 0},
+                                    {"abs_tol": 0}])
+def test_a_policy_rejects_a_negative_seed_and_empty_sampling(kwargs):
+    # halton is 0.0 at a negative index, so a negative seed would collapse
+    # every sample onto the corner of the box
+    with pytest.raises(ValueError):
+        SamplingPolicy(**kwargs)

@@ -51,17 +51,16 @@ class LieAlgebra4:
         return const_bracket(self.brackets, 4, i, j)
 
     def bracket_vec(self, u, v):
-        """[u, v] for exact component vectors, by bilinearity."""
+        """[u, v] for exact component vectors: the sum over the stored
+        [e_i, e_j] of (u_i v_j - u_j v_i) [e_i, e_j], zero terms skipped."""
         out = [Fraction(0)] * 4
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                w = self.basis_bracket(i, j)
-                for k in range(4):
-                    out[k] += ui * vj * w[k]
+        for (i, j), w in self.brackets.items():
+            c = ((u[i] * v[j] if u[i] and v[j] else 0)
+                 - (u[j] * v[i] if u[j] and v[i] else 0))
+            if c:
+                for k, wk in enumerate(w):
+                    if wk:
+                        out[k] += c * wk
         return out
 
     def frame_space(self):

@@ -112,7 +112,7 @@ def pullback_section_map(form5, h, sp5):
             # ds pulls back to dh = sum_i (D_i h) theta^i + (ds h) ds
             for i in range(n):
                 dh = sp5.dir_deriv(i, ex.normalize(h))
-                if dh == ex.ZERO or i in rest:
+                if ex.is_zero(dh) or i in rest:
                     continue
                 full = tuple(sorted(rest + (i,)))
                 # sign of inserting i into the slot where s sat, then sorting

@@ -337,13 +337,13 @@ def transform_forms(data, lam, mu, nu, policy):
     def scalar_match(name, a, b):
         checks[name] = zero([ex.add(a, ex.neg(b))], sp.coord_ranges, policy)
 
-    if mu == ex.ONE and nu == ex.ZERO:
+    if mu == ex.ONE and ex.is_zero(nu):
         fields_match("T unchanged", new.T, T)
         fields_match("R scales by 1/lam", new.R,
                      R.scale(ex.div(ex.ONE, lam)))
         scalar_match("c_TR scales by 1/lam", new.c_TR,
                      ex.div(t["c_TR"], lam))
-    elif lam == ex.ONE and nu == ex.ZERO:
+    elif lam == ex.ONE and ex.is_zero(nu):
         fields_match("R unchanged", new.R, R)
         shifted = (W.scale(ex.neg(ex.div(lsc(X, mu), mu)))
                    + X.scale(ex.div(lsc(W, mu), mu)) + T)

@@ -21,7 +21,8 @@ Canonical nodes are hash-consed (Filliatre & Conchon, "Type-Safe Modular
 Hash-Consing", 2006): `normalize` returns the one interned node of each
 canonical value, and `normalize` of an interned node is that node itself.
 The invariant: an interned node is canonical, and no node is ever mutated.
-`cleanup`, and the Python function that `evaluate` compiles an expression
+`cleanup`, `derivative` (the normalized partial derivative by each
+coordinate), and the Python function that `evaluate` compiles an expression
 into, are remembered per interned node.  The tables live for the process
 and are dropped together once one holds more than TABLE_LIMIT entries.
 """
@@ -120,6 +121,11 @@ def children(e):
     return ()
 
 
+def is_zero(e) -> bool:
+    """Is the canonical e the rational zero?"""
+    return e[0] == "rat" and not e[1]
+
+
 def has_div(e) -> bool:
     if e[0] == "div":
         return True
@@ -141,7 +147,8 @@ def size(e) -> int:
 # identity is reused while it is a key.  Errors are never stored.
 
 # Entries one table may hold before all are dropped together; _CLEAN and
-# _EVAL are keyed by identities that _CANON holds, so they are no larger.
+# _EVAL are keyed by identities that _CANON holds, so they are no larger,
+# and _DIFF holds at most one entry per such identity and coordinate.
 # An entry takes 0.2-0.5 kB; a corpus manifest makes at most ~720 keys, and
 # 100 catalog rows about 2,000.
 TABLE_LIMIT = 20_000
@@ -151,11 +158,12 @@ _VALUES = {}   # canonical node -> the one interned node of that value
 _NODES = {}    # shallow key of a raw node -> interned normal form
 _CLEAN = {}    # id(interned node) -> its cleanup
 _EVAL = {}     # id(interned node) -> its compiled float function
+_DIFF = {}     # (id(interned node), coordinate) -> its interned derivative
 
 
 def clear_tables():
     """Forget every interned node; later calls rebuild what they need."""
-    for table in (_CANON, _VALUES, _NODES, _CLEAN, _EVAL):
+    for table in (_CANON, _VALUES, _NODES, _CLEAN, _EVAL, _DIFF):
         table.clear()
 
 
@@ -422,6 +430,17 @@ def differentiate(e, v: str):
     if tag == "ln":
         return div(differentiate(e[1], v), e[1])
     raise ExprError(f"cannot differentiate {tag!r}")
+
+
+def derivative(e, v: str):
+    """The interned normal form of the partial derivative of e by v."""
+    out = _DIFF.get((id(e), v))   # a raw e is never a key: it is not held
+    if out is None:
+        e = normalize(e)
+        out = normalize(differentiate(e, v))
+        _CANON[id(e)] = e   # held again: normalize may have dropped the tables
+        _DIFF[(id(e), v)] = out
+    return out
 
 
 def substitute(e, mapping):

@@ -117,12 +117,13 @@ class FrameSpace:
     def dir_deriv(self, i, f):
         """Derivative of a scalar along frame direction i."""
         if self.kinds[i] == "coord":
-            return ex.normalize(ex.differentiate(f, self.names[i]))
+            return ex.derivative(f, self.names[i])
         return ex.ZERO
 
     def lie_scalar(self, V, f):
-        terms = [ex.mul(V.comps[i], self.dir_deriv(i, f))
-                 for i in range(self.dim)]
+        terms = [ex.mul(v, df) for i, v in enumerate(V.comps)
+                 if not ex.is_zero(v)
+                 for df in (self.dir_deriv(i, f),) if not ex.is_zero(df)]
         return ex.normalize(ex.add(*terms)) if terms else ex.ZERO
 
 
@@ -167,7 +168,7 @@ class DiffForm:
             assert len(idx) == degree and tuple(sorted(idx)) == idx, \
                 f"component index {idx} must be strictly increasing"
             c = ex.normalize(c)
-            if c != ex.ZERO:
+            if not ex.is_zero(c):
                 out[idx] = c
         self.comps = out
 
@@ -285,21 +286,23 @@ def perm_sign(perm):
 # calculus
 
 def bracket(X, Y):
-    """Lie bracket of vector fields in frame components."""
+    """Lie bracket of vector fields in frame components; no zero term built."""
     sp = X.space
     n = sp.dim
+    xs, ys = X.comps, Y.comps
     comps = []
     for k in range(n):
         terms = []
         for i in range(n):
-            terms.append(ex.mul(X.comps[i], sp.dir_deriv(i, Y.comps[k])))
-            terms.append(ex.neg(ex.mul(Y.comps[i],
-                                       sp.dir_deriv(i, X.comps[k]))))
+            for a, b, sign in ((xs[i], ys[k], 1), (ys[i], xs[k], -1)):
+                if not (ex.is_zero(a) or ex.is_zero(b)):
+                    db = sp.dir_deriv(i, b)
+                    if not ex.is_zero(db):
+                        terms.append(ex.mul(ex.rat(sign), a, db))
         for (i, j), vec in sp.structure.items():
-            if vec[k]:
-                coef = ex.add(ex.mul(X.comps[i], Y.comps[j]),
-                              ex.neg(ex.mul(X.comps[j], Y.comps[i])))
-                terms.append(ex.mul(ex.rat(vec[k]), coef))
+            for a, b, sign in ((xs[i], ys[j], 1), (xs[j], ys[i], -1)):
+                if vec[k] and not (ex.is_zero(a) or ex.is_zero(b)):
+                    terms.append(ex.mul(ex.rat(sign * vec[k]), a, b))
         comps.append(ex.add(*terms) if terms else ex.ZERO)
     return VectorField(sp, comps)
 
@@ -317,7 +320,7 @@ def d(w):
         for a in range(p + 1):
             rest = J[:a] + J[a + 1:]
             df = sp.dir_deriv(J[a], w.comp(rest))
-            if df != ex.ZERO:
+            if not ex.is_zero(df):
                 terms.append(df if a % 2 == 0 else ex.neg(df))
         for a in range(p + 1):
             for b in range(a + 1, p + 1):
@@ -326,7 +329,7 @@ def d(w):
                 for m, cm in enumerate(vec):
                     if cm:
                         val = w.comp_signed((m,) + rest)
-                        if val != ex.ZERO:
+                        if not ex.is_zero(val):
                             sgn = 1 if (a + b) % 2 == 0 else -1
                             terms.append(ex.mul(ex.rat(sgn * cm), val))
         if terms:
@@ -345,7 +348,7 @@ def wedge(a, b):
             J = tuple(K[t] for t in range(p + q) if t not in pos)
             ca = a.comp(I)
             cb = b.comp(J)
-            if ca == ex.ZERO or cb == ex.ZERO:
+            if ex.is_zero(ca) or ex.is_zero(cb):
                 continue
             sgn = perm_sign([K.index(x) for x in I + J])
             term = ex.mul(ca, cb)
@@ -364,7 +367,7 @@ def interior(V, w):
         terms = []
         for i in range(sp.dim):
             val = w.comp_signed((i,) + J)
-            if val != ex.ZERO and V.comps[i] != ex.ZERO:
+            if not (ex.is_zero(val) or ex.is_zero(V.comps[i])):
                 terms.append(ex.mul(V.comps[i], val))
         if terms:
             out[J] = ex.add(*terms)
@@ -378,11 +381,10 @@ def pair(w, *fields):
     terms = []
     for I, c in w.comps.items():
         for sigma in permutations(range(w.degree)):
-            prod = [c]
-            for slot, t in enumerate(sigma):
-                prod.append(fields[slot].comps[I[t]])
-            term = ex.mul(*prod)
-            terms.append(term if perm_sign(sigma) == 1 else ex.neg(term))
+            prod = [fields[slot].comps[I[t]] for slot, t in enumerate(sigma)]
+            if not any(map(ex.is_zero, prod)):
+                term = ex.mul(c, *prod)
+                terms.append(term if perm_sign(sigma) == 1 else ex.neg(term))
     return ex.normalize(ex.add(*terms)) if terms else ex.ZERO
 
 
@@ -407,7 +409,7 @@ def _det(rows):
         return rows[0][0]
     terms = []
     for j in range(n):
-        if rows[0][j] == ex.ZERO:
+        if ex.is_zero(rows[0][j]):
             continue
         minor = [[rows[i][jj] for jj in range(n) if jj != j]
                  for i in range(1, n)]
@@ -425,7 +427,7 @@ def cramer(rows, rhs, det):
     for i in range(n):
         terms = []
         for j in range(n):
-            if rhs[j] != ex.ZERO:
+            if not ex.is_zero(rhs[j]):
                 minor = [row[:i] + row[i + 1:]
                          for k, row in enumerate(rows) if k != j]
                 term = ex.mul(rhs[j], _det(minor) if minor else ex.ONE)
@@ -440,7 +442,7 @@ def dual_coframe(fields):
     n = sp.dim
     assert len(fields) == n
     det = ex.cleanup(determinant(fields))
-    if det == ex.ZERO:
+    if ex.is_zero(det):
         raise FrameError("frame fields are linearly dependent")
     rows = [f.comps for f in fields]
     units = [[ex.ONE if j == k else ex.ZERO for j in range(n)]
@@ -519,7 +521,7 @@ def solve_kernel(space, conditions, policy, pinned=None):
         for i, grp in singles.items():
             if i in solved:
                 continue
-            if all(r == ex.ZERO for _, r in grp):
+            if all(ex.is_zero(r) for _, r in grp):
                 # homogeneous single rows: zero is always consistent, and
                 # the final verification rejects it if other rows disagree
                 solved[i] = ex.ZERO

@@ -7,7 +7,7 @@ same checks.
 """
 
 from . import expr as ex
-from .frames import bracket, dual_coframe, zero
+from .frames import FrameError, bracket, dual_coframe, zero
 
 
 class Metric:
@@ -16,22 +16,23 @@ class Metric:
     def __init__(self, space, matrix):
         self.space = space
         n = space.dim
-        assert len(matrix) == n and all(len(row) == n for row in matrix)
+        if len(matrix) != n or any(len(row) != n for row in matrix):
+            raise FrameError(f"metric matrix must be {n} by {n}")
         self.matrix = tuple(tuple(ex.normalize(c) for c in row)
                             for row in matrix)
         for i in range(n):
             for j in range(i):
-                assert ex.cleanup(ex.add(self.matrix[i][j],
-                                         ex.neg(self.matrix[j][i]))) \
-                    == ex.ZERO, "metric matrix must be symmetric"
+                if not ex.is_zero(ex.cleanup(ex.add(
+                        self.matrix[i][j], ex.neg(self.matrix[j][i])))):
+                    raise FrameError("metric matrix must be symmetric")
 
     def inner(self, U, V):
         terms = []
         for i, ui in enumerate(U.comps):
-            if ui == ex.ZERO:
+            if ex.is_zero(ui):
                 continue
             for j, vj in enumerate(V.comps):
-                if vj == ex.ZERO or self.matrix[i][j] == ex.ZERO:
+                if ex.is_zero(vj) or ex.is_zero(self.matrix[i][j]):
                     continue
                 terms.append(ex.mul(ui, self.matrix[i][j], vj))
         return ex.cleanup(ex.add(*terms)) if terms else ex.ZERO
@@ -41,13 +42,11 @@ def framing_metric(space, framing):
     """The metric making an arbitrary framing orthonormal."""
     theta = dual_coframe(list(framing))
     n = space.dim
-    matrix = []
+    matrix = [[None] * n for _ in range(n)]
     for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(ex.cleanup(ex.add(
-                *[ex.mul(th.comp((i,)), th.comp((j,))) for th in theta])))
-        matrix.append(row)
+        for j in range(i, n):
+            matrix[i][j] = matrix[j][i] = ex.cleanup(ex.add(
+                *[ex.mul(th.comp((i,)), th.comp((j,))) for th in theta]))
     return Metric(space, matrix)
 
 

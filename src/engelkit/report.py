@@ -198,7 +198,7 @@ def op_engel(mf, task, policy, outputs, res):
     res.derived("v", ex.to_str(data.v))
     for key in sorted(data.table):
         e = ex.cleanup(data.table[key])
-        if e != ex.ZERO:
+        if not ex.is_zero(e):
             res.derived(f"table {key}", ex.to_str(e))
     res.output = data
 
@@ -483,7 +483,7 @@ def match_expect(mf, raw, res):
                                 f"{mf.space.dim} components")
         have = getattr(data, parts[1])
         for want, got in zip(comps, have.comps):
-            if ex.cleanup(ex.add(got, ex.neg(want))) != ex.ZERO:
+            if not ex.is_zero(ex.cleanup(ex.add(got, ex.neg(want)))):
                 return False
         return True
     return raw in res.tokens

@@ -167,7 +167,7 @@ def is_zero_many(exprs, coords, policy):
     but every component must be evaluated somewhere: one that no sample
     could evaluate fails with value nan at the first sample.
     """
-    live = [e for e in map(ex.normalize, exprs) if e != ex.ZERO]
+    live = [e for e in map(ex.normalize, exprs) if not ex.is_zero(e)]
     if not live:
         return Verdict("exact")
     pts = policy.points(coords)

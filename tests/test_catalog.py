@@ -105,6 +105,32 @@ def test_commutant_shrinks_as_the_set_grows(vecs, keep, which):
         assert rational_rank(rows) == base or not small and not any(vec)
 
 
+def dense_bracket_vec(lie, u, v):
+    """[u, v] with every product of components built, zero or not."""
+    out = [Fraction(0)] * 4
+    for i, ui in enumerate(u):
+        for j, vj in enumerate(v):
+            w = lie.basis_bracket(i, j)
+            for k in range(4):
+                out[k] += ui * vj * w[k]
+    return out
+
+
+sparse_q = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
+                     st.fractions(-3, 3, max_denominator=4))
+sparse_vec = st.tuples(*[sparse_q] * 4)
+structures = st.dictionaries(
+    st.sampled_from([(i, j) for i in range(4) for j in range(i + 1, 4)]),
+    sparse_vec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(brackets=structures, u=sparse_vec, v=sparse_vec)
+def test_bracket_vec_equals_the_dense_sum(brackets, u, v):
+    lie = LieAlgebra4("ABCD", brackets)
+    assert lie.bracket_vec(u, v) == dense_bracket_vec(lie, u, v)
+
+
 def test_framing_search_product_geometry():
     lie = build("s3xr")
     res = kengel_framing_search(lie, (0, 1, 0, 1), (1, 0, 0, 0),

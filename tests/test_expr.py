@@ -282,13 +282,55 @@ def keys_name_interned_nodes():
 
     Otherwise the node could be freed and its identity reused by another.
     """
-    named = list(ex._CLEAN)
+    named = list(ex._CLEAN) + [i for i, _ in ex._DIFF]
     for key in ex._NODES:
         if key[0] in ("add", "mul", "div"):
             named += key[1:]
         elif key[0] in ex.FUNCS or key[0] == "pow":
             named.append(key[1])
     return all(i in ex._CANON for i in named)
+
+
+def derivatives(es, derive, cold=False):
+    """derive(n, v) for each interned n = normalize(e) and v in t, x, y, or
+    the name of the error raised; cold clears the tables before each e."""
+    out = []
+    for e in es:
+        if cold:
+            ex.clear_tables()
+        for v in "txy":
+            try:
+                out.append(derive(ex.normalize(e), v))
+            except ex.EvalError as err:
+                out.append(type(err).__name__)
+    return out
+
+
+@given(st.lists(exprs(quotients=True), min_size=1, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_derivative_is_the_normalized_differentiate(es):
+    want = derivatives(
+        es, lambda n, v: ex.normalize(ex.differentiate(n, v)), cold=True)
+    limit = ex.TABLE_LIMIT
+    ex.TABLE_LIMIT = 3   # so the tables, _DIFF too, are dropped in most calls
+    try:
+        tiny = derivatives(es + es, ex.derivative)
+        assert keys_name_interned_nodes()
+    finally:
+        ex.TABLE_LIMIT = limit
+    ex.clear_tables()
+    assert tiny == want + want
+    assert derivatives(es + es, ex.derivative) == want + want
+
+
+def test_derivative_is_remembered_until_the_tables_are_dropped():
+    e = P("x*sin(t)^2 + t/x")
+    d = ex.derivative(e, "t")
+    assert ex.derivative(e, "t") is d
+    assert ex._DIFF
+    ex.clear_tables()
+    assert not ex._DIFF
+    assert ex.derivative(e, "t") == d
 
 
 def test_normalize_returns_an_interned_node_itself():

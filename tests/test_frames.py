@@ -1,3 +1,5 @@
+from itertools import combinations, permutations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,7 +7,7 @@ from engelkit import expr as ex
 from engelkit.frames import (DiffForm, FrameError, FrameSpace, VectorField,
                              bracket, d, determinant, dual_coframe, fmt_field,
                              interior, kernel_line, lie_form, pair,
-                             solve_kernel, wedge)
+                             perm_sign, solve_kernel, wedge)
 from engelkit.sampling import SamplingPolicy
 
 
@@ -187,15 +189,14 @@ def scalars():
     ).map(ex.normalize)
 
 
-def forms(space, degree):
-    from itertools import combinations
+def forms(space, degree, scalar=scalars):
     idxs = list(combinations(range(space.dim), degree))
-    return st.tuples(*[scalars() for _ in idxs]).map(
+    return st.tuples(*[scalar() for _ in idxs]).map(
         lambda cs: DiffForm(space, degree, dict(zip(idxs, cs))))
 
 
-def fields(space):
-    return st.tuples(*[scalars() for _ in range(space.dim)]).map(
+def fields(space, scalar=scalars):
+    return st.tuples(*[scalar() for _ in range(space.dim)]).map(
         lambda cs: VectorField(space, list(cs)))
 
 
@@ -241,3 +242,111 @@ def test_cartan_pairing(V, w):
     rhs = ex.normalize(ex.add(SP3.lie_scalar(V, pair(w, U)),
                               ex.neg(pair(w, bracket(V, U)))))
     assert lhs == rhs
+
+
+# --- sparse bracket and pairing against the dense formulas ----------------
+
+def dense_deriv(space, i, f):
+    if space.kinds[i] == "coord":
+        return ex.normalize(ex.differentiate(f, space.names[i]))
+    return ex.ZERO
+
+
+def dense_bracket(X, Y):
+    """The bracket with every term built, zero or not."""
+    sp = X.space
+    n = sp.dim
+    comps = []
+    for k in range(n):
+        terms = []
+        for i in range(n):
+            terms.append(ex.mul(X.comps[i], dense_deriv(sp, i, Y.comps[k])))
+            terms.append(ex.neg(ex.mul(Y.comps[i],
+                                       dense_deriv(sp, i, X.comps[k]))))
+        for (i, j), vec in sp.structure.items():
+            if vec[k]:
+                coef = ex.add(ex.mul(X.comps[i], Y.comps[j]),
+                              ex.neg(ex.mul(X.comps[j], Y.comps[i])))
+                terms.append(ex.mul(ex.rat(vec[k]), coef))
+        comps.append(ex.add(*terms) if terms else ex.ZERO)
+    return VectorField(sp, comps)
+
+
+def dense_pair(w, *fields):
+    """The pairing with every permutation product built, zero or not."""
+    terms = []
+    for I, c in w.comps.items():
+        for sigma in permutations(range(w.degree)):
+            prod = [c]
+            for slot, t in enumerate(sigma):
+                prod.append(fields[slot].comps[I[t]])
+            term = ex.mul(*prod)
+            terms.append(term if perm_sign(sigma) == 1 else ex.neg(term))
+    return ex.normalize(ex.add(*terms)) if terms else ex.ZERO
+
+
+# x, y times the 3-dim algebra R acting on span{B, C}
+MIXED = FrameSpace([("coord", "x", 0, 1, True), ("lie", "A"),
+                    ("coord", "y", 0, 1, False), ("lie", "B"), ("lie", "C")],
+                   brackets={("A", "B"): [0, 0, 0, 1, 2],
+                             ("A", "C"): [0, 0, 0, -1, "1/2"]})
+
+
+def sparse_scalars():
+    return st.one_of(st.just(ex.ZERO), st.just(ex.ZERO), st.just(ex.ONE),
+                     st.fractions(-2, 2, max_denominator=3).map(ex.rat)
+                     .map(ex.normalize), scalars())
+
+
+@given(fields(MIXED, sparse_scalars), fields(MIXED, sparse_scalars))
+@settings(max_examples=80, deadline=None)
+def test_bracket_equals_the_dense_bracket(X, Y):
+    assert bracket(X, Y).comps == dense_bracket(X, Y).comps
+
+
+@given(st.integers(1, 3).flatmap(lambda p: st.tuples(
+    forms(MIXED, p, sparse_scalars),
+    st.tuples(*[fields(MIXED, sparse_scalars)] * p))))
+@settings(max_examples=30, deadline=None)
+def test_pair_equals_the_dense_pair(w_fields):
+    w, fs = w_fields
+    assert pair(w, *fs) == dense_pair(w, *fs)
+
+
+def test_bracket_of_constant_fields_builds_no_zero_term(monkeypatch):
+    sp = FrameSpace([("lie", "A"), ("lie", "B"), ("lie", "C")],
+                    brackets={("A", "B"): [0, 0, 1]})
+    X = sp.field([ex.ONE, ex.ZERO, ex.rat(2)])
+    Y = sp.field([ex.ZERO, ex.rat(3), ex.ZERO])
+    derived, zero_products = [], []
+    differentiate, mul = ex.differentiate, ex.mul
+
+    def counted_differentiate(e, v):
+        derived.append(e)
+        return differentiate(e, v)
+
+    def counted_mul(*factors):
+        zero_products.extend(f for f in factors if ex.is_zero(f))
+        return mul(*factors)
+
+    monkeypatch.setattr(ex, "differentiate", counted_differentiate)
+    monkeypatch.setattr(ex, "mul", counted_mul)
+    assert bracket(X, Y).comps == (ex.ZERO, ex.ZERO, ex.rat(3))
+    assert derived == [] and zero_products == []
+
+
+def test_a_repeated_derivative_differentiates_once(torus, monkeypatch):
+    ex.clear_tables()
+    f = torus.scalar("x*sin(2*pi*t) + y^2")
+    derived = []
+    differentiate = ex.differentiate
+
+    def counted(e, v):
+        derived.append(e)
+        return differentiate(e, v)
+
+    monkeypatch.setattr(ex, "differentiate", counted)
+    first = torus.dir_deriv(3, f)
+    second = torus.dir_deriv(3, f)
+    assert first is second == torus.scalar("2*pi*x*cos(2*pi*t)")
+    assert sum(1 for e in derived if e is f) == 1

@@ -51,8 +51,8 @@ class LieAlgebra4:
         return const_bracket(self.brackets, 4, i, j)
 
     def bracket_vec(self, u, v):
-        """[u, v] for exact component vectors: the sum over the stored
-        [e_i, e_j] of (u_i v_j - u_j v_i) [e_i, e_j], zero terms skipped."""
+        """[u, v]: the sum of (u_i v_j - u_j v_i) [e_i, e_j] over the stored
+        brackets; a zero factor is tested first, as a product costs more."""
         out = [Fraction(0)] * 4
         for (i, j), w in self.brackets.items():
             c = ((u[i] * v[j] if u[i] and v[j] else 0)

@@ -300,8 +300,10 @@ def bracket(X, Y):
                     if not ex.is_zero(db):
                         terms.append(ex.mul(ex.rat(sign), a, db))
         for (i, j), vec in sp.structure.items():
+            if not vec[k]:
+                continue
             for a, b, sign in ((xs[i], ys[j], 1), (xs[j], ys[i], -1)):
-                if vec[k] and not (ex.is_zero(a) or ex.is_zero(b)):
+                if not (ex.is_zero(a) or ex.is_zero(b)):
                     terms.append(ex.mul(ex.rat(sign * vec[k]), a, b))
         comps.append(ex.add(*terms) if terms else ex.ZERO)
     return VectorField(sp, comps)

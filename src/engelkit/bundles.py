@@ -72,7 +72,7 @@ def boothby_wang(nspace, lam, L, a_loc, policy):
     if bad:
         raise KEngelError("circle-bundle preconditions fail: "
                           + ", ".join(bad), bad)
-    sp4 = thicken_space(nspace, "t", 0, 1, periodic=True)
+    sp4 = thicken_space(nspace, "t", 0, 1)
     alpha = promote_form(sp4, a_loc) + \
         sp4.one_form([ex.ZERO, ex.ZERO, ex.ZERO, ex.ONE])
     beta = promote_form(sp4, lam)
@@ -91,7 +91,7 @@ def boothby_wang(nspace, lam, L, a_loc, policy):
 # torus bundle over a surface chart
 
 T2_CONDITIONS = ("first condition", "second condition", "third condition")
-T2_FIBRE = ("p", "q")  # the periodic fibre coordinates, in frame order
+T2_FIBRE = ("p", "q")  # the torus fibre coordinates, in frame order
 
 
 def t2_bundle_condition(sigma, f, g, alpha0, beta0, Omega, prim1, prim2,
@@ -155,7 +155,7 @@ def t2_bundle_condition(sigma, f, g, alpha0, beta0, Omega, prim1, prim2,
 
     sp4 = sigma
     for name in T2_FIBRE:
-        sp4 = thicken_space(sp4, name, 0, 1, periodic=True)
+        sp4 = thicken_space(sp4, name, 0, 1)
     theta1 = sp4.one_form([prim1.comp((0,)), prim1.comp((1,)),
                            ex.ONE, ex.ZERO])
     theta2 = sp4.one_form([prim2.comp((0,)), prim2.comp((1,)),
@@ -209,7 +209,7 @@ def standard_torus(policy):
     alpha = dz - cos(2 pi t) dx - sin(2 pi t) dy,
     beta = -sin(2 pi t) dx + cos(2 pi t) dy.
     """
-    sp = FrameSpace([("coord", n, 0, 1, True) for n in "xyzt"])
+    sp = FrameSpace([("coord", n, 0, 1) for n in "xyzt"])
     alpha = sp.one_form([sp.scalar("-cos(2*pi*t)"),
                          sp.scalar("-sin(2*pi*t)"), ex.ONE, ex.ZERO])
     beta = sp.one_form([sp.scalar("-sin(2*pi*t)"),

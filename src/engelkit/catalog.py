@@ -1,16 +1,18 @@
 """Exact catalog of the invariant 4-dim geometries and their framings.
 
 Each geometry is a 4-dim Lie algebra with rational structure constants
-(parameters are substituted as declared rationals).  The questions asked
-are linear-algebraic and answered exactly over Q:
+(parameters are substituted as declared rationals), held as an all-invariant
+`FrameSpace`.  The questions asked are linear-algebraic and answered exactly
+over Q:
 
-* does the Jacobi identity hold,
+* does the Jacobi identity hold (`jacobi_check`; building the space does
+  not check it, so a failing geometry is reported, not refused),
 * what is the commutant of a set of elements,
 * given a plane D = span{W, X} that bracket-generates, is there a framing
   {W, X, Y = [W,X], R} with R commuting with the other three and
   transverse to their span,
 * and for the found framings, do the exported defining forms pass the
-  full K-Engel verification on the corresponding invariant frame space.
+  full K-Engel verification on the same frame space.
 
 No sampling appears anywhere in this module; every verdict is exact.
 """
@@ -19,8 +21,7 @@ from fractions import Fraction
 
 from . import expr as ex
 from .engel import analyze
-from .frames import (FrameSpace, const_bracket, dual_coframe,
-                     jacobi_residuals)
+from .frames import FrameSpace, dual_coframe, jacobi_residuals
 from .kengel import KEngelData, kengel_check, kengel_invariants
 from .metric import orthonormal_metric
 from .qfield import rational_rank, reduce_rows
@@ -31,43 +32,29 @@ class CatalogError(Exception):
     pass
 
 
-class LieAlgebra4:
-    """Four named generators with exact rational structure constants.
+def algebra(names, brackets):
+    """A 4-dim all-invariant frame space from index-pair brackets.
 
     brackets maps (i, j) with i < j to the component vector of [e_i, e_j].
-    Unlike a FrameSpace, construction does not enforce Jacobi — the check
-    is a separate, reportable operation.
+    The Jacobi identity is not enforced here: `jacobi_check` reports it.
     """
+    return FrameSpace([("lie", n) for n in names],
+                      brackets={(names[i], names[j]): vec
+                                for (i, j), vec in brackets.items()})
 
-    def __init__(self, names, brackets):
-        assert len(names) == 4 and len(set(names)) == 4
-        self.names = list(names)
-        self.brackets = {}
-        for (i, j), vec in brackets.items():
-            assert 0 <= i < j < 4
-            self.brackets[(i, j)] = tuple(Fraction(c) for c in vec)
 
-    def basis_bracket(self, i, j):
-        return const_bracket(self.brackets, 4, i, j)
-
-    def bracket_vec(self, u, v):
-        """[u, v]: the sum of (u_i v_j - u_j v_i) [e_i, e_j] over the stored
-        brackets; a zero factor is tested first, as a product costs more."""
-        out = [Fraction(0)] * 4
-        for (i, j), w in self.brackets.items():
-            c = ((u[i] * v[j] if u[i] and v[j] else 0)
-                 - (u[j] * v[i] if u[j] and v[i] else 0))
-            if c:
-                for k, wk in enumerate(w):
-                    if wk:
-                        out[k] += c * wk
-        return out
-
-    def frame_space(self):
-        brackets = {(self.names[i], self.names[j]): list(vec)
-                    for (i, j), vec in self.brackets.items()}
-        return FrameSpace([("lie", n) for n in self.names],
-                          brackets=brackets)
+def bracket_vec(lie, u, v):
+    """[u, v]: the sum of (u_i v_j - u_j v_i) [e_i, e_j] over the stored
+    brackets; a zero factor is tested first, as a product costs more."""
+    out = [Fraction(0)] * lie.dim
+    for (i, j), w in lie.structure.items():
+        c = ((u[i] * v[j] if u[i] and v[j] else 0)
+             - (u[j] * v[i] if u[j] and v[i] else 0))
+        if c:
+            for k, wk in enumerate(w):
+                if wk:
+                    out[k] += c * wk
+    return out
 
 
 def fmt_vec(names, vec):
@@ -95,8 +82,7 @@ def fmt_vec(names, vec):
 def jacobi_check(lie):
     """Exact Jacobi verdict; failures list the offending triples."""
     violations = [(tuple(lie.names[i] for i in triple), total)
-                  for triple, total in jacobi_residuals(lie.basis_bracket,
-                                                        4, range(4))]
+                  for triple, total in jacobi_residuals(lie)]
     return not violations, violations
 
 
@@ -119,8 +105,8 @@ def commutant(lie, elements):
     """Exact basis of {Z : [Z, s] = 0 for every s in elements}."""
     rows = []
     for s in elements:
-        cols = [lie.bracket_vec([Fraction(int(m == i)) for m in range(4)],
-                                list(map(Fraction, s))) for i in range(4)]
+        cols = [bracket_vec(lie, [Fraction(int(m == i)) for m in range(4)],
+                            list(map(Fraction, s))) for i in range(4)]
         for k in range(4):
             rows.append([cols[i][k] for i in range(4)])
     if not rows:
@@ -136,9 +122,9 @@ def det4(vectors):
 
 def bracket_generates(lie, W, X):
     """Does span{W, X} + brackets up to depth two span the algebra?"""
-    Y = lie.bracket_vec(W, X)
+    Y = bracket_vec(lie, W, X)
     span = [list(map(Fraction, W)), list(map(Fraction, X)), Y,
-            lie.bracket_vec(Y, W), lie.bracket_vec(Y, X)]
+            bracket_vec(lie, Y, W), bracket_vec(lie, Y, X)]
     return rational_rank(span) == 4
 
 
@@ -155,7 +141,7 @@ def kengel_framing_search(lie, W, X, R_hint=None):
     X = list(map(Fraction, X))
     if not bracket_generates(lie, W, X):
         raise CatalogError("the plane span{W, X} does not bracket-generate")
-    Y = lie.bracket_vec(W, X)
+    Y = bracket_vec(lie, W, X)
     basis = commutant(lie, [W, X, Y])
     out = {"Y": Y, "commutant": basis, "commutant_dim": len(basis),
            "R": None, "det": None, "found": False, "certificate": None}
@@ -163,7 +149,7 @@ def kengel_framing_search(lie, W, X, R_hint=None):
     if R_hint is not None:
         R_hint = list(map(Fraction, R_hint))
         for s in (W, X, Y):
-            if any(lie.bracket_vec(R_hint, s)):
+            if any(bracket_vec(lie, R_hint, s)):
                 raise CatalogError(
                     f"declared R = {fmt_vec(lie.names, R_hint)} does not "
                     f"commute with the framing")
@@ -189,11 +175,10 @@ def export_data(lie, W, X, Y, R, policy):
     (W, X, Y, R); the plane field is then ker alpha ∩ ker beta and the
     whole analysis pipeline applies with exact arithmetic.
     """
-    sp = lie.frame_space()
-    fields = [sp.field([ex.rat(c) for c in vec]) for vec in (W, X, Y, R)]
+    fields = [lie.field([ex.rat(c) for c in vec]) for vec in (W, X, Y, R)]
     theta = dual_coframe(fields)
     alpha, beta = theta[3], theta[2]
-    return analyze(sp, alpha.cleanup(), beta.cleanup(), policy,
+    return analyze(lie, alpha.cleanup(), beta.cleanup(), policy,
                    W=fields[0], X=fields[1])
 
 
@@ -204,7 +189,7 @@ def _sol_mn_algebra(c):
     c = [Fraction(x) for x in c]
     if sum(c) != 0:
         raise CatalogError(f"weights {c} do not sum to zero")
-    return LieAlgebra4(
+    return algebra(
         ["X1", "X2", "X3", "T"],
         {(0, 3): [-c[0], 0, 0, 0],
          (1, 3): [0, -c[1], 0, 0],
@@ -216,7 +201,7 @@ def _sol0_algebra(a, b):
     if a == 0 or b == 0:
         raise CatalogError("both weights of the spiral action must be "
                            "nonzero")
-    return LieAlgebra4(
+    return algebra(
         ["U1", "U2", "V", "T"],
         {(0, 3): [-a, -b, 0, 0],
          (1, 3): [b, -a, 0, 0],
@@ -224,7 +209,7 @@ def _sol0_algebra(a, b):
 
 
 def _product_algebra(k):
-    return LieAlgebra4(
+    return algebra(
         ["A", "B", "C", "P"],
         {(0, 1): [0, 0, 1, 0],
          (1, 2): [k, 0, 0, 0],
@@ -246,7 +231,7 @@ GEOMETRIES = {
     },
     "nil3xr": {
         "label": "Nil3 x R",
-        "build": lambda params: LieAlgebra4(
+        "build": lambda params: algebra(
             ["A", "B", "C", "D"],
             {(0, 1): [0, 0, 1, 0],
              (0, 3): [0, 1, 0, 0],
@@ -268,7 +253,7 @@ GEOMETRIES = {
     },
     "sol1": {
         "label": "Sol1^4",
-        "build": lambda params: LieAlgebra4(
+        "build": lambda params: algebra(
             ["A", "B", "C", "T"],
             {(0, 1): [0, 0, 1, 0],
              (0, 3): [1, 0, 0, 0],
@@ -278,7 +263,7 @@ GEOMETRIES = {
     },
     "nil4": {
         "label": "Nil4",
-        "build": lambda params: LieAlgebra4(
+        "build": lambda params: algebra(
             ["A", "B", "C", "D"],
             {(0, 3): [0, -1, 0, 0],
              (1, 3): [0, 0, -1, 0]}),

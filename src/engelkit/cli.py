@@ -66,7 +66,7 @@ def catalog_table(rows):
 
 def _bracket_lines(lie):
     out = []
-    for (i, j), vec in sorted(lie.brackets.items()):
+    for (i, j), vec in sorted(lie.structure.items()):
         comps = "; ".join(str(c) for c in vec)
         out.append(f"bracket {lie.names[i]} {lie.names[j]} = {comps}")
     return out

@@ -14,15 +14,12 @@ from .frames import (DiffForm, FrameError, FrameSpace, VectorField, d,
 from .sampling import nonvanishing
 
 
-def thicken_space(space, name="s", lo=-1, hi=1, periodic=False):
-    """The product of the base with one more coordinate direction.
-
-    An interval by default; a circle fibre with periodic=True.
-    """
+def thicken_space(space, name="s", lo=-1, hi=1):
+    """The product of the base with one more coordinate direction."""
     if name in space.names:
         raise FrameError(f"cannot thicken by {name!r}: the space already "
                          f"has a direction of that name")
-    entries = list(space.entries) + [("coord", name, lo, hi, periodic)]
+    entries = list(space.entries) + [("coord", name, lo, hi)]
     brackets = {}
     for (i, j), vec in space.structure.items():
         brackets[(space.names[i], space.names[j])] = list(vec) + [0]

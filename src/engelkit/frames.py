@@ -1,9 +1,9 @@
 """Frames, vector fields and differential forms on a framed box.
 
-A `FrameSpace` is a product of a coordinate box (periodic directions allowed)
-and invariant directions with constant structure brackets.  The global frame
-is the declaration-order list of coordinate directions and invariant
-directions; every field and form is stored componentwise in that frame.
+A `FrameSpace` is a product of a coordinate box and invariant directions
+with constant structure brackets.  The global frame is the declaration-order
+list of coordinate directions and invariant directions; every field and form
+is stored componentwise in that frame.
 
 Scalar coefficient functions depend on the chart coordinates only, so the
 derivative of a scalar along an invariant direction vanishes and mixed
@@ -24,10 +24,12 @@ class FrameError(Exception):
 class FrameSpace:
     """Coordinate box times invariant directions, with a fixed global frame.
 
-    entries: sequence of ("coord", name, lo, hi, periodic) and
-             ("lie", name) tuples, in frame order.
-    brackets: {(nameA, nameB): [n rational components]} for invariant pairs;
-              validated against the Jacobi identity at construction.
+    entries: sequence of ("coord", name, lo, hi) and ("lie", name) tuples,
+             in frame order.
+    brackets: {(nameA, nameB): [n rational components]} for invariant pairs.
+              Construction does not check the Jacobi identity: the manifest
+              parser rejects a space that fails it, and the catalog reports
+              it through `catalog.jacobi_check`.
     params: {name: rational} substituted exactly when parsing scalars.
     """
 
@@ -40,12 +42,12 @@ class FrameSpace:
         for ent in entries:
             kind = ent[0]
             if kind == "coord":
-                _, name, lo, hi, periodic = ent
+                _, name, lo, hi = ent
                 lo = Fraction(lo)
                 hi = Fraction(hi)
                 if not hi > lo:
                     raise FrameError(f"empty range for coordinate '{name}'")
-                self.coord_ranges.append((name, lo, hi, bool(periodic)))
+                self.coord_ranges.append((name, lo, hi))
             elif kind == "lie":
                 name = ent[1]
             else:
@@ -78,7 +80,6 @@ class FrameSpace:
                 self.structure[(ia, ib)] = vec
             else:
                 self.structure[(ib, ia)] = tuple(-c for c in vec)
-        self._check_jacobi()
 
     # -- construction helpers ----------------------------------------------
 
@@ -103,16 +104,10 @@ class FrameSpace:
 
     def cbr(self, i, j):
         """Constant bracket [e_i, e_j] as a Fraction vector."""
-        return const_bracket(self.structure, self.dim, i, j)
-
-    def _check_jacobi(self):
-        lie = [i for i, k in enumerate(self.kinds) if k == "lie"]
-        bad = jacobi_residuals(self.cbr, self.dim, lie)
-        if bad:
-            (i, j, k), _ = bad[0]
-            raise FrameError(
-                f"structure brackets violate the Jacobi identity on "
-                f"({self.names[i]},{self.names[j]},{self.names[k]})")
+        zero = (Fraction(0),) * self.dim
+        if i <= j:
+            return self.structure.get((i, j), zero)
+        return tuple(-c for c in self.structure.get((j, i), zero))
 
     def dir_deriv(self, i, f):
         """Derivative of a scalar along frame direction i."""
@@ -242,30 +237,22 @@ def nonzero(x, coords, policy):
     return nonvanishing(_components(x), coords, policy)
 
 
-def const_bracket(structure, dim, i, j):
-    """[e_i, e_j] from structure constants {(a, b): vector} with a < b."""
-    if i == j:
-        return (Fraction(0),) * dim
-    if i < j:
-        return structure.get((i, j), (Fraction(0),) * dim)
-    return tuple(-c for c in structure.get((j, i), (Fraction(0),) * dim))
-
-
-def jacobi_residuals(cbr, dim, indices):
+def jacobi_residuals(space):
     """The nonzero cyclic sums [a,[b,c]] + [b,[c,a]] + [c,[a,b]].
 
-    cbr(i, j) is the constant bracket of basis directions i and j as a
-    length-dim vector; a, b, c run over the triples of indices.  Returns
-    ((a, b, c), sum) pairs in triple order.
+    a, b, c run over the triples of invariant directions; a coordinate
+    direction commutes with every frame direction, so no other triple can
+    fail.  Returns ((a, b, c), sum) pairs in triple order.
     """
+    lie = [i for i, kind in enumerate(space.kinds) if kind == "lie"]
     out = []
-    for i, j, k in combinations(indices, 3):
-        total = [Fraction(0)] * dim
+    for i, j, k in combinations(lie, 3):
+        total = [Fraction(0)] * space.dim
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, cm in enumerate(cbr(b, c)):
+            for m, cm in enumerate(space.cbr(b, c)):
                 if cm:
-                    outer = cbr(a, m)
-                    for r in range(dim):
+                    outer = space.cbr(a, m)
+                    for r in range(space.dim):
                         total[r] += cm * outer[r]
         if any(total):
             out.append(((i, j, k), total))

@@ -14,7 +14,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import expr as ex
-from .frames import DiffForm, FrameError, FrameSpace, VectorField
+from .frames import (DiffForm, FrameError, FrameSpace, VectorField,
+                     jacobi_residuals)
 from .metric import Metric
 from .qfield import FieldError, Generators, parse_qnum
 
@@ -146,8 +147,7 @@ class _Parser:
         for lineno, line in section[2]:
             tokens = line.split()
             if tokens[0] == "coord":
-                if len(tokens) not in (4, 5) or \
-                        (len(tokens) == 5 and tokens[4] != "periodic"):
+                if len(tokens) < 4 or tokens[4:] not in ([], ["periodic"]):
                     self.fail(lineno,
                               "usage: coord NAME LO HI [periodic]")
                 try:
@@ -156,8 +156,7 @@ class _Parser:
                     self.fail(lineno, "coordinate bounds must be rational "
                                       "or a rational multiple of pi")
                 self.check_name(lineno, tokens[1], declared)
-                entries.append(("coord", tokens[1], lo, hi,
-                                len(tokens) == 5))
+                entries.append(("coord", tokens[1], lo, hi))
             elif tokens[0] == "lie":
                 if len(tokens) != 2:
                     self.fail(lineno, "usage: lie NAME")
@@ -184,9 +183,15 @@ class _Parser:
             else:
                 self.fail(lineno, f"unknown space directive '{tokens[0]}'")
         try:
-            return FrameSpace(entries, brackets=brackets, params=params)
+            space = FrameSpace(entries, brackets=brackets, params=params)
         except (FrameError, KeyError) as err:
             self.fail(section[3], f"bad space: {err}")
+        bad = jacobi_residuals(space)
+        if bad:
+            names = ",".join(space.names[i] for i in bad[0][0])
+            self.fail(section[3], f"bad space: structure brackets violate "
+                                  f"the Jacobi identity on ({names})")
+        return space
 
     # -- named objects -------------------------------------------------------
 

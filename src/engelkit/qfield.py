@@ -116,27 +116,20 @@ class QNum:
         return QNum(self.gens, out)
 
     def inverse(self):
-        """Invert by solving x*y = 1 over the monomial basis."""
+        """Invert by conjugates.
+
+        Flipping the sign of sqrt(d) is a field automorphism, and y times
+        its flip holds no sqrt(d).  So one flip per generator turns x into
+        a nonzero rational r = x * c, and 1/x = c / r.
+        """
         if not self:
             raise ZeroDivisionError("field inverse of zero")
-        basis = self.gens.monomials()
-        pos = {key: i for i, key in enumerate(basis)}
-        n = len(basis)
-        # column j of m is self * basis[j], written in the basis; column n
-        # is the right-hand side 1
-        m = [[Fraction(0)] * (n + 1) for _ in range(n)]
-        for j, bkey in enumerate(basis):
-            for key, q in self.terms.items():
-                prod = key ^ bkey
-                f = q
-                for d in key & bkey:
-                    f *= d
-                m[pos[prod]][j] += f
-        m[pos[frozenset()]][n] = Fraction(1)
-        if len(reduce_rows(m, n)[0]) < n:
-            raise FieldError("element is a zero divisor; generators are "
-                             "not independent")
-        return QNum(self.gens, {basis[i]: m[i][n] for i in range(n)})
+        norm, cofactor = self, QNum.of(self.gens, 1)
+        for d in self.gens.radicands:
+            flip = QNum(self.gens, {k: -q if d in k else q
+                                    for k, q in norm.terms.items()})
+            norm, cofactor = norm * flip, cofactor * flip
+        return cofactor * (1 / norm.rational_part())
 
     def __truediv__(self, other):
         return self * other.inverse()

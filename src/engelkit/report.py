@@ -16,8 +16,7 @@ from fractions import Fraction
 from . import expr as ex
 from .bundles import (T2_CONDITIONS, T2_FIBRE, boothby_wang, filling_check,
                       t2_bundle_condition, torus_family)
-from .catalog import (CatalogError, LieAlgebra4, commutant, fmt_vec,
-                      kengel_framing_search)
+from .catalog import CatalogError, commutant, fmt_vec, kengel_framing_search
 from .contact import contactization_report
 from .engel import (EngelError, analyze, dbeta2_criterion, identity_suite,
                     integrability_report, rho_criterion, transform_forms)
@@ -159,8 +158,7 @@ def _lie_algebra(mf, task):
     if sp.dim != 4 or any(k != "lie" for k in sp.kinds):
         raise ManifestError(f"task '{task.name}': needs a 4-dim invariant "
                             f"frame space")
-    brackets = {key: list(vec) for key, vec in sp.structure.items()}
-    return LieAlgebra4(sp.names, brackets)
+    return sp
 
 
 def _scalar_arg(mf, task, key):
@@ -176,6 +174,8 @@ def _scalar_arg(mf, task, key):
 # operations
 
 def op_engel(mf, task, policy, outputs, res):
+    if mf.space.dim != 4:
+        raise ManifestError(f"task '{task.name}': needs a 4-dim space")
     alpha = _form(mf, task, "alpha", 1)
     beta = _form(mf, task, "beta", 1)
     W = _field(mf, task, "W", optional=True)

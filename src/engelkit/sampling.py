@@ -47,19 +47,20 @@ class SamplingPolicy:
     def points(self, coords):
         """Sample points for named coordinate ranges.
 
-        coords: sequence of (name, lo, hi, periodic).  Every coordinate,
-        periodic or not, samples the half-open range [lo, hi): the Halton
-        radical inverse never reaches 1.  Coordinate j of sample i is
-        lo + halton(seed*n + i, PRIMES[j]) * (hi - lo); each column of
-        Halton values is computed once per policy.  The points are built
-        once per coordinate tuple and returned as the same tuple of
-        read-only mappings on every later call.
+        coords: sequence of (name, lo, hi).  Every coordinate samples the
+        half-open range [lo, hi), as the Halton radical inverse never
+        reaches 1; a manifest's `periodic` keyword changes nothing here.
+        Coordinate j of sample i is lo + halton(seed*n + i, PRIMES[j]) *
+        (hi - lo); each column of Halton values is computed once per
+        policy.  The points are built once per coordinate tuple and
+        returned as the same tuple of read-only mappings on every later
+        call.
         """
         coords = tuple(coords)
         pts = self._points.get(coords)
         if pts is None:
             cols = [self._scaled(j, float(lo), float(hi))
-                    for j, (_, lo, hi, _) in enumerate(coords)]
+                    for j, (_, lo, hi) in enumerate(coords)]
             names = [c[0] for c in coords]
             rows = zip(*cols) if cols else [()] * self.n_samples
             pts = self._points[coords] = tuple(
@@ -83,7 +84,7 @@ class SamplingPolicy:
     @staticmethod
     def _point(coords, index):
         env = {}
-        for j, (name, lo, hi, _) in enumerate(coords):
+        for j, (name, lo, hi) in enumerate(coords):
             u = halton(index, PRIMES[j % len(PRIMES)])
             lo, hi = float(lo), float(hi)
             env[name] = lo + u * (hi - lo)

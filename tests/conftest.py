@@ -12,7 +12,7 @@ def policy():
 
 
 def torus_space():
-    return FrameSpace([("coord", n, 0, 1, True) for n in "xyzt"])
+    return FrameSpace([("coord", n, 0, 1) for n in "xyzt"])
 
 
 def torus_forms(sp):

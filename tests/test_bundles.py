@@ -34,13 +34,13 @@ def su2_contact_data(sp):
 
 
 def contact_chart():
-    return FrameSpace([("coord", n, 0, 1, False) for n in "xyz"])
+    return FrameSpace([("coord", n, 0, 1) for n in "xyz"])
 
 
 # -- circle bundle over a contact 3-space ------------------------------------
 
 def test_circle_product_keeps_brackets(policy):
-    sp4 = thicken_space(su2_frame(), "t", 0, 1, periodic=True)
+    sp4 = thicken_space(su2_frame(), "t", 0, 1)
     assert sp4.dim == 4
     assert sp4.names == ["A", "B", "C", "t"]
     assert list(sp4.cbr(0, 1)) == [0, 0, 1, 0]
@@ -142,8 +142,7 @@ def test_thickened_pair_volume_identity(torus, policy):
 # -- torus bundle over a surface chart ----------------------------------------
 
 def surface_chart():
-    return FrameSpace([("coord", "x", 0, 1, False),
-                       ("coord", "y", 0, 1, False)])
+    return FrameSpace([("coord", "x", 0, 1), ("coord", "y", 0, 1)])
 
 
 def test_t2_bundle_satisfying_instance(policy):
@@ -238,7 +237,7 @@ def test_t2_bundle_rejects_bad_eps(policy):
 # -- flat torus bundles over the 2-torus --------------------------------------
 
 def flat_bundle_space():
-    return FrameSpace([("coord", n, 0, 1, True) for n in "xyuv"])
+    return FrameSpace([("coord", n, 0, 1) for n in "xyuv"])
 
 
 def flat_bundle_forms(sp, lam1, lam2, p, q):

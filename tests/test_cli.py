@@ -118,6 +118,24 @@ def test_bad_reeb_expectation_exits_2(tmp_path, capsys):
         assert "bad expectation" in err
 
 
+def test_space_failing_jacobi_exits_2(tmp_path, capsys):
+    text = """engelkit-manifest 1
+
+[space]
+lie A
+lie B
+lie C
+bracket A B = 0; 0; 1
+bracket A C = 1; 0; 0
+bracket B C = 0; 1; 0
+"""
+    code, err, path = run_text(tmp_path, capsys, text)
+    assert code == 2
+    assert err == (f"error: {path}:{line_of(text, '[space]')}: bad space: "
+                   f"structure brackets violate the Jacobi identity on "
+                   f"(A,B,C)\n")
+
+
 def test_unknown_op_exits_2(tmp_path, capsys):
     text = NIL4_HEAD + "\n[task odd]\nop = nosuchop\n"
     code, err, path = run_text(tmp_path, capsys, text)
@@ -161,6 +179,18 @@ prim1 = zero
 prim2 = zero
 n = 0 0
 """, "needs a 2-dim chart"),
+    "engel": ("xyz", """
+[form a]
+comps = -y; 0; 1
+
+[form b]
+comps = 0; 1; 0
+
+[task bundle]
+op = engel
+alpha = a
+beta = b
+""", "needs a 4-dim space"),
 }
 
 

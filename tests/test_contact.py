@@ -18,7 +18,7 @@ def test_thicken_torus_space(torus):
     sp5 = thicken_space(torus.space)
     assert sp5.dim == 5
     assert sp5.names[-1] == "s"
-    assert sp5.coord_ranges[-1] == ("s", -1.0, 1.0, False)
+    assert sp5.coord_ranges[-1] == ("s", -1.0, 1.0)
 
 
 def test_contact_form_components(torus):

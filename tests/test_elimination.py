@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from engelkit.catalog import LieAlgebra4, commutant, det4
+from engelkit.catalog import algebra, commutant, det4
 from engelkit.qfield import (FieldError, Generators, QNum, rational_rank,
                              solve_linear)
 from oracle import ExactLie, frac_det, frac_inv, frac_rank
@@ -63,7 +63,7 @@ NAMES = ["A", "B", "C", "D"]
                          min_size=1, max_size=3))
 def test_commutant_matches_oracle(table, elements):
     # the commutant is a nullspace, so Jacobi is not needed here
-    lie = LieAlgebra4(NAMES, dict(zip(PAIRS, table)))
+    lie = algebra(NAMES, dict(zip(PAIRS, table)))
     oracle = ExactLie(NAMES, {
         (NAMES[i], NAMES[j]): {NAMES[k]: c for k, c in enumerate(vec)}
         for (i, j), vec in zip(PAIRS, table)})

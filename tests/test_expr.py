@@ -165,7 +165,7 @@ def test_halton_starts_at_corner():
 
 
 def test_policy_deterministic():
-    coords = [("x", 0, 1, True), ("y", -1, 1, False)]
+    coords = [("x", 0, 1), ("y", -1, 1)]
     a = SamplingPolicy(seed=3, n_samples=16).points(coords)
     b = SamplingPolicy(seed=3, n_samples=16).points(coords)
     assert a == b
@@ -174,7 +174,7 @@ def test_policy_deterministic():
 
 
 def test_is_zero_verdicts():
-    coords = [("x", 0, 1, True)]
+    coords = [("x", 0, 1)]
     pol = SamplingPolicy()
     assert is_zero_expr(P("x - x"), coords, pol).kind == "exact"
     assert is_zero_expr(P("sin(x)^2 + cos(x)^2 - 1"), coords, pol).kind == "sampled"
@@ -183,7 +183,7 @@ def test_is_zero_verdicts():
 
 
 def test_nonvanishing_handles_singular_samples():
-    coords = [("x", 0, 1, True)]
+    coords = [("x", 0, 1)]
     pol = SamplingPolicy(n_samples=8)
     assert nonvanishing([P("1/x"), P("1 + x")], coords, pol).ok
 

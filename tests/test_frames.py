@@ -11,8 +11,8 @@ from engelkit.frames import (DiffForm, FrameError, FrameSpace, VectorField,
 from engelkit.sampling import SamplingPolicy
 
 
-def unit_box(*names, periodic=True):
-    return FrameSpace([("coord", n, 0, 1, periodic) for n in names])
+def unit_box(*names):
+    return FrameSpace([("coord", n, 0, 1) for n in names])
 
 
 @pytest.fixture
@@ -29,14 +29,9 @@ def torus_alpha(torus):
 
 def test_space_validation():
     with pytest.raises(FrameError):
-        FrameSpace([("coord", "x", 0, 0, True)])
+        FrameSpace([("coord", "x", 0, 0)])
     with pytest.raises(FrameError):
-        FrameSpace([("coord", "x", 0, 1, True), ("coord", "x", 0, 1, True)])
-    with pytest.raises(FrameError):
-        FrameSpace([("lie", "A"), ("lie", "B"), ("lie", "C")],
-                   brackets={("A", "B"): [0, 0, 1],
-                             ("A", "C"): [1, 0, 0],
-                             ("B", "C"): [0, 1, 0]})  # fails Jacobi
+        FrameSpace([("coord", "x", 0, 1), ("coord", "x", 0, 1)])
 
 
 def test_exterior_derivative_chart(torus, torus_alpha):
@@ -78,7 +73,7 @@ def test_bracket_lie_structure():
 
 def test_mixed_product_directions():
     sp = FrameSpace([("lie", "A"), ("lie", "B"), ("lie", "C"),
-                     ("coord", "t", 0, 1, True)],
+                     ("coord", "t", 0, 1)],
                     brackets={("A", "B"): [0, 0, 1, 0]})
     A = sp.basis_field(0)
     T = sp.basis_field(3)
@@ -286,8 +281,8 @@ def dense_pair(w, *fields):
 
 
 # x, y times the 3-dim algebra R acting on span{B, C}
-MIXED = FrameSpace([("coord", "x", 0, 1, True), ("lie", "A"),
-                    ("coord", "y", 0, 1, False), ("lie", "B"), ("lie", "C")],
+MIXED = FrameSpace([("coord", "x", 0, 1), ("lie", "A"),
+                    ("coord", "y", 0, 1), ("lie", "B"), ("lie", "C")],
                    brackets={("A", "B"): [0, 0, 0, 1, 2],
                              ("A", "C"): [0, 0, 0, -1, "1/2"]})
 

@@ -21,7 +21,7 @@ def prolong_space(k):
     """Invariant 3-frame [A,B] = C, [B,C] = kA, [C,A] = kB, plus a circle."""
     return FrameSpace(
         [("lie", "A"), ("lie", "B"), ("lie", "C"),
-         ("coord", "t", 0, TAU, True)],
+         ("coord", "t", 0, TAU)],
         brackets={("A", "B"): [0, 0, 1, 0],
                   ("B", "C"): [k, 0, 0, 0],
                   ("C", "A"): [0, k, 0, 0]})

@@ -36,7 +36,7 @@ POLICY = SamplingPolicy(seed=0, n_samples=64)
 def frame_space(kinds):
     """A frame of coordinate (True) and invariant (False) directions; three
     or more invariant ones carry a Heisenberg bracket."""
-    entries = [("coord", f"x{i}", 0, 1, True) if coord else ("lie", f"e{i}")
+    entries = [("coord", f"x{i}", 0, 1) if coord else ("lie", f"e{i}")
                for i, coord in enumerate(kinds)]
     lie = [e[1] for e in entries if e[0] == "lie"]
     brackets = {}
@@ -172,7 +172,7 @@ def test_contact_reeb_field_matches_a_numeric_solve(derived):
 # --- a vanishing normalizer --------------------------------------------------
 
 def test_a_closed_beta_has_no_transverse_direction():
-    sp = FrameSpace([("coord", n, 0, 1, True) for n in "xyzt"])
+    sp = FrameSpace([("coord", n, 0, 1) for n in "xyzt"])
     alpha = sp.one_form([sp.scalar("-cos(2*pi*t)"),
                          sp.scalar("-sin(2*pi*t)"), ex.ONE, ex.ZERO])
     beta = sp.one_form([ex.ONE, ex.ZERO, ex.ZERO, ex.ZERO])   # dbeta = 0
@@ -182,7 +182,7 @@ def test_a_closed_beta_has_no_transverse_direction():
 
 
 def test_a_closed_eta_has_no_reeb_field():
-    sp5 = thicken_space(FrameSpace([("coord", n, 0, 1, True)
+    sp5 = thicken_space(FrameSpace([("coord", n, 0, 1)
                                     for n in "xyzt"]))
     eta = sp5.one_form([ex.ONE] + [ex.ZERO] * 4)
     with pytest.raises(FrameError, match=r"^contact Reeb field: eta\(K\) "

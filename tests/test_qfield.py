@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from engelkit.qfield import (FieldError, Generators, QNum, parse_qnum,
                              rational_rank, solve_linear, span_rank)
@@ -91,6 +92,17 @@ def test_inverse_round_trip_dense_element():
     x = num("1 - 2/3*sqrt2 + sqrt6")
     assert (x * x.inverse()) == QNum.of(gens23(), 1)
     assert (x / x) == QNum.of(gens23(), 1)
+
+
+GENS235 = Generators((2, 3, 5))
+RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(RATIONALS, min_size=8, max_size=8).filter(any))
+def test_inverse_round_trip_over_three_generators(coeffs):
+    x = QNum(GENS235, dict(zip(GENS235.monomials(), coeffs)))
+    assert x * x.inverse() == QNum.of(GENS235, 1)
 
 
 def test_inverse_of_zero_raises():

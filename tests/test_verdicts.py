@@ -14,8 +14,7 @@ POLICY = SamplingPolicy(n_samples=16)
 
 
 def box():
-    return FrameSpace([("coord", "x", 0, 1, False),
-                       ("coord", "y", 0, 1, False)])
+    return FrameSpace([("coord", "x", 0, 1), ("coord", "y", 0, 1)])
 
 
 def test_describe_texts():
@@ -70,14 +69,14 @@ def test_nonzero_treats_empty_as_zero():
                        POLICY).ok
 
 
-COORDS = (("x", 0, 1, True), ("y", Fraction(-1), 2, False))
+COORDS = (("x", 0, 1), ("y", Fraction(-1), 2))
 
 
 def halton_points(seed, n, coords):
     """The sample points written out from the Halton sequence."""
     return [{name: float(lo) + halton(seed * n + i, PRIMES[j])
              * (float(hi) - float(lo))
-             for j, (name, lo, hi, _) in enumerate(coords)}
+             for j, (name, lo, hi) in enumerate(coords)}
             for i in range(n)]
 
 
@@ -91,7 +90,7 @@ def test_points_are_built_once_and_equal_a_fresh_policy():
 
 @pytest.mark.parametrize("seed, n, coords", [
     (6, 8, COORDS), (5, 9, COORDS), (5, 8, COORDS[:1]),
-    (5, 8, (("x", 0, 2, True),) + COORDS[1:])])
+    (5, 8, (("x", 0, 2),) + COORDS[1:])])
 def test_points_differ_across_seed_count_and_coords(seed, n, coords):
     pol = SamplingPolicy(seed=5, n_samples=8)
     pol.points(COORDS)
@@ -101,9 +100,8 @@ def test_points_differ_across_seed_count_and_coords(seed, n, coords):
         == halton_points(seed, n, coords)
 
 
-MIXED = (("x", 0, 1, True), ("y", Fraction(-1, 3), 2, False),
-         ("z", Fraction(1, 7), Fraction(5, 3), False),
-         ("t", -2, Fraction(1, 2), True))
+MIXED = (("x", 0, 1), ("y", Fraction(-1, 3), 2),
+         ("z", Fraction(1, 7), Fraction(5, 3)), ("t", -2, Fraction(1, 2)))
 
 
 @pytest.mark.parametrize("seed", [0, 137])
@@ -113,7 +111,7 @@ def test_column_built_points_equal_the_formula_bit_for_bit(seed, n):
     assert len(pts) == n
     for i, pt in enumerate(pts):
         assert list(pt) == ["x", "y", "z", "t"]
-        for j, (name, lo, hi, _) in enumerate(MIXED):
+        for j, (name, lo, hi) in enumerate(MIXED):
             want = float(lo) + halton(seed * n + i, PRIMES[j]) \
                 * (float(hi) - float(lo))
             assert pt[name].hex() == want.hex()
@@ -185,7 +183,7 @@ def test_rational_nonvanishing_matches_the_sampling_loop(values, kind):
     # sin of inf is a math domain error at every sample
     ("sin(exp(700*x)*exp(701*x))", 1, 2)])
 def test_no_sample_evaluated_is_not_a_zero(text, lo, hi):
-    coords = (("x", lo, hi, False),)
+    coords = (("x", lo, hi),)
     pol = SamplingPolicy(n_samples=16)
     e = ex.parse(text, ("x",))
     v = is_zero_expr(e, coords, pol)
@@ -197,7 +195,7 @@ def test_no_sample_evaluated_is_not_a_zero(text, lo, hi):
 
 
 def test_every_component_needs_an_evaluated_sample():
-    coords = (("x", -2, -1, False),)
+    coords = (("x", -2, -1),)
     pol = SamplingPolicy(n_samples=16)
     x_minus_x = ex.add(ex.var("x"), ex.neg(ex.var("x")))
     v = sampling.is_zero_many([x_minus_x, ex.parse("ln(x)", ("x",))],
@@ -212,12 +210,12 @@ def test_every_component_needs_an_evaluated_sample():
 def test_overflow_is_a_singular_sample_for_nonvanishing():
     # exp(exp(exp(10*x))) overflows a float from x = 0.1882 on
     e = ex.parse("exp(exp(exp(10*x)))", ("x",))
-    coords = (("x", 0, Fraction(1, 4), False),)
+    coords = (("x", 0, Fraction(1, 4)),)
     pol = SamplingPolicy(n_samples=16)
     assert any(p["x"] > 0.1882 for p in pol.points(coords))
     v = nonvanishing([e], coords, pol)
     assert v.ok and v.point == {"x": 0.0}
-    v = nonvanishing([e], (("x", 1, 2, False),), pol)
+    v = nonvanishing([e], (("x", 1, 2),), pol)
     assert v.kind == "vanishing" and v.value == 0.0
 
 

@@ -188,7 +188,8 @@ def export_data(lie, W, X, Y, R, policy):
 def _sol_mn_algebra(c):
     c = [Fraction(x) for x in c]
     if sum(c) != 0:
-        raise CatalogError(f"weights {c} do not sum to zero")
+        raise CatalogError(
+            f"weights {', '.join(map(str, c))} do not sum to zero")
     return algebra(
         ["X1", "X2", "X3", "T"],
         {(0, 3): [-c[0], 0, 0, 0],

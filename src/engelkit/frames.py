@@ -387,56 +387,86 @@ def determinant(fields):
     """det of the component matrix (columns = fields, rows = frame)."""
     sp = fields[0].space
     n = sp.dim
-    assert len(fields) == n
+    if len(fields) != n:
+        raise FrameError(f"a determinant needs {n} fields")
     rows = [[f.comps[i] for f in fields] for i in range(n)]
-    return ex.normalize(_det(rows))
+    every = tuple(range(n))
+    return _minor(rows, every, every, {})
 
 
-def _det(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    terms = []
-    for j in range(n):
-        if ex.is_zero(rows[0][j]):
-            continue
-        minor = [[rows[i][jj] for jj in range(n) if jj != j]
-                 for i in range(1, n)]
-        term = ex.mul(rows[0][j], _det(minor))
-        terms.append(term if j % 2 == 0 else ex.neg(term))
-    return ex.add(*terms) if terms else ex.ZERO
+def _minor(matrix, rows, cols, memo):
+    """The normalized minor of matrix on the given row and column index
+    tuples, by Laplace expansion along its first row.  Every sub-minor is
+    kept in memo under (rows, cols), so one shared by several expansions
+    is expanded once."""
+    if not rows:
+        return ex.ONE
+    key = (rows, cols)
+    out = memo.get(key)
+    if out is None:
+        top = matrix[rows[0]]
+        terms = []
+        for t, c in enumerate(cols):
+            if ex.is_zero(top[c]):
+                continue
+            sub = _minor(matrix, rows[1:], cols[:t] + cols[t + 1:], memo)
+            if not ex.is_zero(sub):
+                term = ex.mul(top[c], sub)
+                terms.append(term if t % 2 == 0 else ex.neg(term))
+        out = ex.normalize(ex.add(*terms)) if terms else ex.ZERO
+        memo[key] = out
+    return out
 
 
 def cramer(rows, rhs, det):
     """Solve rows * u = rhs by Cramer's rule: u_i sums rhs_j times the
     (j, i) cofactor, skipping zero rhs_j, over det, the cleaned-up nonzero
-    determinant of rows."""
+    determinant of rows.  The cofactors share one memo of sub-minors."""
     n = len(rows)
+    every = tuple(range(n))
+    memo = {}
     out = []
     for i in range(n):
         terms = []
         for j in range(n):
             if not ex.is_zero(rhs[j]):
-                minor = [row[:i] + row[i + 1:]
-                         for k, row in enumerate(rows) if k != j]
-                term = ex.mul(rhs[j], _det(minor) if minor else ex.ONE)
+                minor = _minor(rows, every[:j] + every[j + 1:],
+                               every[:i] + every[i + 1:], memo)
+                term = ex.mul(rhs[j], minor)
                 terms.append(term if (i + j) % 2 == 0 else ex.neg(term))
         out.append(ex.cleanup(ex.div(ex.cleanup(ex.add(*terms)), det)))
     return out
 
 
+# fields' component tuples -> the dual coframe's component lists; emptied
+# once it holds more than ex.TABLE_LIMIT entries
+_COFRAMES = {}
+
+
 def dual_coframe(fields):
-    """1-forms theta^k with theta^k(fields[j]) = delta_kj, via exact Cramer."""
+    """1-forms theta^k with theta^k(fields[j]) = delta_kj, via exact Cramer.
+
+    The components are computed once per component matrix and kept in
+    _COFRAMES; they name no space, so the forms are built on the fields'
+    space at every call.  Raises FrameError for dependent fields or for
+    other than one field per frame direction."""
     sp = fields[0].space
     n = sp.dim
-    assert len(fields) == n
-    det = ex.cleanup(determinant(fields))
-    if ex.is_zero(det):
-        raise FrameError("frame fields are linearly dependent")
-    rows = [f.comps for f in fields]
-    units = [[ex.ONE if j == k else ex.ZERO for j in range(n)]
-             for k in range(n)]
-    return [sp.one_form(cramer(rows, e, det)) for e in units]
+    if len(fields) != n:
+        raise FrameError(f"a coframe needs {n} fields")
+    matrix = tuple(f.comps for f in fields)
+    comps = _COFRAMES.get(matrix)
+    if comps is None:
+        det = ex.cleanup(determinant(fields))
+        if ex.is_zero(det):
+            raise FrameError("frame fields are linearly dependent")
+        units = [[ex.ONE if j == k else ex.ZERO for j in range(n)]
+                 for k in range(n)]
+        comps = [cramer(matrix, e, det) for e in units]
+        if len(_COFRAMES) > ex.TABLE_LIMIT:
+            _COFRAMES.clear()
+        _COFRAMES[matrix] = comps
+    return [sp.one_form(c) for c in comps]
 
 
 def kernel_line(w):
@@ -575,7 +605,8 @@ def _solve_square(space, work, solved, unknowns, policy):
     if len(rows) != len(unknowns):
         return None
     mat = [coeffs for coeffs, _ in rows]
-    det = ex.normalize(_det(mat))
+    every = tuple(range(len(mat)))
+    det = _minor(mat, every, every, {})
     if not nonvanishing([det], space.coord_ranges, policy).ok:
         return None
     return dict(zip(unknowns, cramer(mat, [r for _, r in rows],

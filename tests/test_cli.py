@@ -281,12 +281,16 @@ def test_negative_seed_exits_2(capsys):
     ("sol_mn", "c=1"),      # a scalar for a triple
     ("sol_mn", "c=1,-1"),   # a pair for a triple
     ("sol0", "a=1,2"),      # a pair for a scalar
-    ("nil4", "q=3")])       # a name the geometry does not take
+    ("nil4", "q=3"),        # a name the geometry does not take
+    ("sol_mn", "c=1,2,3")])  # weights that do not sum to zero
 def test_bad_catalog_params_exit_2(capsys, geometry, param):
     assert main(["catalog", "--geometry", geometry, "--params", param]) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("error: ")
     assert "Traceback" not in out.err
+    assert "Fraction(" not in out.err
+    if param == "c=1,2,3":
+        assert out.err == "error: weights 1, 2, 3 do not sum to zero\n"
 
 
 TORUS_HEAD = (ROOT / "corpus" / "torus.ek").read_text(

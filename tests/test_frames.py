@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from engelkit import expr as ex
+from engelkit import frames
 from engelkit.frames import (DiffForm, FrameError, FrameSpace, VectorField,
                              bracket, d, determinant, dual_coframe, fmt_field,
                              interior, kernel_line, lie_form, pair,
                              perm_sign, solve_kernel, wedge)
 from engelkit.sampling import SamplingPolicy
+from oracle import ExactLie, frac_det
 
 
 def unit_box(*names):
@@ -345,3 +347,148 @@ def test_a_repeated_derivative_differentiates_once(torus, monkeypatch):
     second = torus.dir_deriv(3, f)
     assert first is second == torus.scalar("2*pi*x*cos(2*pi*t)")
     assert sum(1 for e in derived if e is f) == 1
+
+
+# --- the inverse: one expansion per minor, one inversion per matrix -------
+
+def ref_det(rows):
+    """The determinant by full Laplace recursion, sub-minors recomputed."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    terms = []
+    for j in range(n):
+        if ex.is_zero(rows[0][j]):
+            continue
+        minor = [[rows[i][jj] for jj in range(n) if jj != j]
+                 for i in range(1, n)]
+        term = ex.mul(rows[0][j], ref_det(minor))
+        terms.append(term if j % 2 == 0 else ex.neg(term))
+    return ex.add(*terms) if terms else ex.ZERO
+
+
+def ref_cramer(rows, rhs, det):
+    n = len(rows)
+    out = []
+    for i in range(n):
+        terms = []
+        for j in range(n):
+            if not ex.is_zero(rhs[j]):
+                minor = [row[:i] + row[i + 1:]
+                         for k, row in enumerate(rows) if k != j]
+                term = ex.mul(rhs[j], ref_det(minor) if minor else ex.ONE)
+                terms.append(term if (i + j) % 2 == 0 else ex.neg(term))
+        out.append(ex.cleanup(ex.div(ex.cleanup(ex.add(*terms)), det)))
+    return out
+
+
+def ref_dual_coframe(fields):
+    """Components of the dual coframe, each cofactor expanded afresh;
+    None for dependent fields."""
+    n = len(fields)
+    det = ex.cleanup(ex.normalize(ref_det(
+        [[f.comps[i] for f in fields] for i in range(n)])))
+    if ex.is_zero(det):
+        return None
+    rows = [f.comps for f in fields]
+    units = [[ex.ONE if j == k else ex.ZERO for j in range(n)]
+             for k in range(n)]
+    return [ref_cramer(rows, e, det) for e in units]
+
+
+LIE4 = FrameSpace([("lie", n) for n in "ABCD"])
+rational_entry = st.fractions(-3, 3, max_denominator=4)
+rational_frame = st.lists(st.lists(rational_entry, min_size=4, max_size=4),
+                          min_size=4, max_size=4)
+
+
+def rational_fields(space, m):
+    return [space.field([ex.rat(q) for q in col]) for col in m]
+
+
+@given(rational_frame)
+@settings(max_examples=40, deadline=None)
+def test_dual_coframe_matches_the_oracle_inverse(m):
+    fs = rational_fields(LIE4, m)
+    want = frac_det([row[:] for row in m])
+    assert determinant(fs) == ex.rat(want)
+    if want == 0:
+        with pytest.raises(FrameError, match="linearly dependent"):
+            dual_coframe(fs)
+        return
+    oracle = ExactLie("ABCD", {}).dual_coframe(m)
+    for theta, row in zip(dual_coframe(fs), oracle):
+        assert theta.space is LIE4 and theta.degree == 1
+        assert [theta.comp((i,)) for i in range(4)] == \
+            [ex.rat(q) for q in row]
+
+
+@given(st.one_of(st.tuples(*[fields(SP3)] * 3),
+                 st.tuples(*[fields(MIXED, sparse_scalars)] * 5)))
+@settings(max_examples=30, deadline=None)
+def test_dual_coframe_equals_the_fresh_expansion(fs):
+    fs = list(fs)
+    n = len(fs)
+    assert determinant(fs) == ex.normalize(ref_det(
+        [[f.comps[i] for f in fs] for i in range(n)]))
+    want = ref_dual_coframe(fs)
+    if want is None:
+        with pytest.raises(FrameError, match="linearly dependent"):
+            dual_coframe(fs)
+        return
+    assert [[theta.comp((i,)) for i in range(n)]
+            for theta in dual_coframe(fs)] == \
+        [[ex.normalize(c) for c in comps] for comps in want]
+
+
+def test_equal_matrices_on_two_spaces_give_forms_on_each():
+    spaces = [FrameSpace([("lie", n) for n in "ABCD"]) for _ in range(2)]
+    m = [[1, 2, 0, 0], [0, 1, 0, 0], [0, 0, 1, -1], [0, 0, 1, 1]]
+    coframes = [dual_coframe(rational_fields(sp, m)) for sp in spaces]
+    for sp, theta in zip(spaces, coframes):
+        assert all(t.space is sp for t in theta)
+    assert [t.comps for t in coframes[0]] == [t.comps for t in coframes[1]]
+
+
+def test_a_repeated_coframe_inverts_once(torus, monkeypatch):
+    monkeypatch.setattr(frames, "_COFRAMES", {})
+    solves = []
+    cramer = frames.cramer
+
+    def counted(rows, rhs, det):
+        solves.append(rhs)
+        return cramer(rows, rhs, det)
+
+    monkeypatch.setattr(frames, "cramer", counted)
+    W = torus.field([torus.scalar("cos(2*pi*t)"), torus.scalar("sin(2*pi*t)"),
+                     ex.ONE, ex.ZERO])
+    X, R = torus.basis_field(3), torus.basis_field(2)
+    T = torus.field([torus.scalar("-sin(2*pi*t)"), torus.scalar("cos(2*pi*t)"),
+                     ex.ZERO, ex.ZERO])
+    first = dual_coframe([W, X, T, R])
+    assert len(solves) == 4
+    second = dual_coframe([W, X, T, R])
+    assert len(solves) == 4
+    assert [t.comps for t in first] == [t.comps for t in second]
+
+
+def test_coframes_stay_right_when_the_tables_are_dropped(monkeypatch):
+    monkeypatch.setattr(frames, "_COFRAMES", {})
+    frames_in = [[[1, q, 0, 0], [0, 1, 0, 0], [0, 0, 2, q], [q, 0, 0, 1]]
+                 for q in range(-3, 4)]
+    want = [[t.comps for t in dual_coframe(rational_fields(LIE4, m))]
+            for m in frames_in]
+    monkeypatch.setattr(frames, "_COFRAMES", {})
+    monkeypatch.setattr(ex, "TABLE_LIMIT", 3)  # both tables drop often
+    for m in frames_in + frames_in:
+        got = dual_coframe(rational_fields(LIE4, m))
+        assert [t.comps for t in got] == want[frames_in.index(m)]
+        assert len(frames._COFRAMES) <= 4
+
+
+@pytest.mark.parametrize("make, what", [(determinant, "determinant"),
+                                        (dual_coframe, "coframe")])
+def test_a_frame_needs_one_field_per_direction(torus, make, what):
+    fields3 = [torus.basis_field(i) for i in range(3)]
+    with pytest.raises(FrameError, match=f"a {what} needs 4 fields"):
+        make(fields3)

@@ -283,6 +283,14 @@ def _shape(value):
     return len(value) if isinstance(value, tuple) else None
 
 
+def fmt_params(params):
+    """params in the `--params` notation, `k=v` or `k=v1,v2,v3`, separated
+    by spaces and sorted by name; empty for no parameters."""
+    return " ".join(
+        f"{k}={','.join(str(x) for x in val)}" if isinstance(val, tuple)
+        else f"{k}={val}" for k, val in sorted(params.items()))
+
+
 def geometry_row(name, params=None, policy=None):
     """One catalog row: search for the framing, export and verify if found."""
     if name not in GEOMETRIES:
@@ -291,8 +299,9 @@ def geometry_row(name, params=None, policy=None):
     merged = dict(entry["params"])
     for key, value in (params or {}).items():
         if key not in merged or _shape(value) != _shape(merged[key]):
+            defaults = fmt_params(entry["params"]) or "none"
             raise CatalogError(f"bad parameter {key!r} for {name}; "
-                               f"defaults: {entry['params'] or 'none'}")
+                               f"defaults: {defaults}")
         merged[key] = value
     lie = entry["build"](merged)
     row = {"name": name, "label": entry["label"], "params": merged}

@@ -11,7 +11,8 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .catalog import (CatalogError, GEOMETRIES, catalog_run, geometry_row)
+from .catalog import (CatalogError, GEOMETRIES, catalog_run, fmt_params,
+                      geometry_row)
 from .frames import fmt_form
 from .manifest import HEADER, ManifestError, load_manifest
 from .report import run_manifest
@@ -35,14 +36,6 @@ def parse_params(tokens):
     return out
 
 
-def _fmt_params(params):
-    if not params:
-        return "-"
-    return " ".join(
-        f"{k}={','.join(str(x) for x in val)}" if isinstance(val, tuple)
-        else f"{k}={val}" for k, val in sorted(params.items()))
-
-
 def catalog_table(rows):
     lines = [f"{'geometry':10s} {'params':12s} {'jacobi':6s} "
              f"{'outcome':7s} detail"]
@@ -55,7 +48,8 @@ def catalog_table(rows):
                 detail += "  [verification FAILED]"
         else:
             detail = row.get("certificate", "")
-        lines.append(f"{row['name']:10s} {_fmt_params(row['params']):12s} "
+        params = fmt_params(row["params"]) or "-"
+        lines.append(f"{row['name']:10s} {params:12s} "
                      f"{'ok' if row['jacobi'] else 'FAIL':6s} "
                      f"{row['outcome']:7s} {detail}")
     return "\n".join(lines) + "\n"
@@ -85,7 +79,7 @@ def geometry_manifest(name, params=None, policy=None):
     lie = entry["build"](row["params"])
     lines = [HEADER, f"# catalog geometry: {row['label']}"]
     if row["params"]:
-        lines.append(f"# params: {_fmt_params(row['params'])}")
+        lines.append(f"# params: {fmt_params(row['params'])}")
     lines += ["", "[space]"]
     lines += [f"lie {n}" for n in lie.names]
     lines += _bracket_lines(lie)

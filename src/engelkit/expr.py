@@ -22,8 +22,9 @@ Hash-Consing", 2006): `normalize` returns the one interned node of each
 canonical value, and `normalize` of an interned node is that node itself.
 The invariant: an interned node is canonical, and no node is ever mutated.
 `cleanup`, `derivative` (the normalized partial derivative by each
-coordinate), and the Python function that `evaluate` compiles an expression
-into, are remembered per interned node.  The tables live for the process
+coordinate), and the Python function that evaluates an expression over a
+whole column set of points, which `evaluate` calls for one point, are
+remembered per interned node.  The tables live for the process
 and are dropped together once one holds more than TABLE_LIMIT entries.
 """
 
@@ -461,27 +462,45 @@ def substitute(e, mapping):
     raise ExprError(f"cannot substitute into {tag!r}")
 
 
-# Evaluation compiles an expression into a straight-line Python function of
-# the point: one statement per distinct node, in the order of a recursive
-# walk that evaluates a denominator before its numerator.  So the float
-# operations, their order and the first error raised are those of the walk,
-# and a shared subexpression is computed once (evaluation is pure).  A sum
-# is `sum` of a flat tuple and a product a chain from 1.0 cut into short
-# statements, so the code nests no deeper as terms are added.  Names enter
-# the source only as repr() literals, and rationals only through the
-# function's globals.
+# Evaluation compiles an expression into one Python function over a column
+# set (name -> the name's value at each point): a loop over the points whose
+# body is one straight-line statement per distinct node, in the order of a
+# recursive walk that evaluates a denominator before its numerator.  So the
+# float operations, their order and the first error raised at a point are
+# those of the walk, and a shared subexpression is computed once per point
+# (evaluation is pure).  The loop raises at a failing point, and
+# `evaluate_columns` records the error for that point and resumes at the
+# next: a loop without exception handling compiles in about half the time,
+# and compiling is a large share of a 64-sample check.  A sum is `sum` of a
+# flat tuple and a product a chain from 1.0 cut into short statements, so
+# the code nests no deeper as terms are added.  Names enter the source only
+# as repr() literals, and rationals only through the function's globals.
 
 _CHUNK = 32   # factors per product statement
 
 
-def _unbound(kind, name):
-    raise EvalError(f"unbound {kind} '{name}'")
+class _Unbound:
+    """The column of a name that a column set lacks: reading it raises."""
+
+    def __init__(self, kind, name):
+        self.text = f"unbound {kind} '{name}'"
+
+    def __getitem__(self, i):
+        raise EvalError(self.text)
+
+
+def _failure(err):
+    """The ExprError that `evaluate` raises for an error of compiled code."""
+    if isinstance(err, ExprError):
+        return err.with_traceback(None)
+    if isinstance(err, OverflowError):
+        return SingularPoint("value overflows a float")
+    return SingularPoint("value outside a function's domain")
 
 
 _GLOBALS = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
             "log": math.log, "pi": math.pi, "EPS": SINGULAR_EPS,
-            "SingularPoint": SingularPoint, "ExprError": ExprError,
-            "_unbound": _unbound}
+            "SingularPoint": SingularPoint, "ExprError": ExprError}
 
 
 def evaluate(e, env) -> float:
@@ -492,26 +511,59 @@ def evaluate(e, env) -> float:
     function's domain (sin of inf) or a result that overflows a float or
     is not finite, and EvalError for an unbound name.
     """
+    values, errors = evaluate_columns(
+        e, {name: (float(v),) for name, v in env.items()}, 0, 1)
+    if errors:
+        raise errors[0]
+    return values[0]
+
+
+def evaluate_columns(e, columns, start, stop):
+    """The values of e at points start..stop-1 of a column set.
+
+    columns maps a name to a sequence of its float at each point; a name
+    that columns lacks is unbound at every point.  Returns
+    (values, errors): values[i - start] is the value at point i, 0.0 where
+    evaluation fails, and errors[i] is the ExprError that `evaluate` raises
+    at point i, for each point where it fails.
+    """
     f = _EVAL.get(id(e))
     if f is None:
         f = _compile(e)
         if id(e) in _CANON:
             _EVAL[id(e)] = f
-    try:
-        value = f(env)
-    except OverflowError:
-        raise SingularPoint("value overflows a float") from None
-    except ValueError:
-        raise SingularPoint("value outside a function's domain") from None
-    if not math.isfinite(value):
-        raise SingularPoint("value overflows a float")
-    return value
+    values, errors = [], {}
+    put = values.append
+    i = start
+    while i < stop:   # a failure ends its point; the next call resumes
+        try:
+            f(columns, i, stop, put)
+        except (ExprError, OverflowError, ValueError) as err:
+            errors[start + len(values)] = _failure(err)
+            put(0.0)
+        i = start + len(values)
+    if not all(map(math.isfinite, values)):
+        for p, value in enumerate(values):
+            if not math.isfinite(value):
+                values[p] = 0.0
+                errors[start + p] = SingularPoint("value overflows a float")
+    return values, errors
+
+
+_LOOP = """\
+def f(columns, start, stop, put):
+{head}    for i in range(start, stop):
+{body}        put({out})
+"""
 
 
 def _compile(e):
-    """The straight-line float function of e."""
+    """The column function of e: f(columns, start, stop, put) puts the value
+    of e at each point start..stop-1 and raises at a point where the walk
+    would, with the error of compiled code."""
     space = dict(_GLOBALS)
-    lines = []
+    head = []    # once per call: each name's column
+    lines = []   # once per point
     named = {}   # a leaf, or the identity of an inner node -> its name
     todo = [(e, "walk")]
     while todo:
@@ -548,8 +600,10 @@ def _compile(e):
         elif leaf:
             kind = "constant" if tag == "const" else "variable"
             name = repr(node[1])
-            lines.append(f"{v} = float(env[{name}]) if {name} in env "
-                         f"else _unbound({kind!r}, {name})")
+            col = f"k{len(named)}"
+            space[f"u{len(named)}"] = _Unbound(kind, node[1])
+            head.append(f"{col} = columns.get({name}, u{len(named)})")
+            lines.append(f"{v} = {col}[i]")
         elif tag == "add":
             lines.append(f"{v} = sum(({''.join(a + ', ' for a in args)}))")
         elif tag == "mul":
@@ -576,8 +630,11 @@ def _compile(e):
         else:
             lines.append(f"raise ExprError({f'cannot evaluate {tag!r}'!r})")
         named[key] = v
-    body = "".join(f"    {line}\n" for line in lines)
-    exec(f"def f(env):\n{body}    return {named[_key(e)]}\n", space)
+    source = _LOOP.format(
+        head="".join(f"    {line}\n" for line in head),
+        body="".join(f"        {line}\n" for line in lines),
+        out=named[_key(e)])
+    exec(source, space)
     return space["f"]
 
 

@@ -6,12 +6,15 @@ probed on a low-discrepancy point set and the verdict records either
 pure function of (seed, sample count), so repeated runs agree byte for byte.
 """
 
+import math
+from operator import itemgetter
 from types import MappingProxyType
 
 from . import expr as ex
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 MAX_RETRIES = 16   # singular samples `nonvanishing` replaces before failing
+BLOCK_GROWTH = 4   # each block of `is_zero_many` is this much longer
 
 
 def halton(index: int, base: int) -> float:
@@ -41,31 +44,30 @@ class SamplingPolicy:
         self.abs_tol = float(abs_tol)
         if self.seed < 0 or not (self.n_samples > 0 and self.abs_tol > 0):
             raise ValueError("need seed >= 0, n_samples > 0 and abs_tol > 0")
-        self._points = {}    # coordinate tuple -> its sample points
+        self._points = {}    # coordinate tuple -> its sample columns
         self._columns = {}   # prime -> its Halton column
 
     def points(self, coords):
-        """Sample points for named coordinate ranges.
+        """The sample points of named coordinate ranges, as columns.
 
-        coords: sequence of (name, lo, hi).  Every coordinate samples the
-        half-open range [lo, hi), as the Halton radical inverse never
-        reaches 1; a manifest's `periodic` keyword changes nothing here.
-        Coordinate j of sample i is lo + halton(seed*n + i, PRIMES[j]) *
-        (hi - lo); each column of Halton values is computed once per
-        policy.  The points are built once per coordinate tuple and
-        returned as the same tuple of read-only mappings on every later
-        call.
+        coords: sequence of (name, lo, hi).  Returns a read-only mapping
+        from each name to the tuple of its value at every sample, in sample
+        order; there are n_samples samples, also when coords is empty.
+        Every coordinate samples the half-open range [lo, hi), as the
+        Halton radical inverse never reaches 1; a manifest's `periodic`
+        keyword changes nothing here.  Coordinate j of sample i is
+        lo + halton(seed*n + i, PRIMES[j]) * (hi - lo); each column of
+        Halton values is computed once per policy.  The columns are built
+        once per coordinate tuple and returned as the same mapping on every
+        later call.
         """
         coords = tuple(coords)
-        pts = self._points.get(coords)
-        if pts is None:
-            cols = [self._scaled(j, float(lo), float(hi))
-                    for j, (_, lo, hi) in enumerate(coords)]
-            names = [c[0] for c in coords]
-            rows = zip(*cols) if cols else [()] * self.n_samples
-            pts = self._points[coords] = tuple(
-                MappingProxyType(dict(zip(names, row))) for row in rows)
-        return pts
+        cols = self._points.get(coords)
+        if cols is None:
+            cols = self._points[coords] = MappingProxyType({
+                name: self._scaled(j, float(lo), float(hi))
+                for j, (name, lo, hi) in enumerate(coords)})
+        return cols
 
     def _scaled(self, j, lo, hi):
         """Coordinate j of every sample, for the float range [lo, hi)."""
@@ -75,7 +77,7 @@ class SamplingPolicy:
             start = self.seed * self.n_samples
             col = self._columns[base] = [halton(start + i, base)
                                          for i in range(self.n_samples)]
-        return [lo + u * (hi - lo) for u in col]
+        return tuple([lo + u * (hi - lo) for u in col])
 
     def extra_point(self, coords, k):
         """Fallback point k past the base sequence, for retries."""
@@ -164,63 +166,112 @@ def is_zero_expr(e, coords, policy):
 def is_zero_many(exprs, coords, policy):
     """Joint vanishing check; first non-vanishing component wins.
 
-    A sample where a component is singular is skipped for that component,
-    but every component must be evaluated somewhere: one that no sample
-    could evaluate fails with value nan at the first sample.
+    Samples are visited in order, and the components in order at each
+    sample.  A sample where a component is singular is skipped for that
+    component, but every component must be evaluated somewhere: one that
+    no sample could evaluate fails with value nan at the first sample.  The
+    samples are evaluated in blocks of growing size, so that a check that
+    fails at an early sample evaluates few others.
     """
     live = [e for e in map(ex.normalize, exprs) if not ex.is_zero(e)]
     if not live:
         return Verdict("exact")
-    pts = policy.points(coords)
+    columns = policy.points(coords)
     unseen = set(range(len(live)))
-    for env in pts:
-        for i, e in enumerate(live):
-            try:
-                v = ex.evaluate(e, env)
-            except ex.SingularPoint:
-                continue
-            unseen.discard(i)
-            if abs(v) > policy.abs_tol:
-                return Verdict("nonzero", value=v, point=env)
+    start, stop = 0, 1
+    while start < policy.n_samples:
+        hit = None   # (sample, value or error) of the first failure
+        for j, e in enumerate(live):
+            # past a hit, a later component comes first only at an earlier
+            # sample, so it is evaluated only before the hit
+            end = stop if hit is None else hit[0]
+            if end <= start:
+                break
+            values, errors = ex.evaluate_columns(e, columns, start, end)
+            if len(errors) < end - start:
+                unseen.discard(j)
+            hit = _first_failure(values, errors, start, policy.abs_tol) or hit
+        if hit is not None:
+            i, found = hit
+            if isinstance(found, ex.ExprError):
+                raise found
+            return Verdict("nonzero", value=found, point=_witness(columns, i))
+        start, stop = stop, min(policy.n_samples, BLOCK_GROWTH * stop)
     if unseen:
-        return Verdict("nonzero", value=float("nan"), point=pts[0])
+        return Verdict("nonzero", value=float("nan"),
+                       point=_witness(columns, 0))
     return Verdict("sampled")
+
+
+def _first_failure(values, errors, start, tol):
+    """(sample, value or error) where a block of one component first exceeds
+    tol or fails otherwise than at a singular point; None if nowhere."""
+    found = [(i, err) for i, err in errors.items()
+             if not isinstance(err, ex.SingularPoint)]
+    if max(map(abs, values)) > tol:
+        p = next(p for p, v in enumerate(values) if abs(v) > tol)
+        found.append((start + p, values[p]))
+    return min(found, key=itemgetter(0), default=None)
 
 
 def nonvanishing(exprs, coords, policy):
     """Certify that at every sample some component exceeds tolerance.
 
     The verdict's value is the minimum over samples of the largest
-    component magnitude, taken at its point; an empty list is the zero
-    form and vanishes everywhere.  Singular sample points are retried from
-    a fallback sequence.
+    component magnitude, taken at its first point; an empty list is the
+    zero form and vanishes everywhere.  Singular sample points are retried,
+    in order, from a fallback sequence, after the samples.
     """
     normed = [ex.normalize(e) for e in exprs]
+    columns = policy.points(coords)
     if all(e[0] == "rat" for e in normed):
         # the same magnitude at every sample: the loop would keep the first
         m = max((abs(float(e[1])) for e in normed), default=0.0)
         return Verdict("nonvanishing" if m > policy.abs_tol else "vanishing",
-                       value=m, point=policy.points(coords)[0])
-    best_min = None
-    worst_pt = None
+                       value=m, point=_witness(columns, 0))
+    best = None   # (magnitude, point) of the smallest magnitude so far
     retries = 0
-    queue = list(policy.points(coords))
-    k = 0
-    while queue:
-        env = queue.pop(0)
-        try:
-            m = max((abs(ex.evaluate(e, env)) for e in normed),
-                    default=0.0)
-        except ex.SingularPoint:
+    extras = None   # the fallback points of a round; None for the samples
+    count = policy.n_samples
+
+    def point(i):
+        return extras[i] if extras else _witness(columns, i)
+
+    while count:
+        mags, errors = _magnitudes(normed, columns, count)
+        for i in sorted(errors):
+            if not isinstance(errors[i], ex.SingularPoint):
+                raise errors[i]
             retries += 1
             if retries > MAX_RETRIES:
-                return Verdict("vanishing", value=0.0, point=env)
-            queue.append(policy.extra_point(coords, k))
-            k += 1
-            continue
-        if best_min is None or m < best_min:
-            best_min = m
-            worst_pt = env
-    ok = best_min is not None and best_min > policy.abs_tol
+                return Verdict("vanishing", value=0.0, point=point(i))
+            mags[i] = math.inf
+        low = min(mags)
+        if low < (best[0] if best else math.inf):
+            best = (low, point(mags.index(low)))
+        extras = [policy.extra_point(coords, k)
+                  for k in range(retries - len(errors), retries)]
+        columns = {name: tuple(p[name] for p in extras) for name in columns}
+        count = len(extras)
+    ok = best is not None and best[0] > policy.abs_tol
     return Verdict("nonvanishing" if ok else "vanishing",
-                   value=best_min or 0.0, point=worst_pt)
+                   value=best[0] if best else 0.0,
+                   point=best[1] if best else None)
+
+
+def _magnitudes(exprs, columns, count):
+    """The largest |e| over exprs at each of the first count points, and at
+    each point where some e fails, the error of the first that fails."""
+    mags, errors = None, {}
+    for e in exprs:
+        values, failed_at = ex.evaluate_columns(e, columns, 0, count)
+        values = map(abs, values)
+        mags = list(values if mags is None else map(max, mags, values))
+        for i, err in failed_at.items():
+            errors.setdefault(i, err)
+    return mags, errors
+
+
+def _witness(columns, i):
+    """Point i of a column set, as a read-only name -> value mapping."""
+    return MappingProxyType({name: col[i] for name, col in columns.items()})

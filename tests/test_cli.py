@@ -289,8 +289,12 @@ def test_bad_catalog_params_exit_2(capsys, geometry, param):
     assert out.out == "" and out.err.startswith("error: ")
     assert "Traceback" not in out.err
     assert "Fraction(" not in out.err
+    assert "{'" not in out.err   # defaults in --params notation, not a dict
     if param == "c=1,2,3":
         assert out.err == "error: weights 1, 2, 3 do not sum to zero\n"
+    if param == "c=1":
+        assert out.err == ("error: bad parameter 'c' for sol_mn; "
+                           "defaults: c=1,0,-1\n")
 
 
 TORUS_HEAD = (ROOT / "corpus" / "torus.ek").read_text(

@@ -552,6 +552,64 @@ def test_compiled_evaluate_survives_dropped_tables(es):
         ex.TABLE_LIMIT = limit
 
 
+# Columns for the column evaluator: regular points and points where
+# denominators, bases and logs vanish or exp overflows.  A column set that
+# lacks a name leaves it unbound at every point.
+COLUMNS = {"t": (0.37, 0.0, 2.5, 0.25, 0.5, -0.5, 700.0, 1.0),
+           "x": (-1.21, 0.0, 3.0, 0.5, 2.0, 1e-15, -700.0, 1.0),
+           "y": (0.64, 1.0, -4.0, -1.0, 0.0, 2 / 3, 0.5, 3.0)}
+N_POINTS = 8
+
+
+def column_point(columns, i):
+    """Point i of a column set as the walk reads it."""
+    return {name: col[i] for name, col in columns.items()}
+
+
+def column_outcomes(e, columns, start, stop):
+    """`outcome` at each point start..stop-1, from one column evaluation."""
+    values, errors = ex.evaluate_columns(e, columns, start, stop)
+    assert len(values) == stop - start
+    assert set(errors) <= set(range(start, stop))
+    return [(type(errors[i]).__name__, str(errors[i])) if i in errors
+            else values[i - start].hex() for i in range(start, stop)]
+
+
+def agree_by_columns(e, start, stop):
+    """One column evaluation of e, and of its normal form, equals the walk
+    at every point, over all points and over start..stop-1; also with the
+    column of t, or of y, left out."""
+    trees = [e]
+    try:
+        trees.append(ex.normalize(e))
+    except ex.EvalError:   # an exact division by zero
+        pass
+    sets = [COLUMNS] + [{n: c for n, c in COLUMNS.items() if n != unbound}
+                        for unbound in "ty"]
+    for tree in trees:
+        for columns in sets:
+            want = [outcome(walk, tree, column_point(columns, i))
+                    for i in range(N_POINTS)]
+            assert column_outcomes(tree, columns, 0, N_POINTS) == want
+            assert column_outcomes(tree, columns, start, stop) \
+                == want[start:stop]
+
+
+@given(st.one_of(exprs(quotients=True), shared(exprs(quotients=True))),
+       st.integers(0, N_POINTS), st.integers(0, N_POINTS))
+@settings(max_examples=150, deadline=None)
+def test_column_evaluation_equals_the_walk_at_every_point(e, a, b):
+    agree_by_columns(e, min(a, b), max(a, b))
+
+
+@pytest.mark.parametrize("text", [
+    "exp(exp(exp(10*x)))", "exp(x)^2000", "sin(exp(t)*exp(t/2))",
+    "exp(t)*exp(t/2) - 2*exp(t/2)*exp(t)", "ln(x) + 1/t^2", "3*x^400 / z",
+    "1/(x - 1) + ln(y)"])
+def test_column_evaluation_keeps_every_error_text(text):
+    agree_by_columns(P(text), 2, 7)
+
+
 X, T = ex.var("x"), ex.var("t")
 
 

@@ -3,12 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from engelkit import expr as ex
 from engelkit import sampling
 from engelkit.frames import FrameSpace, nonzero, zero
-from engelkit.sampling import (PRIMES, SamplingPolicy, Verdict, failed,
-                               halton, is_zero_expr, nonvanishing, weakest)
+from engelkit.sampling import (MAX_RETRIES, PRIMES, SamplingPolicy, Verdict,
+                               failed, halton, is_zero_expr, is_zero_many,
+                               nonvanishing, weakest)
 
 POLICY = SamplingPolicy(n_samples=16)
 
@@ -80,12 +82,19 @@ def halton_points(seed, n, coords):
             for i in range(n)]
 
 
+def point_list(policy, coords):
+    """The policy's sample columns read back as one dict per sample."""
+    cols = policy.points(coords)
+    return [{name: col[i] for name, col in cols.items()}
+            for i in range(policy.n_samples)]
+
+
 def test_points_are_built_once_and_equal_a_fresh_policy():
     pol = SamplingPolicy(seed=5, n_samples=8)
     first = pol.points(COORDS)
     assert pol.points(list(COORDS)) is first
     assert first == SamplingPolicy(seed=5, n_samples=8).points(COORDS)
-    assert [dict(p) for p in first] == halton_points(5, 8, COORDS)
+    assert point_list(pol, COORDS) == halton_points(5, 8, COORDS)
 
 
 @pytest.mark.parametrize("seed, n, coords", [
@@ -96,8 +105,7 @@ def test_points_differ_across_seed_count_and_coords(seed, n, coords):
     pol.points(COORDS)
     other = SamplingPolicy(seed=seed, n_samples=n)
     assert other.points(coords) != pol.points(COORDS)
-    assert [dict(p) for p in other.points(coords)] \
-        == halton_points(seed, n, coords)
+    assert point_list(other, coords) == halton_points(seed, n, coords)
 
 
 MIXED = (("x", 0, 1), ("y", Fraction(-1, 3), 2),
@@ -107,14 +115,14 @@ MIXED = (("x", 0, 1), ("y", Fraction(-1, 3), 2),
 @pytest.mark.parametrize("seed", [0, 137])
 @pytest.mark.parametrize("n", [64, 1024])
 def test_column_built_points_equal_the_formula_bit_for_bit(seed, n):
-    pts = SamplingPolicy(seed=seed, n_samples=n).points(MIXED)
-    assert len(pts) == n
-    for i, pt in enumerate(pts):
-        assert list(pt) == ["x", "y", "z", "t"]
-        for j, (name, lo, hi) in enumerate(MIXED):
+    cols = SamplingPolicy(seed=seed, n_samples=n).points(MIXED)
+    assert list(cols) == ["x", "y", "z", "t"]
+    for j, (name, lo, hi) in enumerate(MIXED):
+        assert len(cols[name]) == n
+        for i, value in enumerate(cols[name]):
             want = float(lo) + halton(seed * n + i, PRIMES[j]) \
                 * (float(hi) - float(lo))
-            assert pt[name].hex() == want.hex()
+            assert value.hex() == want.hex()
 
 
 def test_coordinate_tuples_share_their_halton_columns(monkeypatch):
@@ -133,8 +141,11 @@ def test_coordinate_tuples_share_their_halton_columns(monkeypatch):
 
 
 def test_a_space_without_coordinates_has_n_empty_points():
-    pts = SamplingPolicy(n_samples=8).points(())
-    assert [dict(p) for p in pts] == [{}] * 8
+    pol = SamplingPolicy(n_samples=8)
+    assert dict(pol.points(())) == {}
+    assert point_list(pol, ()) == [{}] * 8
+    v = nonvanishing([ex.mul(ex.rat(2), ex.PI)], (), pol)
+    assert v.ok and v.point == {} and v.describe().endswith(" at -")
 
 
 def test_a_verdict_point_cannot_change_later_points():
@@ -144,15 +155,16 @@ def test_a_verdict_point_cannot_change_later_points():
     with pytest.raises(TypeError):
         v.point["x"] = 7.0
     with pytest.raises(TypeError):
-        pol.points(COORDS)[0]["y"] = 7.0
-    assert [dict(p) for p in pol.points(COORDS)] == halton_points(0, 8,
-                                                                  COORDS)
+        pol.points(COORDS)["y"][0] = 7.0
+    with pytest.raises(TypeError):
+        pol.points(COORDS)["y"] = (7.0,) * 8
+    assert point_list(pol, COORDS) == halton_points(0, 8, COORDS)
 
 
 def sampled_nonvanishing(exprs, coords, policy):
     """kind, value and point of nonvanishing's sampling loop, written out."""
     best = None
-    for env in policy.points(coords):
+    for env in point_list(policy, coords):
         m = max((abs(ex.evaluate(e, env)) for e in exprs), default=0.0)
         if best is None or m < best[0]:
             best = (m, env)
@@ -189,7 +201,7 @@ def test_no_sample_evaluated_is_not_a_zero(text, lo, hi):
     v = is_zero_expr(e, coords, pol)
     assert not v.ok and v.kind == "nonzero"
     assert v.value != v.value   # nan
-    assert v.point == pol.points(coords)[0]
+    assert v.point == point_list(pol, coords)[0]
     assert v.describe() == f"zero=no value=nan at x={lo}"
     assert nonvanishing([e], coords, pol).kind == "vanishing"
 
@@ -212,7 +224,7 @@ def test_overflow_is_a_singular_sample_for_nonvanishing():
     e = ex.parse("exp(exp(exp(10*x)))", ("x",))
     coords = (("x", 0, Fraction(1, 4)),)
     pol = SamplingPolicy(n_samples=16)
-    assert any(p["x"] > 0.1882 for p in pol.points(coords))
+    assert any(x > 0.1882 for x in pol.points(coords)["x"])
     v = nonvanishing([e], coords, pol)
     assert v.ok and v.point == {"x": 0.0}
     v = nonvanishing([e], (("x", 1, 2),), pol)
@@ -226,3 +238,207 @@ def test_a_policy_rejects_a_negative_seed_and_empty_sampling(kwargs):
     # every sample onto the corner of the box
     with pytest.raises(ValueError):
         SamplingPolicy(**kwargs)
+
+
+# --- the per-point verdicts the column ones replaced ------------------------
+
+def ref_is_zero_many(exprs, coords, policy):
+    """is_zero_many as it was, one `evaluate` per sample and component."""
+    live = [e for e in map(ex.normalize, exprs) if not ex.is_zero(e)]
+    if not live:
+        return Verdict("exact")
+    pts = point_list(policy, coords)
+    unseen = set(range(len(live)))
+    for env in pts:
+        for i, e in enumerate(live):
+            try:
+                v = ex.evaluate(e, env)
+            except ex.SingularPoint:
+                continue
+            unseen.discard(i)
+            if abs(v) > policy.abs_tol:
+                return Verdict("nonzero", value=v, point=env)
+    if unseen:
+        return Verdict("nonzero", value=float("nan"), point=pts[0])
+    return Verdict("sampled")
+
+
+def ref_nonvanishing(exprs, coords, policy):
+    """nonvanishing as it was, one `evaluate` per sample and component."""
+    normed = [ex.normalize(e) for e in exprs]
+    if all(e[0] == "rat" for e in normed):
+        m = max((abs(float(e[1])) for e in normed), default=0.0)
+        return Verdict("nonvanishing" if m > policy.abs_tol else "vanishing",
+                       value=m, point=point_list(policy, coords)[0])
+    best_min = None
+    worst_pt = None
+    retries = 0
+    queue = point_list(policy, coords)
+    k = 0
+    while queue:
+        env = queue.pop(0)
+        try:
+            m = max((abs(ex.evaluate(e, env)) for e in normed),
+                    default=0.0)
+        except ex.SingularPoint:
+            retries += 1
+            if retries > MAX_RETRIES:
+                return Verdict("vanishing", value=0.0, point=env)
+            queue.append(policy.extra_point(coords, k))
+            k += 1
+            continue
+        if best_min is None or m < best_min:
+            best_min = m
+            worst_pt = env
+    ok = best_min is not None and best_min > policy.abs_tol
+    return Verdict("nonvanishing" if ok else "vanishing",
+                   value=best_min or 0.0, point=worst_pt)
+
+
+def verdict_outcome(check, exprs, coords, policy):
+    """Kind, value bits and point of a verdict, or the error raised."""
+    try:
+        v = check(exprs, coords, policy)
+    except ex.ExprError as err:
+        return type(err).__name__, str(err)
+    value = None if v.value is None else float(v.value).hex()
+    point = None if v.point is None else dict(v.point)
+    return v.kind, value, point
+
+
+BOX = (("x", 0, 1), ("y", Fraction(-1), 2))
+
+
+def same_verdicts(texts, policy, coords=BOX):
+    exprs = [ex.parse(t, ("x", "y", "z")) for t in texts]
+    for check, ref in ((nonvanishing, ref_nonvanishing),
+                       (is_zero_many, ref_is_zero_many)):
+        got = verdict_outcome(check, exprs, coords, policy)
+        assert got == verdict_outcome(ref, exprs, coords, policy)
+    return got
+
+
+def counted_extra_points(monkeypatch):
+    """The fallback points the policy builds, recorded as they are built."""
+    built = []
+    extra_point = SamplingPolicy.extra_point
+
+    def counted(self, coords, k):
+        built.append(extra_point(self, coords, k))
+        return built[-1]
+
+    monkeypatch.setattr(SamplingPolicy, "extra_point", counted)
+    return built
+
+
+def test_more_singular_samples_than_retries_agree(monkeypatch):
+    # ln(x - 9/10) is singular at 9 in 10 samples: the 17th ends the check
+    built = counted_extra_points(monkeypatch)
+    pol = SamplingPolicy(n_samples=64)
+    v = nonvanishing([ex.parse("ln(x - 9/10)", ("x",))], BOX, pol)
+    assert v.kind == "vanishing" and v.value == 0.0 and built == []
+    same_verdicts(["ln(x - 9/10)"], pol)
+
+
+@pytest.mark.parametrize("texts, seed, n", [
+    (["ln(x - 1/2)"], 0, 8), (["ln(x - 1/2)"], 3, 16),
+    (["ln(y)*x", "ln(1/2 - x)"], 0, 8), (["ln(x - 9/10)"], 1, 8),
+    (["1/(x - 1/2) + ln(y)"], 3, 16)])
+def test_singular_fallback_points_agree(monkeypatch, texts, seed, n):
+    built = counted_extra_points(monkeypatch)
+    pol = SamplingPolicy(seed=seed, n_samples=n)
+    same_verdicts(texts, pol)
+    exprs = [ex.parse(t, ("x", "y")) for t in texts]
+    singular = 0
+    for env in built:
+        try:
+            [ex.evaluate(e, env) for e in exprs]
+        except ex.SingularPoint:
+            singular += 1
+    assert singular > 0   # a fallback point was singular too
+
+
+@pytest.mark.parametrize("texts, kind", [
+    (["sin(x)^2 + cos(x)^2 - 1", "ln(x - 2)"], "nonzero"),   # nan
+    (["ln(x - 2)"], "nonzero"),
+    (["(sin(y)^2 + cos(y)^2 - 1)*ln(x - 1/2)", "sin(x)^2 + cos(x)^2 - 1"],
+     "sampled"),
+    (["x - 2", "ln(y)"], "nonzero"),         # fails at sample 0
+    (["sin(x)^2 + cos(x)^2 - 1", "x*y - 1/3"], "nonzero"),
+    (["ln(x - 1/2) + z"], "nonzero"),        # singular or unbound
+    (["x - 2 + z"], "nonzero")])
+def test_zero_checks_agree(texts, kind):
+    pol = SamplingPolicy(seed=2, n_samples=64)
+    exprs = [ex.parse(t, ("x", "y", "z")) for t in texts]
+    got = same_verdicts(texts, pol)
+    if "z" not in "".join(texts):
+        assert got[0] == kind
+    if texts[0] == "x - 2":
+        assert got[2] == point_list(pol, BOX)[0]
+    if texts[-1] == "ln(x - 2)":
+        assert got[1] == "nan"
+    assert verdict_outcome(is_zero_many, exprs, BOX, pol)[0] in (kind,
+                                                                 "EvalError")
+
+
+def test_the_earliest_sample_wins_over_the_first_component():
+    # at seed 0, x is 0, 1/2, 1/4, 3/4 at samples 0-3: the second
+    # component fails at sample 2, before the first fails at sample 3
+    texts = ["x*(x - 1/2)*(x - 1/4)", "x*(x - 1/2)"]
+    got = same_verdicts(texts, SamplingPolicy(n_samples=64))
+    assert got[:2] == ("nonzero", (0.25 * -0.25).hex())
+    assert got[2]["x"] == 0.25
+
+
+ATOMS = ("1/(x - {a})", "ln(y - {a})", "x - {a}", "ln({a} - x)",
+         "(sin(x)^2 + cos(x)^2 - 1)*ln(x - {a})", "y^2 - {a}", "z*x")
+
+
+def components():
+    atom = st.tuples(st.sampled_from(ATOMS),
+                     st.sampled_from(["0", "1/2", "1/3", "7/8", "2", "-1"]))
+    text = atom.map(lambda ta: ta[0].format(a=ta[1]))
+    return st.one_of(text, st.tuples(text, text, st.sampled_from("+*")).map(
+        lambda abo: f"({abo[0]}) {abo[2]} ({abo[1]})"))
+
+
+@given(st.lists(components(), min_size=1, max_size=3),
+       st.integers(0, 5), st.sampled_from([8, 16, 64]))
+@settings(max_examples=120, deadline=None)
+def test_column_verdicts_equal_the_per_point_ones(texts, seed, n):
+    same_verdicts(texts, SamplingPolicy(seed=seed, n_samples=n))
+
+
+def counted_calls(monkeypatch):
+    """(expression, start, stop) of every call of a compiled function."""
+    calls = []
+    compile_ = ex._compile
+
+    def counted(e):
+        f = compile_(e)
+
+        def g(*args):   # (columns, start, stop, put)
+            calls.append((e,) + args[1:3])
+            return f(*args)
+        return g
+
+    monkeypatch.setattr(ex, "_compile", counted)
+    ex.clear_tables()   # so that no compiled function is remembered
+    return calls
+
+
+def test_a_dense_nonvanishing_calls_the_compiled_function_once(monkeypatch):
+    calls = counted_calls(monkeypatch)
+    e = ex.normalize(ex.parse("2 + sin(x)*y", ("x", "y")))
+    pol = SamplingPolicy(seed=137, n_samples=1024)
+    assert nonvanishing([e], BOX, pol).ok
+    assert calls == [(e, 0, 1024)]
+
+
+def test_a_zero_check_stops_at_its_first_witness(monkeypatch):
+    calls = counted_calls(monkeypatch)
+    x_minus_2, y = (ex.normalize(ex.parse(t, ("x", "y")))
+                    for t in ("x - 2", "y"))
+    pol = SamplingPolicy(seed=137, n_samples=1024)
+    assert is_zero_many([x_minus_2, y], BOX, pol).kind == "nonzero"
+    assert calls == [(x_minus_2, 0, 1)]

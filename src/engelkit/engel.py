@@ -3,11 +3,12 @@
 A defining pair (alpha, beta) on a framed 4-space cuts out D = ker alpha ∩
 ker beta.  The module checks the three defining-form conditions, derives the
 characteristic direction W and the transverse pair (T, R) as kernel lines of
-3-forms, the adapted framing with its 24-entry bracket table, the structural
-identities that table must satisfy, the integrability test for the span(T, R)
-plane field, the exact transformation laws under rescaling/shearing the pair,
-and two curvature-type criteria expressed through the coframe dual to the
-framing.  Only X, a line in the plane ker alpha ∩ ker beta, is solved for.
+3-forms, and the adapted framing, whose six brackets and 24-entry table are
+built once and kept on EngelData.  The checks read them there: the
+structural identities of the table, the integrability test for the plane
+field span(T, R), the exact transformation laws under rescaling/shearing
+the pair, and two curvature-type criteria expressed through the coframe
+dual to the framing.  Only X, a line in ker alpha ∩ ker beta, is solved for.
 """
 
 from . import expr as ex
@@ -117,26 +118,27 @@ def reeb_pair(space, alpha, beta, policy):
 
 
 def bracket_table(framing):
-    """24 structure functions of the framing: [A, B] expanded in the frame.
+    """The six brackets of the framing and their 24 structure functions.
 
-    Keys are letter_pair, with a, b, c, d the W, X, T, R coefficients.
+    Returns (brackets, table): brackets maps each pair in PAIRS to [A, B],
+    table maps letter_pair to the coefficient of [A, B] on W, X, T, R for
+    letter a, b, c, d.
     """
     W, X, T, R = framing
     fields = {"W": W, "X": X, "T": T, "R": R}
     theta = dual_coframe([W, X, T, R])
-    table = {}
-    for pq in PAIRS:
-        br = bracket(fields[pq[0]], fields[pq[1]])
-        for li, letter in enumerate(LETTERS):
-            table[f"{letter}_{pq}"] = ex.cleanup(pair(theta[li], br))
-    return table
+    brackets = {pq: bracket(fields[pq[0]], fields[pq[1]]) for pq in PAIRS}
+    table = {f"{letter}_{pq}": ex.cleanup(pair(theta[li], brackets[pq]))
+             for pq in PAIRS for li, letter in enumerate(LETTERS)}
+    return brackets, table
 
 
-def adapted_framing(space, alpha, beta, W, X, T, policy):
+def adapted_framing(space, alpha, beta, W, X, T, R, policy):
     """Rescale W and X so that beta([W,X]) = 1 and alpha([X,T]) = 1.
 
-    Returns (W', X', u, v) with W' = u W, X' = v X.  The rescaled W' is
-    independent of the admissible choices of W and X.
+    Returns (W', X', u, v, brackets, table) with W' = u W, X' = v X and the
+    bracket_table of (W', X', T, R), whose c_WX and d_XT are beta([W',X'])
+    and alpha([X',T]).  W' is independent of the admissible W and X.
     """
     c_wx = ex.cleanup(pair(beta, bracket(W, X)))
     if not nonvanishing([c_wx], space.coord_ranges, policy).ok:
@@ -148,20 +150,23 @@ def adapted_framing(space, alpha, beta, W, X, T, policy):
     v = ex.cleanup(ex.div(ex.ONE, d_xt))
     Wp = W.scale(u).cleanup()
     Xp = X.scale(v).cleanup()
-    for name, val in (("beta([W',X'])", pair(beta, bracket(Wp, Xp))),
-                      ("alpha([X',T])", pair(alpha, bracket(Xp, T)))):
-        verdict = zero([ex.add(val, ex.rat(-1))], space.coord_ranges, policy)
+    brackets, table = bracket_table((Wp, Xp, T, R))
+    for name, key in (("beta([W',X'])", "c_WX"), ("alpha([X',T])", "d_XT")):
+        verdict = zero([ex.add(table[key], ex.rat(-1))], space.coord_ranges,
+                       policy)
         if not verdict.ok:
             raise EngelError(f"{name} != 1 after rescaling: "
                              f"{verdict.describe()}")
-    return Wp, Xp, u, v
+    return Wp, Xp, u, v, brackets, table
 
 
 class EngelData:
-    """A defining pair with its adapted framing and bracket table."""
+    """A defining pair with its adapted framing (W, X, T, R) and the
+    framing's brackets and bracket table; W_raw, X_raw are W, X before the
+    rescaling by u, v."""
 
     def __init__(self, space, alpha, beta, W, X, T, R, u, v, W_raw, X_raw,
-                 defining):
+                 defining, brackets, table):
         self.space = space
         self.alpha = alpha
         self.beta = beta
@@ -174,20 +179,8 @@ class EngelData:
         self.W_raw = W_raw
         self.X_raw = X_raw
         self.defining = defining
-        self._table = None
-
-    @property
-    def table(self):
-        if self._table is None:
-            self._table = bracket_table((self.W, self.X, self.T, self.R))
-        return self._table
-
-    @property
-    def c_TR(self):
-        # beta is the T-dual coframe leg, so this avoids the full table
-        if self._table is not None:
-            return self._table["c_TR"]
-        return ex.cleanup(pair(self.beta, bracket(self.T, self.R)))
+        self.brackets = brackets
+        self.table = table
 
     def framing(self):
         return (self.W, self.X, self.T, self.R)
@@ -216,12 +209,13 @@ def analyze(space, alpha, beta, policy, W=None, X=None):
     else:
         X = complement_field(space, alpha, beta, W, policy)
     T, R = reeb_pair(space, alpha, beta, policy)
-    det = determinant([W, X, T, R])
+    det = ex.cleanup(determinant([W, X, T, R]))
     if not nonvanishing([det], space.coord_ranges, policy).ok:
         raise EngelError("framing (W, X, T, R) degenerates somewhere")
-    Wp, Xp, u, v = adapted_framing(space, alpha, beta, W, X, T, policy)
+    Wp, Xp, u, v, brackets, table = adapted_framing(
+        space, alpha, beta, W, X, T, R, policy)
     return EngelData(space, alpha, beta, Wp, Xp, T, R, u, v, W, X,
-                     defining=defining)
+                     defining, brackets, table)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +280,7 @@ def integrability_report(data, policy):
     """
     sp = data.space
     W, X, T, R = data.framing()
-    c_tr = data.c_TR
+    c_tr = data.table["c_TR"]
     db = d(data.beta)
     out = {"c_TR": c_tr}
     ranges = sp.coord_ranges
@@ -299,37 +293,44 @@ def integrability_report(data, policy):
                                               policy)
     out["integrable"] = zero(wedge(d(data.alpha.scale(c_tr)), data.beta),
                              ranges, policy)
-    tr = bracket(T, R)
     for name, V in (("W", W), ("X", X)):
         out[f"closure det with {name}"] = zero(
-            [determinant([T, R, tr, V])], ranges, policy)
+            [determinant([T, R, data.brackets["TR"], V])], ranges, policy)
     return out
 
 
 # ---------------------------------------------------------------------------
 # transformation laws for the defining pair
 
-def transform_forms(data, lam, mu, nu, policy):
-    """Replace (alpha, beta) by (lam alpha, mu beta + nu alpha).
+def transform_forms(data, move, coeff, policy):
+    """Apply one elementary move to the defining pair (alpha, beta).
 
+    move is "lam" for (lam alpha, beta), "mu" for (alpha, mu beta) or "nu"
+    for (alpha, beta + nu alpha), with coeff the function lam, mu or nu.
     Input data must carry the adapted framing (the closed-form laws below
     are stated for it).  Returns the re-analyzed data for the new pair plus
-    verdicts comparing the recomputed T, R, c_TR with the closed forms for
-    the three elementary moves.
+    verdicts comparing the recomputed T, R, c_TR with the closed forms of
+    the move.
     """
     sp = data.space
-    lam = ex.normalize(lam)
-    mu = ex.normalize(mu)
-    nu = ex.normalize(nu)
-    alpha2 = data.alpha.scale(lam).cleanup()
-    beta2 = (data.beta.scale(mu) + data.alpha.scale(nu)).cleanup()
-    new = analyze(sp, alpha2, beta2, policy, W=data.W, X=data.X)
+    f = ex.normalize(coeff)
+    if move == "lam":
+        alpha2, beta2 = data.alpha.scale(f), data.beta
+    elif move == "mu":
+        alpha2, beta2 = data.alpha, data.beta.scale(f)
+    elif move == "nu":
+        alpha2, beta2 = data.alpha, data.beta + data.alpha.scale(f)
+    else:
+        raise ValueError(f"unknown move {move!r}: need lam, mu or nu")
+    new = analyze(sp, alpha2.cleanup(), beta2.cleanup(), policy,
+                  W=data.W, X=data.X)
     W, X, T, R = data.framing()
     t = data.table
+    c_tr = new.table["c_TR"]
     checks = {}
 
-    def lsc(V, f):
-        return sp.lie_scalar(V, f)
+    def lsc(V, g):
+        return sp.lie_scalar(V, g)
 
     def fields_match(name, A, B):
         checks[name] = zero(A - B, sp.coord_ranges, policy)
@@ -337,34 +338,32 @@ def transform_forms(data, lam, mu, nu, policy):
     def scalar_match(name, a, b):
         checks[name] = zero([ex.add(a, ex.neg(b))], sp.coord_ranges, policy)
 
-    if mu == ex.ONE and ex.is_zero(nu):
+    if move == "lam":
         fields_match("T unchanged", new.T, T)
-        fields_match("R scales by 1/lam", new.R,
-                     R.scale(ex.div(ex.ONE, lam)))
-        scalar_match("c_TR scales by 1/lam", new.c_TR,
-                     ex.div(t["c_TR"], lam))
-    elif lam == ex.ONE and ex.is_zero(nu):
+        fields_match("R scales by 1/lam", new.R, R.scale(ex.div(ex.ONE, f)))
+        scalar_match("c_TR scales by 1/lam", c_tr, ex.div(t["c_TR"], f))
+    elif move == "mu":
         fields_match("R unchanged", new.R, R)
-        shifted = (W.scale(ex.neg(ex.div(lsc(X, mu), mu)))
-                   + X.scale(ex.div(lsc(W, mu), mu)) + T)
+        shifted = (W.scale(ex.neg(ex.div(lsc(X, f), f)))
+                   + X.scale(ex.div(lsc(W, f), f)) + T)
         fields_match("T shifts by the mu-gradient", new.T,
-                     shifted.scale(ex.div(ex.ONE, mu)))
-        scalar_match("c_TR shifts by R(mu)/mu", new.c_TR,
-                     ex.add(t["c_TR"], ex.div(lsc(R, mu), mu)))
-    elif lam == ex.ONE and mu == ex.ONE:
-        fields_match("T shears by nu W", new.T, W.scale(nu) + T)
-        sheared = (W.scale(ex.add(ex.neg(ex.pow_(nu, 2)),
-                                  ex.neg(lsc(X, nu)),
-                                  ex.mul(nu, t["d_XR"])))
-                   + X.scale(ex.add(lsc(W, nu),
-                                    ex.neg(ex.mul(nu, t["d_WR"]))))
-                   + T.scale(ex.neg(nu)) + R)
+                     shifted.scale(ex.div(ex.ONE, f)))
+        scalar_match("c_TR shifts by R(mu)/mu", c_tr,
+                     ex.add(t["c_TR"], ex.div(lsc(R, f), f)))
+    else:
+        fields_match("T shears by nu W", new.T, W.scale(f) + T)
+        sheared = (W.scale(ex.add(ex.neg(ex.pow_(f, 2)),
+                                  ex.neg(lsc(X, f)),
+                                  ex.mul(f, t["d_XR"])))
+                   + X.scale(ex.add(lsc(W, f),
+                                    ex.neg(ex.mul(f, t["d_WR"]))))
+                   + T.scale(ex.neg(f)) + R)
         fields_match("R shears in the plane", new.R, sheared)
-        scalar_match("c_TR shear law", new.c_TR,
-                     ex.add(t["c_TR"], ex.neg(ex.mul(nu, lsc(W, nu))),
-                            ex.neg(lsc(T, nu)),
-                            ex.mul(ex.pow_(nu, 2), t["d_WR"]),
-                            ex.mul(nu, t["d_TR"])))
+        scalar_match("c_TR shear law", c_tr,
+                     ex.add(t["c_TR"], ex.neg(ex.mul(f, lsc(W, f))),
+                            ex.neg(lsc(T, f)),
+                            ex.mul(ex.pow_(f, 2), t["d_WR"]),
+                            ex.mul(f, t["d_TR"])))
     return new, checks
 
 

@@ -70,10 +70,6 @@ def var(name: str) -> tuple:
     return ("var", name)
 
 
-def const(name: str) -> tuple:
-    return ("const", name)
-
-
 def add(*terms):
     return ("add", tuple(terms))
 
@@ -104,10 +100,6 @@ def cos(a):
 
 def exp(a):
     return ("exp", a)
-
-
-def ln(a):
-    return ("ln", a)
 
 
 def children(e):

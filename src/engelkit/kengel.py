@@ -1,5 +1,8 @@
 """The triple check: a field Z that is Engel, Killing, and orthogonal to E.
 
+Z is Engel when its flow preserves D = ker alpha ∩ ker beta, so alpha and
+beta vanish on [Z,W] and [Z,X]; the framing's brackets are read, not rebuilt.
+
 A structure passing kengel_check admits defining forms with dalpha^2 = 0,
 dbeta^2 = 0 and beta ^ dalpha = 0, built here by rescaling alpha so that
 alpha(Z) = 1 and taking beta = -L_X alpha.  The canonical Reeb direction of
@@ -9,7 +12,7 @@ with it, and the table entries are constant along its orbits.
 
 from . import expr as ex
 from .engel import analyze
-from .frames import bracket, d, determinant, lie_form, pair, wedge, zero
+from .frames import bracket, d, lie_form, pair, wedge, zero
 from .metric import killing_report
 from .sampling import failed, fmt_point, nonvanishing
 
@@ -55,12 +58,11 @@ def kengel_invariants(data, policy):
     """
     sp = data.space
     ranges = sp.coord_ranges
-    W, X, T, R = data.framing()
+    R = data.R
     t = data.table
     out = dict(form_conditions(sp, data.alpha, data.beta, policy))
-    for name, V in (("[W,R]", bracket(W, R)), ("[X,R]", bracket(X, R)),
-                    ("[T,R]", bracket(T, R))):
-        out[name] = zero(V, ranges, policy)
+    for pq in ("WR", "XR", "TR"):
+        out[f"[{pq[0]},{pq[1]}]"] = zero(data.brackets[pq], ranges, policy)
     for key in ("a_WX", "a_WT", "b_WT", "a_XT"):
         out[f"R({key})"] = zero([sp.lie_scalar(R, t[key])], ranges, policy)
     out["b_WX"] = zero([t["b_WX"]], ranges, policy)
@@ -70,18 +72,19 @@ def kengel_invariants(data, policy):
 
 
 def kengel_check(data, g, Z, policy):
-    """Is Z an Engel field, a Killing field, and orthogonal to E?"""
+    """Is Z an Engel field (alpha and beta vanish on [Z,W] and [Z,X]), a
+    Killing field, and orthogonal to E?"""
     sp = data.space
-    W, X, T, R = data.framing()
-    Y = bracket(W, X)
+    W, X = data.W, data.X
     engel = {}
     for name, V in (("[Z,W]", bracket(Z, W)), ("[Z,X]", bracket(Z, X))):
-        dets = [determinant([W, X, V, T]), determinant([W, X, V, R])]
-        engel[f"{name} stays in the plane"] = zero(dets, sp.coord_ranges,
-                                                   policy)
+        engel[f"{name} stays in the plane"] = zero(
+            [pair(data.alpha, V), pair(data.beta, V)], sp.coord_ranges,
+            policy)
     killing = killing_report(g, Z, policy)
     ortho = {}
-    for name, V in (("g(Z,W)", W), ("g(Z,X)", X), ("g(Z,[W,X])", Y)):
+    for name, V in (("g(Z,W)", W), ("g(Z,X)", X),
+                    ("g(Z,[W,X])", data.brackets["WX"])):
         ortho[name] = zero([g.inner(Z, V)], sp.coord_ranges, policy)
     report = {"engel": engel, "killing": killing, "orthogonal": ortho}
     report["ok"] = not failing(report)

@@ -305,10 +305,8 @@ def op_transform(mf, task, policy, outputs, res):
     if len(moves) != 1:
         raise ManifestError(f"task '{task.name}': transform needs exactly "
                             f"one of lam, mu, nu, got {len(moves)}")
-    coeffs = {"lam": ex.ONE, "mu": ex.ONE, "nu": ex.ZERO}
-    coeffs[moves[0]] = _scalar_arg(mf, task, moves[0])
-    new, checks = transform_forms(data, coeffs["lam"], coeffs["mu"],
-                                  coeffs["nu"], policy)
+    new, checks = transform_forms(data, moves[0],
+                                  _scalar_arg(mf, task, moves[0]), policy)
     res.verdicts("transform", checks)
     res.derived("T", fmt_field(new.T))
     res.derived("R", fmt_field(new.R))

@@ -64,33 +64,36 @@ class SamplingPolicy:
         coords = tuple(coords)
         cols = self._points.get(coords)
         if cols is None:
-            cols = self._points[coords] = MappingProxyType({
-                name: self._scaled(j, float(lo), float(hi))
-                for j, (name, lo, hi) in enumerate(coords)})
+            cols = self._points[coords] = self._scaled(coords, self._column)
         return cols
 
-    def _scaled(self, j, lo, hi):
-        """Coordinate j of every sample, for the float range [lo, hi)."""
-        base = PRIMES[j % len(PRIMES)]
+    def fallback(self, coords, first, count):
+        """Fallback points first, ..., first + count - 1 past the sample
+        points, as columns like those of `points`: the retries of singular
+        samples.  Fallback point k has Halton index (seed+1)*n + k."""
+        start = (self.seed + 1) * self.n_samples + first
+        return self._scaled(coords, lambda base: [
+            halton(start + i, base) for i in range(count)])
+
+    def _column(self, base):
+        """The Halton values of every sample in `base`, computed once."""
         col = self._columns.get(base)
         if col is None:
             start = self.seed * self.n_samples
             col = self._columns[base] = [halton(start + i, base)
                                          for i in range(self.n_samples)]
-        return tuple([lo + u * (hi - lo) for u in col])
-
-    def extra_point(self, coords, k):
-        """Fallback point k past the base sequence, for retries."""
-        return self._point(coords, (self.seed + 1) * self.n_samples + k)
+        return col
 
     @staticmethod
-    def _point(coords, index):
-        env = {}
+    def _scaled(coords, column):
+        """Columns of named ranges: coordinate j maps column(PRIMES[j]), a
+        list of Halton values, onto its float range [lo, hi)."""
+        out = {}
         for j, (name, lo, hi) in enumerate(coords):
-            u = halton(index, PRIMES[j % len(PRIMES)])
             lo, hi = float(lo), float(hi)
-            env[name] = lo + u * (hi - lo)
-        return env
+            out[name] = tuple([lo + u * (hi - lo)
+                               for u in column(PRIMES[j % len(PRIMES)])])
+        return MappingProxyType(out)
 
 
 class Verdict:
@@ -231,12 +234,7 @@ def nonvanishing(exprs, coords, policy):
                        value=m, point=_witness(columns, 0))
     best = None   # (magnitude, point) of the smallest magnitude so far
     retries = 0
-    extras = None   # the fallback points of a round; None for the samples
     count = policy.n_samples
-
-    def point(i):
-        return extras[i] if extras else _witness(columns, i)
-
     while count:
         mags, errors = _magnitudes(normed, columns, count)
         for i in sorted(errors):
@@ -244,15 +242,14 @@ def nonvanishing(exprs, coords, policy):
                 raise errors[i]
             retries += 1
             if retries > MAX_RETRIES:
-                return Verdict("vanishing", value=0.0, point=point(i))
+                return Verdict("vanishing", value=0.0,
+                               point=_witness(columns, i))
             mags[i] = math.inf
         low = min(mags)
         if low < (best[0] if best else math.inf):
-            best = (low, point(mags.index(low)))
-        extras = [policy.extra_point(coords, k)
-                  for k in range(retries - len(errors), retries)]
-        columns = {name: tuple(p[name] for p in extras) for name in columns}
-        count = len(extras)
+            best = (low, _witness(columns, mags.index(low)))
+        count = len(errors)
+        columns = policy.fallback(coords, retries - count, count)
     ok = best is not None and best[0] > policy.abs_tol
     return Verdict("nonvanishing" if ok else "vanishing",
                    value=best[0] if best else 0.0,

@@ -91,19 +91,19 @@ def contactomorphism(data, new, lam, mu, nu, policy):
 
 def test_contactomorphism_rescale_alpha(torus, policy):
     lam = P("2 + cos(2*pi*z)")
-    new, _ = transform_forms(torus, lam, ex.ONE, ex.ZERO, policy)
+    new, _ = transform_forms(torus, "lam", lam, policy)
     assert contactomorphism(torus, new, lam, ex.ONE, ex.ZERO, policy).ok
 
 
 def test_contactomorphism_rescale_beta(torus, policy):
     mu = P("2 + sin(2*pi*z)")
-    new, _ = transform_forms(torus, ex.ONE, mu, ex.ZERO, policy)
+    new, _ = transform_forms(torus, "mu", mu, policy)
     assert contactomorphism(torus, new, ex.ONE, mu, ex.ZERO, policy).ok
 
 
 def test_contactomorphism_shear(torus, policy):
     nu = P("sin(2*pi*z)")
-    new, _ = transform_forms(torus, ex.ONE, ex.ONE, nu, policy)
+    new, _ = transform_forms(torus, "nu", nu, policy)
     assert contactomorphism(torus, new, ex.ONE, ex.ONE, nu, policy).ok
 
 
@@ -144,6 +144,6 @@ def test_restrict_kills_interval_leg(torus):
 
 
 def test_nil4_contactomorphism(nil4, policy):
-    new, _ = transform_forms(nil4, ex.rat(2), ex.ONE, ex.ZERO, policy)
+    new, _ = transform_forms(nil4, "lam", ex.rat(2), policy)
     verdict = contactomorphism(nil4, new, ex.rat(2), ex.ONE, ex.ZERO, policy)
     assert verdict.kind == "exact"

@@ -1,6 +1,6 @@
-"""No dead code: every analysis function and every private helper runs
-from the product surface, every public method is called from somewhere
-other than its own body, and no module imports a name it never reads.
+"""No dead code: every top-level function and class of src/ runs from the
+product surface, every public method is called from somewhere other than
+its own body, and no module imports a name it never reads.
 
 Reachability follows name references between top-level definitions (a
 class carries the references of its methods, a module-level assignment
@@ -16,7 +16,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "engelkit"
-ANALYSIS = ("engel", "kengel", "contact", "metric", "bundles", "catalog")
 
 
 def _tree(path):
@@ -83,14 +82,13 @@ def _reachable():
 
 
 def unreachable_functions():
+    """Public top-level functions and classes of any src/ module that no
+    root reaches."""
     seen = _reachable()
-    out = []
-    for module in ANALYSIS:
-        for node in _tree(SRC / f"{module}.py").body:
-            if isinstance(node, ast.FunctionDef) and \
-                    not node.name.startswith("_") and node.name not in seen:
-                out.append(f"{module}.{node.name}")
-    return out
+    return [f"{path.stem}.{node.name}" for path in sorted(SRC.glob("*.py"))
+            for node in _tree(path).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in seen]
 
 
 def unreachable_private_functions():

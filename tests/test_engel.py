@@ -124,7 +124,7 @@ def test_bad_hint_rejected(policy):
 
 def test_transform_rescale_alpha(torus, policy):
     lam = torus.space.scalar("2 + cos(2*pi*z)")
-    new, checks = transform_forms(torus, lam, ex.ONE, ex.ZERO, policy)
+    new, checks = transform_forms(torus, "lam", lam, policy)
     assert set(checks) == {"T unchanged", "R scales by 1/lam",
                            "c_TR scales by 1/lam"}
     for name, verdict in checks.items():
@@ -133,18 +133,23 @@ def test_transform_rescale_alpha(torus, policy):
 
 def test_transform_rescale_beta(torus, policy):
     mu = torus.space.scalar("2 + sin(2*pi*z)")
-    new, checks = transform_forms(torus, ex.ONE, mu, ex.ZERO, policy)
+    new, checks = transform_forms(torus, "mu", mu, policy)
     for name, verdict in checks.items():
         assert verdict.ok, (name, verdict.describe())
 
 
 def test_transform_shear(torus, policy):
     nu = torus.space.scalar("sin(2*pi*z)")
-    new, checks = transform_forms(torus, ex.ONE, ex.ONE, nu, policy)
+    new, checks = transform_forms(torus, "nu", nu, policy)
     assert set(checks) == {"T shears by nu W", "R shears in the plane",
                            "c_TR shear law"}
     for name, verdict in checks.items():
         assert verdict.ok, (name, verdict.describe())
+
+
+def test_transform_needs_one_known_move(torus, policy):
+    with pytest.raises(ValueError, match="unknown move 'kappa'"):
+        transform_forms(torus, "kappa", ex.ONE, policy)
 
 
 # --- invariant-frame example ------------------------------------------------

@@ -2,17 +2,21 @@
 of the plane field induces."""
 
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from engelkit import expr as ex
-from engelkit.engel import analyze
-from engelkit.frames import FrameSpace, bracket
+from engelkit import frames, report
+from engelkit.engel import analyze, integrability_report
+from engelkit.frames import FrameSpace, bracket, determinant, zero
 from engelkit.kengel import (KEngelError, certify, failing, form_conditions,
                              kengel_check, kengel_framing, kengel_invariants)
+from engelkit.manifest import load_manifest
 from engelkit.metric import framing_metric, orthonormal_metric
-from engelkit.sampling import failed, is_zero_many
+from engelkit.sampling import SamplingPolicy, failed, is_zero_many
 
 TAU = 2 * math.pi
 
@@ -115,6 +119,78 @@ def test_kengel_check_rejects_circle_direction(torus, policy):
     assert not report["engel"]["[Z,W] stays in the plane"].ok
     assert not report["orthogonal"]["g(Z,X)"].ok
     assert not all(v.ok for v in report["killing"].values())
+
+
+# -- the Engel condition against its determinant form ------------------------
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+def determinant_engel(data, Z, policy):
+    """The Engel verdicts as det(W, X, [Z,V], T) and det(W, X, [Z,V], R):
+    alpha and beta of [Z,V] times -det(W, X, T, R) and det(W, X, T, R)."""
+    W, X, T, R = data.framing()
+    return {f"{name} stays in the plane": zero(
+        [determinant([W, X, B, T]), determinant([W, X, B, R])],
+        data.space.coord_ranges, policy)
+        for name, B in (("[Z,W]", bracket(Z, W)), ("[Z,X]", bracket(Z, X)))}
+
+
+def corpus_kengel_pairs(monkeypatch, name):
+    """(data, g, Z, policy) of every kengel task of a corpus manifest."""
+    seen = []
+    check = report.kengel_check
+
+    def recording(data, g, Z, policy):
+        seen.append((data, g, Z, policy))
+        return check(data, g, Z, policy)
+
+    monkeypatch.setattr(report, "kengel_check", recording)
+    report.run_manifest(load_manifest(str(CORPUS / f"{name}.ek")),
+                        SamplingPolicy(seed=0, n_samples=64))
+    return seen
+
+
+@pytest.mark.parametrize("name", ["cartan_km1", "lorentz_k1", "nil4",
+                                  "torus"])
+def test_engel_pairings_agree_with_the_determinants(monkeypatch, name):
+    pairs = corpus_kengel_pairs(monkeypatch, name)
+    assert pairs
+    for data, g, Z, policy in pairs:
+        # Z + W and Z + T drag X out of the plane: [W,X] and [T,X] leave it
+        for V in (Z, (Z + data.W).cleanup(), (Z + data.T).cleanup()):
+            got = kengel_check(data, g, V, policy)["engel"]
+            want = determinant_engel(data, V, policy)
+            assert got.keys() == want.keys()
+            for key, verdict in got.items():
+                assert (verdict.ok, verdict.point) == \
+                    (want[key].ok, want[key].point), key
+            assert got["[Z,X] stays in the plane"].ok == (V is Z)
+
+
+def counted_brackets(monkeypatch):
+    """Calls of frames.bracket from any engelkit module, as a list."""
+    calls = []
+    bracket_ = frames.bracket
+
+    def counted(*args):
+        calls.append(args)
+        return bracket_(*args)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("engelkit") and \
+                getattr(module, "bracket", None) is bracket_:
+            monkeypatch.setattr(module, "bracket", counted)
+    return calls
+
+
+def test_invariants_and_integrability_read_the_stored_brackets(
+        monkeypatch, torus, policy):
+    calls = counted_brackets(monkeypatch)
+    assert not failed(kengel_invariants(torus, policy))
+    assert calls == []
+    assert integrability_report(torus, policy)["integrable"].ok
+    assert calls == []
 
 
 # -- the adapted framing -----------------------------------------------------

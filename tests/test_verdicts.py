@@ -242,6 +242,14 @@ def test_a_policy_rejects_a_negative_seed_and_empty_sampling(kwargs):
 
 # --- the per-point verdicts the column ones replaced ------------------------
 
+def fallback_point(policy, coords, k):
+    """Fallback point k written out from the Halton sequence."""
+    index = (policy.seed + 1) * policy.n_samples + k
+    return {name: float(lo) + halton(index, PRIMES[j])
+            * (float(hi) - float(lo))
+            for j, (name, lo, hi) in enumerate(coords)}
+
+
 def ref_is_zero_many(exprs, coords, policy):
     """is_zero_many as it was, one `evaluate` per sample and component."""
     live = [e for e in map(ex.normalize, exprs) if not ex.is_zero(e)]
@@ -284,7 +292,7 @@ def ref_nonvanishing(exprs, coords, policy):
             retries += 1
             if retries > MAX_RETRIES:
                 return Verdict("vanishing", value=0.0, point=env)
-            queue.append(policy.extra_point(coords, k))
+            queue.append(fallback_point(policy, coords, k))
             k += 1
             continue
         if best_min is None or m < best_min:
@@ -319,16 +327,32 @@ def same_verdicts(texts, policy, coords=BOX):
 
 
 def counted_extra_points(monkeypatch):
-    """The fallback points the policy builds, recorded as they are built."""
+    """The fallback points the policy builds, recorded one dict per point
+    as their columns are built."""
     built = []
-    extra_point = SamplingPolicy.extra_point
+    fallback = SamplingPolicy.fallback
 
-    def counted(self, coords, k):
-        built.append(extra_point(self, coords, k))
-        return built[-1]
+    def counted(self, coords, first, count):
+        cols = fallback(self, coords, first, count)
+        built.extend({name: col[i] for name, col in cols.items()}
+                     for i in range(count))
+        return cols
 
-    monkeypatch.setattr(SamplingPolicy, "extra_point", counted)
+    monkeypatch.setattr(SamplingPolicy, "fallback", counted)
     return built
+
+
+@pytest.mark.parametrize("seed, n, first, count", [
+    (0, 8, 0, 3), (3, 16, 5, 2), (1, 64, 16, 1), (2, 8, 4, 0)])
+def test_fallback_columns_equal_the_formula_bit_for_bit(seed, n, first,
+                                                        count):
+    pol = SamplingPolicy(seed=seed, n_samples=n)
+    cols = pol.fallback(MIXED, first, count)
+    assert list(cols) == [name for name, _, _ in MIXED]
+    want = [fallback_point(pol, MIXED, k) for k in range(first,
+                                                         first + count)]
+    for name, col in cols.items():
+        assert [v.hex() for v in col] == [p[name].hex() for p in want]
 
 
 def test_more_singular_samples_than_retries_agree(monkeypatch):

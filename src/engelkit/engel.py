@@ -136,9 +136,10 @@ def bracket_table(framing):
 def adapted_framing(space, alpha, beta, W, X, T, R, policy):
     """Rescale W and X so that beta([W,X]) = 1 and alpha([X,T]) = 1.
 
-    Returns (W', X', u, v, brackets, table) with W' = u W, X' = v X and the
-    bracket_table of (W', X', T, R), whose c_WX and d_XT are beta([W',X'])
-    and alpha([X',T]).  W' is independent of the admissible W and X.
+    Returns (W', X', u, v, c_wx, brackets, table) with W' = u W, X' = v X,
+    c_wx = beta([W,X]) and the bracket_table of (W', X', T, R), whose c_WX
+    and d_XT are beta([W',X']) and alpha([X',T]).  W' is independent of the
+    admissible W and X.
     """
     c_wx = ex.cleanup(pair(beta, bracket(W, X)))
     if not nonvanishing([c_wx], space.coord_ranges, policy).ok:
@@ -157,16 +158,16 @@ def adapted_framing(space, alpha, beta, W, X, T, R, policy):
         if not verdict.ok:
             raise EngelError(f"{name} != 1 after rescaling: "
                              f"{verdict.describe()}")
-    return Wp, Xp, u, v, brackets, table
+    return Wp, Xp, u, v, c_wx, brackets, table
 
 
 class EngelData:
     """A defining pair with its adapted framing (W, X, T, R) and the
     framing's brackets and bracket table; W_raw, X_raw are W, X before the
-    rescaling by u, v."""
+    rescaling by u, v, and c_WX_raw is beta([W_raw, X_raw])."""
 
     def __init__(self, space, alpha, beta, W, X, T, R, u, v, W_raw, X_raw,
-                 defining, brackets, table):
+                 c_WX_raw, defining, brackets, table):
         self.space = space
         self.alpha = alpha
         self.beta = beta
@@ -178,6 +179,7 @@ class EngelData:
         self.v = v
         self.W_raw = W_raw
         self.X_raw = X_raw
+        self.c_WX_raw = c_WX_raw
         self.defining = defining
         self.brackets = brackets
         self.table = table
@@ -212,9 +214,9 @@ def analyze(space, alpha, beta, policy, W=None, X=None):
     det = ex.cleanup(determinant([W, X, T, R]))
     if not nonvanishing([det], space.coord_ranges, policy).ok:
         raise EngelError("framing (W, X, T, R) degenerates somewhere")
-    Wp, Xp, u, v, brackets, table = adapted_framing(
+    Wp, Xp, u, v, c_wx, brackets, table = adapted_framing(
         space, alpha, beta, W, X, T, R, policy)
-    return EngelData(space, alpha, beta, Wp, Xp, T, R, u, v, W, X,
+    return EngelData(space, alpha, beta, Wp, Xp, T, R, u, v, W, X, c_wx,
                      defining, brackets, table)
 
 
@@ -384,8 +386,7 @@ def dbeta2_criterion(data, policy):
     b_xr = ex.cleanup(pair(theta[1], bracket(X, R)))
     out = {}
     out["a_WR + b_XR"] = zero([ex.add(a_wr, b_xr)], sp.coord_ranges, policy)
-    c_wx = ex.cleanup(pair(data.beta, bracket(W, X)))
-    mu = ex.cleanup(ex.div(ex.ONE, c_wx))
+    mu = ex.cleanup(ex.div(ex.ONE, data.c_WX_raw))
     out["mu"] = mu
     scaled = data.beta.scale(mu).cleanup()
     out["d(mu beta)^2"] = zero(wedge(d(scaled), d(scaled)), sp.coord_ranges,

@@ -2,7 +2,7 @@
 
 Expressions are immutable nested tuples.  Node shapes:
 
-    ('rat', Fraction)         exact rational
+    ('rat', int | Fraction)   exact rational: an int when integral
     ('const', name)           named constant ('pi', mostly)
     ('var', name)             chart coordinate
     ('add', (t1, ..., tk))    k >= 2, terms sorted
@@ -11,6 +11,13 @@ Expressions are immutable nested tuples.  Node shapes:
     ('div', num, den)         den neither rational nor a div
     ('sin', a) ('cos', a) ('exp', a) ('ln', a)
     ('neg', a)                input sugar only; normalize removes it
+
+Most coefficients of a frame calculation are small integers, and int
+arithmetic is many times cheaper than Fraction arithmetic, so a canonical
+`rat` holds an int whenever its value is integral and a Fraction otherwise.
+Since `2 == Fraction(2)` and their hashes agree, the choice never changes
+which node a value interns to.  Every division of two coefficients is a
+Fraction division, so no float enters a node.
 
 `normalize` produces a canonical form: fully expanded sums of monomials with
 exact rational folding and like-term cancellation.  It never rewrites function
@@ -57,8 +64,16 @@ class ParseError(ExprError):
 # ---------------------------------------------------------------------------
 # constructors
 
+def _q(x):
+    """An exact rational as its canonical coefficient: the int of an
+    integral value, else the Fraction."""
+    return x.numerator if x.denominator == 1 else x
+
+
 def rat(q) -> tuple:
-    return ("rat", Fraction(q))
+    if type(q) is not int:
+        q = _q(q if type(q) is Fraction else Fraction(q))
+    return ("rat", q)
 
 
 ZERO = rat(0)
@@ -183,7 +198,9 @@ def normalize(e):
     tag = e[0]
     if tag == "rat":
         kids = ()
-        q = e[1] if type(e[1]) is Fraction else Fraction(e[1])
+        q = e[1]
+        if type(q) is not int and type(q) is not Fraction:
+            q = Fraction(q)
         key = (tag, q.numerator, q.denominator)
     elif tag == "add" or tag == "mul":
         kids = tuple([normalize(t) for t in e[1]])
@@ -217,7 +234,7 @@ def normalize(e):
     elif tag == "div":
         out = _norm_div(*kids)
     elif tag == "rat":
-        out = ("rat", q)
+        out = ("rat", _q(q))
     elif kids:
         out = (tag, kids[0])
     else:
@@ -240,7 +257,7 @@ def _norm_pow(b, n):
     if b[0] == "rat":
         if b[1] == 0 and n < 0:
             raise EvalError("0 raised to a negative power")
-        return ("rat", b[1] ** n)
+        return ("rat", _q(Fraction(b[1]) ** n) if n < 0 else b[1] ** n)
     if b[0] == "pow":
         return _norm_pow(b[1], b[2] * n)
     if b[0] == "mul":
@@ -278,7 +295,7 @@ def _norm_mul(factors):
             nums.append(f)
     if dens:
         return _norm_div(_norm_mul(nums), _norm_mul(dens))
-    coeff = Fraction(1)
+    coeff = 1
     powers = {}   # base -> multiplicity
     for f in flat:
         if f[0] == "rat":
@@ -301,18 +318,18 @@ def split_coeff(term):
     if term[0] == "mul" and term[1][0][0] == "rat":
         rest = term[1][1:]
         return term[1][0][1], rest[0] if len(rest) == 1 else ("mul", rest)
-    return Fraction(1), term
+    return 1, term
 
 
 def with_coeff(q, key):
     if key is None:
-        return ("rat", q)
+        return ("rat", _q(q))
     if q == 0:
         return ZERO
     if q == 1:
         return key
     factors = key[1] if key[0] == "mul" else (key,)
-    return ("mul", (("rat", Fraction(q)),) + factors)
+    return ("mul", (("rat", _q(q)),) + factors)
 
 
 def _norm_add(terms):
@@ -328,15 +345,15 @@ def _norm_add(terms):
     for t in flat:
         q, key = split_coeff(t)
         if key not in acc:
-            acc[key] = Fraction(0)
+            acc[key] = 0
         acc[key] += q
     out = []
     for key in sorted((k for k in acc if k is not None)):
         if acc[key] != 0:
             out.append(with_coeff(acc[key], key))
-    qnone = acc.get(None, Fraction(0))
+    qnone = acc.get(None, 0)
     if qnone != 0:
-        out.append(("rat", qnone))
+        out.append(("rat", _q(qnone)))
     # fold quotient terms over a common denominator
     divs = {}
     others = []
@@ -344,8 +361,7 @@ def _norm_add(terms):
     for t in out:
         q, key = split_coeff(t)
         if key is not None and key[0] == "div":
-            num = key[1] if q == 1 else _norm_mul([("rat", Fraction(q)),
-                                                   key[1]])
+            num = key[1] if q == 1 else _norm_mul([("rat", q), key[1]])
             divs.setdefault(key[2], []).append(num)
             if q != 1:
                 changed = True
@@ -371,7 +387,7 @@ def _norm_div(n, d):
     if d[0] == "rat":
         if d[1] == 0:
             raise EvalError("exact division by zero")
-        return _norm_mul([("rat", 1 / d[1]), n])
+        return _norm_mul([("rat", Fraction(1, d[1])), n])
     if n[0] == "rat" and n[1] == 0:
         return ZERO
     if n == d:
@@ -382,7 +398,7 @@ def _norm_div(n, d):
         return _norm_div(_norm_mul([n, d[2]]), d[1])
     q, key = split_coeff(d)
     if q < 0:
-        return _norm_div(_norm_mul([("rat", Fraction(-1)), n]),
+        return _norm_div(_norm_mul([_MINUS_ONE, n]),
                          with_coeff(-q, key))
     return ("div", n, d)
 
@@ -874,7 +890,7 @@ def _sin_reduce(e):
             if base[0] == "cos" and n >= 2:
                 hit = True
                 k, r = divmod(n, 2)
-                flip = ("add", (("rat", Fraction(1)),
+                flip = ("add", (ONE,
                                 ("neg", ("pow", ("sin", base[1]), 2))))
                 factors.append(flip if k == 1 else ("pow", flip, k))
                 if r:
@@ -901,7 +917,7 @@ def to_poly(e):
         if fmap is None:
             return None
         mono = tuple(sorted(fmap.items()))
-        poly[mono] = poly.get(mono, Fraction(0)) + q
+        poly[mono] = poly.get(mono, 0) + q
     return {m: c for m, c in poly.items() if c}
 
 
@@ -945,11 +961,11 @@ def _poly_quotient(n, d):
         if any(a < b for a, b in zip(mlead, lead)):
             return None
         qm = tuple(a - b for a, b in zip(mlead, lead))
-        qc = rem[mlead] / lc
-        quot[qm] = quot.get(qm, Fraction(0)) + qc
+        qc = Fraction(rem[mlead], lc)
+        quot[qm] = quot.get(qm, 0) + qc
         for m, c in pd.items():
             mm = tuple(a + b for a, b in zip(m, qm))
-            rem[mm] = rem.get(mm, Fraction(0)) - c * qc
+            rem[mm] = rem.get(mm, 0) - c * qc
             if not rem[mm]:
                 del rem[mm]
     terms = []

@@ -179,7 +179,8 @@ class _Parser:
                     self.fail(lineno, f"bad bracket component: {err}")
                 if any(c[0] != "rat" for c in comps):
                     self.fail(lineno, "bracket components must be rational")
-                brackets[(tokens[1], tokens[2])] = [c[1] for c in comps]
+                brackets[(tokens[1], tokens[2])] = [Fraction(c[1])
+                                                    for c in comps]
             else:
                 self.fail(lineno, f"unknown space directive '{tokens[0]}'")
         try:

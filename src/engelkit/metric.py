@@ -71,8 +71,9 @@ def killing_report(g, Z, policy):
     return out
 
 
-def tangency_expr(g, U, Up, V):
-    """The obstruction to span(U, U') being geodesically closed along V.
+def tangency_expr(g, U, Up, V, UV, UpV):
+    """The obstruction to span(U, U') being geodesically closed along V,
+    given the brackets UV = [U, V] and UpV = [U', V].
 
     For U, U' spanning a plane orthogonal to V this is (minus twice) the
     V-component of the symmetrized second fundamental form:
@@ -82,8 +83,8 @@ def tangency_expr(g, U, Up, V):
     sp = g.space
     return ex.cleanup(ex.add(
         sp.lie_scalar(V, g.inner(U, Up)),
-        g.inner(bracket(U, V), Up),
-        g.inner(bracket(Up, V), U)))
+        g.inner(UV, Up),
+        g.inner(UpV, U)))
 
 
 def tangency_report(data, g, plane, policy):
@@ -93,24 +94,25 @@ def tangency_report(data, g, plane, policy):
     span(T, R) against W, X.  Returns per-pair verdicts, the overall flag,
     and the first failing obstruction as a witness.
     """
-    W, X, T, R = data.framing()
     if plane == "D":
-        tangent = [("W", W), ("X", X)]
-        normal = [("T", T), ("R", R)]
+        tangent, normal = "WX", "TR"
     elif plane == "R":
-        tangent = [("T", T), ("R", R)]
-        normal = [("W", W), ("X", X)]
+        tangent, normal = "TR", "WX"
     else:
         raise ValueError(f"unknown plane {plane!r}")
+    fields = dict(zip("WXTR", data.framing()))
+    # [U, V] for U tangent and V normal: a framing bracket, or minus one
+    lie = {u + v: data.brackets[u + v] if u + v in data.brackets
+           else data.brackets[v + u].scale(ex.rat(-1))
+           for u in tangent for v in normal}
     checks = {}
     witness = None
     geodesic = True
-    for ai in range(len(tangent)):
-        for bi in range(ai, len(tangent)):
-            na, U = tangent[ai]
-            nb, Up = tangent[bi]
-            for nv, V in normal:
-                e = tangency_expr(g, U, Up, V)
+    for ai, na in enumerate(tangent):
+        for nb in tangent[ai:]:
+            for nv in normal:
+                e = tangency_expr(g, fields[na], fields[nb], fields[nv],
+                                  lie[na + nv], lie[nb + nv])
                 verdict = zero([e], data.space.coord_ranges, policy)
                 name = f"({na},{nb};{nv})"
                 checks[name] = (e, verdict)

@@ -1,11 +1,17 @@
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from engelkit import expr as ex
+from engelkit.manifest import load_manifest
+from engelkit.report import run_manifest
 from engelkit.sampling import SamplingPolicy, halton, is_zero_expr, nonvanishing
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def P(text, variables=("t", "x", "y", "z"), constants=None):
@@ -201,8 +207,10 @@ def leaves():
     )
 
 
-def exprs(max_depth=4, exponents=st.integers(1, 3), quotients=False):
-    """Raw trees; with quotients, also div, exp and ln nodes.
+def exprs(max_depth=4, exponents=st.integers(1, 3), quotients=False,
+          leaf=None):
+    """Raw trees over leaf (default leaves()); with quotients, also div,
+    exp and ln nodes.
 
     A quotient tree may divide by an exact zero, so a test drawing one
     catches EvalError.
@@ -220,7 +228,8 @@ def exprs(max_depth=4, exponents=st.integers(1, 3), quotients=False):
                     sub.map(lambda a: ("ln", a))]
         return st.one_of(*out)
 
-    return st.recursive(leaves(), nodes, max_leaves=12)
+    return st.recursive(leaves() if leaf is None else leaf, nodes,
+                        max_leaves=12)
 
 
 ENV = {"t": 0.37, "x": -1.21, "y": 0.64}
@@ -356,6 +365,72 @@ def test_float_exponent_fails_after_the_integer_power_is_interned():
 def test_int_and_fraction_rationals_are_one_node():
     assert ex.normalize(("rat", 1)) is ex.normalize(("rat", Fraction(1)))
     assert ex.normalize(("rat", 1)) == ex.ONE
+    ex.clear_tables()
+    two = ex.normalize(("rat", Fraction(2)))
+    assert two is ex.normalize(("rat", 2))
+    assert type(two[1]) is int
+
+
+# Each division of two coefficients must stay exact: on two ints, `/` and
+# a negative `**` give a float.  The tables are dropped first, so that no
+# equal node interned earlier can stand in for the one computed.
+
+def rationals_in(e):
+    own = [e[1]] if e[0] == "rat" else []
+    return own + [q for c in ex.children(e) for q in rationals_in(c)]
+
+
+def test_dividing_by_an_integer_coefficient_is_exact():
+    ex.clear_tables()
+    n = ex.normalize(ex.div(ex.var("x"), ex.rat(2)))
+    assert n == ("mul", (("rat", Fraction(1, 2)), ("var", "x")))
+    assert [type(q) for q in rationals_in(n)] == [Fraction]
+
+
+def test_a_negative_power_of_an_integer_is_exact():
+    ex.clear_tables()
+    n = ex.normalize(ex.pow_(ex.rat(2), -2))
+    assert n == ("rat", Fraction(1, 4)) and type(n[1]) is Fraction
+
+
+def test_a_polynomial_quotient_by_an_integer_lead_is_exact():
+    ex.clear_tables()
+    q = ex.cleanup(P("(x^2 - 1)/(2*x + 2)"))
+    assert q == P("x/2 - 1/2")
+    assert [type(c) for c in rationals_in(q)] == [Fraction, Fraction]
+
+
+def raw_rationals():
+    """rat leaves as ints, Fractions and integral Fractions, unconverted."""
+    return st.one_of(
+        st.integers(-4, 4),
+        st.integers(-4, 4).map(Fraction),
+        st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    ).map(lambda q: ("rat", q))
+
+
+def is_canonical_rational(q):
+    return type(q) is int or (type(q) is Fraction and q.denominator != 1)
+
+
+@given(exprs(exponents=st.integers(-3, 3), quotients=True,
+             leaf=st.one_of(raw_rationals(), names.map(ex.var))))
+@settings(max_examples=200, deadline=None)
+def test_an_integral_coefficient_is_an_int(e):
+    try:
+        n, c = ex.normalize(e), ex.cleanup(e)
+    except ex.EvalError:   # a quotient or negative power of an exact zero
+        return
+    assert all(map(is_canonical_rational, rationals_in(n) + rationals_in(c)))
+
+
+def test_corpus_coefficients_are_ints_or_proper_fractions():
+    ex.clear_tables()
+    run_manifest(load_manifest(str(ROOT / "corpus" / "t2_bundle.ek")),
+                 SamplingPolicy(seed=0, n_samples=64))
+    qs = [q for node in ex._VALUES for q in rationals_in(node)]
+    assert {type(q) for q in qs} == {int, Fraction}
+    assert all(map(is_canonical_rational, qs))
 
 
 @given(exprs())

@@ -10,12 +10,13 @@ import pytest
 
 from engelkit import expr as ex
 from engelkit import frames, report
-from engelkit.engel import analyze, integrability_report
+from engelkit.engel import analyze, dbeta2_criterion, integrability_report
 from engelkit.frames import FrameSpace, bracket, determinant, zero
 from engelkit.kengel import (KEngelError, certify, failing, form_conditions,
                              kengel_check, kengel_framing, kengel_invariants)
 from engelkit.manifest import load_manifest
-from engelkit.metric import framing_metric, orthonormal_metric
+from engelkit.metric import (framing_metric, orthonormal_metric,
+                             tangency_report)
 from engelkit.sampling import SamplingPolicy, failed, is_zero_many
 
 TAU = 2 * math.pi
@@ -191,6 +192,17 @@ def test_invariants_and_integrability_read_the_stored_brackets(
     assert calls == []
     assert integrability_report(torus, policy)["integrable"].ok
     assert calls == []
+
+
+def test_tangency_and_dbeta2_read_the_stored_brackets(
+        monkeypatch, torus, nil4, policy):
+    g = orthonormal_metric(torus)
+    calls = counted_brackets(monkeypatch)
+    for plane in ("D", "R"):
+        assert not tangency_report(torus, g, plane, policy)["totally geodesic"]
+    assert calls == []
+    assert dbeta2_criterion(nil4, policy)["mu"] == ex.ONE
+    assert (nil4.W_raw, nil4.X_raw) not in calls
 
 
 # -- the adapted framing -----------------------------------------------------

@@ -1,7 +1,7 @@
 import pytest
 
 import engelkit.expr as ex
-from engelkit.frames import FrameError, pair
+from engelkit.frames import FrameError, bracket, pair
 from engelkit.metric import (Metric, bracket_pattern_report, killing_report,
                              orthonormal_metric, tangency_expr,
                              tangency_report)
@@ -80,9 +80,11 @@ def test_reeb_plane_never_geodesic(torus, nil4, policy):
 def test_tangency_expr_values(nil4):
     g = orthonormal_metric(nil4)
     # (W,X;T) obstruction is b_WT + a_XT, zero here
-    assert tangency_expr(g, nil4.W, nil4.X, nil4.T) == ex.ZERO
+    W, X, T, R = nil4.framing()
+    assert tangency_expr(g, W, X, T, bracket(W, T), bracket(X, T)) == ex.ZERO
     # (T,R;X) obstruction is -d_XT - c_XR = -1
-    assert tangency_expr(g, nil4.T, nil4.R, nil4.X) == ex.rat(-1)
+    assert tangency_expr(g, T, R, X, bracket(T, X),
+                         bracket(R, X)) == ex.rat(-1)
 
 
 def test_bracket_pattern(torus, nil4, policy):

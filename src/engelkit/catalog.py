@@ -87,8 +87,9 @@ def jacobi_check(lie):
 
 
 def _nullspace(rows):
-    """Exact basis of {z : M z = 0} for a list of Fraction rows."""
-    m = [list(map(Fraction, r)) for r in rows]
+    """Exact basis of {z : M z = 0} for a list of Fraction rows (which
+    `reduce_rows` replaces, never changes)."""
+    m = list(rows)
     pivots, _ = reduce_rows(m, 4)
     basis = []
     free = [c for c in range(4) if c not in pivots]
@@ -101,12 +102,16 @@ def _nullspace(rows):
     return basis
 
 
+_UNITS = tuple(tuple(Fraction(int(m == i)) for m in range(4))
+               for i in range(4))
+
+
 def commutant(lie, elements):
     """Exact basis of {Z : [Z, s] = 0 for every s in elements}."""
     rows = []
     for s in elements:
-        cols = [bracket_vec(lie, [Fraction(int(m == i)) for m in range(4)],
-                            list(map(Fraction, s))) for i in range(4)]
+        s = list(map(Fraction, s))
+        cols = [bracket_vec(lie, e, s) for e in _UNITS]
         for k in range(4):
             rows.append([cols[i][k] for i in range(4)])
     if not rows:

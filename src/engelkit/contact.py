@@ -53,11 +53,10 @@ def reeb_closed_form(data, sp5):
     return VectorField(sp5, comps)
 
 
-def reeb_solved(sp5, eta, policy):
-    """The Reeb direction from eta alone: K / eta(K) for the kernel line K
-    of deta ^ deta, so i_K deta = 0 (deta has rank 4), and eta(K) is the
-    density of the contact volume eta ^ deta ^ deta."""
-    deta = d(eta)
+def reeb_solved(sp5, eta, deta, policy):
+    """The Reeb direction from eta and deta = d(eta) alone: K / eta(K) for
+    the kernel line K of deta ^ deta, so i_K deta = 0 (deta has rank 4),
+    and eta(K) is the density of the contact volume eta ^ deta ^ deta."""
     K = kernel_line(wedge(deta, deta))
     norm = ex.cleanup(pair(eta, K))
     verdict = nonvanishing([norm], sp5.coord_ranges, policy)
@@ -80,7 +79,7 @@ def contactization_report(data, policy):
     out["pairs to one"] = zero([ex.add(pair(eta, closed), ex.rat(-1))],
                                ranges, policy)
     out["contracts to zero"] = zero(interior(closed, deta), ranges, policy)
-    solved = reeb_solved(sp5, eta, policy)
+    solved = reeb_solved(sp5, eta, deta, policy)
     out["solved"] = solved
     out["closed form matches solve"] = zero(closed - solved, ranges, policy)
     return out

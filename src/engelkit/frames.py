@@ -65,6 +65,7 @@ class FrameSpace:
         self.index = {n: i for i, n in enumerate(self.names)}
         self._coords = [name for name, *_ in self.coord_ranges]
         self.structure = {}
+        self._zero = (Fraction(0),) * self.dim   # [e_i, e_j] when not stored
         for (a, b), comps in (brackets or {}).items():
             ia, ib = self.index[a], self.index[b]
             if self.kinds[ia] != "lie" or self.kinds[ib] != "lie":
@@ -104,10 +105,9 @@ class FrameSpace:
 
     def cbr(self, i, j):
         """Constant bracket [e_i, e_j] as a Fraction vector."""
-        zero = (Fraction(0),) * self.dim
         if i <= j:
-            return self.structure.get((i, j), zero)
-        return tuple(-c for c in self.structure.get((j, i), zero))
+            return self.structure.get((i, j), self._zero)
+        return tuple(-c for c in self.structure.get((j, i), self._zero))
 
     def dir_deriv(self, i, f):
         """Derivative of a scalar along frame direction i."""

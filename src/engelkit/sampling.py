@@ -7,7 +7,8 @@ pure function of (seed, sample count), so repeated runs agree byte for byte.
 """
 
 import math
-from operator import itemgetter
+from functools import partial
+from operator import add, itemgetter
 from types import MappingProxyType
 
 from . import expr as ex
@@ -17,15 +18,45 @@ MAX_RETRIES = 16   # singular samples `nonvanishing` replaces before failing
 BLOCK_GROWTH = 4   # each block of `is_zero_many` is this much longer
 
 
-def halton(index: int, base: int) -> float:
-    """Van der Corput radical inverse of `index` in `base` (index 0 -> 0)."""
+def halton_column(start, count, base):
+    """The Van der Corput radical inverses of start, ..., start+count-1 in
+    `base` (index 0 -> 0.0), bit for bit as a per-index digit loop gives
+    them: f = 1.0; out = 0.0; for each digit d of the index from the lowest,
+    f /= base; out += f * d.
+
+    The column is built one digit position k at a time.  f_k is the same
+    for every index, and digit k of consecutive indices runs through
+    0, ..., base-1 in runs of base**(k-1), so the position's terms f_k*d
+    are laid out by list repetition: a low position tiles one period of
+    runs, a high one covers the window with one run or a few.  One
+    element-wise addition then adds them to every value in the loop's
+    order.  Past an index's top digit the term is +0.0, which leaves a
+    nonnegative float unchanged, so going on past the loop's last digit
+    changes no bit.
+    """
+    out = [0.0] * count
+    stop = start + count
     f = 1.0
-    out = 0.0
-    i = index
-    while i > 0:
+    run = 1   # base**(k-1): the length of a run of one digit at position k
+    while run < stop:
         f /= base
-        out += f * (i % base)
-        i //= base
+        terms = [f * d for d in range(base)]
+        first, last = start // run, (stop - 1) // run
+        if last - first > base:
+            period = []
+            for t in terms:
+                period += [t] * run
+            skip = start % len(period)
+            col = (period * ((skip + count) // len(period) + 1))[
+                skip:skip + count]
+        else:
+            col = []
+            for q in range(first, last + 1):
+                col += [terms[q % base]] * (min(stop, (q + 1) * run)
+                                             - max(start, q * run))
+        # 0.0 + t is t, so the lowest position's terms are the sums
+        out = col if run == 1 else list(map(add, out, col))
+        run *= base
     return out
 
 
@@ -56,10 +87,10 @@ class SamplingPolicy:
         Every coordinate samples the half-open range [lo, hi), as the
         Halton radical inverse never reaches 1; a manifest's `periodic`
         keyword changes nothing here.  Coordinate j of sample i is
-        lo + halton(seed*n + i, PRIMES[j]) * (hi - lo); each column of
-        Halton values is computed once per policy.  The columns are built
-        once per coordinate tuple and returned as the same mapping on every
-        later call.
+        lo + u * (hi - lo), with u the radical inverse of seed*n + i in
+        PRIMES[j].  Each prime's column of radical inverses is built once
+        per policy, by `halton_column`, and the columns of a coordinate
+        tuple once; a later call returns the same mapping.
         """
         coords = tuple(coords)
         cols = self._points.get(coords)
@@ -72,16 +103,17 @@ class SamplingPolicy:
         points, as columns like those of `points`: the retries of singular
         samples.  Fallback point k has Halton index (seed+1)*n + k."""
         start = (self.seed + 1) * self.n_samples + first
-        return self._scaled(coords, lambda base: [
-            halton(start + i, base) for i in range(count)])
+        return self._scaled(coords, partial(halton_column, start, count))
 
     def _column(self, base):
-        """The Halton values of every sample in `base`, computed once."""
+        """The radical inverses in `base` of the sample indices seed*n,
+        ..., seed*n + n - 1, built digit position by digit position by
+        `halton_column` (bit for bit the per-index digit loop) once per
+        policy."""
         col = self._columns.get(base)
         if col is None:
-            start = self.seed * self.n_samples
-            col = self._columns[base] = [halton(start + i, base)
-                                         for i in range(self.n_samples)]
+            col = self._columns[base] = halton_column(
+                self.seed * self.n_samples, self.n_samples, base)
         return col
 
     @staticmethod
@@ -90,8 +122,8 @@ class SamplingPolicy:
         list of Halton values, onto its float range [lo, hi)."""
         out = {}
         for j, (name, lo, hi) in enumerate(coords):
-            lo, hi = float(lo), float(hi)
-            out[name] = tuple([lo + u * (hi - lo)
+            lo, width = float(lo), float(hi) - float(lo)
+            out[name] = tuple([lo + u * width
                                for u in column(PRIMES[j % len(PRIMES)])])
         return MappingProxyType(out)
 

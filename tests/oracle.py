@@ -7,6 +7,9 @@ Two self-contained calculi, deliberately sharing no code with engelkit:
 * exact Fraction linear algebra for frames whose structure data is rational
   (Lie frames), for freezing exact expected tables.
 
+It also holds the per-index Halton digit loop, the reference that the
+column-wise construction of sample points must equal bit for bit.
+
 Basis directions are either chart coordinates or abstract Lie directions with
 declared constant brackets; a point is a dict coord-name -> float; a vector
 field is a function point -> list of components in basis order; a p-form is a
@@ -381,3 +384,16 @@ def frac_rank(rows):
         if r == len(rows):
             break
     return rank
+
+
+def halton(index, base):
+    """Van der Corput radical inverse of `index` in `base` (index 0 -> 0),
+    one digit at a time from the lowest."""
+    f = 1.0
+    out = 0.0
+    i = index
+    while i > 0:
+        f /= base
+        out += f * (i % base)
+        i //= base
+    return out

@@ -87,6 +87,16 @@ def test_commutant_of_nothing_is_everything():
     assert len(commutant(lie, [])) == 4
 
 
+@pytest.mark.parametrize("name, elements", [
+    ("nil4", [(1, 0, 0, 0), (0, 0, 0, 1)]), ("sol1", [(2, 3, 0, 1)]),
+    ("s3xr", [(3, 0, 2, 0)]), ("nil3xr", [(0, 2, 0, 3), (1, 0, 0, 0)]),
+    ("nil4", [])])
+def test_commutant_of_int_vectors_is_made_of_fractions(name, elements):
+    # reduce_rows divides with `/`, which gives floats on two ints
+    basis = commutant(build(name), elements)
+    assert basis and all(type(c) is Fraction for v in basis for c in v)
+
+
 small_vec = st.tuples(*[st.integers(min_value=-3, max_value=3)] * 4)
 
 

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from engelkit import expr as ex
 from engelkit.manifest import load_manifest
 from engelkit.report import run_manifest
-from engelkit.sampling import SamplingPolicy, halton, is_zero_expr, nonvanishing
+from engelkit.sampling import (SamplingPolicy, halton_column, is_zero_expr,
+                               nonvanishing)
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -165,9 +166,8 @@ def test_cleanup_applies_sin_squared_plus_cos_squared(text, want):
 
 
 def test_halton_starts_at_corner():
-    assert halton(0, 2) == 0.0
-    assert halton(1, 2) == 0.5
-    assert halton(2, 3) == pytest.approx(2 / 3)
+    assert halton_column(0, 4, 2) == [0.0, 0.5, 0.25, 0.75]
+    assert halton_column(2, 1, 3) == [pytest.approx(2 / 3)]
 
 
 def test_policy_deterministic():

@@ -88,8 +88,8 @@ def derived():
         pairs.append((space, alpha, beta, T, R))
         return T, R
 
-    def recording_reeb(sp5, eta, policy):
-        field = reeb_solved(sp5, eta, policy)
+    def recording_reeb(sp5, eta, deta, policy):
+        field = reeb_solved(sp5, eta, deta, policy)
         thickenings.append((sp5, eta, field))
         return field
 
@@ -194,4 +194,4 @@ def test_a_closed_eta_has_no_reeb_field():
     eta = sp5.one_form([ex.ONE] + [ex.ZERO] * 4)
     with pytest.raises(FrameError, match=r"^contact Reeb field: eta\(K\) "
                                          r"nonvanishing=NO min=0 at "):
-        reeb_solved(sp5, eta, POLICY)
+        reeb_solved(sp5, eta, d(eta), POLICY)

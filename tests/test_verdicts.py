@@ -3,14 +3,15 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from oracle import halton
 
 from engelkit import expr as ex
 from engelkit import sampling
 from engelkit.frames import FrameSpace, nonzero, zero
 from engelkit.sampling import (MAX_RETRIES, PRIMES, SamplingPolicy, Verdict,
-                               failed, halton, is_zero_expr, is_zero_many,
-                               nonvanishing, weakest)
+                               failed, halton_column, is_zero_expr,
+                               is_zero_many, nonvanishing, weakest)
 
 POLICY = SamplingPolicy(n_samples=16)
 
@@ -125,19 +126,30 @@ def test_column_built_points_equal_the_formula_bit_for_bit(seed, n):
             assert value.hex() == want.hex()
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 7), st.integers(1, 3000))
+@example(0, 1)
+@example(0, 3000)
+def test_halton_columns_equal_the_digit_loop_bit_for_bit(start, count):
+    for base in PRIMES:
+        col = halton_column(start, count, base)
+        assert [v.hex() for v in col] == \
+            [halton(start + i, base).hex() for i in range(count)]
+
+
 def test_coordinate_tuples_share_their_halton_columns(monkeypatch):
-    calls = []
+    builds = []
 
-    def counted(index, base):
-        calls.append(base)
-        return halton(index, base)
+    def counted(start, count, base):
+        builds.append((start, count, base))
+        return halton_column(start, count, base)
 
-    monkeypatch.setattr(sampling, "halton", counted)
+    monkeypatch.setattr(sampling, "halton_column", counted)
     pol = SamplingPolicy(seed=3, n_samples=16)
     pol.points(MIXED[:3])
     pol.points(MIXED)
-    assert len(calls) == 4 * 16
-    assert sorted(set(calls)) == [2, 3, 5, 7]
+    assert sorted(builds) == [(48, 16, 2), (48, 16, 3), (48, 16, 5),
+                              (48, 16, 7)]
 
 
 def test_a_space_without_coordinates_has_n_empty_points():
@@ -343,7 +355,8 @@ def counted_extra_points(monkeypatch):
 
 
 @pytest.mark.parametrize("seed, n, first, count", [
-    (0, 8, 0, 3), (3, 16, 5, 2), (1, 64, 16, 1), (2, 8, 4, 0)])
+    (0, 8, 0, 3), (3, 16, 5, 2), (1, 64, 16, 1), (2, 8, 4, 0),
+    (137, 1024, 0, MAX_RETRIES + 1)])
 def test_fallback_columns_equal_the_formula_bit_for_bit(seed, n, first,
                                                         count):
     pol = SamplingPolicy(seed=seed, n_samples=n)

@@ -53,11 +53,11 @@ def reeb_closed_form(data, sp5):
     return VectorField(sp5, comps)
 
 
-def reeb_solved(sp5, eta, deta, policy):
-    """The Reeb direction from eta and deta = d(eta) alone: K / eta(K) for
-    the kernel line K of deta ^ deta, so i_K deta = 0 (deta has rank 4),
-    and eta(K) is the density of the contact volume eta ^ deta ^ deta."""
-    K = kernel_line(wedge(deta, deta))
+def reeb_solved(sp5, eta, dd, policy):
+    """The Reeb direction from eta and dd = deta ^ deta alone: K / eta(K)
+    for the kernel line K of dd, so i_K deta = 0 (deta has rank 4), and
+    eta(K) is the density of the contact volume eta ^ dd."""
+    K = kernel_line(dd)
     norm = ex.cleanup(pair(eta, K))
     verdict = nonvanishing([norm], sp5.coord_ranges, policy)
     if not verdict.ok:
@@ -70,8 +70,9 @@ def contactization_report(data, policy):
     out = {"eta": eta}
     deta = d(eta)
     ranges = sp5.coord_ranges
+    dd = wedge(deta, deta)
     # the top-degree volume form has a single density component
-    vol = wedge(wedge(eta, deta), deta)
+    vol = wedge(eta, dd)
     out["contact volume"] = nonvanishing([vol.comp(range(sp5.dim))], ranges,
                                          policy)
     closed = reeb_closed_form(data, sp5)
@@ -79,7 +80,7 @@ def contactization_report(data, policy):
     out["pairs to one"] = zero([ex.add(pair(eta, closed), ex.rat(-1))],
                                ranges, policy)
     out["contracts to zero"] = zero(interior(closed, deta), ranges, policy)
-    solved = reeb_solved(sp5, eta, deta, policy)
+    solved = reeb_solved(sp5, eta, dd, policy)
     out["solved"] = solved
     out["closed form matches solve"] = zero(closed - solved, ranges, policy)
     return out

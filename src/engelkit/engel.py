@@ -1,20 +1,20 @@
 """Rank-2 distributions via a defining pair of 1-forms.
 
 A defining pair (alpha, beta) on a framed 4-space cuts out D = ker alpha ∩
-ker beta.  The module checks the three defining-form conditions, derives the
-characteristic direction W and the transverse pair (T, R) as kernel lines of
-3-forms, and the adapted framing, whose six brackets and 24-entry table are
-built once and kept on EngelData.  The checks read them there: the
-structural identities of the table, the integrability test for the plane
-field span(T, R), the exact transformation laws under rescaling/shearing
-the pair, and two curvature-type criteria expressed through the coframe
-dual to the framing.  Only X, a line in ker alpha ∩ ker beta, is solved for.
+ker beta.  The module checks the three defining-form conditions and derives
+the characteristic direction W, the complement X and the transverse pair
+(T, R) as kernel lines of 3-forms, X that of alpha ^ beta ^ gamma for a
+1-form gamma with gamma(W) != 0.  The six brackets and 24-entry table of
+the adapted framing are built once and kept on EngelData, and the checks
+read them there: the structural identities of the table, the
+integrability test for the plane field span(T, R), the exact
+transformation laws under rescaling/shearing the pair, and two
+curvature-type criteria expressed through the coframe dual to the framing.
 """
 
 from . import expr as ex
 from .frames import (bracket, d, determinant, dual_coframe, interior,
-                     kernel_line, lie_form, nonzero, pair,
-                     solve_kernel_greedy, wedge, zero)
+                     kernel_line, lie_form, nonzero, pair, wedge, zero)
 from .sampling import nonvanishing
 
 PAIRS = ("WX", "WT", "WR", "XT", "XR", "TR")
@@ -65,30 +65,36 @@ def characteristic_field(space, alpha, policy):
     return min(candidates, key=lambda t: t[0])[1]
 
 
-def complement_field(space, alpha, beta, W, policy):
+def complement_field(space, alpha, beta, W):
     """A direction X with alpha(X) = beta(X) = 0, independent of W.
 
-    The kernel is a plane, so each unit-component normalization is
-    completed by greedily zeroing the remaining components.
+    X is the kernel line K of alpha ^ beta ^ gamma for a 1-form gamma with
+    gamma(W) != 0, so gamma(K) = 0 keeps K off the line of W.  gamma runs
+    over the frame legs e^k whose W_k is a nonzero rational, or is
+    W♭ = sum_i W_i e^i, with W♭(W) = |W|^2 > 0, when there is none.  K is
+    divided by its first nonzero rational component if it has one; no
+    step samples, and a K that vanishes somewhere is left to analyze's
+    determinant check.  Quotient-free candidates win first, then
+    structurally smallest, then the earliest k.
     """
+    ab = wedge(alpha, beta)
+    legs = [(k, space.form(1, {(k,): ex.ONE}))
+            for k, c in enumerate(map(ex.cleanup, W.comps)) if _unit(c)]
     candidates = []
-    for k in range(space.dim):
-        f = solve_kernel_greedy(space, [(alpha, ex.ZERO), (beta, ex.ZERO)],
-                                policy, pinned={k: ex.ONE})
-        if f is None:
-            continue
-        f = f.cleanup()
-        minors = [ex.add(ex.mul(W.comps[i], f.comps[j]),
-                         ex.neg(ex.mul(W.comps[j], f.comps[i])))
-                  for i in range(space.dim) for j in range(i + 1, space.dim)]
-        if not nonvanishing(minors, space.coord_ranges, policy).ok:
-            continue
-        quality = (any(ex.has_div(c) for c in f.comps),
-                   sum(ex.size(c) for c in f.comps), k)
-        candidates.append((quality, f))
-    if not candidates:
-        raise EngelError("no complement to W inside ker alpha ∩ ker beta")
+    for k, gamma in legs or [(0, space.one_form(W.comps))]:
+        K = kernel_line(wedge(ab, gamma)).cleanup()
+        pivot = next(filter(_unit, K.comps), None)
+        if pivot is not None:
+            K = K.scale(ex.div(ex.ONE, pivot)).cleanup()
+        quality = (any(ex.has_div(c) for c in K.comps),
+                   sum(ex.size(c) for c in K.comps), k)
+        candidates.append((quality, K))
     return min(candidates, key=lambda t: t[0])[1]
+
+
+def _unit(c):
+    """Is the canonical c a nonzero rational, a divisor needing no check?"""
+    return c[0] == "rat" and c[1] != 0
 
 
 def reeb_pair(space, alpha, beta, policy):
@@ -209,7 +215,7 @@ def analyze(space, alpha, beta, policy, W=None, X=None):
             raise EngelError(f"X hint not in ker alpha ∩ ker beta: "
                              f"{v.describe()}")
     else:
-        X = complement_field(space, alpha, beta, W, policy)
+        X = complement_field(space, alpha, beta, W)
     T, R = reeb_pair(space, alpha, beta, policy)
     det = ex.cleanup(determinant([W, X, T, R]))
     if not nonvanishing([det], space.coord_ranges, policy).ok:

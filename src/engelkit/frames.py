@@ -501,7 +501,9 @@ def fmt_form(w):
 
 
 # ---------------------------------------------------------------------------
-# linear solving along the frame
+# linear solving along the frame; no analysis calls it since
+# engel.complement_field derives X as a kernel line, and it stays only as a
+# target of the benchmark tracer (bench/tracer.py)
 
 def solve_kernel(space, conditions, policy, pinned=None):
     """Solve pointwise 1-form conditions for a vector field.
@@ -590,9 +592,9 @@ def solve_kernel_greedy(space, conditions, policy, pinned=None):
 def _solve_square(space, work, solved, unknowns, policy):
     """One Cramer solve when exactly as many rows as unknowns remain and
     their determinant is nonvanishing; None otherwise.  No row subset is
-    searched: complement_field poses two conditions, so more rows mean one
-    unknown whose coefficients jointly failed the single-row step, and no
-    one of them can pivot alone."""
+    searched: with two conditions, more rows mean one unknown whose
+    coefficients jointly failed the single-row step, and no one of them
+    can pivot alone."""
     rows = []
     for free, rhs in work:
         live = {i: c for i, c in free.items() if i in unknowns}

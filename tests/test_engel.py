@@ -1,14 +1,21 @@
+import sys
+from pathlib import Path
+
 import pytest
 
 from engelkit import expr as ex
+from engelkit import sampling
 from engelkit.engel import (EngelError, analyze, characteristic_field,
                             check_defining_forms, complement_field,
                             dbeta2_criterion, identity_suite,
                             integrability_report, reeb_pair, rho_criterion,
                             transform_forms)
-from engelkit.frames import d, fmt_field, interior, pair
+from engelkit.frames import d, fmt_field, interior, pair, zero
+from engelkit.manifest import load_manifest
 
 from conftest import torus_forms, torus_framing_hints, torus_space
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_torus_defining(torus, policy):
@@ -30,8 +37,65 @@ def test_torus_complement(policy):
     sp = torus_space()
     alpha, beta = torus_forms(sp)
     W, _ = torus_framing_hints(sp)
-    X = complement_field(sp, alpha, beta, W, policy)
+    X = complement_field(sp, alpha, beta, W)
     assert X.comps == (ex.ZERO, ex.ZERO, ex.ZERO, ex.ONE)
+
+
+def _torus_pair():
+    sp = torus_space()
+    alpha, beta = torus_forms(sp)
+    return sp, alpha, beta, torus_framing_hints(sp)[0], "x"
+
+
+def _cartan_pair():
+    m = load_manifest(str(ROOT / "corpus" / "cartan_km1.ek"))
+    return m.space, m.forms["alpha"], m.forms["beta"], m.fields["W"], "t"
+
+
+CASES = {"torus": _torus_pair, "cartan_km1": _cartan_pair}
+
+
+def _wrap_everywhere(monkeypatch, fn, calls):
+    """Replace fn by a call-recording wrapper in every engelkit module that
+    binds it."""
+    def wrapper(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "engelkit" or name.startswith("engelkit."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, wrapper)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_complement_field_samples_nothing(case, policy, monkeypatch):
+    sp, alpha, beta, W, _ = CASES[case]()
+    calls = []
+    for fn in (sampling.nonvanishing, sampling.is_zero_many):
+        _wrap_everywhere(monkeypatch, fn, calls)
+    X = complement_field(sp, alpha, beta, W)
+    assert calls == []
+    # the wrappers do see the sampled steps of the pipeline
+    reeb_pair(sp, alpha, beta, policy)
+    assert calls
+    monkeypatch.undo()
+    for theta in (alpha, beta):
+        assert zero([pair(theta, X)], sp.coord_ranges, policy).kind == "exact"
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_complement_of_a_nowhere_rational_W(case, policy):
+    """A W hint scaled by 1 + c^2 has no rational component, so X comes
+    from the fallback gamma = W♭; the adapted W' and X' do not see it."""
+    sp, alpha, beta, W, c = CASES[case]()
+    scaled = W.scale(sp.scalar(f"1 + {c}^2")).cleanup()
+    assert not any(comp[0] == "rat" and comp[1] for comp in scaled.comps)
+    plain = analyze(sp, alpha, beta, policy, W=W)
+    fallback = analyze(sp, alpha, beta, policy, W=scaled)
+    for A, B in ((plain.W, fallback.W), (plain.X, fallback.X)):
+        assert zero(A - B, sp.coord_ranges, policy).ok
 
 
 def test_torus_transverse_pair(policy):

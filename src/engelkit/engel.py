@@ -46,20 +46,24 @@ def characteristic_field(space, alpha, policy):
 
     Each component K_k of K = kernel_line(alpha ^ dalpha) that vanishes
     nowhere gives a candidate K / K_k; quotient-free candidates win first,
-    then structurally smallest, then the earliest frame direction.
+    then structurally smallest, then the earliest frame direction.  When
+    some K_k is a nonzero constant, only those are divisors and nothing is
+    sampled; otherwise each K_k is sampled as nonvanishing.
     """
     w3 = wedge(alpha, d(alpha))
     if w3.is_structurally_zero():
         raise EngelError("alpha ^ dalpha vanishes identically")
     K = kernel_line(w3)
+    comps = list(map(ex.cleanup, K.comps))
+    pivots = [k for k, c in enumerate(comps) if _unit(c)] or [
+        k for k, c in enumerate(comps)
+        if nonvanishing([c], space.coord_ranges, policy).ok]
     candidates = []
-    for k, ck in enumerate(K.comps):
-        ck = ex.cleanup(ck)
-        if nonvanishing([ck], space.coord_ranges, policy).ok:
-            f = K.scale(ex.div(ex.ONE, ck)).cleanup()
-            quality = (any(ex.has_div(c) for c in f.comps),
-                       sum(ex.size(c) for c in f.comps), k)
-            candidates.append((quality, f))
+    for k in pivots:
+        f = K.scale(ex.div(ex.ONE, comps[k])).cleanup()
+        quality = (any(ex.has_div(c) for c in f.comps),
+                   sum(ex.size(c) for c in f.comps), k)
+        candidates.append((quality, f))
     if not candidates:
         raise EngelError("no normalization pins down ker(alpha ^ dalpha)")
     return min(candidates, key=lambda t: t[0])[1]
@@ -70,9 +74,9 @@ def complement_field(space, alpha, beta, W):
 
     X is the kernel line K of alpha ^ beta ^ gamma for a 1-form gamma with
     gamma(W) != 0, so gamma(K) = 0 keeps K off the line of W.  gamma runs
-    over the frame legs e^k whose W_k is a nonzero rational, or is
+    over the frame legs e^k whose W_k is a nonzero constant, or is
     W♭ = sum_i W_i e^i, with W♭(W) = |W|^2 > 0, when there is none.  K is
-    divided by its first nonzero rational component if it has one; no
+    divided by its first nonzero constant component if it has one; no
     step samples, and a K that vanishes somewhere is left to analyze's
     determinant check.  Quotient-free candidates win first, then
     structurally smallest, then the earliest k.
@@ -93,8 +97,19 @@ def complement_field(space, alpha, beta, W):
 
 
 def _unit(c):
-    """Is the canonical c a nonzero rational, a divisor needing no check?"""
-    return c[0] == "rat" and c[1] != 0
+    """Is the canonical c a nonzero constant, a divisor needing no check?
+
+    A constant is a polynomial in pi with rational coefficients.  The
+    canonical form cancels like terms, and pi is transcendental, so one
+    that is not the rational zero is nonzero.
+    """
+    return not ex.is_zero(c) and _pi_polynomial(c)
+
+
+def _pi_polynomial(c):
+    if c[0] in ("add", "mul", "pow"):
+        return all(map(_pi_polynomial, ex.children(c)))
+    return c[0] == "rat" or c == ex.PI
 
 
 def reeb_pair(space, alpha, beta, policy):

@@ -8,7 +8,7 @@ pure function of (seed, sample count), so repeated runs agree byte for byte.
 
 import math
 from functools import partial
-from operator import add, itemgetter
+from operator import itemgetter
 from types import MappingProxyType
 
 from . import expr as ex
@@ -24,39 +24,39 @@ def halton_column(start, count, base):
     them: f = 1.0; out = 0.0; for each digit d of the index from the lowest,
     f /= base; out += f * d.
 
-    The column is built one digit position k at a time.  f_k is the same
-    for every index, and digit k of consecutive indices runs through
-    0, ..., base-1 in runs of base**(k-1), so the position's terms f_k*d
-    are laid out by list repetition: a low position tiles one period of
-    runs, a high one covers the window with one run or a few.  One
-    element-wise addition then adds them to every value in the loop's
-    order.  Past an index's top digit the term is +0.0, which leaves a
-    nonnegative float unchanged, so going on past the loop's last digit
-    changes no bit.
+    The loop's partial sum over the lowest m digit positions depends only
+    on the index mod base**m.  That period is built once, for the largest
+    base**m no longer than the window, one position at a time: residue
+    d*base**(k-1) + r gets the period of k-1 positions at r plus f_k*d.
+    Above position m the digits of an index are those of its aligned block
+    q = index // base**m, the same for the whole block, so each block of
+    the window is a slice of the period to which the block's higher terms
+    are added in turn, lowest first.  Every value thus receives the loop's
+    terms in the loop's order.  A term +0.0, from a zero digit or past an
+    index's top digit, leaves a nonnegative float unchanged, so the period
+    may add it and the blocks skip it without changing a bit.
     """
-    out = [0.0] * count
     stop = start + count
-    f = 1.0
-    run = 1   # base**(k-1): the length of a run of one digit at position k
-    while run < stop:
+    period, f, run = [0.0], 1.0, 1   # run = base**m, the period's length
+    while run * base <= count:
         f /= base
-        terms = [f * d for d in range(base)]
-        first, last = start // run, (stop - 1) // run
-        if last - first > base:
-            period = []
-            for t in terms:
-                period += [t] * run
-            skip = start % len(period)
-            col = (period * ((skip + count) // len(period) + 1))[
-                skip:skip + count]
-        else:
-            col = []
-            for q in range(first, last + 1):
-                col += [terms[q % base]] * (min(stop, (q + 1) * run)
-                                             - max(start, q * run))
-        # 0.0 + t is t, so the lowest position's terms are the sums
-        out = col if run == 1 else list(map(add, out, col))
+        low = []
+        for d in range(base):
+            low += map((f * d).__add__, period)
+        period = low
         run *= base
+    out = []
+    for q in range(start // run, (stop - 1) // run + 1):
+        first = q * run
+        block = period[max(start - first, 0):min(stop - first, run)]
+        g = f
+        while q:   # the digits above position m, lowest first
+            g /= base
+            t = g * (q % base)
+            if t:
+                block = map(t.__add__, block)
+            q //= base
+        out += block
     return out
 
 
@@ -75,27 +75,39 @@ class SamplingPolicy:
         self.abs_tol = float(abs_tol)
         if self.seed < 0 or not (self.n_samples > 0 and self.abs_tol > 0):
             raise ValueError("need seed >= 0, n_samples > 0 and abs_tol > 0")
-        self._points = {}    # coordinate tuple -> its sample columns
-        self._columns = {}   # prime -> its Halton column
+        self._points = {}    # coordinate tuple -> (samples built, columns)
+        self._columns = {}   # prime -> its Halton column, as far as built
 
-    def points(self, coords):
+    def points(self, coords, stop=None):
         """The sample points of named coordinate ranges, as columns.
 
         coords: sequence of (name, lo, hi).  Returns a read-only mapping
-        from each name to the tuple of its value at every sample, in sample
+        from each name to the tuple of its value at each sample, in sample
         order; there are n_samples samples, also when coords is empty.
         Every coordinate samples the half-open range [lo, hi), as the
         Halton radical inverse never reaches 1; a manifest's `periodic`
         keyword changes nothing here.  Coordinate j of sample i is
         lo + u * (hi - lo), with u the radical inverse of seed*n + i in
-        PRIMES[j].  Each prime's column of radical inverses is built once
-        per policy, by `halton_column`, and the columns of a coordinate
-        tuple once; a later call returns the same mapping.
+        PRIMES[j].
+
+        The columns are built only as far as a caller reads: stop (at most
+        and by default n_samples) asks for samples 0, ..., stop-1, and the
+        mapping returned may hold more.  Each prime's column of radical
+        inverses grows as a prefix, by `halton_column` on the indices not
+        yet built, so each index is built at most once per base per policy;
+        the columns of a coordinate tuple grow the same way.  Once all n
+        samples are built, every call returns the same mapping.
         """
         coords = tuple(coords)
-        cols = self._points.get(coords)
-        if cols is None:
-            cols = self._points[coords] = self._scaled(coords, self._column)
+        stop = self.n_samples if stop is None else min(stop, self.n_samples)
+        built, cols = self._points.get(coords, (0, None))
+        if cols is None or built < stop:
+            grown = self._scaled(
+                coords, lambda base: self._column(base, stop)[built:stop])
+            if cols is not None:
+                grown = {name: cols[name] + new for name, new in grown.items()}
+            cols = MappingProxyType(grown)
+            self._points[coords] = stop, cols
         return cols
 
     def fallback(self, coords, first, count):
@@ -103,29 +115,30 @@ class SamplingPolicy:
         points, as columns like those of `points`: the retries of singular
         samples.  Fallback point k has Halton index (seed+1)*n + k."""
         start = (self.seed + 1) * self.n_samples + first
-        return self._scaled(coords, partial(halton_column, start, count))
+        return MappingProxyType(
+            self._scaled(coords, partial(halton_column, start, count)))
 
-    def _column(self, base):
+    def _column(self, base, stop):
         """The radical inverses in `base` of the sample indices seed*n,
-        ..., seed*n + n - 1, built digit position by digit position by
-        `halton_column` (bit for bit the per-index digit loop) once per
-        policy."""
-        col = self._columns.get(base)
-        if col is None:
-            col = self._columns[base] = halton_column(
-                self.seed * self.n_samples, self.n_samples, base)
+        ..., seed*n + stop - 1 at least: a prefix that `halton_column`
+        (bit for bit the per-index digit loop) extends on demand."""
+        col = self._columns.setdefault(base, [])
+        if len(col) < stop:
+            col += halton_column(self.seed * self.n_samples + len(col),
+                                 stop - len(col), base)
         return col
 
     @staticmethod
     def _scaled(coords, column):
-        """Columns of named ranges: coordinate j maps column(PRIMES[j]), a
-        list of Halton values, onto its float range [lo, hi)."""
+        """Columns of named ranges, as a dict: coordinate j maps
+        column(PRIMES[j]), a list of Halton values, onto its float range
+        [lo, hi)."""
         out = {}
         for j, (name, lo, hi) in enumerate(coords):
             lo, width = float(lo), float(hi) - float(lo)
-            out[name] = tuple([lo + u * width
-                               for u in column(PRIMES[j % len(PRIMES)])])
-        return MappingProxyType(out)
+            us = column(PRIMES[j % len(PRIMES)])
+            out[name] = tuple(map(lo.__add__, map(width.__mul__, us)))
+        return out
 
 
 class Verdict:
@@ -206,15 +219,16 @@ def is_zero_many(exprs, coords, policy):
     component, but every component must be evaluated somewhere: one that
     no sample could evaluate fails with value nan at the first sample.  The
     samples are evaluated in blocks of growing size, so that a check that
-    fails at an early sample evaluates few others.
+    fails at an early sample evaluates few others, and the points of a
+    block are built only when it is reached.
     """
     live = [e for e in map(ex.normalize, exprs) if not ex.is_zero(e)]
     if not live:
         return Verdict("exact")
-    columns = policy.points(coords)
     unseen = set(range(len(live)))
     start, stop = 0, 1
     while start < policy.n_samples:
+        columns = policy.points(coords, stop)
         hit = None   # (sample, value or error) of the first failure
         for j, e in enumerate(live):
             # past a hit, a later component comes first only at an earlier
@@ -258,12 +272,12 @@ def nonvanishing(exprs, coords, policy):
     in order, from a fallback sequence, after the samples.
     """
     normed = [ex.normalize(e) for e in exprs]
-    columns = policy.points(coords)
     if all(e[0] == "rat" for e in normed):
         # the same magnitude at every sample: the loop would keep the first
         m = max((abs(float(e[1])) for e in normed), default=0.0)
         return Verdict("nonvanishing" if m > policy.abs_tol else "vanishing",
-                       value=m, point=_witness(columns, 0))
+                       value=m, point=_witness(policy.points(coords, 1), 0))
+    columns = policy.points(coords)
     best = None   # (magnitude, point) of the smallest magnitude so far
     retries = 0
     count = policy.n_samples
@@ -281,7 +295,8 @@ def nonvanishing(exprs, coords, policy):
         if low < (best[0] if best else math.inf):
             best = (low, _witness(columns, mags.index(low)))
         count = len(errors)
-        columns = policy.fallback(coords, retries - count, count)
+        if count:
+            columns = policy.fallback(coords, retries - count, count)
     ok = best is not None and best[0] > policy.abs_tol
     return Verdict("nonvanishing" if ok else "vanishing",
                    value=best[0] if best else 0.0,

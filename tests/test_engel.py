@@ -10,7 +10,7 @@ from engelkit.engel import (EngelError, analyze, characteristic_field,
                             dbeta2_criterion, identity_suite,
                             integrability_report, reeb_pair, rho_criterion,
                             transform_forms)
-from engelkit.frames import d, fmt_field, interior, pair, zero
+from engelkit.frames import d, fmt_field, interior, pair, wedge, zero
 from engelkit.manifest import load_manifest
 
 from conftest import torus_forms, torus_framing_hints, torus_space
@@ -96,6 +96,38 @@ def test_complement_of_a_nowhere_rational_W(case, policy):
     fallback = analyze(sp, alpha, beta, policy, W=scaled)
     for A, B in ((plain.W, fallback.W), (plain.X, fallback.X)):
         assert zero(A - B, sp.coord_ranges, policy).ok
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_characteristic_field_samples_nothing(case, policy, monkeypatch):
+    """K = kernel_line(alpha ^ dalpha) has a nonzero constant component on
+    both pairs, so W divides by one and no check samples.  On the torus K
+    is -2*pi*(cos(2*pi*t), sin(2*pi*t), 1, 0): -2*pi*cos(2*pi*t) vanishes at
+    t = 1/4 and is never a divisor."""
+    sp, alpha, _, _, _ = CASES[case]()
+    calls = []
+    for fn in (sampling.nonvanishing, sampling.is_zero_many):
+        _wrap_everywhere(monkeypatch, fn, calls)
+    W = characteristic_field(sp, alpha, policy)
+    assert calls == []
+    monkeypatch.undo()
+    v = zero(interior(W, wedge(alpha, d(alpha))), sp.coord_ranges, policy)
+    assert v.kind == "exact"
+
+
+def test_characteristic_field_samples_without_a_constant(policy,
+                                                         monkeypatch):
+    """Scaled by 1 + x^2, alpha ^ dalpha has no constant component in its
+    kernel line, so each component is sampled; W is unchanged."""
+    sp = torus_space()
+    alpha, _ = torus_forms(sp)
+    W = characteristic_field(sp, alpha, policy)
+    calls = []
+    _wrap_everywhere(monkeypatch, sampling.nonvanishing, calls)
+    scaled = characteristic_field(sp, alpha.scale(sp.scalar("1 + x^2")),
+                                  policy)
+    assert calls == ["nonvanishing"] * 4
+    assert scaled.comps == W.comps
 
 
 def test_torus_transverse_pair(policy):

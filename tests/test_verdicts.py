@@ -1,5 +1,6 @@
 """The Verdict type, the zero/nonzero check helpers and sample points."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -130,6 +131,15 @@ def test_column_built_points_equal_the_formula_bit_for_bit(seed, n):
 @given(st.integers(0, 10 ** 7), st.integers(1, 3000))
 @example(0, 1)
 @example(0, 3000)
+@example(0, 0)                 # an empty window, at 0 and further on
+@example(7, 0)
+@example(1024, 1024)           # starts on a multiple of 2**10 and of 4**5
+@example(102400, 1024)         # seed 100 at 1024 samples
+@example(3 ** 7, 3 ** 6)       # one whole block of 3**6 in base 3
+@example(11 ** 3 * 5, 64)
+@example(1020, 10)             # straddles 1024
+@example(3 ** 7 - 5, 3 ** 6)   # straddles 3**7
+@example(6400 + 63, 2)         # straddles the next seed's first sample
 def test_halton_columns_equal_the_digit_loop_bit_for_bit(start, count):
     for base in PRIMES:
         col = halton_column(start, count, base)
@@ -137,19 +147,63 @@ def test_halton_columns_equal_the_digit_loop_bit_for_bit(start, count):
             [halton(start + i, base).hex() for i in range(count)]
 
 
-def test_coordinate_tuples_share_their_halton_columns(monkeypatch):
-    builds = []
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 300), st.integers(1, 200),
+       st.lists(st.integers(0, 250), max_size=5))
+@example(100, 1024, [1, 4, 16, 64, 256])   # the blocks of is_zero_many
+@example(0, 8, [3, 1, 0, 9])
+def test_point_prefixes_equal_the_full_columns_bit_for_bit(seed, n, stops):
+    pol = SamplingPolicy(seed=seed, n_samples=n)
+    full = SamplingPolicy(seed=seed, n_samples=n).points(MIXED)
+    for stop in stops + [n]:
+        cols = pol.points(MIXED, stop)
+        k = min(stop, n)
+        for j, (name, lo, hi) in enumerate(MIXED):
+            got = [v.hex() for v in cols[name][:k]]
+            assert len(got) == k
+            assert got == [v.hex() for v in full[name][:k]]
+            assert got == [(float(lo) + halton(seed * n + i, PRIMES[j])
+                            * (float(hi) - float(lo))).hex()
+                           for i in range(k)]
+    assert pol.points(MIXED) is cols
+    assert pol.points(MIXED, 1) is cols
+
+
+def counted_halton_indices(monkeypatch):
+    """How often `halton_column` builds each (index, base), as it runs."""
+    built = Counter()
 
     def counted(start, count, base):
-        builds.append((start, count, base))
+        built.update((i, base) for i in range(start, start + count))
         return halton_column(start, count, base)
 
     monkeypatch.setattr(sampling, "halton_column", counted)
+    return built
+
+
+def test_coordinate_tuples_share_their_halton_columns(monkeypatch):
+    built = counted_halton_indices(monkeypatch)
     pol = SamplingPolicy(seed=3, n_samples=16)
+    pol.points(MIXED[:3], 1)
+    pol.points(MIXED[:3], 4)
     pol.points(MIXED[:3])
+    pol.points(MIXED, 5)
     pol.points(MIXED)
-    assert sorted(builds) == [(48, 16, 2), (48, 16, 3), (48, 16, 5),
-                              (48, 16, 7)]
+    assert built == Counter({(i, base): 1 for i in range(48, 64)
+                             for base in (2, 3, 5, 7)})
+
+
+@pytest.mark.parametrize("check, exprs", [
+    (nonvanishing, [ex.rat(2), ex.rat(Fraction(-3, 7))]),
+    (is_zero_many, [ex.parse("x - 2", ("x",))])])   # fails at sample 0
+def test_a_verdict_read_at_sample_0_builds_one_index_per_base(
+        monkeypatch, check, exprs):
+    built = counted_halton_indices(monkeypatch)
+    pol = SamplingPolicy(seed=100, n_samples=1024)
+    v = check(exprs, MIXED, pol)
+    assert v.kind in ("nonvanishing", "nonzero")
+    assert built == Counter({(102400, base): 1 for base in (2, 3, 5, 7)})
+    assert v.point == point_list(pol, MIXED)[0]
 
 
 def test_a_space_without_coordinates_has_n_empty_points():
@@ -366,6 +420,23 @@ def test_fallback_columns_equal_the_formula_bit_for_bit(seed, n, first,
                                                          first + count)]
     for name, col in cols.items():
         assert [v.hex() for v in col] == [p[name].hex() for p in want]
+
+
+def test_fallback_points_are_built_only_for_singular_samples(monkeypatch):
+    rounds = []
+    fallback = SamplingPolicy.fallback
+
+    def counted(self, coords, first, count):
+        rounds.append((first, count))
+        return fallback(self, coords, first, count)
+
+    monkeypatch.setattr(SamplingPolicy, "fallback", counted)
+    pol = SamplingPolicy(n_samples=8)
+    assert nonvanishing([ex.parse("x + 1", ("x",))], BOX, pol).ok
+    assert rounds == []
+    # 1/(x - 1/2) is singular at sample 1 only, and not at fallback point 0
+    assert nonvanishing([ex.parse("1/(x - 1/2)", ("x",))], BOX, pol).ok
+    assert rounds == [(0, 1)]
 
 
 def test_more_singular_samples_than_retries_agree(monkeypatch):

@@ -10,7 +10,7 @@ them to graph sections s = g(p), which the contact filling's boundary uses.
 
 from . import expr as ex
 from .frames import (DiffForm, FrameError, FrameSpace, VectorField, d,
-                     interior, kernel_line, pair, perm_sign, wedge, zero)
+                     interior, kernel_line, pair, wedge, zero)
 from .sampling import nonvanishing
 
 
@@ -30,9 +30,9 @@ def promote_form(space5, w):
     return DiffForm(space5, w.degree, dict(w.comps))
 
 
-def contact_form(data, space5=None):
+def contact_form(data):
     """eta = beta + s alpha on the thickened space."""
-    sp5 = space5 or thicken_space(data.space)
+    sp5 = thicken_space(data.space)
     s = ex.var("s")
     alpha5 = promote_form(sp5, data.alpha)
     beta5 = promote_form(sp5, data.beta)
@@ -89,36 +89,24 @@ def contactization_report(data, policy):
 def pullback_section_map(form5, h, sp5):
     """Pull a form back along (p, s) -> (p, h(p, s)).
 
-    Only the interval coordinate moves; h may depend on base coordinates
-    and on s.
+    Only the interval coordinate s, the last direction, moves; h may
+    depend on base coordinates and on s.  The form is A + B ^ ds with no
+    ds leg in A or B, and pulls back to A(h) + B(h) ^ dh, where dh is `d`
+    of the 0-form h and `wedge` supplies the signs.
     """
-    n = sp5.dim
-    s_idx = n - 1
-    sub = {sp5.names[s_idx]: h}
-    out = {}
+    s = sp5.dim - 1
+    sub = {sp5.names[s]: h}
+    a, b = {}, {}
     for idx, c in form5.comps.items():
-        if s_idx not in idx:
-            out[idx] = ex.add(out.get(idx, ex.ZERO),
-                              ex.substitute(c, sub))
+        if idx and idx[-1] == s:
+            b[idx[:-1]] = ex.substitute(c, sub)
         else:
-            rest = tuple(i for i in idx if i != s_idx)
-            sign = 1 if (len(idx) - 1 - idx.index(s_idx)) % 2 == 0 else -1
-            base = ex.substitute(c, sub)
-            if sign < 0:
-                base = ex.neg(base)
-            # ds pulls back to dh = sum_i (D_i h) theta^i + (ds h) ds
-            for i in range(n):
-                dh = sp5.dir_deriv(i, ex.normalize(h))
-                if ex.is_zero(dh) or i in rest:
-                    continue
-                full = tuple(sorted(rest + (i,)))
-                # sign of inserting i into the slot where s sat, then sorting
-                perm = list(rest) + [i]
-                sgn = perm_sign(perm)
-                term = ex.mul(base, dh)
-                out[full] = ex.add(out.get(full, ex.ZERO),
-                                   term if sgn == 1 else ex.neg(term))
-    return DiffForm(sp5, form5.degree, {k: v for k, v in out.items()})
+            a[idx] = ex.substitute(c, sub)
+    A = DiffForm(sp5, form5.degree, a)
+    if not b:   # also every 0-form
+        return A
+    return A + wedge(DiffForm(sp5, form5.degree - 1, b),
+                     d(DiffForm(sp5, 0, {(): h})))
 
 
 def restrict_to_section(form5, g_expr, base_space):
@@ -127,6 +115,6 @@ def restrict_to_section(form5, g_expr, base_space):
     This is the pullback along (p, s) -> (p, g(p)) moved onto the base; g
     must not depend on s, so no interval leg survives.
     """
-    pulled = pullback_section_map(form5, g_expr, form5.space)
-    return DiffForm(base_space, form5.degree, pulled.comps)
+    return DiffForm(base_space, form5.degree,
+                    pullback_section_map(form5, g_expr, form5.space).comps)
 

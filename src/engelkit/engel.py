@@ -103,13 +103,7 @@ def _unit(c):
     canonical form cancels like terms, and pi is transcendental, so one
     that is not the rational zero is nonzero.
     """
-    return not ex.is_zero(c) and _pi_polynomial(c)
-
-
-def _pi_polynomial(c):
-    if c[0] in ("add", "mul", "pow"):
-        return all(map(_pi_polynomial, ex.children(c)))
-    return c[0] == "rat" or c == ex.PI
+    return not ex.is_zero(c) and ex.is_constant(c)
 
 
 def reeb_pair(space, alpha, beta, policy):
@@ -183,12 +177,12 @@ def adapted_framing(space, alpha, beta, W, X, T, R, policy):
 
 
 class EngelData:
-    """A defining pair with its adapted framing (W, X, T, R) and the
-    framing's brackets and bracket table; W_raw, X_raw are W, X before the
-    rescaling by u, v, and c_WX_raw is beta([W_raw, X_raw])."""
+    """A defining pair with its adapted framing (W, X, T, R), built once,
+    and the framing's brackets and bracket table; u and v rescaled the
+    derived W and X, and c_WX_raw is beta([W, X]) before the rescaling."""
 
-    def __init__(self, space, alpha, beta, W, X, T, R, u, v, W_raw, X_raw,
-                 c_WX_raw, defining, brackets, table):
+    def __init__(self, space, alpha, beta, W, X, T, R, u, v, c_WX_raw,
+                 defining, brackets, table):
         self.space = space
         self.alpha = alpha
         self.beta = beta
@@ -198,8 +192,6 @@ class EngelData:
         self.R = R
         self.u = u
         self.v = v
-        self.W_raw = W_raw
-        self.X_raw = X_raw
         self.c_WX_raw = c_WX_raw
         self.defining = defining
         self.brackets = brackets
@@ -237,7 +229,7 @@ def analyze(space, alpha, beta, policy, W=None, X=None):
         raise EngelError("framing (W, X, T, R) degenerates somewhere")
     Wp, Xp, u, v, c_wx, brackets, table = adapted_framing(
         space, alpha, beta, W, X, T, R, policy)
-    return EngelData(space, alpha, beta, Wp, Xp, T, R, u, v, W, X, c_wx,
+    return EngelData(space, alpha, beta, Wp, Xp, T, R, u, v, c_wx,
                      defining, brackets, table)
 
 
@@ -396,23 +388,17 @@ def transform_forms(data, move, coeff, policy):
 def dbeta2_criterion(data, policy):
     """Whether some rescaling mu beta satisfies d(mu beta) ^ d(mu beta) = 0.
 
-    Works with the original (unrescaled) framing: the verdict is the
-    vanishing of a_WR + b_XR there, and mu = 1/beta([W,X]) realizes it.
+    The verdict is the vanishing of a_WR + b_XR of the framing before the
+    rescaling W' = u W, X' = v X, read from the adapted table as
+    a'_WR + b'_XR + R(mu)/mu; mu = u v = 1/beta([W,X]) realizes it.
     """
-    sp = data.space
-    W, X = data.W_raw, data.X_raw
-    T, R = data.T, data.R
-    theta = dual_coframe([W, X, T, R])
-    a_wr = ex.cleanup(pair(theta[0], bracket(W, R)))
-    b_xr = ex.cleanup(pair(theta[1], bracket(X, R)))
-    out = {}
-    out["a_WR + b_XR"] = zero([ex.add(a_wr, b_xr)], sp.coord_ranges, policy)
+    ranges = data.space.coord_ranges
     mu = ex.cleanup(ex.div(ex.ONE, data.c_WX_raw))
-    out["mu"] = mu
-    scaled = data.beta.scale(mu).cleanup()
-    out["d(mu beta)^2"] = zero(wedge(d(scaled), d(scaled)), sp.coord_ranges,
-                               policy)
-    return out
+    total = ex.add(data.table["a_WR"], data.table["b_XR"],
+                   ex.div(data.space.lie_scalar(data.R, mu), mu))
+    dmb = d(data.beta.scale(mu).cleanup())
+    return {"a_WR + b_XR": zero([total], ranges, policy), "mu": mu,
+            "d(mu beta)^2": zero(wedge(dmb, dmb), ranges, policy)}
 
 
 def rho_criterion(data, policy):

@@ -10,7 +10,6 @@ Expressions are immutable nested tuples.  Node shapes:
     ('pow', base, n)          integer n >= 2 in canonical form
     ('div', num, den)         den neither rational nor a div
     ('sin', a) ('cos', a) ('exp', a) ('ln', a)
-    ('neg', a)                input sugar only; normalize removes it
 
 Most coefficients of a frame calculation are small integers, and int
 arithmetic is many times cheaper than Fraction arithmetic, so a canonical
@@ -102,7 +101,7 @@ def div(num, den):
 
 
 def neg(e):
-    return ("neg", e)
+    return ("mul", (_MINUS_ONE, e))
 
 
 def sin(a):
@@ -120,18 +119,24 @@ def exp(a):
 def children(e):
     if e[0] in ("add", "mul"):
         return e[1]
-    if e[0] == "pow":
+    if e[0] == "pow" or e[0] in FUNCS:
         return (e[1],)
     if e[0] == "div":
         return (e[1], e[2])
-    if e[0] in FUNCS or e[0] == "neg":
-        return (e[1],)
     return ()
 
 
 def is_zero(e) -> bool:
     """Is the canonical e the rational zero?"""
     return e[0] == "rat" and not e[1]
+
+
+def is_constant(e) -> bool:
+    """Is the canonical e a polynomial in pi with rational coefficients,
+    the same value at every point?"""
+    if e[0] in ("add", "mul", "pow"):
+        return all(map(is_constant, children(e)))
+    return e[0] == "rat" or e == PI
 
 
 def has_div(e) -> bool:
@@ -212,8 +217,6 @@ def normalize(e):
     elif tag == "div":
         kids = (normalize(e[1]), normalize(e[2]))
         key = (tag, id(kids[0]), id(kids[1]))
-    elif tag == "neg":
-        return normalize(mul(_MINUS_ONE, e[1]))
     elif tag in FUNCS:
         kids = (normalize(e[1]),)
         key = (tag, id(kids[0]))
@@ -413,8 +416,6 @@ def differentiate(e, v: str):
         return ZERO
     if tag == "var":
         return ONE if e[1] == v else ZERO
-    if tag == "neg":
-        return neg(differentiate(e[1], v))
     if tag == "add":
         return add(*[differentiate(t, v) for t in e[1]])
     if tag == "mul":
@@ -459,7 +460,7 @@ def substitute(e, mapping):
         return mapping.get(e[1], e)
     if tag in ("rat", "const"):
         return e
-    if tag in FUNCS or tag == "neg":
+    if tag in FUNCS:
         return (tag, substitute(e[1], mapping))
     if tag in ("add", "mul"):
         return (tag, tuple(substitute(t, mapping) for t in e[1]))
@@ -627,8 +628,6 @@ def _compile(e):
             lines.append(f"{v} = {args[0]} ** n{len(named)}")
         elif tag == "div":
             lines.append(f"{v} = {args[0]} / {args[1]}")
-        elif tag == "neg":
-            lines.append(f"{v} = -{args[0]}")
         elif tag == "ln":
             lines.append(f"if {args[0]} < EPS: "
                          "raise SingularPoint('log of a non-positive value')")
@@ -745,7 +744,7 @@ def to_str(e) -> str:
     return _render(e, 0)
 
 
-_PREC = {"add": 1, "div": 2, "mul": 2, "neg": 2, "pow": 3}
+_PREC = {"add": 1, "div": 2, "mul": 2, "pow": 3}
 
 
 def _render(e, outer):
@@ -784,8 +783,6 @@ def _render(e, outer):
             s = "*".join(pieces)
     elif tag == "div":
         s = _render(e[1], prec) + "/" + _render(e[2], prec + 1)
-    elif tag == "neg":
-        s = "-" + _render(e[1], prec)
     elif tag == "pow":
         s = _render(e[1], prec + 1) + "^" + str(e[2])
     else:
@@ -890,8 +887,7 @@ def _sin_reduce(e):
             if base[0] == "cos" and n >= 2:
                 hit = True
                 k, r = divmod(n, 2)
-                flip = ("add", (ONE,
-                                ("neg", ("pow", ("sin", base[1]), 2))))
+                flip = ("add", (ONE, neg(("pow", ("sin", base[1]), 2))))
                 factors.append(flip if k == 1 else ("pow", flip, k))
                 if r:
                     factors.append(base)

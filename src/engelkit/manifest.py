@@ -77,7 +77,6 @@ class _Parser:
     def __init__(self, text, path):
         self.path = path
         self.lines = text.splitlines()
-        self.space_items = []
         self.raw = []          # (kind, name, items, lineno)
         self.space_seen = False
 
@@ -218,50 +217,40 @@ class _Parser:
         except Exception as err:
             self.fail(lineno, f"bad expression {text!r}: {err}")
 
+    def scalars(self, space, section, kv, key, count, need):
+        """The scalars on the section's `key = s1; s2; ...` line, which must
+        list `count` of them (`need` says so in the error); every other key
+        left in kv is unknown."""
+        kind, name, _, header = section
+        if key not in kv:
+            self.fail(header, f"{kind} '{name}' needs {key}")
+        lineno, raw = kv.pop(key)
+        if kv:
+            self.fail(header, f"unknown keys {sorted(kv)} in {kind}")
+        parts = _split_list(raw)
+        if len(parts) != count:
+            self.fail(lineno, f"{need}, got {len(parts)}")
+        return [self.parse_scalar(space, lineno, p) for p in parts]
+
     def build_form(self, space, section):
         kv = self.keyvals(section)
         lineno, raw = kv.pop("degree", (section[3], "1"))
         if not raw.isdecimal():
             self.fail(lineno, "degree must be a non-negative integer")
         degree = int(raw)
-        if "comps" not in kv:
-            self.fail(section[3], f"form '{section[1]}' needs comps")
-        lineno, raw = kv.pop("comps")
-        if kv:
-            self.fail(section[3], f"unknown keys {sorted(kv)} in form")
-        parts = _split_list(raw)
         keys = list(combinations(range(space.dim), degree))
-        if len(parts) != len(keys):
-            self.fail(lineno, f"degree {degree} needs {len(keys)} "
-                      f"components, got {len(parts)}")
-        comps = {key: self.parse_scalar(space, lineno, part)
-                 for key, part in zip(keys, parts)}
-        return DiffForm(space, degree, comps)
+        comps = self.scalars(space, section, kv, "comps", len(keys),
+                             f"degree {degree} needs {len(keys)} components")
+        return DiffForm(space, degree, dict(zip(keys, comps)))
 
     def build_field(self, space, section):
-        kv = self.keyvals(section)
-        if "comps" not in kv:
-            self.fail(section[3], f"field '{section[1]}' needs comps")
-        lineno, raw = kv.pop("comps")
-        if kv:
-            self.fail(section[3], f"unknown keys {sorted(kv)} in field")
-        parts = _split_list(raw)
-        if len(parts) != space.dim:
-            self.fail(lineno, f"field needs {space.dim} components")
-        return VectorField(space, [self.parse_scalar(space, lineno, p)
-                                   for p in parts])
+        return VectorField(space, self.scalars(
+            space, section, self.keyvals(section), "comps", space.dim,
+            f"field needs {space.dim} components"))
 
     def build_metric(self, space, section):
-        kv = self.keyvals(section)
-        if "diag" not in kv:
-            self.fail(section[3], f"metric '{section[1]}' needs diag")
-        lineno, raw = kv.pop("diag")
-        if kv:
-            self.fail(section[3], f"unknown keys {sorted(kv)} in metric")
-        parts = _split_list(raw)
-        if len(parts) != space.dim:
-            self.fail(lineno, f"diag needs {space.dim} weights")
-        weights = [self.parse_scalar(space, lineno, p) for p in parts]
+        weights = self.scalars(space, section, self.keyvals(section), "diag",
+                               space.dim, f"diag needs {space.dim} weights")
         matrix = [[weights[i] if i == j else ex.ZERO
                    for j in range(space.dim)] for i in range(space.dim)]
         return Metric(space, matrix)

@@ -272,11 +272,17 @@ def nonvanishing(exprs, coords, policy):
     in order, from a fallback sequence, after the samples.
     """
     normed = [ex.normalize(e) for e in exprs]
-    if all(e[0] == "rat" for e in normed):
-        # the same magnitude at every sample: the loop would keep the first
-        m = max((abs(float(e[1])) for e in normed), default=0.0)
-        return Verdict("nonvanishing" if m > policy.abs_tol else "vanishing",
-                       value=m, point=_witness(policy.points(coords, 1), 0))
+    if all(map(ex.is_constant, normed)):
+        # the same magnitudes at every sample: the loop would keep the first
+        columns = policy.points(coords, 1)
+        mags, errors = _magnitudes([e for e in normed if e[0] != "rat"],
+                                   columns, 1)
+        if not errors:
+            m = max([abs(float(e[1])) for e in normed if e[0] == "rat"]
+                    + (mags or []), default=0.0)
+            return Verdict("nonvanishing" if m > policy.abs_tol
+                           else "vanishing", value=m,
+                           point=_witness(columns, 0))
     columns = policy.points(coords)
     best = None   # (magnitude, point) of the smallest magnitude so far
     retries = 0

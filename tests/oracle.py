@@ -202,6 +202,17 @@ def gauss_solve(A, b):
     return [M[i][n] / M[i][i] for i in range(n)]
 
 
+def framing_coefficient_sum(frame, W, X, T, R, x):
+    """a_WR + b_XR of the framing (W, X, T, R) at x: the W-coefficient of
+    [W, R] plus the X-coefficient of [X, R], each solved from the
+    framing's component matrix.  The reference for the dbeta^2 criterion,
+    which reads this sum from the table of the rescaled framing."""
+    cols = [V(x) for V in (W, X, T, R)]
+    A = [[col[i] for col in cols] for i in range(len(cols))]
+    return (gauss_solve(A, frame.bracket(W, R)(x))[0]
+            + gauss_solve(A, frame.bracket(X, R)(x))[1])
+
+
 # -- exact Fraction path for Lie frames ------------------------------------
 
 class ExactLie:

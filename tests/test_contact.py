@@ -7,7 +7,7 @@ from engelkit.contact import (contact_form, contactization_report,
                               pullback_section_map, restrict_to_section,
                               thicken_space)
 from engelkit.engel import transform_forms
-from engelkit.frames import d, lie_form, zero
+from engelkit.frames import FrameSpace, d, lie_form, wedge, zero
 
 
 def P(text, extra=()):
@@ -74,14 +74,53 @@ def test_pullback_with_interval_component(torus, h_text):
     assert all(ex.cleanup(c) == ex.ZERO for c in diff.comps.values())
 
 
+def test_pullback_of_a_function_is_substitution(torus):
+    sp5, _ = contact_form(torus)
+    f, h = P("x*s + sin(2*pi*s)"), P("1/2*s + sin(2*pi*x)")
+    pulled = pullback_section_map(sp5.form(0, {(): f}), h, sp5)
+    assert pulled.degree == 0
+    assert pulled.comps == {(): ex.normalize(ex.substitute(f, {"s": h}))}
+
+
+def lie_box():
+    """A coordinate x and invariant directions A, B with [A, B] = B,
+    thickened by s (frame order x, A, B, s)."""
+    return thicken_space(FrameSpace(
+        [("coord", "x", 0, 1), ("lie", "A"), ("lie", "B")],
+        brackets={("A", "B"): [0, 0, 1]}))
+
+
+def test_pullback_commutes_with_wedge_and_d():
+    sp5 = lie_box()
+    h = sp5.scalar("x*s + s^2/2 + cos(x)")
+
+    def pull(w):
+        return pullback_section_map(w, h, sp5)
+
+    def same(u, v):
+        return all(ex.cleanup(c) == ex.ZERO for c in (u - v).comps.values())
+
+    f = sp5.form(0, {(): sp5.scalar("x^2*s + s^3")})
+    a = sp5.one_form([sp5.scalar(t) for t in ("s", "x*s^2", "1", "sin(s)")])
+    b = sp5.one_form([sp5.scalar(t) for t in ("x", "s", "s^2", "x*s")])
+    w2 = wedge(a, b) + sp5.form(2, {(1, 2): sp5.scalar("s^2"),
+                                    (0, 3): sp5.scalar("cos(x)")})
+    assert any(3 in idx for idx in pull(w2).comps)   # dh has a ds leg
+    for u, v in ((f, a), (a, b), (a, w2), (b, w2)):
+        assert same(pull(wedge(u, v)), wedge(pull(u), pull(v)))
+    for w in (f, a, b, w2):
+        assert same(pull(d(w)), d(pull(w)))
+
+
 def contactomorphism(data, new, lam, mu, nu, policy):
     """Does (p, s) -> (p, (mu/lam) s - nu/lam) pull eta' back to mu eta?
 
     eta and eta' are the thickenings of the pair and of its transform
-    (lam alpha, mu beta + nu alpha).
+    (lam alpha, mu beta + nu alpha), each on its own thickened space;
+    the two spaces have the same frame, so their components compare.
     """
-    sp5, eta = contact_form(data)
-    _, eta2 = contact_form(new, space5=sp5)
+    _, eta = contact_form(data)
+    sp5, eta2 = contact_form(new)
     f = ex.cleanup(ex.div(mu, lam))
     g = ex.cleanup(ex.div(ex.neg(nu), lam))
     h = ex.add(ex.mul(f, ex.var("s")), g)

@@ -1,6 +1,7 @@
 """No dead code: every top-level function and class of src/ runs from the
 product surface, every public method is called from somewhere other than
-its own body, and no module imports a name it never reads.
+its own body, every attribute a class sets in `__init__` is read, and no
+module imports a name it never reads.
 
 Reachability follows name references between top-level definitions (a
 class carries the references of its methods, a module-level assignment
@@ -123,6 +124,24 @@ def uncalled_methods():
     return out
 
 
+def write_only_attributes():
+    """Attributes that a src/ class sets on self in __init__ and that no
+    src/ code reads as `.name`."""
+    trees = [_tree(path) for path in sorted(SRC.glob("*.py"))]
+    read = {sub.attr for tree in trees for sub in ast.walk(tree)
+            if isinstance(sub, ast.Attribute)
+            and isinstance(sub.ctx, ast.Load)}
+    return [f"{cls.name}.{sub.attr}" for tree in trees for cls in tree.body
+            if isinstance(cls, ast.ClassDef)
+            for init in cls.body
+            if isinstance(init, ast.FunctionDef) and init.name == "__init__"
+            for sub in ast.walk(init)
+            if isinstance(sub, ast.Attribute)
+            and isinstance(sub.ctx, ast.Store)
+            and getattr(sub.value, "id", None) == "self"
+            and sub.attr not in read]
+
+
 def unused_imports(path):
     tree = _tree(path)
     imported = {}
@@ -149,6 +168,10 @@ def test_every_private_function_is_reachable():
 
 def test_every_public_method_is_called():
     assert uncalled_methods() == []
+
+
+def test_every_attribute_set_in_init_is_read():
+    assert write_only_attributes() == []
 
 
 def test_no_unused_imports():

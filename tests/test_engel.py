@@ -14,6 +14,7 @@ from engelkit.frames import d, fmt_field, interior, pair, wedge, zero
 from engelkit.manifest import load_manifest
 
 from conftest import torus_forms, torus_framing_hints, torus_space
+from oracle import FDFrame, framing_coefficient_sum
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -178,6 +179,40 @@ def test_torus_dbeta2(torus, policy):
     assert out["a_WR + b_XR"].ok
     assert out["mu"] == torus.space.scalar("-1/(2*pi)")
     assert out["d(mu beta)^2"].ok
+
+
+def oracle_field(V, scale=ex.ONE):
+    return lambda x: [ex.evaluate(ex.div(c, scale), x) for c in V.comps]
+
+
+@pytest.mark.parametrize("name", ["torus", "nil4", "sheared", "rescaled"])
+def test_dbeta2_sum_matches_the_unscaled_framing(name, torus, nil4, policy):
+    # the sum is read from the rescaled table; the oracle brackets the
+    # framing before rescaling, (W/u, X/v, T, R), by finite differences.
+    # Only the rescaled pair has an R(mu)/mu term: mu varies along R.
+    moves = {"sheared": ("nu", "sin(2*pi*z)"),
+             "rescaled": ("mu", "2 + sin(2*pi*z)")}
+    data = {"torus": torus, "nil4": nil4}.get(name) or transform_forms(
+        torus, moves[name][0], torus.space.scalar(moves[name][1]),
+        policy)[0]
+    sp = data.space
+    frame = FDFrame([c for c, *_ in sp.coord_ranges], sp.names, {
+        (sp.names[i], sp.names[j]): {sp.names[k]: c
+                                     for k, c in enumerate(vec) if c}
+        for (i, j), vec in sp.structure.items()})
+    fields = (oracle_field(data.W, data.u), oracle_field(data.X, data.v),
+              oracle_field(data.T), oracle_field(data.R))
+    cols = policy.points(sp.coord_ranges)
+    sums = [framing_coefficient_sum(frame, *fields,
+                                    {c: cols[c][i] for c in cols})
+            for i in range(8)]
+    v = dbeta2_criterion(data, policy)["a_WR + b_XR"]
+    if name == "sheared":
+        assert v.kind == "nonzero" and max(map(abs, sums)) > 0.1
+        assert v.value == pytest.approx(
+            framing_coefficient_sum(frame, *fields, dict(v.point)), abs=1e-6)
+    else:
+        assert v.ok and max(map(abs, sums)) < 1e-6
 
 
 def test_torus_rho(torus, policy):

@@ -235,6 +235,25 @@ def exprs(max_depth=4, exponents=st.integers(1, 3), quotients=False,
 ENV = {"t": 0.37, "x": -1.21, "y": 0.64}
 
 
+def node_tags(e):
+    return {e[0]}.union(*map(node_tags, ex.children(e)))
+
+
+@given(exprs(quotients=True))
+@settings(max_examples=100, deadline=None)
+def test_no_node_is_tagged_neg(e):
+    # a sign is a product with -1, so `neg` builds no node of its own
+    built = [e, ex.differentiate(e, "x"),
+             ex.substitute(e, {"x": ex.neg(ex.var("y"))})]
+    try:
+        n = ex.normalize(e)
+    except ex.EvalError:
+        n = ex.ZERO
+    built += [ex.parse(ex.to_str(n), ("t", "x", "y")), ex.cleanup(n),
+              ex.parse("-x - (y - -t)", ("t", "x", "y"))]
+    assert not any("neg" in node_tags(b) for b in built)
+
+
 @given(exprs(quotients=True))
 @settings(max_examples=200, deadline=None)
 def test_normalize_idempotent(e):
@@ -543,8 +562,6 @@ def _walk(e, env):
         if e[1] in env:
             return float(env[e[1]])
         raise ex.EvalError(f"unbound variable '{e[1]}'")
-    if tag == "neg":
-        return -_walk(e[1], env)
     if tag == "add":
         return sum(_walk(t, env) for t in e[1])
     if tag == "mul":

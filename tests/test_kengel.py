@@ -202,7 +202,7 @@ def test_tangency_and_dbeta2_read_the_stored_brackets(
         assert not tangency_report(torus, g, plane, policy)["totally geodesic"]
     assert calls == []
     assert dbeta2_criterion(nil4, policy)["mu"] == ex.ONE
-    assert (nil4.W_raw, nil4.X_raw) not in calls
+    assert calls == []
 
 
 # -- the adapted framing -----------------------------------------------------
@@ -360,7 +360,7 @@ def test_converse_metric_rejects_bad_forms(torus, policy):
     f = sp.scalar("1 + cos(2*pi*z)/2")
     beta = torus.beta.scale(f).cleanup()
     data = analyze(sp, torus.alpha, beta, policy,
-                   W=torus.W_raw, X=torus.X_raw)
+                   W=torus.W, X=torus.X)
     assert failed(form_conditions(sp, data.alpha, data.beta,
                                   policy)) == ["d(beta)^2"]
 

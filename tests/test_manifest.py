@@ -65,6 +65,12 @@ axis y  # <-
                            "form 'a' needs comps"),
     "wrong component count": (SPACE + "\n[form a]\ncomps = 1; 0; 0  # <-\n",
                               "degree 1 needs 2 components, got 3"),
+    "wrong field count": (SPACE + "\n[field W]\ncomps = 1; 0; 0  # <-\n",
+                          "field needs 2 components, got 3"),
+    "wrong diag count": (SPACE + "\n[metric g]\ndiag = 1  # <-\n",
+                         "diag needs 2 weights, got 1"),
+    "metric without diag": (SPACE + "\n[metric g]  # <-\ncomps = 1; 1\n",
+                            "metric 'g' needs diag"),
     "unknown form key": (SPACE + "\n[form a]  # <-\ncomps = 1; 0\n"
                          "colour = red\n", "unknown keys ['colour'] in form"),
     "three lattice rows": ("""engelkit-manifest 1

@@ -195,7 +195,8 @@ def test_coordinate_tuples_share_their_halton_columns(monkeypatch):
 
 @pytest.mark.parametrize("check, exprs", [
     (nonvanishing, [ex.rat(2), ex.rat(Fraction(-3, 7))]),
-    (is_zero_many, [ex.parse("x - 2", ("x",))])])   # fails at sample 0
+    (is_zero_many, [ex.parse("x - 2", ("x",))]),   # fails at sample 0
+    (nonvanishing, [ex.parse("2*pi"), ex.rat(-1), ex.parse("pi^2 - 9")])])
 def test_a_verdict_read_at_sample_0_builds_one_index_per_base(
         monkeypatch, check, exprs):
     built = counted_halton_indices(monkeypatch)
@@ -251,6 +252,40 @@ def test_rational_nonvanishing_matches_the_sampling_loop(values, kind):
     assert (v.kind, v.value, v.point) \
         == sampled_nonvanishing(exprs, COORDS, pol)
     assert type(v.value) is float
+
+
+@pytest.mark.parametrize("texts, kind", [
+    (["2*pi"], "nonvanishing"), (["-4*pi", "1/3"], "nonvanishing"),
+    (["pi^2 - 9", "0"], "nonvanishing"), (["(pi - 3)^3/10^9"], "vanishing"),
+    (["pi^3 + 2*pi", "-7/2"], "nonvanishing")])
+def test_constant_nonvanishing_matches_the_sampling_loop(
+        monkeypatch, texts, kind):
+    # a polynomial in pi is evaluated once, at sample 0, and a rational
+    # component is not compiled at all
+    pol = SamplingPolicy(seed=2, n_samples=8)
+    ex.clear_tables()   # so that no compiled function is remembered
+    exprs = [ex.parse(t) for t in texts]
+    compiled = []
+    compile_ = ex._compile
+    monkeypatch.setattr(ex, "_compile",
+                        lambda e: compiled.append(e) or compile_(e))
+    v = nonvanishing(exprs, COORDS, pol)
+    assert compiled == [e for e in exprs if e[0] != "rat"]
+    want_kind, want_value, want_point = sampled_nonvanishing(exprs, COORDS,
+                                                             pol)
+    assert (v.kind, v.value.hex(), v.point) \
+        == (kind, want_value.hex(), want_point)
+    assert want_kind == kind and v.point == point_list(pol, COORDS)[0]
+
+
+def test_an_overflowing_constant_is_left_to_the_sampling_loop(monkeypatch):
+    pol = SamplingPolicy(n_samples=8)
+    exprs = [ex.parse("pi^700")]
+    v = nonvanishing(exprs, COORDS, pol)
+    assert v.kind == "vanishing" and v.value == 0.0
+    monkeypatch.setattr(ex, "is_constant", lambda e: False)
+    assert v.point == nonvanishing(exprs, COORDS, pol).point
+    assert v.point != point_list(pol, COORDS)[0]   # a fallback point
 
 
 @pytest.mark.parametrize("text, lo, hi", [

@@ -3,7 +3,9 @@
 Each geometry is a 4-dim Lie algebra with rational structure constants
 (parameters are substituted as declared rationals), held as an all-invariant
 `FrameSpace`.  The questions asked are linear-algebraic and answered exactly
-over Q:
+over Q, on ints: the structure constants times their common denominator
+and each vector times its own lcm have the same ranks, nullspaces and
+nonzero determinants, and a value is divided back to a Fraction at the end:
 
 * does the Jacobi identity hold (`jacobi_check`; building the space does
   not check it, so a failing geometry is reported, not refused),
@@ -18,13 +20,14 @@ No sampling appears anywhere in this module; every verdict is exact.
 """
 
 from fractions import Fraction
+from math import lcm, prod
 
 from . import expr as ex
 from .engel import analyze
 from .frames import FrameSpace, dual_coframe, jacobi_residuals
 from .kengel import KEngelData, kengel_check, kengel_invariants
 from .metric import orthonormal_metric
-from .qfield import rational_rank, reduce_rows
+from .qfield import clear_denominators, rational_rank, reduce_rows
 from .sampling import SamplingPolicy, failed
 
 
@@ -43,17 +46,23 @@ def algebra(names, brackets):
                                 for (i, j), vec in brackets.items()})
 
 
-def bracket_vec(lie, u, v):
-    """[u, v]: the sum of (u_i v_j - u_j v_i) [e_i, e_j] over the stored
-    brackets; a zero factor is tested first, as a product costs more."""
-    out = [Fraction(0)] * lie.dim
-    for (i, j), w in lie.structure.items():
-        c = ((u[i] * v[j] if u[i] and v[j] else 0)
-             - (u[j] * v[i] if u[j] and v[i] else 0))
+def structure_table(lie):
+    """The structure constants times their common denominator D, as the
+    int vectors {(i, j): D [e_i, e_j]} for i < j, and D."""
+    den = lcm(*(c.denominator for vec in lie.structure.values()
+                for c in vec))
+    return {key: [c.numerator * (den // c.denominator) for c in vec]
+            for key, vec in lie.structure.items()}, den
+
+
+def bracket_vec(table, u, v):
+    """[u, v] of int vectors over an int structure table: the sum of
+    (u_i v_j - u_j v_i) table[i, j]."""
+    out = [0] * len(u)
+    for (i, j), w in table.items():
+        c = u[i] * v[j] - u[j] * v[i]
         if c:
-            for k, wk in enumerate(w):
-                if wk:
-                    out[k] += c * wk
+            out = [o + c * x for o, x in zip(out, w)]
     return out
 
 
@@ -61,7 +70,6 @@ def fmt_vec(names, vec):
     """A vector as a readable combination, e.g. '-C' or 'X1 + X2'."""
     parts = []
     for name, c in zip(names, vec):
-        c = Fraction(c)
         if not c:
             continue
         if c == 1:
@@ -86,51 +94,34 @@ def jacobi_check(lie):
     return not violations, violations
 
 
-def _nullspace(rows):
-    """Exact basis of {z : M z = 0} for a list of Fraction rows (which
-    `reduce_rows` replaces, never changes)."""
-    m = list(rows)
-    pivots, _ = reduce_rows(m, 4)
-    basis = []
-    free = [c for c in range(4) if c not in pivots]
-    for fc in free:
-        vec = [Fraction(0)] * 4
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -m[r][fc]
-        basis.append(vec)
-    return basis
-
-
-_UNITS = tuple(tuple(Fraction(int(m == i)) for m in range(4))
-               for i in range(4))
+_UNITS = tuple(tuple(int(m == i) for m in range(4)) for i in range(4))
 
 
 def commutant(lie, elements):
-    """Exact basis of {Z : [Z, s] = 0 for every s in elements}."""
+    """Exact basis of {Z : [Z, s] = 0 for every s in elements}: the reduced
+    row echelon nullspace, eliminated on integer rows, as Fractions."""
+    table = structure_table(lie)[0]
     rows = []
     for s in elements:
-        s = list(map(Fraction, s))
-        cols = [bracket_vec(lie, e, s) for e in _UNITS]
-        for k in range(4):
-            rows.append([cols[i][k] for i in range(4)])
-    if not rows:
-        rows = [[Fraction(0)] * 4]
-    return _nullspace(rows)
+        s = clear_denominators(s)[0]
+        cols = [bracket_vec(table, e, s) for e in _UNITS]
+        rows.extend([cols[i][k] for i in range(4)] for k in range(4))
+    pivots, _ = reduce_rows(rows, 4)
+    basis = []
+    for fc in range(4):
+        if fc not in pivots:
+            vec = [Fraction(int(c == fc)) for c in range(4)]
+            for r, pc in enumerate(pivots):
+                vec[pc] = Fraction(-rows[r][fc], rows[r][pc])
+            basis.append(vec)
+    return basis
 
 
 def det4(vectors):
-    """Exact determinant of four component vectors as columns."""
-    m = [[Fraction(vectors[j][i]) for j in range(4)] for i in range(4)]
-    return reduce_rows(m, 4)[1]
-
-
-def bracket_generates(lie, W, X):
-    """Does span{W, X} + brackets up to depth two span the algebra?"""
-    Y = bracket_vec(lie, W, X)
-    span = [list(map(Fraction, W)), list(map(Fraction, X)), Y,
-            bracket_vec(lie, Y, W), bracket_vec(lie, Y, X)]
-    return rational_rank(span) == 4
+    """Exact determinant of four rational vectors: that of the vectors
+    cleared to ints, each by its own lcm, over the product of the lcms."""
+    rows, scales = zip(*map(clear_denominators, vectors))
+    return Fraction(reduce_rows(list(rows), 4)[1], prod(scales))
 
 
 def kengel_framing_search(lie, W, X, R_hint=None):
@@ -140,27 +131,27 @@ def kengel_framing_search(lie, W, X, R_hint=None):
     sought there: the declared hint is verified when given, otherwise the
     first transverse basis vector wins.  When the whole commutant lies in
     span{W, X, Y} (in particular when it is zero), that is a certificate
-    of nonexistence.
+    of nonexistence.  Brackets run on `structure_table`'s ints.
     """
-    W = list(map(Fraction, W))
-    X = list(map(Fraction, X))
-    if not bracket_generates(lie, W, X):
+    table, den = structure_table(lie)
+    (Wi, sw), (Xi, sx) = clear_denominators(W), clear_denominators(X)
+    Yi = bracket_vec(table, Wi, Xi)
+    span = [Wi, Xi, Yi, bracket_vec(table, Yi, Wi), bracket_vec(table, Yi, Xi)]
+    if rational_rank(span) != 4:
         raise CatalogError("the plane span{W, X} does not bracket-generate")
-    Y = bracket_vec(lie, W, X)
-    basis = commutant(lie, [W, X, Y])
+    Y = [Fraction(y, den * sw * sx) for y in Yi]
+    basis = commutant(lie, [Wi, Xi, Yi])
     out = {"Y": Y, "commutant": basis, "commutant_dim": len(basis),
            "R": None, "det": None, "found": False, "certificate": None}
     candidates = []
     if R_hint is not None:
-        R_hint = list(map(Fraction, R_hint))
-        for s in (W, X, Y):
-            if any(bracket_vec(lie, R_hint, s)):
-                raise CatalogError(
-                    f"declared R = {fmt_vec(lie.names, R_hint)} does not "
-                    f"commute with the framing")
-        candidates.append(R_hint)
-    candidates.extend(basis)
-    for R in candidates:
+        Ri, sr = clear_denominators(R_hint)
+        if any(any(bracket_vec(table, Ri, s)) for s in (Wi, Xi, Yi)):
+            raise CatalogError(
+                f"declared R = {fmt_vec(lie.names, R_hint)} does not "
+                f"commute with the framing")
+        candidates.append([Fraction(x, sr) for x in Ri])
+    for R in candidates + basis:
         det = det4([W, X, Y, R])
         if det:
             out.update({"R": R, "det": det, "found": True})
@@ -191,7 +182,6 @@ def export_data(lie, W, X, Y, R, policy):
 # the geometry registry
 
 def _sol_mn_algebra(c):
-    c = [Fraction(x) for x in c]
     if sum(c) != 0:
         raise CatalogError(
             f"weights {', '.join(map(str, c))} do not sum to zero")
@@ -203,7 +193,6 @@ def _sol_mn_algebra(c):
 
 
 def _sol0_algebra(a, b):
-    a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise CatalogError("both weights of the spiral action must be "
                            "nonzero")
@@ -279,11 +268,6 @@ GEOMETRIES = {
 }
 
 
-def _check_sol_ordering(c):
-    c = [Fraction(x) for x in c]
-    return c[0] > c[1] > c[2]
-
-
 def _shape(value):
     return len(value) if isinstance(value, tuple) else None
 
@@ -317,7 +301,8 @@ def geometry_row(name, params=None, policy=None):
         row["violations"] = violations
         return row
     if name == "sol_mn":
-        row["ordering"] = _check_sol_ordering(merged["c"])
+        c = merged["c"]
+        row["ordering"] = c[0] > c[1] > c[2]
     try:
         search = kengel_framing_search(lie, entry["W"], entry["X"],
                                        R_hint=entry["R"])

@@ -61,13 +61,13 @@ def catalog_table(rows):
 def _bracket_lines(lie):
     out = []
     for (i, j), vec in sorted(lie.structure.items()):
-        comps = "; ".join(str(c) for c in vec)
-        out.append(f"bracket {lie.names[i]} {lie.names[j]} = {comps}")
+        out.append(f"bracket {lie.names[i]} {lie.names[j]} = "
+                   f"{_vec_line(vec)}")
     return out
 
 
 def _vec_line(vec):
-    return "; ".join(str(Fraction(c)) for c in vec)
+    return "; ".join(str(c) for c in vec)
 
 
 def geometry_manifest(name, params=None, policy=None):

@@ -26,7 +26,8 @@ class FrameSpace:
 
     entries: sequence of ("coord", name, lo, hi) and ("lie", name) tuples,
              in frame order.
-    brackets: {(nameA, nameB): [n rational components]} for invariant pairs.
+    brackets: {(nameA, nameB): [n rational components]} for invariant pairs,
+              kept in `structure` as a `rat` keeps them: ints when integral.
               Construction does not check the Jacobi identity: the manifest
               parser rejects a space that fails it, and the catalog reports
               it through `catalog.jacobi_check`.
@@ -65,7 +66,7 @@ class FrameSpace:
         self.index = {n: i for i, n in enumerate(self.names)}
         self._coords = [name for name, *_ in self.coord_ranges]
         self.structure = {}
-        self._zero = (Fraction(0),) * self.dim   # [e_i, e_j] when not stored
+        self._zero = (0,) * self.dim   # [e_i, e_j] when not stored
         for (a, b), comps in (brackets or {}).items():
             ia, ib = self.index[a], self.index[b]
             if self.kinds[ia] != "lie" or self.kinds[ib] != "lie":
@@ -73,7 +74,7 @@ class FrameSpace:
                     f"bracket [{a},{b}] must be between invariant directions")
             if ia == ib:
                 raise FrameError(f"bracket [{a},{a}] is trivially zero")
-            vec = tuple(Fraction(c) for c in comps)
+            vec = tuple(ex.rat(c)[1] for c in comps)
             if len(vec) != self.dim:
                 raise FrameError(
                     f"bracket [{a},{b}] needs {self.dim} components")
@@ -104,7 +105,7 @@ class FrameSpace:
     # -- structure ----------------------------------------------------------
 
     def cbr(self, i, j):
-        """Constant bracket [e_i, e_j] as a Fraction vector."""
+        """Constant bracket [e_i, e_j] as a tuple of ints and Fractions."""
         if i <= j:
             return self.structure.get((i, j), self._zero)
         return tuple(-c for c in self.structure.get((j, i), self._zero))
@@ -136,6 +137,8 @@ class VectorField:
         return hash(self.comps)
 
     def __add__(self, other):
+        if other.space is not self.space:
+            raise FrameError("cannot add fields on different spaces")
         return VectorField(self.space,
                            [ex.add(a, b) for a, b in zip(self.comps,
                                                          other.comps)])
@@ -188,7 +191,11 @@ class DiffForm:
                 and self.degree == other.degree and self.comps == other.comps)
 
     def __add__(self, other):
-        assert self.degree == other.degree
+        if other.space is not self.space:
+            raise FrameError("cannot add forms on different spaces")
+        if other.degree != self.degree:
+            raise FrameError(f"cannot add a {other.degree}-form to a "
+                             f"{self.degree}-form")
         keys = set(self.comps) | set(other.comps)
         return DiffForm(self.space, self.degree,
                         {k: ex.add(self.comp(k), other.comp(k))
@@ -247,7 +254,7 @@ def jacobi_residuals(space):
     lie = [i for i, kind in enumerate(space.kinds) if kind == "lie"]
     out = []
     for i, j, k in combinations(lie, 3):
-        total = [Fraction(0)] * space.dim
+        total = [0] * space.dim
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             for m, cm in enumerate(space.cbr(b, c)):
                 if cm:

@@ -4,12 +4,14 @@ Numbers are stored as rational combinations of square-root monomials: the
 key frozenset({2, 3}) stands for sqrt(2)*sqrt(3) = sqrt(6).  The radicands
 must be pairwise coprime square-free integers > 1 so that products reduce
 by symmetric difference alone.  This is all the lattice rank computation
-needs; exact rank over floats would be undecidable.
+needs; exact rank over floats would be undecidable.  One fraction-free
+eliminator, `reduce_rows`, serves these numbers and rational rows cleared
+to ints, which have the same ranks, nullspaces and nonzero determinants.
 """
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import expr as ex
 
@@ -132,7 +134,10 @@ class QNum:
         return cofactor * (1 / norm.rational_part())
 
     def __truediv__(self, other):
-        return self * other.inverse()
+        return self * (other.inverse() if isinstance(other, QNum)
+                       else Fraction(1, other))
+
+    __floordiv__ = __truediv__   # exact in a field, as reduce_rows needs
 
     def __repr__(self):
         return f"QNum({self})"
@@ -163,35 +168,43 @@ class QNum:
         return out
 
 
-def reduce_rows(rows, ncols):
-    """Gauss-Jordan elimination in place, over Fraction or QNum entries.
+def clear_denominators(vec):
+    """(s * vec, s) for s the lcm of a rational vector's denominators."""
+    s = lcm(*(x.denominator for x in vec))
+    return [x.numerator * (s // x.denominator) for x in vec], s
 
-    Pivots are sought in the first ncols columns; later columns ride along,
-    so an augmented right-hand side ends up solved.  Returns the pivot
-    columns and the determinant of the leading ncols x ncols block, which
-    is zero when some column has no pivot.
+
+def reduce_rows(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination in place (Bareiss, Math.
+    Comp. 22, 1968), over int or QNum entries.
+
+    Pivots are sought in the first ncols columns; later columns ride along.
+    For a pivot p, the previous one prev (at first 1), every other row
+    becomes (p * row - row[col] * pivot row) // prev, exactly: each entry
+    stays a minor of the input.  Each pivot row ends with the last pivot d
+    at its pivot column, so the rows over d are the reduced row echelon
+    form.  Returns the pivot columns and the determinant of the leading
+    ncols x ncols block: zero when some column has no pivot, else +-d.
     """
-    pivots = []
-    det = Fraction(1)
+    pivots, prev, sign = [], 1, 1
     for col in range(ncols):
         rank = len(pivots)
         piv = next((r for r in range(rank, len(rows)) if rows[r][col]),
                    None)
         if piv is None:
-            det *= 0
             continue
         if piv != rank:
             rows[rank], rows[piv] = rows[piv], rows[rank]
-            det = -det
-        p = rows[rank][col]
-        det = p * det
-        rows[rank] = [x / p for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+            sign = -sign
+        top = rows[rank]
+        p = top[col]
+        for r, row in enumerate(rows):
+            if r != rank:
+                f = row[col]
+                rows[r] = [(p * x - f * y) // prev for x, y in zip(row, top)]
         pivots.append(col)
-    return pivots, det
+        prev = p
+    return pivots, prev * sign if len(pivots) == ncols else 0
 
 
 def parse_qnum(text, gens):
@@ -241,12 +254,12 @@ def solve_linear(matrix, rhs):
     a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
     if len(reduce_rows(a, n)[0]) < n:
         raise FieldError("singular lattice matrix")
-    return [row[n] for row in a]
+    return [row[n] / row[i] for i, row in enumerate(a)]
 
 
 def rational_rank(rows):
-    """Rank over Q of a list of Fraction vectors."""
-    work = [list(map(Fraction, row)) for row in rows]
+    """Rank over Q of a list of rational vectors (ints or Fractions)."""
+    work = [clear_denominators(row)[0] for row in rows]
     return len(reduce_rows(work, len(work[0]) if work else 0)[0])
 
 

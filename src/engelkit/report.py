@@ -149,7 +149,7 @@ def _rational_vec(task, V):
             raise ManifestError(
                 f"task '{task.name}': field component {ex.to_str(c)} is "
                 f"not rational")
-        out.append(Fraction(e[1]))
+        out.append(e[1])
     return out
 
 

@@ -278,7 +278,7 @@ def nonvanishing(exprs, coords, policy):
         mags, errors = _magnitudes([e for e in normed if e[0] != "rat"],
                                    columns, 1)
         if not errors:
-            m = max([abs(float(e[1])) for e in normed if e[0] == "rat"]
+            m = max([_magnitude(e[1]) for e in normed if e[0] == "rat"]
                     + (mags or []), default=0.0)
             return Verdict("nonvanishing" if m > policy.abs_tol
                            else "vanishing", value=m,
@@ -307,6 +307,15 @@ def nonvanishing(exprs, coords, policy):
     return Verdict("nonvanishing" if ok else "vanishing",
                    value=best[0] if best else 0.0,
                    point=best[1] if best else None)
+
+
+def _magnitude(q):
+    """|q| for a rational q, as a float; math.inf past the float range,
+    which certainly exceeds any tolerance."""
+    try:
+        return abs(float(q))
+    except OverflowError:
+        return math.inf
 
 
 def _magnitudes(exprs, columns, count):

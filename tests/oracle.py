@@ -345,9 +345,10 @@ def frac_inv(M):
     return [row[n:] for row in A]
 
 
-def frac_nullspace(rows, ncols):
-    """Basis of the nullspace of the row system (list of Fraction rows)."""
-    rows = [r[:] for r in rows if any(r)]
+def frac_rref(rows, ncols):
+    """Reduced row echelon form over Q of the first ncols columns (later
+    columns ride along): the pivot columns and the reduced rows."""
+    rows = [list(map(Fraction, r)) for r in rows]
     pivots = []
     r = 0
     for c in range(ncols):
@@ -360,11 +361,17 @@ def frac_nullspace(rows, ncols):
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [rows[i][k] - f * rows[r][k] for k in range(ncols)]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
+    return pivots, rows
+
+
+def frac_nullspace(rows, ncols):
+    """Basis of the nullspace of the row system (list of Fraction rows)."""
+    pivots, rows = frac_rref([r for r in rows if any(r)], ncols)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:

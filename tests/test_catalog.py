@@ -10,8 +10,8 @@ from engelkit import expr as ex
 from engelkit.catalog import (CatalogError, GEOMETRIES, algebra,
                               bracket_vec, catalog_run, commutant, det4,
                               fmt_vec, geometry_row, jacobi_check,
-                              kengel_framing_search)
-from engelkit.qfield import rational_rank
+                              kengel_framing_search, structure_table)
+from engelkit.qfield import clear_denominators, rational_rank
 
 
 def build(name, params=None):
@@ -92,7 +92,8 @@ def test_commutant_of_nothing_is_everything():
     ("s3xr", [(3, 0, 2, 0)]), ("nil3xr", [(0, 2, 0, 3), (1, 0, 0, 0)]),
     ("nil4", [])])
 def test_commutant_of_int_vectors_is_made_of_fractions(name, elements):
-    # reduce_rows divides with `/`, which gives floats on two ints
+    # the basis is divided back from the integer elimination as Fractions;
+    # `/` on two ints would give floats
     basis = commutant(build(name), elements)
     assert basis and all(type(c) is Fraction for v in basis for c in v)
 
@@ -137,8 +138,15 @@ structures = st.dictionaries(
 @settings(max_examples=60, deadline=None)
 @given(brackets=structures, u=sparse_vec, v=sparse_vec)
 def test_bracket_vec_equals_the_dense_sum(brackets, u, v):
+    # on the table times D and on u, v times their lcms su, sv, the integer
+    # bracket is D su sv times the rational one
     lie = algebra("ABCD", brackets)
-    assert bracket_vec(lie, u, v) == dense_bracket_vec(lie, u, v)
+    table, den = structure_table(lie)
+    assert all(table[key] == [den * c for c in vec]
+               for key, vec in lie.structure.items())
+    (ui, su), (vi, sv) = clear_denominators(u), clear_denominators(v)
+    want = [den * su * sv * c for c in dense_bracket_vec(lie, u, v)]
+    assert bracket_vec(table, ui, vi) == want
 
 
 def test_framing_search_product_geometry():
@@ -158,6 +166,15 @@ def test_framing_search_without_hint_picks_commutant_vector():
     assert res["found"]
     assert res["R"] == [0, 1, 0, 0]
     assert res["det"] == -2
+
+
+def test_framing_search_keeps_a_fractional_hint():
+    lie = build("nil4")
+    whole, half = (kengel_framing_search(lie, (1, 0, 0, 0), (0, 0, 0, 1),
+                                         R_hint=(0, 0, c, 0))
+                   for c in (-1, Fraction(-1, 2)))
+    assert half["R"] == [0, 0, Fraction(-1, 2), 0]
+    assert half["det"] == whole["det"] / 2 != 0
 
 
 def test_framing_search_certificate():

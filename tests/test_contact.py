@@ -116,15 +116,19 @@ def contactomorphism(data, new, lam, mu, nu, policy):
     """Does (p, s) -> (p, (mu/lam) s - nu/lam) pull eta' back to mu eta?
 
     eta and eta' are the thickenings of the pair and of its transform
-    (lam alpha, mu beta + nu alpha), each on its own thickened space;
-    the two spaces have the same frame, so their components compare.
+    (lam alpha, mu beta + nu alpha), each on its own thickened space.  The
+    two frames must agree, so that eta's components can be read on the
+    space of eta'.
     """
-    _, eta = contact_form(data)
+    sp, eta = contact_form(data)
     sp5, eta2 = contact_form(new)
+    assert (sp.names, sp.kinds, sp.coord_ranges, sp.structure) == \
+        (sp5.names, sp5.kinds, sp5.coord_ranges, sp5.structure)
     f = ex.cleanup(ex.div(mu, lam))
     g = ex.cleanup(ex.div(ex.neg(nu), lam))
     h = ex.add(ex.mul(f, ex.var("s")), g)
     pulled = pullback_section_map(eta2, h, sp5)
+    eta = sp5.form(eta.degree, eta.comps)
     return zero(pulled - eta.scale(mu), sp5.coord_ranges, policy)
 
 

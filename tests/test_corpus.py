@@ -32,9 +32,10 @@ def _golden_run(path, golden, policy=None):
 
 def test_every_manifest_has_a_golden_report():
     names = {p.stem for p in MANIFESTS}
-    # catalog.txt is the `engelkit catalog` table, checked in test_cli
+    # catalog.txt is the `engelkit catalog` table, checked in test_cli, and
+    # catalog_fractional.txt its fractional rows, in test_catalog_fractional
     golden = {p.stem for p in (ROOT / "tests" / "golden").glob("*.txt")
-              if p.stem != "catalog"}
+              if p.stem not in ("catalog", "catalog_fractional")}
     assert names and names == golden
     dense = {p.stem for p in (ROOT / "tests" / "golden" / "dense").glob("*")}
     assert dense == names

@@ -36,6 +36,26 @@ def test_space_validation():
         FrameSpace([("coord", "x", 0, 1), ("coord", "x", 0, 1)])
 
 
+def test_arithmetic_stays_on_one_space(torus, torus_alpha):
+    # an equal frame on another space object is still another space
+    other = unit_box("x", "y", "z", "t")
+    alpha2 = other.one_form(list(torus_alpha.comps.get((i,), ex.ZERO)
+                                 for i in range(4)))
+    with pytest.raises(FrameError, match="different spaces"):
+        torus_alpha + alpha2
+    with pytest.raises(FrameError, match="different spaces"):
+        torus_alpha - alpha2
+    with pytest.raises(FrameError, match="add a 2-form to a 1-form"):
+        torus_alpha + d(torus_alpha)
+    V = torus.basis_field(0)
+    with pytest.raises(FrameError, match="different spaces"):
+        V + other.basis_field(0)
+    with pytest.raises(FrameError, match="different spaces"):
+        V - other.basis_field(1)
+    assert (torus_alpha + torus_alpha).comp((2,)) == ex.rat(2)
+    assert (V + torus.basis_field(1)).comps[:2] == (ex.ONE, ex.ONE)
+
+
 def test_exterior_derivative_chart(torus, torus_alpha):
     da = d(torus_alpha)
     assert da.comp((0, 3)) == torus.scalar("-2*pi*sin(2*pi*t)")

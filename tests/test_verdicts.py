@@ -1,5 +1,6 @@
 """The Verdict type, the zero/nonzero check helpers and sample points."""
 
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -252,6 +253,17 @@ def test_rational_nonvanishing_matches_the_sampling_loop(values, kind):
     assert (v.kind, v.value, v.point) \
         == sampled_nonvanishing(exprs, COORDS, pol)
     assert type(v.value) is float
+
+
+@pytest.mark.parametrize("exprs", [
+    [ex.rat(-10**400)], [ex.rat(Fraction(10**400, 3)), ex.ZERO],
+    [ex.rat(Fraction(1, 7)), ex.parse("2*pi"), ex.rat(10**400)]])
+def test_a_rational_past_the_float_range_is_nonvanishing(exprs):
+    # float() of such a value raises OverflowError; its magnitude is inf
+    pol = SamplingPolicy(seed=2, n_samples=8)
+    v = nonvanishing(exprs, COORDS, pol)
+    assert v.kind == "nonvanishing" and v.value == math.inf
+    assert v.point == point_list(pol, COORDS)[0]
 
 
 @pytest.mark.parametrize("texts, kind", [

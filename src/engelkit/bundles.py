@@ -24,24 +24,21 @@ from .contact import promote_form, restrict_to_section, thicken_space
 from .engel import analyze
 from .frames import (FrameSpace, VectorField, d, interior, lie_form, nonzero,
                      pair, wedge, zero)
-from .kengel import KEngelData, KEngelError, certify, failing, kengel_check
+from .kengel import KEngelData, KEngelError, certify, kengel_check
 from .metric import orthonormal_metric
-from .qfield import FieldError, QNum, solve_linear, span_rank
+from .qfield import QNum, cofactor_det, span_rank
 from .sampling import failed, nonvanishing
 
 
-def _certified(kd, Z, report, policy, rank, not_reeb, where, direction):
+def _certified(kd, Z, policy, rank, not_reeb, where, direction):
     """The tail both bundle constructions share.
 
     Z must be the Reeb direction of kd with every K-Engel invariant, and
-    pass the triple check for the metric making the framing orthonormal;
-    the verdicts go into report.
+    pass the triple check for the metric making the framing orthonormal.
     """
-    report["invariants"] = certify(kd, Z, policy, not_reeb, where)
+    certify(kd, Z, policy, not_reeb, where)
     g = orthonormal_metric(kd)
-    check = kengel_check(kd, g, kd.R, policy)
-    report["triple check"] = check
-    bad = failing(check)
+    bad = failed(kengel_check(kd, g, kd.R, policy))
     if bad:
         raise KEngelError(f"{direction} direction fails the triple check",
                           bad)
@@ -58,6 +55,7 @@ def boothby_wang(nspace, lam, L, a_loc, policy):
     curvature omega = i_L(lam ^ dlam).  On the product with the fibre
     coordinate t, the pair is alpha = dt + a_loc, beta = lam; its Reeb
     direction is the fibre and the adapted framing is invariant along it.
+    Returns (verdicts, data).
     """
     assert nspace.dim == 3, "the base of the circle bundle must be 3-dim"
     ranges = nspace.coord_ranges
@@ -81,16 +79,14 @@ def boothby_wang(nspace, lam, L, a_loc, policy):
     kd = analyze(sp4, alpha.cleanup(), beta, policy, W=W_hint)
     for name, form in (("L_R alpha", kd.alpha), ("L_R beta", kd.beta)):
         report[name] = zero(lie_form(kd.R, form), sp4.coord_ranges, policy)
-    kdata = _certified(kd, sp4.basis_field(3), report, policy, rank=1,
-                       not_reeb="Reeb direction is not the fibre",
-                       where="the circle product", direction="fibre")
-    return kdata, report
+    return report, _certified(kd, sp4.basis_field(3), policy, rank=1,
+                              not_reeb="Reeb direction is not the fibre",
+                              where="the circle product", direction="fibre")
 
 
 # ---------------------------------------------------------------------------
 # torus bundle over a surface chart
 
-T2_CONDITIONS = ("first condition", "second condition", "third condition")
 T2_FIBRE = ("p", "q")  # the torus fibre coordinates, in frame order
 
 
@@ -113,9 +109,10 @@ def t2_bundle_condition(sigma, f, g, alpha0, beta0, Omega, prim1, prim2,
 
     The third is also evaluated with the f-weight dropped from the twist,
     for comparison; only the weighted form is equivalent to
-    beta ^ d(alpha) = 0.  Returns (report, data) with data None when a
-    condition fails.  Bad input, eps outside (0,1) or a primitive that does
-    not integrate n_i Omega, raises KEngelError naming "input".
+    beta ^ d(alpha) = 0.  Returns the verdicts on the three conditions,
+    the verdict on the unweighted one, and data, None when a condition
+    fails.  Bad input, eps outside (0,1) or a primitive that does not
+    integrate n_i Omega, raises KEngelError naming "input".
     """
     assert sigma.dim == 2 and all(k == "coord" for k in sigma.kinds), \
         "the base must be a 2-dim chart"
@@ -146,12 +143,10 @@ def t2_bundle_condition(sigma, f, g, alpha0, beta0, Omega, prim1, prim2,
     report["second condition"] = nonzero(span_form.cleanup(), ranges, policy)
     flag_form = (omega_t.scale(g) + wedge(beta0, df)).cleanup()
     report["third condition"] = zero(flag_form, ranges, policy)
-    unweighted = (Omega.scale(ex.mul(n_ex, g)) + d(alpha0).scale(g)
-                  + wedge(beta0, df)).cleanup()
-    report["third condition (unweighted twist)"] = zero(unweighted, ranges,
-                                                        policy)
-    if failed({k: report[k] for k in T2_CONDITIONS}):
-        return report, None
+    unweighted = zero((Omega.scale(ex.mul(n_ex, g)) + d(alpha0).scale(g)
+                       + wedge(beta0, df)).cleanup(), ranges, policy)
+    if failed(report):
+        return report, unweighted, None
 
     sp4 = sigma
     for name in T2_FIBRE:
@@ -173,10 +168,9 @@ def t2_bundle_condition(sigma, f, g, alpha0, beta0, Omega, prim1, prim2,
     if X is not None:
         hints["X"] = VectorField(sp4, [ex.cleanup(c) for c in X])
     kd = analyze(sp4, alpha, beta, policy, **hints)
-    report["defining checks"] = kd.defining
     r_expected = VectorField(sp4, [ex.ZERO, ex.ZERO, ex.rat(eps), ex.ONE])
-    return report, _certified(
-        kd, r_expected, report, policy, rank=2,
+    return report, unweighted, _certified(
+        kd, r_expected, policy, rank=2,
         not_reeb="Reeb direction is not the declared torus direction",
         where="the torus bundle", direction="torus")
 
@@ -225,7 +219,9 @@ def torus_family(lattice, policy):
     The structure only descends when the last lattice vector is the fibre
     (0,0,0,1) and every t-component is an integer.  The Reeb direction is
     d/dz; its orbit closure in the quotient is a torus whose dimension is
-    the rank over Q of the lattice coordinates of (0,0,1,0).
+    the rank over Q of the lattice coordinates u of (0,0,1,0).  By Cramer's
+    rule u is the vector of numerators over det, and a nonzero field factor
+    leaves that rank alone, so nothing is divided.
     """
     gens = lattice.gens
     one = QNum.of(gens, 1)
@@ -240,12 +236,13 @@ def torus_family(lattice, policy):
             raise KEngelError(f"lattice vector {i + 1} has non-integral "
                               f"t-component {t_comp}")
     matrix = [[lattice.rows[i][j] for i in range(4)] for j in range(4)]
-    rhs = [zero, zero, one, zero]
-    try:
-        u = solve_linear(matrix, rhs)
-    except FieldError:
+    if not cofactor_det(matrix):
         raise KEngelError("degenerate lattice")
-    rank = span_rank([u])
+    # Cramer: column k of the matrix replaced by e_z
+    numerators = [cofactor_det([row[:k] + [one if j == 2 else zero]
+                                + row[k + 1:] for j, row in enumerate(matrix)])
+                  for k in range(4)]
+    rank = span_rank([numerators])
     data = standard_torus(policy)
     g = orthonormal_metric(data)
     return KEngelData(data, g, data.R, rank=rank), rank

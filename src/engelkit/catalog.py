@@ -329,7 +329,7 @@ def geometry_row(name, params=None, policy=None):
                        search["R"], policy)
     g = orthonormal_metric(data)
     R_field = data.space.field([ex.rat(c) for c in search["R"]])
-    row["triple_ok"] = kengel_check(data, g, R_field, policy)["ok"]
+    row["triple_ok"] = not failed(kengel_check(data, g, R_field, policy))
     row["invariants_ok"] = not failed(kengel_invariants(data, policy))
     row["data"] = KEngelData(data, g, R_field)
     return row

@@ -70,12 +70,12 @@ def _vec_line(vec):
     return "; ".join(str(c) for c in vec)
 
 
-def geometry_manifest(name, params=None, policy=None):
-    """A manifest reproducing one catalog row, runnable with exit 0."""
-    row = geometry_row(name, params, policy)
+def geometry_manifest(row):
+    """A manifest reproducing a `geometry_row` row, runnable with exit 0."""
     if not row["jacobi"]:
-        raise CatalogError(f"geometry {name!r} fails the Jacobi identity")
-    entry = GEOMETRIES[name]
+        raise CatalogError(f"geometry {row['name']!r} fails the Jacobi "
+                           f"identity")
+    entry = GEOMETRIES[row["name"]]
     lie = entry["build"](row["params"])
     lines = [HEADER, f"# catalog geometry: {row['label']}"]
     if row["params"]:
@@ -143,7 +143,7 @@ def cmd_catalog(args):
         if args.emit_manifest:
             if args.geometry is None:
                 raise CatalogError("--emit-manifest needs --geometry")
-            text = geometry_manifest(args.geometry, params or None)
+            text = geometry_manifest(rows[0])
             with open(args.emit_manifest, "w", encoding="utf-8") as fh:
                 fh.write(text)
             print(f"wrote {args.emit_manifest}")

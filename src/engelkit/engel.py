@@ -297,10 +297,9 @@ def integrability_report(data, policy):
     W, X, T, R = data.framing()
     c_tr = data.table["c_TR"]
     db = d(data.beta)
-    out = {"c_TR": c_tr}
     ranges = sp.coord_ranges
-    out["c_TR matches dbeta(R,T)"] = zero(
-        [ex.add(pair(db, R, T), ex.neg(c_tr))], ranges, policy)
+    out = {"c_TR matches dbeta(R,T)": zero(
+        [ex.add(pair(db, R, T), ex.neg(c_tr))], ranges, policy)}
     # the plane field span(T, R) is the kernel of dbeta + c_TR beta ^ alpha
     omega = db + wedge(data.beta, data.alpha).scale(c_tr)
     for name, V in (("T", T), ("R", R)):
@@ -391,14 +390,15 @@ def dbeta2_criterion(data, policy):
     The verdict is the vanishing of a_WR + b_XR of the framing before the
     rescaling W' = u W, X' = v X, read from the adapted table as
     a'_WR + b'_XR + R(mu)/mu; mu = u v = 1/beta([W,X]) realizes it.
+    Returns the verdicts and mu.
     """
     ranges = data.space.coord_ranges
     mu = ex.cleanup(ex.div(ex.ONE, data.c_WX_raw))
     total = ex.add(data.table["a_WR"], data.table["b_XR"],
                    ex.div(data.space.lie_scalar(data.R, mu), mu))
     dmb = d(data.beta.scale(mu).cleanup())
-    return {"a_WR + b_XR": zero([total], ranges, policy), "mu": mu,
-            "d(mu beta)^2": zero(wedge(dmb, dmb), ranges, policy)}
+    return {"a_WR + b_XR": zero([total], ranges, policy),
+            "d(mu beta)^2": zero(wedge(dmb, dmb), ranges, policy)}, mu
 
 
 def rho_criterion(data, policy):
@@ -407,7 +407,8 @@ def rho_criterion(data, policy):
     Preconditions: dalpha ^ dalpha = 0 and beta = -X(alpha) (the adapted
     framing satisfies the second whenever the pair does).  The verdict is
     (L_R rho) ^ beta = 0 for rho the W-dual coframe leg; equivalent to the
-    vanishing of both a_WR and a_XR.
+    vanishing of both a_WR and a_XR.  Returns the verdicts, d(rho) and
+    the verdict on whether d(rho) vanishes.
     """
     sp = data.space
     W, X, T, R = data.framing()
@@ -423,7 +424,5 @@ def rho_criterion(data, policy):
     out["a_WR"] = zero([data.table["a_WR"]], ranges, policy)
     out["a_XR"] = zero([data.table["a_XR"]], ranges, policy)
     drho = d(rho).cleanup()
-    out["drho"] = drho
-    out["drho zero"] = zero(drho, ranges, policy)
-    return out
+    return out, drho, zero(drho, ranges, policy)
 

@@ -393,8 +393,13 @@ def _norm_div(n, d):
         return _norm_mul([("rat", Fraction(1, d[1])), n])
     if n[0] == "rat" and n[1] == 0:
         return ZERO
-    if n == d:
-        return ONE
+    # n = q d cancels to q; then the first terms of n and d share a key
+    (qn, kn), (qd, kd) = (split_coeff(e[1][0] if e[0] == "add" else e)
+                          for e in (n, d))
+    if kn == kd:
+        q = rat(Fraction(qn) / qd)
+        if _norm_mul([q, d]) == n:
+            return q
     if n[0] == "div":
         return _norm_div(n[1], _norm_mul([n[2], d]))
     if d[0] == "div":

@@ -73,29 +73,21 @@ def kengel_invariants(data, policy):
 
 def kengel_check(data, g, Z, policy):
     """Is Z an Engel field (alpha and beta vanish on [Z,W] and [Z,X]), a
-    Killing field, and orthogonal to E?"""
+    Killing field, and orthogonal to E?  The verdicts come in that order,
+    the Killing residuals named `Killing (a,b)`."""
     sp = data.space
     W, X = data.W, data.X
-    engel = {}
+    out = {}
     for name, V in (("[Z,W]", bracket(Z, W)), ("[Z,X]", bracket(Z, X))):
-        engel[f"{name} stays in the plane"] = zero(
+        out[f"{name} stays in the plane"] = zero(
             [pair(data.alpha, V), pair(data.beta, V)], sp.coord_ranges,
             policy)
-    killing = killing_report(g, Z, policy)
-    ortho = {}
+    for name, v in killing_report(g, Z, policy).items():
+        out[f"Killing {name}"] = v
     for name, V in (("g(Z,W)", W), ("g(Z,X)", X),
                     ("g(Z,[W,X])", data.brackets["WX"])):
-        ortho[name] = zero([g.inner(Z, V)], sp.coord_ranges, policy)
-    report = {"engel": engel, "killing": killing, "orthogonal": ortho}
-    report["ok"] = not failing(report)
-    return report
-
-
-def failing(report):
-    """Names of the failed checks in a kengel_check report."""
-    return (failed(report["engel"])
-            + [f"Killing {k}" for k in failed(report["killing"])]
-            + failed(report["orthogonal"]))
+        out[name] = zero([g.inner(Z, V)], sp.coord_ranges, policy)
+    return out
 
 
 def certify(kd, Z, policy, not_reeb, where):
@@ -122,7 +114,7 @@ def kengel_framing(data, g, Z, policy, rank=None):
     the re-analyzed pair must have Reeb direction Z and satisfy every
     K-Engel invariant.  rank is carried over to the result.
     """
-    bad = failing(kengel_check(data, g, Z, policy))
+    bad = failed(kengel_check(data, g, Z, policy))
     if bad:
         raise KEngelError("the triple check fails: " + ", ".join(bad), bad)
     sp = data.space

@@ -91,8 +91,8 @@ def tangency_report(data, g, plane, policy):
     """Totally-geodesic test for one of the two canonical plane fields.
 
     plane="D" tests span(W, X) against the normals T, R; plane="R" tests
-    span(T, R) against W, X.  Returns per-pair verdicts, the overall flag,
-    and the first failing obstruction as a witness.
+    span(T, R) against W, X.  Returns the per-triple verdicts and the
+    obstruction expressions they test.
     """
     if plane == "D":
         tangent, normal = "WX", "TR"
@@ -105,23 +105,17 @@ def tangency_report(data, g, plane, policy):
     lie = {u + v: data.brackets[u + v] if u + v in data.brackets
            else data.brackets[v + u].scale(ex.rat(-1))
            for u in tangent for v in normal}
-    checks = {}
-    witness = None
-    geodesic = True
+    verdicts, exprs = {}, {}
     for ai, na in enumerate(tangent):
         for nb in tangent[ai:]:
             for nv in normal:
-                e = tangency_expr(g, fields[na], fields[nb], fields[nv],
-                                  lie[na + nv], lie[nb + nv])
-                verdict = zero([e], data.space.coord_ranges, policy)
                 name = f"({na},{nb};{nv})"
-                checks[name] = (e, verdict)
-                if not verdict.ok:
-                    geodesic = False
-                    if witness is None:
-                        witness = (name, ex.to_str(e))
-    return {"checks": checks, "totally geodesic": geodesic,
-            "witness": witness}
+                exprs[name] = tangency_expr(g, fields[na], fields[nb],
+                                            fields[nv], lie[na + nv],
+                                            lie[nb + nv])
+                verdicts[name] = zero([exprs[name]],
+                                      data.space.coord_ranges, policy)
+    return verdicts, exprs
 
 
 COMMUTATOR_ZEROS = ("a_WT", "c_WT", "d_WT", "a_WR", "c_WR",

@@ -4,9 +4,11 @@ Numbers are stored as rational combinations of square-root monomials: the
 key frozenset({2, 3}) stands for sqrt(2)*sqrt(3) = sqrt(6).  The radicands
 must be pairwise coprime square-free integers > 1 so that products reduce
 by symmetric difference alone.  This is all the lattice rank computation
-needs; exact rank over floats would be undecidable.  One fraction-free
-eliminator, `reduce_rows`, serves these numbers and rational rows cleared
-to ints, which have the same ranks, nullspaces and nonzero determinants.
+needs; exact rank over floats would be undecidable.  The numbers are only
+added and multiplied: determinants expand by cofactors, and ranks split
+into rational component rows for the one fraction-free eliminator,
+`reduce_rows`, which runs on rational rows cleared to ints, with the same
+ranks, nullspaces and nonzero determinants.
 """
 
 import re
@@ -117,28 +119,6 @@ class QNum:
                 out[key] = out.get(key, Fraction(0)) + q
         return QNum(self.gens, out)
 
-    def inverse(self):
-        """Invert by conjugates.
-
-        Flipping the sign of sqrt(d) is a field automorphism, and y times
-        its flip holds no sqrt(d).  So one flip per generator turns x into
-        a nonzero rational r = x * c, and 1/x = c / r.
-        """
-        if not self:
-            raise ZeroDivisionError("field inverse of zero")
-        norm, cofactor = self, QNum.of(self.gens, 1)
-        for d in self.gens.radicands:
-            flip = QNum(self.gens, {k: -q if d in k else q
-                                    for k, q in norm.terms.items()})
-            norm, cofactor = norm * flip, cofactor * flip
-        return cofactor * (1 / norm.rational_part())
-
-    def __truediv__(self, other):
-        return self * (other.inverse() if isinstance(other, QNum)
-                       else Fraction(1, other))
-
-    __floordiv__ = __truediv__   # exact in a field, as reduce_rows needs
-
     def __repr__(self):
         return f"QNum({self})"
 
@@ -176,7 +156,7 @@ def clear_denominators(vec):
 
 def reduce_rows(rows, ncols):
     """Fraction-free Gauss-Jordan elimination in place (Bareiss, Math.
-    Comp. 22, 1968), over int or QNum entries.
+    Comp. 22, 1968), over int entries.
 
     Pivots are sought in the first ncols columns; later columns ride along.
     For a pivot p, the previous one prev (at first 1), every other row
@@ -248,13 +228,15 @@ def _factor_key(rad, gens):
     return frozenset(key)
 
 
-def solve_linear(matrix, rhs):
-    """Solve M u = rhs over the field; M is a list of QNum rows."""
-    n = len(matrix)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    if len(reduce_rows(a, n)[0]) < n:
-        raise FieldError("singular lattice matrix")
-    return [row[n] / row[i] for i, row in enumerate(a)]
+def cofactor_det(matrix):
+    """Determinant of a square matrix by cofactor expansion along the first
+    row, with ring operations only, so QNum entries need no division."""
+    if len(matrix) == 1:
+        return matrix[0][0]
+    terms = [a * cofactor_det([row[:j] + row[j + 1:] for row in matrix[1:]])
+             for j, a in enumerate(matrix[0])]
+    return sum((-t if j % 2 else t for j, t in enumerate(terms[1:], 1)),
+               terms[0])
 
 
 def rational_rank(rows):

@@ -14,7 +14,7 @@ import time
 from fractions import Fraction
 
 from . import expr as ex
-from .bundles import (T2_CONDITIONS, T2_FIBRE, boothby_wang, filling_check,
+from .bundles import (T2_FIBRE, boothby_wang, filling_check,
                       t2_bundle_condition, torus_family)
 from .catalog import CatalogError, commutant, fmt_vec, kengel_framing_search
 from .contact import contactization_report
@@ -22,8 +22,8 @@ from .engel import (EngelError, analyze, dbeta2_criterion, identity_suite,
                     integrability_report, rho_criterion, transform_forms)
 from .expr import ExprError
 from .frames import FrameError, fmt_field, fmt_form
-from .kengel import (KEngelData, KEngelError, failing, kengel_check,
-                     kengel_framing, kengel_invariants)
+from .kengel import (KEngelData, KEngelError, kengel_check, kengel_framing,
+                     kengel_invariants)
 from .manifest import ManifestError
 from .metric import (bracket_pattern_report, orthonormal_metric,
                      tangency_report)
@@ -50,12 +50,7 @@ class TaskResult:
             self.token(kind, n)
 
     def verdict(self, name, v):
-        """A Verdict line, or yes/no for a plain flag."""
-        if isinstance(v, bool):
-            text = "yes" if v else "no"
-        else:
-            text = v.describe()
-        self.lines.append(("verdict", name, text))
+        self.lines.append(("verdict", name, v.describe()))
 
     def outcome(self, prefix, bad):
         """`<prefix>_pass`, or `<prefix>_fail` once bare and once per name."""
@@ -65,12 +60,11 @@ class TaskResult:
             self.token(f"{prefix}_pass")
         return not bad
 
-    def verdicts(self, prefix, verdicts, names=None):
-        """Render the named verdicts (all by default), then the outcome."""
-        shown = {k: verdicts[k] for k in names or verdicts}
-        for name, v in shown.items():
+    def verdicts(self, prefix, verdicts):
+        """Render every verdict, then the outcome."""
+        for name, v in verdicts.items():
             self.verdict(name, v)
-        return self.outcome(prefix, failed(shown))
+        return self.outcome(prefix, failed(verdicts))
 
     def derived(self, name, text):
         self.lines.append(("derived", name, text))
@@ -213,12 +207,14 @@ def op_kengel(mf, task, policy, outputs, res):
     except ValueError:
         raise ManifestError(f"task '{task.name}': rank must be an integer, "
                             f"got {rank!r}")
-    report = kengel_check(data, g, Z, policy)
-    for group in ("engel", "orthogonal"):
-        for name, v in report[group].items():
+    verdicts = kengel_check(data, g, Z, policy)
+    killing = [v for name, v in verdicts.items()
+               if name.startswith("Killing ")]
+    for name, v in verdicts.items():
+        if not name.startswith("Killing "):
             res.verdict(name, v)
-    res.verdict("Killing equation", weakest(report["killing"].values()))
-    res.outcome("kengel", failing(report))
+    res.verdict("Killing equation", weakest(killing))
+    res.outcome("kengel", failed(verdicts))
     res.output = KEngelData(data, g, Z, rank=rank)
 
 
@@ -241,11 +237,9 @@ def op_identities(mf, task, policy, outputs, res):
 
 def op_contact(mf, task, policy, outputs, res):
     data = _engel(_data(outputs, task))
-    report = contactization_report(data, policy)
-    res.verdicts("contact", report,
-                 ("contact volume", "pairs to one", "contracts to zero",
-                  "closed form matches solve"))
-    res.derived("closed form", fmt_field(report["closed form"]))
+    verdicts, closed = contactization_report(data, policy)
+    res.verdicts("contact", verdicts)
+    res.derived("closed form", fmt_field(closed))
 
 
 def op_geodesic(mf, task, policy, outputs, res):
@@ -254,17 +248,17 @@ def op_geodesic(mf, task, policy, outputs, res):
     if plane not in ("D", "R"):
         raise ManifestError(f"task '{task.name}': plane must be D or R")
     g = _metric(mf, task, data)
-    report = tangency_report(data, g, plane, policy)
-    for name, (e, v) in report["checks"].items():
+    verdicts, exprs = tangency_report(data, g, plane, policy)
+    for name, v in verdicts.items():
         res.verdict(name, v)
-    if report["totally geodesic"]:
-        res.token("geodesic")
-    else:
-        name, expr_text = report["witness"]
+    bad = failed(verdicts)
+    if bad:
         res.token("not_geodesic")
-        res.token("not_geodesic", name)
-        res.derived("witness", f"{name} = {expr_text}")
-    res.output = report
+        res.token("not_geodesic", bad[0])
+        res.derived("witness", f"{bad[0]} = {ex.to_str(exprs[bad[0]])}")
+    else:
+        res.token("geodesic")
+    res.output = verdicts
 
 
 def op_pattern(mf, task, policy, outputs, res):
@@ -274,18 +268,17 @@ def op_pattern(mf, task, policy, outputs, res):
 
 def op_dbeta2(mf, task, policy, outputs, res):
     data = _engel(_data(outputs, task))
-    report = dbeta2_criterion(data, policy)
-    res.verdicts("dbeta2", report, ("a_WR + b_XR", "d(mu beta)^2"))
-    res.derived("mu", ex.to_str(report["mu"]))
+    verdicts, mu = dbeta2_criterion(data, policy)
+    res.verdicts("dbeta2", verdicts)
+    res.derived("mu", ex.to_str(mu))
 
 
 def op_integrability(mf, task, policy, outputs, res):
     data = _engel(_data(outputs, task))
     report = integrability_report(data, policy)
-    c_tr = report.pop("c_TR")
     for name, v in report.items():
         res.verdict(name, v)
-    res.derived("c_TR", ex.to_str(c_tr))
+    res.derived("c_TR", ex.to_str(data.table["c_TR"]))
     closes = (report["closure det with W"].ok
               and report["closure det with X"].ok)
     agrees = report["integrable"].ok == closes
@@ -315,11 +308,10 @@ def op_transform(mf, task, policy, outputs, res):
 
 def op_rho(mf, task, policy, outputs, res):
     data = _engel(_data(outputs, task))
-    report = rho_criterion(data, policy)
-    res.verdicts("rho", report, ("dalpha^2", "beta + X(alpha)",
-                                 "(L_R rho) ^ beta", "a_WR", "a_XR"))
-    res.verdict("drho zero", report["drho zero"])
-    res.derived("drho", fmt_form(report["drho"]))
+    verdicts, drho, drho_zero = rho_criterion(data, policy)
+    res.verdicts("rho", verdicts)
+    res.verdict("drho zero", drho_zero)
+    res.derived("drho", fmt_form(drho))
 
 
 def op_commutant(mf, task, policy, outputs, res):
@@ -362,7 +354,7 @@ def op_lattice(mf, task, policy, outputs, res):
     lattice = _named(task, _need(task, "lattice"), mf.lattices, "lattice")
     try:
         kdata, rank = torus_family(lattice, policy)
-    except (KEngelError, FieldError) as err:
+    except KEngelError as err:
         res.token("lattice_error")
         res.derived("error", str(err))
         return
@@ -376,11 +368,10 @@ def op_bw(mf, task, policy, outputs, res):
     lam = _form(mf, task, "lam", 1)
     L = _field(mf, task, "L")
     a_loc = _form(mf, task, "a", 1)
-    kdata, report = boothby_wang(mf.space, lam, L, a_loc, policy)
-    res.verdicts("bw", report, ("contact", "legendrian", "omega closed",
-                                "primitive matches", "L_R alpha",
-                                "L_R beta"))
-    res.verdict("triple check", report["triple check"]["ok"])
+    verdicts, kdata = boothby_wang(mf.space, lam, L, a_loc, policy)
+    res.verdicts("bw", verdicts)
+    # boothby_wang raises unless the built pair passes the triple check
+    res.lines.append(("verdict", "triple check", "yes"))
     res.built(kdata)
 
 
@@ -423,16 +414,17 @@ def op_t2(mf, task, policy, outputs, res):
             except Exception as err:
                 raise ManifestError(f"task '{task.name}': bad {key} hint: "
                                     f"{err}")
-    report, kdata = t2_bundle_condition(
+    verdicts, unweighted, kdata = t2_bundle_condition(
         mf.space, f, g, alpha0, beta0, Omega, prim1, prim2, n1, n2, eps,
         policy, W=hints.get("W"), X=hints.get("X"))
-    first = report["first condition"]
-    res.lines.append(("verdict", "first condition",
-                      "holds" if first.ok
-                      else f"fails at {fmt_point(first.point)}"))
-    for name in T2_CONDITIONS[1:] + ("third condition (unweighted twist)",):
-        res.verdict(name, report[name])
-    if res.outcome("t2", failed({k: report[k] for k in T2_CONDITIONS})):
+    for name, v in verdicts.items():
+        if name == "first condition":
+            res.lines.append(("verdict", name, "holds" if v.ok
+                              else f"fails at {fmt_point(v.point)}"))
+        else:
+            res.verdict(name, v)
+    res.verdict("third condition (unweighted twist)", unweighted)
+    if res.outcome("t2", failed(verdicts)):
         res.built(kdata)
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from engelkit import cli
 from engelkit.catalog import GEOMETRIES
 from engelkit.cli import main
 
@@ -252,10 +253,16 @@ def test_catalog_table_matches_golden(capsys):
 
 @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
 def test_emitted_manifest_matches_golden_and_runs(tmp_path, capsys,
-                                                  geometry):
+                                                  monkeypatch, geometry):
+    # the row is computed once, for the table and the manifest alike
+    rows = []
+    real = cli.geometry_row
+    monkeypatch.setattr(cli, "geometry_row",
+                        lambda *a: rows.append(a) or real(*a))
     path = tmp_path / f"{geometry}.ek"
     assert main(["catalog", "--geometry", geometry,
                  "--emit-manifest", str(path)]) == 0
+    assert len(rows) == 1
     want = (GOLDEN / f"emit_{geometry}.ek").read_text(encoding="utf-8")
     assert path.read_text(encoding="utf-8") == want
     assert main(["run", str(path)]) == 0

@@ -32,14 +32,13 @@ def test_contact_form_components(torus):
 
 
 def test_torus_contactization(torus, policy):
-    rep = contactization_report(torus, policy)
+    rep, closed = contactization_report(torus, policy)
     vol = rep["contact volume"]
     ok, low = vol.ok, vol.value
     assert ok and low > 0.5
     assert rep["pairs to one"].ok
     assert rep["contracts to zero"].ok
     assert rep["closed form matches solve"].ok
-    closed = rep["closed form"]
     # T + s W', with a vanishing interval component
     assert closed.comps[0] == P("-sin(2*pi*t) - s*cos(2*pi*t)")
     assert closed.comps[1] == P("cos(2*pi*t) - s*sin(2*pi*t)")
@@ -49,14 +48,13 @@ def test_torus_contactization(torus, policy):
 
 
 def test_nil4_contactization(nil4, policy):
-    rep = contactization_report(nil4, policy)
+    rep, closed = contactization_report(nil4, policy)
     vol = rep["contact volume"]
     ok, low = vol.ok, vol.value
     assert ok
     assert rep["pairs to one"].kind == "exact"
     assert rep["contracts to zero"].kind == "exact"
     assert rep["closed form matches solve"].kind == "exact"
-    closed = rep["closed form"]
     assert [ex.to_str(c) for c in closed.comps] == ["s", "-1", "0", "0", "0"]
 
 

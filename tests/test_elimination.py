@@ -1,7 +1,7 @@
-"""The exact eliminator behind det4, rational_rank, commutant and
-solve_linear, checked against the independent Fraction oracle, on integer
-entries and on fractions with denominators up to 6, as the catalog sweep
-draws them."""
+"""The exact eliminator behind det4, rational_rank and commutant, and the
+cofactor determinant behind the lattice rank, checked against the
+independent Fraction oracle, on integer entries and on fractions with
+denominators up to 6, as the catalog sweep draws them."""
 
 from fractions import Fraction
 from itertools import permutations
@@ -12,11 +12,9 @@ from hypothesis import strategies as st
 
 from engelkit.catalog import (CatalogError, algebra, commutant, det4,
                               kengel_framing_search)
-from engelkit.qfield import (FieldError, Generators, QNum,
-                             clear_denominators, rational_rank, reduce_rows,
-                             solve_linear)
-from oracle import (ExactLie, frac_det, frac_inv, frac_rank, frac_rref,
-                    perm_sign)
+from engelkit.qfield import (Generators, QNum, clear_denominators,
+                             cofactor_det, rational_rank, reduce_rows)
+from oracle import ExactLie, frac_det, frac_rank, frac_rref, perm_sign
 
 entry = st.integers(min_value=-3, max_value=3)
 # a fraction as the sweep draws a weight, zero a quarter of the time
@@ -86,19 +84,15 @@ def test_commutant_matches_oracle(table, elements):
 
 @settings(max_examples=80, deadline=None)
 @given(n=st.integers(1, 4), data=st.data())
-def test_solve_linear_matches_oracle_inverse(n, data):
-    m = data.draw(matrix(n, n))
-    rhs = data.draw(st.lists(entry, min_size=n, max_size=n))
+def test_cofactor_det_matches_oracle(n, data):
+    m = data.draw(matrix(n, n, fraction))
+    if n > 1 and data.draw(st.booleans()):   # a dependent row
+        m[-1] = [2 * x - y for x, y in zip(m[0], m[1])]
+    want = frac_det(m)
+    assert cofactor_det(m) == want
     g = Generators((2,))
-    qm = [[QNum.of(g, x) for x in row] for row in m]
-    qrhs = [QNum.of(g, x) for x in rhs]
-    if frac_det(fractions(m)) == 0:
-        with pytest.raises(FieldError, match="singular"):
-            solve_linear(qm, qrhs)
-        return
-    inv = frac_inv(fractions(m))
-    want = [sum(x * r for x, r in zip(row, rhs)) for row in inv]
-    assert solve_linear(qm, qrhs) == [QNum.of(g, w) for w in want]
+    assert cofactor_det([[QNum.of(g, x) for x in row] for row in m]) == \
+        QNum.of(g, want)
 
 
 @settings(max_examples=80, deadline=None)
@@ -213,17 +207,19 @@ def leibniz_det(m):
 
 
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 3), data=st.data())
-def test_solve_linear_over_sqrt2_sqrt3_satisfies_the_system(n, data):
+@given(n=st.integers(1, 4), data=st.data())
+def test_cramer_numerators_over_sqrt2_sqrt3_satisfy_the_system(n, data):
+    # M u = det(M) rhs for u_k = det(M with column k replaced by rhs),
+    # the numerators that lattice ranks are taken of; rhs is e_z at n = 4
     m = data.draw(matrix(n, n, qnum))
-    rhs = data.draw(st.lists(qnum, min_size=n, max_size=n))
-    if not leibniz_det(m):
-        with pytest.raises(FieldError, match="singular"):
-            solve_linear(m, rhs)
-        return
-    u = solve_linear(m, rhs)
+    rhs = ([QNum.of(G23, int(i == 2)) for i in range(4)] if n == 4
+           else data.draw(st.lists(qnum, min_size=n, max_size=n)))
+    det = cofactor_det(m)
+    assert det == leibniz_det(m)
+    u = [cofactor_det([row[:k] + [r] + row[k + 1:]
+                       for row, r in zip(m, rhs)]) for k in range(n)]
     for row, r in zip(m, rhs):
         total = QNum(G23)
         for x, y in zip(row, u):
             total = total + x * y
-        assert total == r
+        assert total == det * r

@@ -68,6 +68,21 @@ def test_quotients_pulled_out_of_products():
     assert e == P("(x*y)/z")
 
 
+@pytest.mark.parametrize("text, want", [
+    ("(-x - 1)/(x + 1)", "-1"),
+    ("(2*x)/x", "2"),
+    ("(x + 1)/(x + 1)", "1"),
+    ("(3*x^2 + 3)/(2*x^2 + 2)", "3/2"),
+    ("sin(t)/(2*sin(t))", "1/2"),
+    ("(-3*x - 3)/(x + 1) + 3", "0"),
+    # a matching first term alone is not proportionality
+    ("(x + 1)/(x + 2)", "(x + 1)/(x + 2)"),
+    ("(x*y + y)/(2*x + 2)", "(x*y + y)/(2*x + 2)"),
+])
+def test_a_quotient_of_proportional_terms_is_their_ratio(text, want):
+    assert ex.to_str(P(text)) == want
+
+
 def test_div_by_rational_becomes_coefficient():
     assert P("x/2") == ("mul", (("rat", Fraction(1, 2)), ("var", "x")))
     assert P("x/(2*2)") == ("mul", (("rat", Fraction(1, 4)), ("var", "x")))

@@ -8,12 +8,13 @@ systems at the sample points, done with numpy and sharing no solver code
 with the package.
 """
 
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from engelkit import contact, engel
 from engelkit import expr as ex
@@ -65,7 +66,19 @@ def top_minus_one_forms(draw):
     return sp.form(n - 1, comps)
 
 
+def _proportional_quotient_form():
+    # (-3*x2 - 3)/(x2 + 1) must normalize to -3, or i_K w keeps a
+    # (-x2 - 1)/(x2 + 1) + 1 term
+    sp = frame_space([True, True, True])
+    x2 = ex.var("x2")
+    quotient = ex.div(ex.add(ex.mul(ex.rat(-3), x2), ex.rat(-3)),
+                      ex.add(x2, ex.ONE))
+    return sp.form(2, {(0, 1): quotient, (0, 2): ex.rat(Fraction(1, 3)),
+                       (1, 2): ex.ZERO})
+
+
 @given(top_minus_one_forms())
+@example(_proportional_quotient_form())
 @settings(max_examples=80, deadline=None)
 def test_kernel_line_is_dual_to_the_volume_form(w):
     sp = w.space

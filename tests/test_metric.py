@@ -57,24 +57,23 @@ def test_torus_killing(torus, policy):
 
 def test_torus_plane_not_geodesic(torus, policy):
     g = orthonormal_metric(torus)
-    rep = tangency_report(torus, g, "D", policy)
-    assert not rep["totally geodesic"]
-    assert rep["witness"] == ("(W,X;T)", "1")
+    verdicts, exprs = tangency_report(torus, g, "D", policy)
+    witness = failed(verdicts)[0]
+    assert (witness, ex.to_str(exprs[witness])) == ("(W,X;T)", "1")
 
 
 def test_nil4_plane_geodesic(nil4, policy):
     g = orthonormal_metric(nil4)
-    rep = tangency_report(nil4, g, "D", policy)
-    assert rep["totally geodesic"]
-    assert all(v.kind == "exact" for _, v in rep["checks"].values())
+    verdicts, _ = tangency_report(nil4, g, "D", policy)
+    assert all(v.kind == "exact" for v in verdicts.values())
 
 
 def test_reeb_plane_never_geodesic(torus, nil4, policy):
     for data in (torus, nil4):
         g = orthonormal_metric(data)
-        rep = tangency_report(data, g, "R", policy)
-        assert not rep["totally geodesic"]
-        assert rep["witness"] == ("(T,R;X)", "-1")
+        verdicts, exprs = tangency_report(data, g, "R", policy)
+        witness = failed(verdicts)[0]
+        assert (witness, ex.to_str(exprs[witness])) == ("(T,R;X)", "-1")
 
 
 def test_tangency_expr_values(nil4):

@@ -158,3 +158,57 @@ def nil4_with(tmp_path, old, new):
         marks=pytest.mark.xfail(raises=NameError, strict=True))])
 def test_a_huge_rational_component_ends_in_an_exit_code(tmp_path, old, new):
     assert exit_code_in_process(nil4_with(tmp_path, old, new)) in (0, 1, 2)
+
+
+def itself(out):
+    return out
+
+
+def first(out):
+    return out[0]
+
+
+# every check an op calls, and how to find the verdicts in what it returns
+CHECKS = {
+    "analyze": lambda data: data.defining,
+    "kengel_check": itself,
+    "kengel_invariants": itself,
+    "identity_suite": itself,
+    "contactization_report": first,
+    "tangency_report": first,
+    "bracket_pattern_report": itself,
+    "dbeta2_criterion": first,
+    "integrability_report": itself,
+    "transform_forms": lambda out: out[1],
+    "rho_criterion": first,
+    "boothby_wang": first,
+    "filling_check": itself,
+    "t2_bundle_condition": first,
+}
+
+
+def test_every_check_returns_a_dict_of_verdicts_only(monkeypatch):
+    # derived objects travel beside the verdicts, never among them
+    seen = {name: [] for name in CHECKS}
+
+    def wrap(name, real):
+        def check(*args, **kwargs):
+            out = real(*args, **kwargs)
+            seen[name].append(CHECKS[name](out))
+            return out
+        return check
+
+    for name in CHECKS:
+        monkeypatch.setattr(report_module, name,
+                            wrap(name, getattr(report_module, name)))
+    for path in sorted((ROOT / "corpus").glob("*.ek")) + sorted(
+            (ROOT / "tests" / "manifests").glob("*.ek")):
+        run_manifest(load_manifest(str(path)),
+                     SamplingPolicy(seed=0, n_samples=64))
+    for name, results in seen.items():
+        assert results, f"no manifest calls {name}"
+        for verdicts in results:
+            assert type(verdicts) is dict and verdicts, name
+            bad = {k: type(v).__name__ for k, v in verdicts.items()
+                   if not isinstance(v, Verdict)}
+            assert not bad, f"{name} returns non-verdicts {bad}"

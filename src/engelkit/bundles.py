@@ -26,7 +26,6 @@ from .frames import (FrameSpace, VectorField, d, interior, lie_form, nonzero,
                      pair, wedge, zero)
 from .kengel import KEngelData, KEngelError, certify, kengel_check
 from .metric import orthonormal_metric
-from .qfield import QNum, cofactor_det, span_rank
 from .sampling import failed, nonvanishing
 
 
@@ -178,25 +177,6 @@ def t2_bundle_condition(sigma, f, g, alpha0, beta0, Omega, prim1, prim2,
 # ---------------------------------------------------------------------------
 # the lattice quotient family
 
-class LatticeSpec:
-    """Four lattice vectors with entries in a declared real quadratic field.
-
-    rows: four length-4 sequences of QNum over the same generators.  Exact
-    rank computations need the entries in a declared finite basis; float
-    entries are rejected by construction.
-    """
-
-    def __init__(self, gens, rows):
-        self.gens = gens
-        self.rows = []
-        assert len(rows) == 4, "a lattice in the 4-torus needs 4 vectors"
-        for row in rows:
-            assert len(row) == 4
-            for q in row:
-                assert isinstance(q, QNum) and q.gens == gens
-            self.rows.append(list(row))
-
-
 def standard_torus(policy):
     """The turning-plane structure on the 4-torus chart.
 
@@ -223,6 +203,7 @@ def torus_family(lattice, policy):
     rule u is the vector of numerators over det, and a nonzero field factor
     leaves that rank alone, so nothing is divided.
     """
+    from .qfield import QNum, cofactor_det, span_rank
     gens = lattice.gens
     one = QNum.of(gens, 1)
     zero = QNum.of(gens, 0)

@@ -31,7 +31,7 @@ from .qfield import clear_denominators, rational_rank, reduce_rows
 from .sampling import SamplingPolicy, failed
 
 
-class CatalogError(Exception):
+class CatalogError(ex.CheckError):
     pass
 
 
@@ -283,7 +283,8 @@ def fmt_params(params):
 def geometry_row(name, params=None, policy=None):
     """One catalog row: search for the framing, export and verify if found."""
     if name not in GEOMETRIES:
-        raise CatalogError(f"unknown geometry {name!r}")
+        raise CatalogError(f"unknown geometry {name!r}; choose from "
+                           f"{', '.join(sorted(GEOMETRIES))}")
     entry = GEOMETRIES[name]
     merged = dict(entry["params"])
     for key, value in (params or {}).items():

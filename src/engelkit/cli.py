@@ -4,22 +4,19 @@
 exactly when each declared expectation matched (1 on mismatches, 2 on
 parse or reference errors).  `engelkit catalog` prints the geometry table
 and can emit any single geometry as a manifest that re-verifies under
-`run`.
+`run`.  Each subcommand imports what it uses only when it runs.
 """
 
 import argparse
 import sys
 from fractions import Fraction
 
-from .catalog import (CatalogError, GEOMETRIES, catalog_run, fmt_params,
-                      geometry_row)
 from .frames import fmt_form
-from .manifest import HEADER, ManifestError, load_manifest
-from .report import run_manifest
 from .sampling import SamplingPolicy
 
 
 def parse_params(tokens):
+    from .catalog import CatalogError
     out = {}
     for token in tokens or ():
         if "=" not in token:
@@ -37,6 +34,7 @@ def parse_params(tokens):
 
 
 def catalog_table(rows):
+    from .catalog import fmt_params
     lines = [f"{'geometry':10s} {'params':12s} {'jacobi':6s} "
              f"{'outcome':7s} detail"]
     for row in rows:
@@ -72,6 +70,8 @@ def _vec_line(vec):
 
 def geometry_manifest(row):
     """A manifest reproducing a `geometry_row` row, runnable with exit 0."""
+    from .catalog import CatalogError, GEOMETRIES, fmt_params
+    from .manifest import HEADER
     if not row["jacobi"]:
         raise CatalogError(f"geometry {row['name']!r} fails the Jacobi "
                            f"identity")
@@ -113,6 +113,8 @@ def geometry_manifest(row):
 # subcommands
 
 def cmd_run(args):
+    from .manifest import ManifestError, load_manifest
+    from .report import run_manifest
     try:
         mf = load_manifest(args.manifest)
     except ManifestError as err:
@@ -132,6 +134,7 @@ def cmd_run(args):
 
 
 def cmd_catalog(args):
+    from .catalog import CatalogError, catalog_run, geometry_row
     try:
         params = parse_params(args.params)
         if args.geometry is not None:
@@ -171,8 +174,8 @@ def build_parser():
     p_run.set_defaults(func=cmd_run)
 
     p_cat = sub.add_parser("catalog", help="geometry catalog table")
-    p_cat.add_argument("--geometry", default=None,
-                       choices=sorted(GEOMETRIES))
+    p_cat.add_argument("--geometry", default=None, metavar="NAME",
+                       help="restrict the table to one geometry")
     p_cat.add_argument("--params", nargs="*", default=None,
                        help="parameter bindings, e.g. c=1,0,-1")
     p_cat.add_argument("--emit-manifest", default=None, metavar="FILE",

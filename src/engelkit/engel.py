@@ -21,7 +21,7 @@ PAIRS = ("WX", "WT", "WR", "XT", "XR", "TR")
 LETTERS = ("a", "b", "c", "d")
 
 
-class EngelError(Exception):
+class EngelError(ex.CheckError):
     pass
 
 

@@ -44,7 +44,11 @@ SINGULAR_EPS = 1e-14
 FUNCS = ("sin", "cos", "exp", "ln")
 
 
-class ExprError(Exception):
+class CheckError(Exception):
+    """An input a check cannot handle: its manifest task gives `task_error`."""
+
+
+class ExprError(CheckError):
     pass
 
 

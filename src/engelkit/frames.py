@@ -17,7 +17,7 @@ from . import expr as ex
 from .sampling import is_zero_many, nonvanishing
 
 
-class FrameError(Exception):
+class FrameError(ex.CheckError):
     pass
 
 

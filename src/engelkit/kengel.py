@@ -94,17 +94,15 @@ def certify(kd, Z, policy, not_reeb, where):
     """Z must be the Reeb direction of kd and every K-Engel invariant hold.
 
     Raises KEngelError with the text not_reeb, or naming the failing
-    invariants on `where`; returns the invariant verdicts.
+    invariants on `where`.
     """
     v = zero(kd.R - Z, kd.space.coord_ranges, policy)
     if not v.ok:
         raise KEngelError(f"{not_reeb}: {v.describe()}", ["Reeb direction"])
-    inv = kengel_invariants(kd, policy)
-    bad = failed(inv)
+    bad = failed(kengel_invariants(kd, policy))
     if bad:
         raise KEngelError(f"invariants fail on {where}: " + ", ".join(bad),
                           bad)
-    return inv
 
 
 def kengel_framing(data, g, Z, policy, rank=None):

@@ -17,7 +17,6 @@ from . import expr as ex
 from .frames import (DiffForm, FrameError, FrameSpace, VectorField,
                      jacobi_residuals)
 from .metric import Metric
-from .qfield import FieldError, Generators, parse_qnum
 
 HEADER = "engelkit-manifest 1"
 SECTION_RE = re.compile(r"^\[([a-z]+)(?:\s+([A-Za-z_][A-Za-z_0-9]*))?\]$")
@@ -256,6 +255,7 @@ class _Parser:
         return Metric(space, matrix)
 
     def build_lattice(self, section):
+        from .qfield import FieldError, Generators, LatticeSpec, parse_qnum
         kv = self.keyvals(section, repeatable=("row",))
         if "gens" not in kv:
             self.fail(section[3], "lattice needs 'gens = p q ...'")
@@ -278,7 +278,6 @@ class _Parser:
                 rows.append([parse_qnum(p, gens) for p in parts])
             except FieldError as err:
                 self.fail(lineno, f"bad lattice entry: {err}")
-        from .bundles import LatticeSpec
         return LatticeSpec(gens, rows)
 
     def build_task(self, section):

@@ -18,7 +18,7 @@ from math import gcd, lcm
 from . import expr as ex
 
 
-class FieldError(Exception):
+class FieldError(ex.CheckError):
     pass
 
 
@@ -56,9 +56,13 @@ class Generators:
             out += [key | {d} for key in out]
         return sorted(out, key=lambda k: (len(k), sorted(k)))
 
-    def __eq__(self, other):
-        return isinstance(other, Generators) and \
-            self.radicands == other.radicands
+
+class LatticeSpec:
+    """Four lattice vectors in the 4-torus, each four QNums over `gens`."""
+
+    def __init__(self, gens, rows):
+        self.gens = gens
+        self.rows = [list(row) for row in rows]
 
 
 class QNum:

@@ -10,25 +10,37 @@ byte-identical files.  Wall-clock timing therefore appears only in the
 human-readable output.
 """
 
+import importlib.util
+import sys
 import time
 from fractions import Fraction
 
 from . import expr as ex
 from .bundles import (T2_FIBRE, boothby_wang, filling_check,
                       t2_bundle_condition, torus_family)
-from .catalog import CatalogError, commutant, fmt_vec, kengel_framing_search
 from .contact import contactization_report
-from .engel import (EngelError, analyze, dbeta2_criterion, identity_suite,
-                    integrability_report, rho_criterion, transform_forms)
-from .expr import ExprError
-from .frames import FrameError, fmt_field, fmt_form
+from .engel import (EngelData, EngelError, analyze, dbeta2_criterion,
+                    identity_suite, integrability_report, rho_criterion,
+                    transform_forms)
+from .expr import CheckError, ExprError
+from .frames import fmt_field, fmt_form
 from .kengel import (KEngelData, KEngelError, kengel_check, kengel_framing,
                      kengel_invariants)
 from .manifest import ManifestError
 from .metric import (bracket_pattern_report, orthonormal_metric,
                      tangency_report)
-from .qfield import FieldError
 from .sampling import SamplingPolicy, failed, fmt_float, fmt_point, weakest
+
+
+# Only commutant and framing tasks (none in the corpus) read `catalog`: it is
+# compiled at first use, but sys.modules lists it now for bench/tracer.py.
+catalog = sys.modules.get(f"{__package__}.catalog")
+if catalog is None:
+    spec = importlib.util.find_spec(f"{__package__}.catalog")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    catalog = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    setattr(sys.modules[__package__], "catalog", catalog)
+    spec.loader.exec_module(catalog)
 
 
 class TaskResult:
@@ -113,18 +125,16 @@ def _engel(out):
     return out.data if isinstance(out, KEngelData) else out
 
 
-def _data(outputs, task, key="data", want=None):
-    name = _need(task, key)
+def _data(outputs, task, want=(EngelData, KEngelData)):
+    """The output of the task named by `data`, of a class in `want`."""
+    name = _need(task, "data")
     if name not in outputs:
         raise ManifestError(f"task '{task.name}': no prior task '{name}'")
     out = outputs[name]
-    if want is not None and not isinstance(out, want):
+    if not isinstance(out, want):
         raise ManifestError(
             f"task '{task.name}': task '{name}' did not produce "
-            f"{want.__name__}")
-    if out is None:
-        raise ManifestError(f"task '{task.name}': task '{name}' produced "
-                            f"no data")
+            f"{' or '.join(cls.__name__ for cls in want)}")
     return out
 
 
@@ -219,7 +229,7 @@ def op_kengel(mf, task, policy, outputs, res):
 
 
 def op_kframing(mf, task, policy, outputs, res):
-    kd = _data(outputs, task, want=KEngelData)
+    kd = _data(outputs, task, want=(KEngelData,))
     kdata = kengel_framing(kd.data, kd.g, kd.Z, policy, rank=kd.rank)
     res.token("kframing_pass")
     res.built(kdata)
@@ -318,10 +328,10 @@ def op_commutant(mf, task, policy, outputs, res):
     lie = _lie_algebra(mf, task)
     vecs = [_rational_vec(task, _named(task, name, mf.fields, "field"))
             for name in _need(task, "set").split()]
-    basis = commutant(lie, vecs)
+    basis = catalog.commutant(lie, vecs)
     res.token("commutant_dim", len(basis))
     for i, vec in enumerate(basis):
-        res.derived(f"basis {i}", fmt_vec(lie.names, vec))
+        res.derived(f"basis {i}", catalog.fmt_vec(lie.names, vec))
     res.output = basis
 
 
@@ -333,16 +343,16 @@ def op_framing(mf, task, policy, outputs, res):
     if R_hint is not None:
         R_hint = _rational_vec(task, R_hint)
     try:
-        search = kengel_framing_search(lie, W, X, R_hint=R_hint)
-    except CatalogError as err:
+        search = catalog.kengel_framing_search(lie, W, X, R_hint=R_hint)
+    except catalog.CatalogError as err:
         res.token("framing_rejected")
         res.derived("error", str(err))
         return
     res.derived("commutant dim", str(search["commutant_dim"]))
     if search["found"]:
         res.token("framing_found")
-        res.derived("Y", fmt_vec(lie.names, search["Y"]))
-        res.derived("R", fmt_vec(lie.names, search["R"]))
+        res.derived("Y", catalog.fmt_vec(lie.names, search["Y"]))
+        res.derived("R", catalog.fmt_vec(lie.names, search["R"]))
         res.derived("det", str(search["det"]))
     else:
         res.token("framing_none")
@@ -376,7 +386,7 @@ def op_bw(mf, task, policy, outputs, res):
 
 
 def op_filling(mf, task, policy, outputs, res):
-    kdata = _data(outputs, task, want=KEngelData)
+    kdata = _data(outputs, task, want=(KEngelData,))
     report = filling_check(kdata, policy)
     res.verdicts("filling", report)
     res.output = report
@@ -573,8 +583,7 @@ def run_manifest(mf, policy, manifest_name=None):
             # a construction that cannot be built, whichever op tried
             res.fail_tokens(f"{task.op}_fail", err.names)
             res.derived("error", str(err))
-        except (EngelError, CatalogError, FieldError, FrameError,
-                ExprError) as err:
+        except CheckError as err:
             res.token("task_error")
             res.token("task_error", type(err).__name__)
             res.derived("error", str(err))

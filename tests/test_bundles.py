@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from engelkit import expr as ex
-from engelkit.bundles import (LatticeSpec, boothby_wang,
-                              filling_check, standard_torus,
+from engelkit.bundles import (boothby_wang, filling_check, standard_torus,
                               t2_bundle_condition, torus_family)
 from engelkit.contact import promote_form, thicken_space
 from engelkit.engel import analyze, check_defining_forms
@@ -16,7 +15,7 @@ from engelkit.frames import FrameSpace, d, wedge
 from engelkit.kengel import (KEngelData, KEngelError, kengel_check,
                              kengel_invariants)
 from engelkit.metric import orthonormal_metric
-from engelkit.qfield import Generators, QNum, parse_qnum
+from engelkit.qfield import Generators, LatticeSpec, QNum, parse_qnum
 from engelkit.sampling import failed, is_zero_many
 
 

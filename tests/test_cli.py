@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from engelkit import cli
+from engelkit import catalog
 from engelkit.catalog import GEOMETRIES
 from engelkit.cli import main
 
@@ -256,8 +256,8 @@ def test_emitted_manifest_matches_golden_and_runs(tmp_path, capsys,
                                                   monkeypatch, geometry):
     # the row is computed once, for the table and the manifest alike
     rows = []
-    real = cli.geometry_row
-    monkeypatch.setattr(cli, "geometry_row",
+    real = catalog.geometry_row
+    monkeypatch.setattr(catalog, "geometry_row",
                         lambda *a: rows.append(a) or real(*a))
     path = tmp_path / f"{geometry}.ek"
     assert main(["catalog", "--geometry", geometry,
@@ -512,6 +512,28 @@ def test_kframing_on_an_engel_task_exits_2(tmp_path, capsys):
     assert code == 2
     assert f"{path}:{line_of(text, '[task framing]')}:" in err
     assert "task 'structure' did not produce KEngelData" in err
+
+
+def test_identities_on_a_geodesic_task_exits_2(tmp_path, capsys):
+    # a geodesic task's output is its verdicts, not an analyzed pair
+    text = (ROOT / "corpus" / "torus.ek").read_text(encoding="utf-8") + """
+[task again]
+op = identities
+data = reeb_plane
+"""
+    code, err, path = run_text(tmp_path, capsys, text)
+    assert code == 2
+    assert f"{path}:{line_of(text, '[task again]')}:" in err
+    assert ("task 'reeb_plane' did not produce EngelData or KEngelData"
+            in err)
+
+
+def test_unknown_geometry_exits_2_naming_the_geometries(capsys):
+    assert main(["catalog", "--geometry", "nosuch"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"error: unknown geometry 'nosuch'; choose from "
+                       f"{', '.join(sorted(GEOMETRIES))}\n")
 
 
 def test_integrability_of_an_unknown_task_exits_2(tmp_path, capsys):

@@ -1,7 +1,7 @@
 """No dead code: every top-level function and class of src/ runs from the
 product surface, every public method is called from somewhere other than
 its own body, every attribute a class sets in `__init__` is read, and no
-module imports a name it never reads.
+module or function imports a name it never reads.
 
 Reachability follows name references between top-level definitions (a
 class carries the references of its methods, a module-level assignment
@@ -142,20 +142,38 @@ def write_only_attributes():
             and sub.attr not in read]
 
 
+def _own_nodes(scope):
+    """The nodes of a module or function body outside its nested
+    functions."""
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, ast.FunctionDef):
+            todo.extend(ast.iter_child_nodes(node))
+
+
 def unused_imports(path):
+    """Imported names never read: a module-level import anywhere in its
+    module, an import inside a function within that function, so a stale
+    lazy import cannot pass on a read elsewhere."""
     tree = _tree(path)
-    imported = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                imported[alias.asname or alias.name.split(".")[0]] = \
-                    node.lineno
-        elif isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                imported[alias.asname or alias.name] = node.lineno
-    read = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
-    return sorted(f"{name} (line {line})" for name, line in imported.items()
-                  if name not in read)
+    scopes = [tree] + [node for node in ast.walk(tree)
+                       if isinstance(node, ast.FunctionDef)]
+    out = []
+    for scope in scopes:
+        read = {sub.id for sub in ast.walk(scope)
+                if isinstance(sub, ast.Name)}
+        for node in _own_nodes(scope):
+            if isinstance(node, ast.Import):
+                names = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            out += [f"{name} (line {node.lineno})" for name in names
+                    if name not in read]
+    return sorted(out)
 
 
 def test_every_analysis_function_is_reachable():

@@ -4,10 +4,15 @@ from pathlib import Path
 
 import pytest
 
+from engelkit import expr as ex
 from engelkit import report as report_module
+from engelkit.catalog import CatalogError
+from engelkit.engel import EngelError
+from engelkit.frames import FrameError
 from engelkit.kengel import KEngelError
 from engelkit.manifest import ManifestError, load_manifest, parse_manifest
 from engelkit.report import run_manifest
+from engelkit.qfield import FieldError
 from engelkit.sampling import SamplingPolicy, Verdict
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -125,6 +130,32 @@ def test_a_construction_error_fails_its_op_with_the_failing_checks(
                           "the Reeb field is not the torus direction")]
     assert res.output is None
     assert report.exit_code == 1
+
+
+@pytest.mark.parametrize("cls", [EngelError, CatalogError, FieldError,
+                                 FrameError, ex.ExprError, ex.ParseError])
+def test_an_input_a_check_cannot_handle_is_a_task_error(monkeypatch, cls):
+    # run_manifest reports every CheckError, whatever module raised it, as
+    # task_error and the class name
+    def broken(*args):
+        raise cls("cannot handle this")
+
+    monkeypatch.setattr(report_module, "identity_suite", broken)
+    head = (ROOT / "corpus" / "torus.ek").read_text(encoding="utf-8")
+    tokens = task_tokens(head.split("[task identities]")[0] + """
+[task again]
+op = identities
+data = structure
+""", "again")
+    assert issubclass(cls, ex.CheckError)
+    assert tokens == {"task_error", f"task_error {cls.__name__}"}
+
+
+@pytest.mark.parametrize("cls", [KEngelError, ManifestError])
+def test_construction_and_manifest_errors_are_not_check_errors(cls):
+    # each is caught before CheckError: a failed construction fails its op,
+    # a bad reference ends the run with exit 2
+    assert not issubclass(cls, ex.CheckError)
 
 
 def exit_code_in_process(path):

@@ -8,8 +8,8 @@ Three constructions and one verification live here:
   chart decide whether the torus-bundle forms define a structure whose
   symmetry torus has rank 2; on success the forms are built and analyzed.
 * `torus_family`: the standard 4-torus structure quotiented by a lattice
-  with entries in a real quadratic field; the closure of the Reeb orbits
-  is a torus whose dimension is computed exactly over the field.
+  with entries in Q(sqrt(d1), ..., sqrt(dk)); the closure of the Reeb
+  orbits is a torus whose dimension is computed exactly, as a rank over Q.
 * `filling_check`: a rank-1 structure bounds a contact 5-manifold collar
   via eta = beta + r^2 alpha; all restriction identities are verified.
 
@@ -22,8 +22,8 @@ from fractions import Fraction
 from . import expr as ex
 from .contact import promote_form, restrict_to_section, thicken_space
 from .engel import analyze
-from .frames import (FrameSpace, VectorField, d, interior, lie_form, nonzero,
-                     pair, wedge, zero)
+from .frames import (FrameSpace, VectorField, d, interior, lie_form, minor,
+                     nonzero, pair, wedge, zero)
 from .kengel import KEngelData, KEngelError, certify, kengel_check
 from .metric import orthonormal_metric
 from .sampling import failed, nonvanishing
@@ -193,37 +193,33 @@ def standard_torus(policy):
     return analyze(sp, alpha, beta, policy, W=W, X=sp.basis_field(3))
 
 
-def torus_family(lattice, policy):
+def torus_family(rows, policy):
     """Quotient the standard structure by a lattice; rank of the R-closure.
 
-    The structure only descends when the last lattice vector is the fibre
-    (0,0,0,1) and every t-component is an integer.  The Reeb direction is
-    d/dz; its orbit closure in the quotient is a torus whose dimension is
-    the rank over Q of the lattice coordinates u of (0,0,1,0).  By Cramer's
-    rule u is the vector of numerators over det, and a nonzero field factor
-    leaves that rank alone, so nothing is divided.
+    rows are the four lattice vectors, entries as `qfield.parse_surd`
+    reads them.  The structure only descends when the last lattice vector
+    is the fibre (0,0,0,1) and every t-component is an integer.  The Reeb
+    direction is d/dz; its orbit closure in the quotient is a torus whose
+    dimension is the rank over Q of the lattice coordinates u of
+    (0,0,1,0).  By Cramer's rule u_k is the (z, k) cofactor of the
+    transposed lattice matrix over its determinant, and neither a sign nor
+    a nonzero field factor changes that rank, so only minors are taken.
     """
-    from .qfield import QNum, cofactor_det, span_rank
-    gens = lattice.gens
-    one = QNum.of(gens, 1)
-    zero = QNum.of(gens, 0)
-    if lattice.rows[3] != [zero, zero, zero, one]:
+    from .qfield import span_rank, surd_terms
+    terms = [[surd_terms(x) for x in row] for row in rows]
+    if terms[3] != [{}, {}, {}, {frozenset(): 1}]:
         raise KEngelError("the fourth lattice vector must be the fibre "
                           "(0,0,0,1)")
-    for i, row in enumerate(lattice.rows):
-        t_comp = row[3]
-        if not (t_comp.is_rational()
-                and t_comp.rational_part().denominator == 1):
+    for i, row in enumerate(terms):
+        if row[3].keys() - {frozenset()} or row[3].get(frozenset(), 0) % 1:
             raise KEngelError(f"lattice vector {i + 1} has non-integral "
-                              f"t-component {t_comp}")
-    matrix = [[lattice.rows[i][j] for i in range(4)] for j in range(4)]
-    if not cofactor_det(matrix):
+                              f"t-component {ex.to_str(rows[i][3])}")
+    matrix = [[rows[i][j] for i in range(4)] for j in range(4)]
+    every, memo = (0, 1, 2, 3), {}
+    if not surd_terms(minor(matrix, every, every, memo)):
         raise KEngelError("degenerate lattice")
-    # Cramer: column k of the matrix replaced by e_z
-    numerators = [cofactor_det([row[:k] + [one if j == 2 else zero]
-                                + row[k + 1:] for j, row in enumerate(matrix)])
-                  for k in range(4)]
-    rank = span_rank([numerators])
+    rank = span_rank([[minor(matrix, (0, 1, 3), every[:k] + every[k + 1:],
+                             memo) for k in range(4)]])
     data = standard_torus(policy)
     g = orthonormal_metric(data)
     return KEngelData(data, g, data.R, rank=rank), rank

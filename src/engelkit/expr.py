@@ -116,10 +116,6 @@ def cos(a):
     return ("cos", a)
 
 
-def exp(a):
-    return ("exp", a)
-
-
 def children(e):
     if e[0] in ("add", "mul"):
         return e[1]

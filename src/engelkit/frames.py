@@ -398,14 +398,14 @@ def determinant(fields):
         raise FrameError(f"a determinant needs {n} fields")
     rows = [[f.comps[i] for f in fields] for i in range(n)]
     every = tuple(range(n))
-    return _minor(rows, every, every, {})
+    return minor(rows, every, every, {})
 
 
-def _minor(matrix, rows, cols, memo):
+def minor(matrix, rows, cols, memo):
     """The normalized minor of matrix on the given row and column index
-    tuples, by Laplace expansion along its first row.  Every sub-minor is
-    kept in memo under (rows, cols), so one shared by several expansions
-    is expanded once."""
+    tuples, by Laplace expansion along its first row, with ring operations
+    only.  Every sub-minor is kept in memo under (rows, cols), so one
+    shared by several expansions is expanded once."""
     if not rows:
         return ex.ONE
     key = (rows, cols)
@@ -416,7 +416,7 @@ def _minor(matrix, rows, cols, memo):
         for t, c in enumerate(cols):
             if ex.is_zero(top[c]):
                 continue
-            sub = _minor(matrix, rows[1:], cols[:t] + cols[t + 1:], memo)
+            sub = minor(matrix, rows[1:], cols[:t] + cols[t + 1:], memo)
             if not ex.is_zero(sub):
                 term = ex.mul(top[c], sub)
                 terms.append(term if t % 2 == 0 else ex.neg(term))
@@ -437,9 +437,9 @@ def cramer(rows, rhs, det):
         terms = []
         for j in range(n):
             if not ex.is_zero(rhs[j]):
-                minor = _minor(rows, every[:j] + every[j + 1:],
-                               every[:i] + every[i + 1:], memo)
-                term = ex.mul(rhs[j], minor)
+                sub = minor(rows, every[:j] + every[j + 1:],
+                            every[:i] + every[i + 1:], memo)
+                term = ex.mul(rhs[j], sub)
                 terms.append(term if (i + j) % 2 == 0 else ex.neg(term))
         out.append(ex.cleanup(ex.div(ex.cleanup(ex.add(*terms)), det)))
     return out
@@ -615,7 +615,7 @@ def _solve_square(space, work, solved, unknowns, policy):
         return None
     mat = [coeffs for coeffs, _ in rows]
     every = tuple(range(len(mat)))
-    det = _minor(mat, every, every, {})
+    det = minor(mat, every, every, {})
     if not nonvanishing([det], space.coord_ranges, policy).ok:
         return None
     return dict(zip(unknowns, cramer(mat, [r for _, r in rows],

@@ -255,7 +255,7 @@ class _Parser:
         return Metric(space, matrix)
 
     def build_lattice(self, section):
-        from .qfield import FieldError, Generators, LatticeSpec, parse_qnum
+        from .qfield import FieldError, Generators, parse_surd
         kv = self.keyvals(section, repeatable=("row",))
         if "gens" not in kv:
             self.fail(section[3], "lattice needs 'gens = p q ...'")
@@ -275,10 +275,10 @@ class _Parser:
             if len(parts) != 4:
                 self.fail(lineno, "each row needs four entries")
             try:
-                rows.append([parse_qnum(p, gens) for p in parts])
+                rows.append([parse_surd(p, gens) for p in parts])
             except FieldError as err:
                 self.fail(lineno, f"bad lattice entry: {err}")
-        return LatticeSpec(gens, rows)
+        return rows
 
     def build_task(self, section):
         kv = self.keyvals(section, repeatable=("expect",))

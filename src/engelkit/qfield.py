@@ -1,34 +1,27 @@
-"""Exact arithmetic in real fields Q(sqrt(d1), ..., sqrt(dk)).
+"""Exact ranks over Q and over fields Q(sqrt(d1), ..., sqrt(dk)).
 
-Numbers are stored as rational combinations of square-root monomials: the
-key frozenset({2, 3}) stands for sqrt(2)*sqrt(3) = sqrt(6).  The radicands
-must be pairwise coprime square-free integers > 1 so that products reduce
-by symmetric difference alone.  This is all the lattice rank computation
-needs; exact rank over floats would be undecidable.  The numbers are only
-added and multiplied: determinants expand by cofactors, and ranks split
-into rational component rows for the one fraction-free eliminator,
-`reduce_rows`, which runs on rational rows cleared to ints, with the same
-ranks, nullspaces and nonzero determinants.
+A field value is an `expr` polynomial with rational coefficients in the
+generator roots `sqrt<d>`, and `surd_terms` reduces it by sqrt(d)^2 = d
+into {frozenset of radicands: rational}: frozenset({2, 3}) stands for
+sqrt(6).  With pairwise coprime square-free radicands > 1, distinct keys
+are Q-linearly independent (Besicovitch, J. London Math. Soc. 15, 1940),
+so a value is zero exactly when its dict is empty, and ranks split into
+rational rows per key.  Every rank runs through the one fraction-free
+eliminator, `reduce_rows`, on rational rows cleared to ints.
 """
 
 import re
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from . import expr as ex
+
+# the largest radicand a generator may have, so that trial division decides
+# square-freeness in at most sqrt(MAX_RADICAND) steps
+MAX_RADICAND = 10 ** 9
 
 
 class FieldError(ex.CheckError):
     pass
-
-
-def _square_free(d):
-    k = 2
-    while k * k <= d:
-        if d % (k * k) == 0:
-            return False
-        k += 1
-    return True
 
 
 class Generators:
@@ -39,7 +32,10 @@ class Generators:
         for d in rads:
             if d < 2:
                 raise FieldError(f"radicand {d} is not a surd")
-            if not _square_free(d):
+            if d > MAX_RADICAND:
+                raise FieldError(f"radicand {d} is larger than "
+                                 f"{MAX_RADICAND}")
+            if not all(d % (k * k) for k in range(2, isqrt(d) + 1)):
                 raise FieldError(f"radicand {d} is not square-free")
         for i, a in enumerate(rads):
             for b in rads[i + 1:]:
@@ -48,108 +44,6 @@ class Generators:
                         f"radicands {a} and {b} share a factor; declare "
                         f"coprime generators")
         self.radicands = rads
-
-    def monomials(self):
-        """All subsets of the radicand set, sorted for stable printing."""
-        out = [frozenset()]
-        for d in self.radicands:
-            out += [key | {d} for key in out]
-        return sorted(out, key=lambda k: (len(k), sorted(k)))
-
-
-class LatticeSpec:
-    """Four lattice vectors in the 4-torus, each four QNums over `gens`."""
-
-    def __init__(self, gens, rows):
-        self.gens = gens
-        self.rows = [list(row) for row in rows]
-
-
-class QNum:
-    """An element of the field, as {monomial key: Fraction}."""
-
-    def __init__(self, gens, terms=None):
-        self.gens = gens
-        self.terms = {}
-        for key, q in (terms or {}).items():
-            key = frozenset(key)
-            if not key <= set(gens.radicands):
-                raise FieldError(f"monomial {sorted(key)} outside the "
-                                 f"declared generators")
-            q = Fraction(q)
-            if q:
-                self.terms[key] = self.terms.get(key, Fraction(0)) + q
-        self.terms = {k: q for k, q in self.terms.items() if q}
-
-    @classmethod
-    def of(cls, gens, q):
-        return cls(gens, {frozenset(): Fraction(q)})
-
-    def is_rational(self):
-        return all(not key for key in self.terms)
-
-    def rational_part(self):
-        return self.terms.get(frozenset(), Fraction(0))
-
-    def __eq__(self, other):
-        return isinstance(other, QNum) and self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, q in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + q
-        return QNum(self.gens, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return QNum(self.gens, {k: -q for k, q in self.terms.items()})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __mul__(self, other):
-        if not isinstance(other, QNum):
-            return QNum(self.gens,
-                        {k: q * other for k, q in self.terms.items()})
-        out = {}
-        for k1, q1 in self.terms.items():
-            for k2, q2 in other.terms.items():
-                key = k1 ^ k2
-                q = q1 * q2
-                for d in k1 & k2:
-                    q *= d
-                out[key] = out.get(key, Fraction(0)) + q
-        return QNum(self.gens, out)
-
-    def __repr__(self):
-        return f"QNum({self})"
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for key in self.gens.monomials():
-            if key not in self.terms:
-                continue
-            q = self.terms[key]
-            if not key:
-                parts.append(str(q))
-                continue
-            rad = 1
-            for d in key:
-                rad *= d
-            if q == 1:
-                parts.append(f"sqrt{rad}")
-            elif q == -1:
-                parts.append(f"-sqrt{rad}")
-            else:
-                parts.append(f"{q}*sqrt{rad}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += p if p.startswith("-") else "+" + p
-        return out
 
 
 def clear_denominators(vec):
@@ -191,56 +85,74 @@ def reduce_rows(rows, ncols):
     return pivots, prev * sign if len(pivots) == ncols else 0
 
 
-def parse_qnum(text, gens):
-    """Read a polynomial in rationals and sqrtN names into a QNum.
+_ROOT = re.compile(r"sqrt[0-9]+")
 
-    For example '1 - 2/3*sqrt2 + sqrt6' or '(1 + sqrt2)^2'.
-    """
-    roots = set(re.findall(r"sqrt[0-9]+", text))
+
+def parse_surd(text, gens):
+    """Read a polynomial in rationals and sqrtN names, such as
+    '1 - 2/3*sqrt2 + sqrt6' or '(1 + sqrt2)^2', as an expression in the
+    generator roots: each sqrtN becomes the product of the roots of the
+    generators N factors into, so sqrt6 over (2, 3) is sqrt2*sqrt3.  Text
+    that is not such a polynomial is a FieldError."""
+    names = set(_ROOT.findall(text))
     try:
-        poly = ex.to_poly(ex.parse(text, roots))
+        e = ex.parse(text, names)
+        roots = {name: ex.mul(*(ex.var(f"sqrt{d}")
+                                for d in _factor_key(name, gens)))
+                 for name in names}
+        # a denominator such as sqrt6 - sqrt2*sqrt3 is zero once split
+        e = ex.normalize(ex.substitute(e, roots))
     except ex.ExprError as err:
         raise FieldError(str(err)) from None
-    if poly is None:
-        raise FieldError(f"{text!r} is a quotient, not a polynomial")
-    total = QNum(gens)
-    for mono, q in poly.items():
-        term = QNum.of(gens, q)
-        for base, n in mono:
-            if base[0] != "var":
-                raise FieldError(f"{ex.to_str(base)} in {text!r} is not a "
-                                 f"square root")
-            root = QNum(gens, {_factor_key(int(base[1][4:]), gens): 1})
-            for _ in range(n):
-                term = term * root
-        total = total + term
-    return total
+    surd_terms(e, text)
+    return e
 
 
-def _factor_key(rad, gens):
-    """Express sqrt(rad) as a product of declared generators."""
+def _factor_key(name, gens):
+    """The generators whose product is the radicand of the root `name`."""
+    try:
+        rad = int(name[4:])
+    except ValueError:   # longer than int() reads: no product of generators
+        raise FieldError(f"{name} is outside the declared generators") \
+            from None
     if rad < 2:
-        raise FieldError(f"sqrt{rad} is not a surd")
-    key = set()
-    rest = rad
+        raise FieldError(f"{name} is not a surd")
+    key = []
     for d in gens.radicands:
-        if rest % d == 0:
-            key.add(d)
-            rest //= d
-    if rest != 1:
-        raise FieldError(f"sqrt{rad} is outside the declared generators")
-    return frozenset(key)
+        if rad % d == 0:
+            key.append(d)
+            rad //= d
+    if rad != 1:
+        raise FieldError(f"{name} is outside the declared generators")
+    return key
 
 
-def cofactor_det(matrix):
-    """Determinant of a square matrix by cofactor expansion along the first
-    row, with ring operations only, so QNum entries need no division."""
-    if len(matrix) == 1:
-        return matrix[0][0]
-    terms = [a * cofactor_det([row[:j] + row[j + 1:] for row in matrix[1:]])
-             for j, a in enumerate(matrix[0])]
-    return sum((-t if j % 2 else t for j, t in enumerate(terms[1:], 1)),
-               terms[0])
+def surd_terms(e, source=None):
+    """A polynomial in roots sqrtN as {frozenset of radicands: rational},
+    by sqrt(d)^k = d^(k//2) sqrt(d)^(k%2), without zero terms.
+
+    A quotient, or an atom other than a root, is a FieldError naming
+    source, the text e was read from, or else e.
+    """
+    poly = ex.to_poly(e)
+    if poly is None:
+        raise FieldError(f"{source or ex.to_str(e)!r} is a quotient, not a "
+                         f"polynomial")
+    out = {}
+    for mono, q in poly.items():
+        key = set()
+        for base, k in mono:
+            if base[0] != "var" or not _ROOT.fullmatch(base[1]):
+                raise FieldError(f"{ex.to_str(base)} in "
+                                 f"{source or ex.to_str(e)!r} is not a "
+                                 f"square root")
+            d = int(base[1][4:])
+            q *= d ** (k // 2)
+            if k % 2:
+                key.add(d)
+        key = frozenset(key)
+        out[key] = out.get(key, 0) + q
+    return {key: q for key, q in out.items() if q}
 
 
 def rational_rank(rows):
@@ -252,17 +164,14 @@ def rational_rank(rows):
 def span_rank(vectors):
     """Dimension of the smallest Q-rational subspace containing the span.
 
-    Each real vector splits into per-monomial rational component vectors;
-    any rational subspace containing the vector contains each of them, so
-    the rank of the stacked components is the answer.
+    Each vector of field values splits into one rational vector per
+    square-root monomial; any rational subspace containing the vector
+    contains each of them, so the rank of the stacked components is the
+    answer.
     """
     rows = []
     for vec in vectors:
-        keys = set()
-        for x in vec:
-            keys |= set(x.terms)
-        for key in keys:
-            rows.append([x.terms.get(key, Fraction(0)) for x in vec])
-    if not rows:
-        return 0
-    return rational_rank(rows)
+        terms = [surd_terms(x) for x in vec]
+        rows += [[t.get(key, 0) for t in terms]
+                 for key in set().union(*terms)]
+    return rational_rank(rows) if rows else 0

@@ -8,7 +8,9 @@ Two self-contained calculi, deliberately sharing no code with engelkit:
   (Lie frames), for freezing exact expected tables.
 
 It also holds the per-index Halton digit loop, the reference that the
-column-wise construction of sample points must equal bit for bit.
+column-wise construction of sample points must equal bit for bit, and
+reads sympy's values in Q(sqrt(d1), ...) as rational coefficients per
+square-root monomial.
 
 Basis directions are either chart coordinates or abstract Lie directions with
 declared constant brackets; a point is a dict coord-name -> float; a vector
@@ -415,3 +417,16 @@ def halton(index, base):
         out += f * (i % base)
         i //= base
     return out
+
+
+def surd_coefficients(value, radicands):
+    """A sympy number in Q(sqrt(d) for d in radicands) as {frozenset of the
+    radicands whose roots multiply to a term: Fraction}, from sympy's own
+    expansion, which writes sqrt(2)*sqrt(3) as sqrt(6) and sqrt(2)^2 as 2."""
+    import sympy
+    out = {}
+    for term, c in sympy.expand(value).as_coefficients_dict().items():
+        square = sympy.Integer(term ** 2)
+        key = frozenset(d for d in radicands if square % d == 0)
+        out[key] = out.get(key, 0) + Fraction(int(c.p), int(c.q))
+    return {key: q for key, q in out.items() if q}

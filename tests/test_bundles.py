@@ -15,7 +15,7 @@ from engelkit.frames import FrameSpace, d, wedge
 from engelkit.kengel import (KEngelData, KEngelError, kengel_check,
                              kengel_invariants)
 from engelkit.metric import orthonormal_metric
-from engelkit.qfield import Generators, LatticeSpec, QNum, parse_qnum
+from engelkit.qfield import Generators, parse_surd
 from engelkit.sampling import failed, is_zero_many
 
 
@@ -296,36 +296,28 @@ def test_flat_bundle_periodic_twist(policy):
 
 # -- the lattice quotient family ----------------------------------------------
 
-def gens23():
-    return Generators((2, 3))
-
-
 def lattice_rows(third_row=None):
-    g = gens23()
-    one, zero = QNum.of(g, 1), QNum.of(g, 0)
-    rows = [[one if i == j else zero for j in range(4)] for i in range(4)]
+    rows = [[ex.ONE if i == j else ex.ZERO for j in range(4)]
+            for i in range(4)]
     if third_row is not None:
-        rows[2] = [parse_qnum(t, g) if isinstance(t, str)
-                   else QNum.of(g, t) for t in third_row]
+        rows[2] = [parse_surd(str(t), Generators((2, 3))) for t in third_row]
     return rows
 
 
 def test_torus_family_standard_lattice(policy):
-    kd, rank = torus_family(LatticeSpec(gens23(), lattice_rows()), policy)
+    kd, rank = torus_family(lattice_rows(), policy)
     assert rank == 1
     assert kd.rank == 1
     assert kd.data.table["c_WX"] == ex.ONE
 
 
 def test_torus_family_rank_two(policy):
-    rows = lattice_rows(["-sqrt2", 0, 1, 0])
-    _, rank = torus_family(LatticeSpec(gens23(), rows), policy)
+    _, rank = torus_family(lattice_rows(["-sqrt2", 0, 1, 0]), policy)
     assert rank == 2
 
 
 def test_torus_family_rank_three(policy):
-    rows = lattice_rows(["-sqrt2", "-sqrt3", 1, 0])
-    _, rank = torus_family(LatticeSpec(gens23(), rows), policy)
+    _, rank = torus_family(lattice_rows(["-sqrt2", "-sqrt3", 1, 0]), policy)
     assert rank == 3
 
 
@@ -333,20 +325,42 @@ def test_torus_family_rejects_moved_fibre(policy):
     rows = lattice_rows()
     rows[3] = rows[0]
     with pytest.raises(KEngelError, match="fourth lattice vector"):
-        torus_family(LatticeSpec(gens23(), rows), policy)
+        torus_family(rows, policy)
 
 
 def test_torus_family_rejects_irrational_t_component(policy):
     rows = lattice_rows([0, 0, 1, "sqrt2"])
-    with pytest.raises(KEngelError, match="non-integral"):
-        torus_family(LatticeSpec(gens23(), rows), policy)
+    with pytest.raises(KEngelError, match="non-integral t-component sqrt2$"):
+        torus_family(rows, policy)
 
 
 def test_torus_family_rejects_degenerate_lattice(policy):
     rows = lattice_rows()
     rows[1] = rows[0]
     with pytest.raises(KEngelError, match="degenerate"):
-        torus_family(LatticeSpec(gens23(), rows), policy)
+        torus_family(rows, policy)
+
+
+def test_torus_family_reduces_roots_before_checking(policy):
+    # a t-component sqrt2^2 is the integer 2, and the row
+    # 0; 0; sqrt2^2 - 2; sqrt3^2 - 2 is the fibre 0; 0; 0; 1
+    _, rank = torus_family(lattice_rows(["-sqrt2", 0, 1, "sqrt2^2"]), policy)
+    assert rank == 2
+    rows = lattice_rows(["-sqrt2", 0, 1, 0])
+    rows[3] = [parse_surd(t, Generators((2, 3)))
+               for t in ("0", "0", "sqrt2^2 - 2", "sqrt3^2 - 2")]
+    assert rows[3][2] != ex.ZERO and rows[3][3] != ex.ONE
+    _, rank = torus_family(rows, policy)
+    assert rank == 2
+
+
+def test_torus_family_takes_the_determinant_once_reduced(policy):
+    # det = 1*2 - sqrt2*sqrt2 is zero, but not as written
+    rows = lattice_rows()
+    rows[0][1] = parse_surd("sqrt2", Generators((2,)))
+    rows[1][:2] = [rows[0][1], ex.rat(2)]
+    with pytest.raises(KEngelError, match="degenerate"):
+        torus_family(rows, policy)
 
 
 @settings(max_examples=20, deadline=None)
@@ -361,7 +375,7 @@ def test_torus_family_rank_is_basis_invariant(policy, shears):
                            (["-sqrt2", "-sqrt3", 1, 0], 3)):
         rows = lattice_rows(base)
         for (i, j), k in shears:
-            kq = QNum.of(gens23(), k)
-            rows[i] = [a + kq * b for a, b in zip(rows[i], rows[j])]
-        _, rank = torus_family(LatticeSpec(gens23(), rows), policy)
+            rows[i] = [ex.normalize(ex.add(a, ex.mul(ex.rat(k), b)))
+                       for a, b in zip(rows[i], rows[j])]
+        _, rank = torus_family(rows, policy)
         assert rank == expected

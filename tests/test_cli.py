@@ -1,7 +1,10 @@
 """`engelkit run` exit codes: bad manifests and bad references exit 2 with
 `path:line` on stderr instead of a traceback."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -310,7 +313,8 @@ TORUS_HEAD = (ROOT / "corpus" / "torus.ek").read_text(
 
 @pytest.mark.parametrize("entry, code", [("2*3*sqrt2", 0),
                                          ("(1 + sqrt2)^2", 0),
-                                         ("sqrtx", 2), ("1/0", 2)])
+                                         ("sqrtx", 2), ("1/0", 2),
+                                         ("1/(sqrt6 - sqrt2*sqrt3)", 2)])
 def test_lattice_entries_are_polynomials_in_square_roots(tmp_path, capsys,
                                                          entry, code):
     row = f"row = {entry}; -sqrt3; 1; 0"
@@ -331,6 +335,30 @@ expect = rank 3
     if code == 2:
         assert err.startswith(f"error: {path}:{line_of(text, row)}: "
                               f"bad lattice entry")
+
+
+def test_a_huge_generator_exits_2_in_bounded_time(tmp_path):
+    # deciding that this 21-digit prime is square-free by trial division
+    # would take about 10^10 steps; a subprocess, so that a hang fails the
+    # test by its timeout instead of stalling the suite
+    gens = "gens = 100000000000000000039"
+    text = TORUS_HEAD + f"""[lattice L]
+{gens}
+row = 1; 0; 0; 0
+row = 0; 1; 0; 0
+row = 0; 0; 1; 0
+row = 0; 0; 0; 1
+"""
+    path = tmp_path / "case.ek"
+    path.write_text(text, encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, "-m", "engelkit.cli", "run", str(path)],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=10)
+    assert done.returncode == 2
+    assert done.stderr == (f"error: {path}:{line_of(text, gens)}: bad "
+                           f"generators: radicand 100000000000000000039 is "
+                           f"larger than 1000000000\n")
 
 
 def test_an_overflowing_sample_is_skipped_not_a_traceback(tmp_path,

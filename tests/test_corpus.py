@@ -7,7 +7,9 @@ witness values first.  A refactor that changes any verdict text, witness
 point or token shows up here as a byte-level diff.  The
 manifests in tests/manifests/ carry both golden reports beside them, as
 `<name>.txt` and `<name>.dense.txt`; they stay out of corpus/, which the
-benchmark runs.
+benchmark runs.  The manifests `engelkit catalog --emit-manifest` writes,
+tests/golden/emit_<geometry>.ek, have theirs in tests/golden/emitted/ as
+`<geometry>.txt` and `<geometry>.dense.txt`.
 """
 
 from pathlib import Path
@@ -21,6 +23,8 @@ from engelkit.sampling import SamplingPolicy
 ROOT = Path(__file__).resolve().parent.parent
 MANIFESTS = sorted((ROOT / "corpus").glob("*.ek"))
 TEST_MANIFESTS = sorted((ROOT / "tests" / "manifests").glob("*.ek"))
+EMITTED = sorted((ROOT / "tests" / "golden").glob("emit_*.ek"))
+EMITTED_GOLDEN = ROOT / "tests" / "golden" / "emitted"
 
 
 def _golden_run(path, golden, policy=None):
@@ -60,4 +64,26 @@ def test_extra_manifest_matches_golden(path):
 @pytest.mark.parametrize("path", TEST_MANIFESTS, ids=lambda p: p.stem)
 def test_dense_extra_manifest_matches_golden(path):
     _golden_run(path, path.with_suffix(".dense.txt"),
+                SamplingPolicy(seed=137, n_samples=1024))
+
+
+def _emitted_golden(path, suffix):
+    return EMITTED_GOLDEN / (path.stem.removeprefix("emit_") + suffix)
+
+
+def test_every_emitted_manifest_has_both_golden_reports():
+    assert len(EMITTED) == 7
+    assert set(EMITTED_GOLDEN.iterdir()) == {
+        _emitted_golden(p, suffix) for p in EMITTED
+        for suffix in (".txt", ".dense.txt")}
+
+
+@pytest.mark.parametrize("path", EMITTED, ids=lambda p: p.stem)
+def test_emitted_manifest_report_matches_golden(path):
+    _golden_run(path, _emitted_golden(path, ".txt"))
+
+
+@pytest.mark.parametrize("path", EMITTED, ids=lambda p: p.stem)
+def test_dense_emitted_manifest_report_matches_golden(path):
+    _golden_run(path, _emitted_golden(path, ".dense.txt"),
                 SamplingPolicy(seed=137, n_samples=1024))

@@ -8,10 +8,13 @@ class carries the references of its methods, a module-level assignment
 those of its value).  The roots are the manifest ops (`report.OPS`), the
 command-line front end (`cli`) and the functions the benchmark tracer
 wraps (`bench/tracer.py`'s `TARGETS`).  Names are matched without their
-module, so a clash can only hide dead code, never report live code.
+module, so a clash can only hide dead code, never report live code; an
+attribute of a standard-library module, such as `math.exp`, is not a
+reference.
 """
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -27,7 +30,9 @@ def _ref_names(node):
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             yield sub.id
-        elif isinstance(sub, ast.Attribute):
+        elif isinstance(sub, ast.Attribute) and not (
+                isinstance(sub.value, ast.Name)
+                and sub.value.id in sys.stdlib_module_names):
             yield sub.attr
 
 

@@ -1,20 +1,24 @@
-"""The exact eliminator behind det4, rational_rank and commutant, and the
-cofactor determinant behind the lattice rank, checked against the
-independent Fraction oracle, on integer entries and on fractions with
-denominators up to 6, as the catalog sweep draws them."""
+"""The exact eliminator behind det4, rational_rank and commutant, checked
+against the independent Fraction oracle, on integer entries and on
+fractions with denominators up to 6, as the catalog sweep draws them; and
+the minors behind the lattice rank, over Q(sqrt2, sqrt3), against sympy."""
 
 from fractions import Fraction
-from itertools import permutations
 
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
+from engelkit import expr as ex
 from engelkit.catalog import (CatalogError, algebra, commutant, det4,
                               kengel_framing_search)
-from engelkit.qfield import (Generators, QNum, clear_denominators,
-                             cofactor_det, rational_rank, reduce_rows)
-from oracle import ExactLie, frac_det, frac_rank, frac_rref, perm_sign
+from engelkit.frames import minor
+from engelkit.qfield import (clear_denominators, rational_rank, reduce_rows,
+                             surd_terms)
+from oracle import (ExactLie, frac_det, frac_rank, frac_rref,
+                    surd_coefficients)
 
 entry = st.integers(min_value=-3, max_value=3)
 # a fraction as the sweep draws a weight, zero a quarter of the time
@@ -80,19 +84,6 @@ def test_commutant_matches_oracle(table, elements):
         (NAMES[i], NAMES[j]): {NAMES[k]: c for k, c in enumerate(vec)}
         for (i, j), vec in zip(PAIRS, table)})
     assert commutant(lie, elements) == oracle.commutant(fractions(elements))
-
-
-@settings(max_examples=80, deadline=None)
-@given(n=st.integers(1, 4), data=st.data())
-def test_cofactor_det_matches_oracle(n, data):
-    m = data.draw(matrix(n, n, fraction))
-    if n > 1 and data.draw(st.booleans()):   # a dependent row
-        m[-1] = [2 * x - y for x, y in zip(m[0], m[1])]
-    want = frac_det(m)
-    assert cofactor_det(m) == want
-    g = Generators((2,))
-    assert cofactor_det([[QNum.of(g, x) for x in row] for row in m]) == \
-        QNum.of(g, want)
 
 
 @settings(max_examples=80, deadline=None)
@@ -189,21 +180,40 @@ def test_framing_search_on_fractional_vectors_matches_oracle(table, W, X):
     assert all(type(c) is Fraction for c in res["Y"] + res["R"])
 
 
-G23 = Generators((2, 3))
-MONOMIALS = G23.monomials()
-qnum = st.lists(fraction, min_size=4, max_size=4).map(
-    lambda qs: QNum(G23, dict(zip(MONOMIALS, qs))))
+# a value in Q(sqrt2, sqrt3) as its coefficients on 1, sqrt2, sqrt3, sqrt6
+surd = st.lists(fraction, min_size=4, max_size=4)
+ROOTS = ((), ("sqrt2",), ("sqrt3",), ("sqrt2", "sqrt3"))
 
 
-def leibniz_det(m):
-    """The determinant as a sum over permutations: no elimination."""
-    total = QNum(G23)
-    for perm in permutations(range(len(m))):
-        term = QNum.of(G23, perm_sign(perm))
-        for i, j in enumerate(perm):
-            term = term * m[i][j]
-        total = total + term
-    return total
+def surd_expr(qs):
+    return ex.normalize(ex.add(*(ex.mul(ex.rat(q), *map(ex.var, roots))
+                                 for q, roots in zip(qs, ROOTS))))
+
+
+# sqrt2 and sqrt3 stay symbols through sympy's determinant over Q[a, b]
+A, B = sympy.symbols("a b")
+
+
+def surd_sympy(qs):
+    return sum(sympy.Rational(q.numerator, q.denominator) * m
+               for q, m in zip(qs, (1, A, B, A * B)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 4), data=st.data())
+def test_minor_over_sqrt2_sqrt3_matches_sympy(n, data):
+    qs = data.draw(matrix(n, n, surd))
+    if n >= 3 and data.draw(st.booleans()):   # a dependent row
+        qs[-1] = [[2 * x - y for x, y in zip(a, b)]
+                  for a, b in zip(qs[0], qs[1])]
+    every = tuple(range(n))
+    det = minor([[surd_expr(c) for c in row] for row in qs], every, every,
+                {})
+    dm = DomainMatrix.from_Matrix(
+        sympy.Matrix([[surd_sympy(c) for c in row] for row in qs]))
+    want = dm.domain.to_sympy(dm.det()).subs(
+        {A: sympy.sqrt(2), B: sympy.sqrt(3)})
+    assert surd_terms(det) == surd_coefficients(want, (2, 3))
 
 
 @settings(max_examples=60, deadline=None)
@@ -211,15 +221,20 @@ def leibniz_det(m):
 def test_cramer_numerators_over_sqrt2_sqrt3_satisfy_the_system(n, data):
     # M u = det(M) rhs for u_k = det(M with column k replaced by rhs),
     # the numerators that lattice ranks are taken of; rhs is e_z at n = 4
-    m = data.draw(matrix(n, n, qnum))
-    rhs = ([QNum.of(G23, int(i == 2)) for i in range(4)] if n == 4
-           else data.draw(st.lists(qnum, min_size=n, max_size=n)))
-    det = cofactor_det(m)
-    assert det == leibniz_det(m)
-    u = [cofactor_det([row[:k] + [r] + row[k + 1:]
-                       for row, r in zip(m, rhs)]) for k in range(n)]
+    m = [[surd_expr(c) for c in row] for row in data.draw(matrix(n, n, surd))]
+    rhs = ([ex.rat(int(i == 2)) for i in range(4)] if n == 4
+           else [surd_expr(c) for c in data.draw(
+               st.lists(surd, min_size=n, max_size=n))])
+    every = tuple(range(n))
+    det = minor(m, every, every, {})
+    u = [minor([row[:k] + [r] + row[k + 1:] for row, r in zip(m, rhs)],
+               every, every, {}) for k in range(n)]
     for row, r in zip(m, rhs):
-        total = QNum(G23)
-        for x, y in zip(row, u):
-            total = total + x * y
-        assert total == det * r
+        residual = ex.add(*(ex.mul(x, y) for x, y in zip(row, u)),
+                          ex.neg(ex.mul(det, r)))
+        assert surd_terms(ex.normalize(residual)) == {}
+    if n == 4:   # torus_family's numerators: the (z, k) minors, unsigned
+        for k in range(4):
+            cofactor = minor(m, (0, 1, 3), every[:k] + every[k + 1:], {})
+            assert surd_terms(ex.normalize(ex.add(
+                u[k], ex.mul(ex.rat((-1) ** (k + 1)), cofactor)))) == {}

@@ -239,7 +239,7 @@ def exprs(max_depth=4, exponents=st.integers(1, 3), quotients=False,
                st.tuples(sub, exponents).map(lambda bn: ex.pow_(*bn))]
         if quotients:
             out += [st.tuples(sub, sub).map(lambda ab: ex.div(*ab)),
-                    sub.map(ex.exp),
+                    sub.map(lambda a: ("exp", a)),
                     sub.map(lambda a: ("ln", a))]
         return st.one_of(*out)
 

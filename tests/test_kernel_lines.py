@@ -55,7 +55,8 @@ def top_minus_one_forms(draw):
     atoms = [ex.ONE, ex.PI]
     for c in coords:
         x = ex.var(c)
-        atoms += [x, ex.sin(x), ex.exp(x), ex.div(ex.ONE, ex.add(ex.ONE, x))]
+        atoms += [x, ex.sin(x), ex.parse(f"exp({c})", coords),
+                  ex.div(ex.ONE, ex.add(ex.ONE, x))]
     rats = st.fractions(min_value=-3, max_value=3, max_denominator=4)
     monomials = st.tuples(rats, st.lists(st.sampled_from(atoms), max_size=2))
     scalars = st.lists(monomials, max_size=3).map(

@@ -1,11 +1,16 @@
-"""Exact arithmetic in Q adjoined square roots, and rational ranks."""
+"""Values in Q adjoined square roots as expressions, and rational ranks."""
 
 from fractions import Fraction
 
 import pytest
+import sympy
 
-from engelkit.qfield import (FieldError, Generators, QNum, cofactor_det,
-                             parse_qnum, rational_rank, span_rank)
+from engelkit import expr as ex
+from engelkit.frames import minor
+from engelkit.qfield import (MAX_RADICAND, FieldError, Generators,
+                             parse_surd, rational_rank, span_rank,
+                             surd_terms)
+from oracle import surd_coefficients
 
 
 def gens23():
@@ -13,7 +18,22 @@ def gens23():
 
 
 def num(text):
-    return parse_qnum(text, gens23())
+    return parse_surd(text, gens23())
+
+
+def terms(text):
+    return surd_terms(num(text))
+
+
+def sympy_terms(text):
+    roots = {f"sqrt{n}": sympy.sqrt(n) for n in (2, 3, 6)}
+    return surd_coefficients(
+        sympy.sympify(text.replace("^", "**"), locals=roots, rational=True),
+        (2, 3))
+
+
+def det2(m):
+    return minor(m, (0, 1), (0, 1), {})
 
 
 def test_generators_reject_perfect_square_factor():
@@ -33,26 +53,24 @@ def test_generators_reject_unit():
         Generators((1, 2))
 
 
-def test_monomials_of_two_generators():
-    keys = gens23().monomials()
-    assert keys == [frozenset(), frozenset({2}), frozenset({3}),
-                    frozenset({2, 3})]
+def test_generators_reject_a_radicand_above_the_bound():
+    # 10^9 + 1 = 7 * 11 * 13 * 19 * 52579 is square-free
+    with pytest.raises(FieldError, match=f"larger than {MAX_RADICAND}"):
+        Generators((MAX_RADICAND + 1,))
 
 
 def test_square_of_root_collapses():
-    r2 = num("sqrt2")
-    assert (r2 * r2) == QNum.of(gens23(), 2)
+    assert terms("sqrt2 * sqrt2") == {frozenset(): 2}
 
 
 def test_product_of_distinct_roots():
-    assert str(num("sqrt2") * num("sqrt3")) == "sqrt6"
+    assert terms("sqrt2 * sqrt3") == {frozenset({2, 3}): 1}
 
 
 def test_parse_round_trip():
-    x = num("1 - 2/3*sqrt2 + sqrt6")
-    assert str(x) == "1-2/3*sqrt2+sqrt6"
-    assert x.rational_part() == Fraction(1)
-    assert not x.is_rational()
+    assert terms("1 - 2/3*sqrt2 + sqrt6") == {
+        frozenset(): 1, frozenset({2}): Fraction(-2, 3),
+        frozenset({2, 3}): 1}
 
 
 def test_parse_rejects_foreign_root():
@@ -61,7 +79,8 @@ def test_parse_rejects_foreign_root():
 
 
 def test_parse_factors_composite_radicand():
-    assert num("sqrt6") == num("sqrt2") * num("sqrt3")
+    assert num("sqrt6") == num("sqrt2 * sqrt3")
+    assert ex.to_str(num("sqrt6")) == "sqrt2*sqrt3"
 
 
 @pytest.mark.parametrize("text, want", [
@@ -69,9 +88,18 @@ def test_parse_factors_composite_radicand():
     ("(1 + sqrt2)^2", "3+2*sqrt2"),
     ("sqrt2^3 - sqrt6*sqrt3", "-sqrt2"),
     ("sqrt2/2 + 0.5", "1/2+1/2*sqrt2"),
+    ("(sqrt2*sqrt3)/sqrt6", "1"),   # a polynomial once sqrt6 is split
 ])
 def test_parse_polynomial_entries(text, want):
-    assert str(num(text)) == want
+    assert terms(text) == sympy_terms(text) == sympy_terms(want)
+
+
+def test_surd_terms_reduces_every_power_of_a_root():
+    x = ex.var("sqrt2")
+    for k in range(7):
+        want = {frozenset({2} if k % 2 else ()): 2 ** (k // 2)}
+        assert surd_terms(ex.normalize(ex.pow_(x, k))) == want
+    assert surd_terms(num("sqrt2^2 - 2")) == {}
 
 
 @pytest.mark.parametrize("text", ["sqrtx", "1/0", "1/sqrt2", "sin(sqrt2)",
@@ -81,25 +109,50 @@ def test_parse_rejects_what_is_not_a_field_polynomial(text):
         num(text)
 
 
-def test_cofactor_det_two_by_two_gives_the_cramer_solution():
-    g = gens23()
-    one = QNum.of(g, 1)
-    zero = QNum.of(g, 0)
+@pytest.mark.parametrize("text, message", [
+    ("sqrtx", "unknown symbol 'sqrtx' in 'sqrtx'"),
+    ("1/0", "exact division by zero"),
+    ("1/sqrt2", "'1/sqrt2' is a quotient, not a polynomial"),
+    ("2*pi", "pi in '2*pi' is not a square root"),
+    ("sqrt1", "sqrt1 is not a surd"),
+    ("sqrt10", "sqrt10 is outside the declared generators"),
+    # roots are split before the check, so these name the split form
+    ("1/(sqrt6 - sqrt2*sqrt3)", "exact division by zero"),
+    ("sin(sqrt6)", "sin(sqrt2*sqrt3) in 'sin(sqrt6)' is not a square root"),
+])
+def test_parse_errors_name_the_entry(text, message):
+    with pytest.raises(FieldError) as err:
+        num(text)
+    assert str(err.value) == message
+
+
+def test_a_root_too_long_to_read_is_outside_the_generators():
+    name = "sqrt" + "7" * 5000
+    with pytest.raises(FieldError, match="outside the declared generators"):
+        num(f"1 + {name}")
+
+
+def test_minor_two_by_two_gives_the_cramer_solution():
+    one, zero = ex.ONE, ex.ZERO
     m = [[one, num("sqrt2")], [num("sqrt3"), one]]
-    det = cofactor_det(m)
-    assert str(det) == "1-sqrt6"
+    det = det2(m)
+    assert surd_terms(det) == {frozenset(): 1, frozenset({2, 3}): -1}
     # column k replaced by the right-hand side (1, 0)
-    u = [cofactor_det([[one, m[0][1]], [zero, m[1][1]]]),
-         cofactor_det([[m[0][0], one], [m[1][0], zero]])]
-    assert [str(x) for x in u] == ["1", "-sqrt3"]
-    assert m[0][0] * u[0] + m[0][1] * u[1] == det
-    assert m[1][0] * u[0] + m[1][1] * u[1] == zero
+    u = [det2([[one, m[0][1]], [zero, m[1][1]]]),
+         det2([[m[0][0], one], [m[1][0], zero]])]
+    assert [surd_terms(x) for x in u] == [{frozenset(): 1},
+                                          {frozenset({3}): -1}]
+    for row, r in zip(m, (det, zero)):
+        residual = ex.add(ex.mul(row[0], u[0]), ex.mul(row[1], u[1]),
+                          ex.neg(r))
+        assert surd_terms(ex.normalize(residual)) == {}
 
 
-def test_cofactor_det_of_a_singular_matrix_is_zero():
-    g = gens23()
+def test_minor_of_a_singular_matrix_reduces_to_zero():
     r2 = num("sqrt2")
-    assert not cofactor_det([[QNum.of(g, 1), r2], [r2, QNum.of(g, 2)]])
+    det = det2([[ex.ONE, r2], [r2, ex.rat(2)]])
+    assert det != ex.ZERO   # 2 - sqrt2^2 is zero only once reduced
+    assert surd_terms(det) == {}
 
 
 def test_rational_rank():
@@ -110,32 +163,20 @@ def test_rational_rank():
 
 
 def test_span_rank_rational_vector():
-    g = gens23()
-    one = QNum.of(g, 1)
-    zero = QNum.of(g, 0)
-    assert span_rank([[zero, zero, one, zero]]) == 1
+    assert span_rank([[ex.ZERO, ex.ZERO, ex.ONE, ex.ZERO]]) == 1
 
 
 def test_span_rank_single_irrational_vector():
-    g = gens23()
-    one = QNum.of(g, 1)
-    zero = QNum.of(g, 0)
-    u = [num("sqrt2"), zero, one, zero]
+    u = [num("sqrt2"), ex.ZERO, ex.ONE, ex.ZERO]
     assert span_rank([u]) == 2
 
 
 def test_span_rank_two_independent_roots():
-    g = gens23()
-    one = QNum.of(g, 1)
-    zero = QNum.of(g, 0)
-    u = [num("sqrt2"), num("sqrt3"), one, zero]
+    u = [num("sqrt2"), num("sqrt3"), ex.ONE, ex.ZERO]
     assert span_rank([u]) == 3
 
 
 def test_span_rank_ignores_field_multiples():
-    g = gens23()
-    one = QNum.of(g, 1)
-    zero = QNum.of(g, 0)
-    v = [one, num("sqrt2"), zero]
-    w = [num("sqrt2"), QNum.of(g, 2), zero]  # sqrt2 * v
+    v = [ex.ONE, num("sqrt2"), ex.ZERO]
+    w = [num("sqrt2"), num("sqrt2^2"), ex.ZERO]  # sqrt2 * v, unreduced
     assert span_rank([v]) == span_rank([v, w]) == 2

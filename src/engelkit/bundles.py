@@ -139,7 +139,7 @@ def t2_bundle_condition(sigma, f, g, alpha0, beta0, Omega, prim1, prim2,
         policy)
     span_form = (Omega.scale(ex.mul(n_ex, ex.pow_(g, 2)))
                  + d(beta0).scale(g) + wedge(beta0, dg)).cleanup()
-    report["second condition"] = nonzero(span_form.cleanup(), ranges, policy)
+    report["second condition"] = nonzero(span_form, ranges, policy)
     flag_form = (omega_t.scale(g) + wedge(beta0, df)).cleanup()
     report["third condition"] = zero(flag_form, ranges, policy)
     unweighted = zero((Omega.scale(ex.mul(n_ex, g)) + d(alpha0).scale(g)

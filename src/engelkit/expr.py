@@ -274,20 +274,26 @@ def _norm_pow(b, n):
     return ("pow", b, n)
 
 
+# The terms of a sum and the factors of a product.  Of a canonical node no
+# term is a sum and no factor a product, so one level flattens fully.
+def _terms(e):
+    return e[1] if e[0] == "add" else (e,)
+
+
+def _factors(e):
+    return e[1] if e[0] == "mul" else (e,)
+
+
 def _norm_mul(factors):
-    flat = []
-    stack = list(factors)
-    while stack:
-        f = stack.pop()
-        if f[0] == "mul":
-            stack.extend(f[1])
-        else:
-            flat.append(f)
-    # distribute over sums (full expansion)
-    for i, f in enumerate(flat):
-        if f[0] == "add":
-            rest = flat[:i] + flat[i + 1:]
-            return _norm_add([_norm_mul(rest + [t]) for t in f[1]])
+    flat = [f for e in factors for f in _factors(e)]
+    # expand one sum at a time, collecting like terms after each
+    sums = [f for f in flat if f[0] == "add"]
+    if sums:
+        out = _norm_mul([f for f in flat if f[0] != "add"])
+        for s in sums:
+            out = _norm_add([_norm_mul([t, u])
+                             for t in _terms(out) for u in s[1]])
+        return out
     # quotients escape products: a * (b/c) -> (a*b)/c
     nums, dens = [], []
     for f in flat:
@@ -331,19 +337,11 @@ def with_coeff(q, key):
         return ZERO
     if q == 1:
         return key
-    factors = key[1] if key[0] == "mul" else (key,)
-    return ("mul", (("rat", _q(q)),) + factors)
+    return ("mul", (("rat", _q(q)),) + _factors(key))
 
 
 def _norm_add(terms):
-    flat = []
-    stack = list(terms)
-    while stack:
-        t = stack.pop()
-        if t[0] == "add":
-            stack.extend(t[1])
-        else:
-            flat.append(t)
+    flat = [t for e in terms for t in _terms(e)]
     acc = {}
     for t in flat:
         q, key = split_coeff(t)
@@ -394,8 +392,7 @@ def _norm_div(n, d):
     if n[0] == "rat" and n[1] == 0:
         return ZERO
     # n = q d cancels to q; then the first terms of n and d share a key
-    (qn, kn), (qd, kd) = (split_coeff(e[1][0] if e[0] == "add" else e)
-                          for e in (n, d))
+    (qn, kn), (qd, kd) = (split_coeff(_terms(e)[0]) for e in (n, d))
     if kn == kd:
         q = rat(Fraction(qn) / qd)
         if _norm_mul([q, d]) == n:
@@ -458,22 +455,27 @@ def derivative(e, v: str):
     return out
 
 
+def _rebuild(e, f):
+    """e with f applied to each child; a raw tree."""
+    tag = e[0]
+    if tag in ("rat", "const", "var"):
+        return e
+    if tag in ("add", "mul"):
+        return (tag, tuple(map(f, e[1])))
+    if tag == "pow":
+        return ("pow", f(e[1]), e[2])
+    if tag == "div":
+        return ("div", f(e[1]), f(e[2]))
+    if tag in FUNCS:
+        return (tag, f(e[1]))
+    raise ExprError(f"unknown node tag {tag!r}")
+
+
 def substitute(e, mapping):
     """Replace variables by expressions.  Returns a raw tree."""
-    tag = e[0]
-    if tag == "var":
+    if e[0] == "var":
         return mapping.get(e[1], e)
-    if tag in ("rat", "const"):
-        return e
-    if tag in FUNCS:
-        return (tag, substitute(e[1], mapping))
-    if tag in ("add", "mul"):
-        return (tag, tuple(substitute(t, mapping) for t in e[1]))
-    if tag == "pow":
-        return ("pow", substitute(e[1], mapping), e[2])
-    if tag == "div":
-        return ("div", substitute(e[1], mapping), substitute(e[2], mapping))
-    raise ExprError(f"cannot substitute into {tag!r}")
+    return _rebuild(e, lambda c: substitute(c, mapping))
 
 
 # Evaluation compiles an expression into one Python function over a column
@@ -818,35 +820,22 @@ def cleanup(e):
 
 
 def _cleanup(e):
-    tag = e[0]
-    if tag in ("rat", "const", "var"):
-        return e
-    if tag in FUNCS:
-        return (tag, _cleanup(e[1]))
-    if tag == "pow":
-        return normalize(("pow", _cleanup(e[1]), e[2]))
-    if tag == "mul":
-        return normalize(("mul", tuple(_cleanup(f) for f in e[1])))
-    if tag == "add":
-        return _pythagoras(normalize(("add", tuple(_cleanup(t)
-                                                    for t in e[1]))))
-    if tag == "div":
+    if e[0] == "div":
         n = _cleanup(e[1])
         d = _cleanup(e[2])
         q = _poly_quotient(n, d)
         if q is not None:
             return _pythagoras(q)
         return normalize(("div", n, d))
-    raise ExprError(f"cannot clean {tag!r}")
+    return _pythagoras(normalize(_rebuild(e, _cleanup)))
 
 
 def _factor_map(key):
     """Coefficient-free monomial key -> {base: multiplicity}, or None."""
     if key is None:
         return {}
-    factors = key[1] if key[0] == "mul" else (key,)
     out = {}
-    for f in factors:
+    for f in _factors(key):
         if f[0] == "div":
             return None
         base, n = (f[1], f[2]) if f[0] == "pow" else (f, 1)
@@ -864,44 +853,28 @@ def _from_factor_map(q, fmap):
                       else (factors[0] if factors else None))
 
 
+def _is_cos_power(f):
+    return f[0] == "pow" and f[1][0] == "cos"
+
+
+def _sine_factor(f):
+    """cos(u)^(2k+r) as (1 - sin(u)^2)^k cos(u)^r; any other factor as is."""
+    if not _is_cos_power(f):
+        return f
+    k, r = divmod(f[2], 2)
+    flip = ("add", (ONE, neg(("pow", ("sin", f[1][1]), 2))))
+    return ("mul", (("pow", flip, k), f[1] if r else ONE))
+
+
 def _pythagoras(e):
     """A sum's sine normal form if that is strictly smaller, else the sum."""
-    if e[0] != "add":
+    if e[0] != "add" or not any(_is_cos_power(f) for t in e[1]
+                                for f in _factors(t)):
         return e
-    cand = _sin_reduce(e)
+    cand = normalize(("add", tuple(
+        t if t[0] == "div" else ("mul", tuple(map(_sine_factor, _factors(t))))
+        for t in e[1])))
     return cand if size(cand) < size(e) else e
-
-
-def _sin_reduce(e):
-    """Rewrite cos(u)^(2k+r) as (1 - sin(u)^2)^k cos(u)^r and renormalize."""
-    if e[0] != "add":
-        terms = (e,)
-    else:
-        terms = e[1]
-    new_terms = []
-    hit = False
-    for t in terms:
-        q, key = split_coeff(t)
-        fmap = _factor_map(key)
-        if fmap is None:
-            new_terms.append(t)
-            continue
-        factors = [("rat", q)]
-        for base in sorted(fmap):
-            n = fmap[base]
-            if base[0] == "cos" and n >= 2:
-                hit = True
-                k, r = divmod(n, 2)
-                flip = ("add", (ONE, neg(("pow", ("sin", base[1]), 2))))
-                factors.append(flip if k == 1 else ("pow", flip, k))
-                if r:
-                    factors.append(base)
-            else:
-                factors.append(base if n == 1 else ("pow", base, n))
-        new_terms.append(("mul", tuple(factors)))
-    if not hit:
-        return e
-    return normalize(("add", tuple(new_terms)))
 
 
 def to_poly(e):
@@ -910,9 +883,8 @@ def to_poly(e):
     Returns None if the expression contains quotients (not a polynomial).
     Monomials are sorted tuples of (base, multiplicity).
     """
-    terms = e[1] if e[0] == "add" else (e,)
     poly = {}
-    for t in terms:
+    for t in _terms(e):
         q, key = split_coeff(t)
         fmap = _factor_map(key)
         if fmap is None:
@@ -925,9 +897,11 @@ def to_poly(e):
 def _poly_quotient(n, d):
     """Exact polynomial quotient n/d, or None if it does not divide.
 
-    Monomials are exponent vectors over the union of atomic bases, compared
-    in graded lexicographic order (a genuine monomial order, so the division
-    loop succeeds exactly when d divides n).
+    A monomial is its exponent vector over the union of atomic bases,
+    led by its total degree, so tuple order is graded lexicographic order
+    (a genuine monomial order, so the division loop succeeds exactly when
+    d divides n).  Each step's quotient monomial is new, since the leading
+    monomial of the remainder falls; at most 512 steps are taken.
     """
     pn = to_poly(n)
     pd = to_poly(d)
@@ -936,41 +910,29 @@ def _poly_quotient(n, d):
     if not pn:
         return ZERO
     atoms = sorted({b for p in (pn, pd) for m in p for b, _ in m})
-    idx = {b: i for i, b in enumerate(atoms)}
 
     def vec(m):
-        v = [0] * len(atoms)
-        for b, k in m:
-            v[idx[b]] = k
-        return tuple(v)
+        m = dict(m)
+        v = [m.get(b, 0) for b in atoms]
+        return (sum(v), *v)
 
-    def key(v):
-        return (sum(v), v)
-
-    pn = {vec(m): c for m, c in pn.items()}
+    rem = {vec(m): c for m, c in pn.items()}
     pd = {vec(m): c for m, c in pd.items()}
-    lead = max(pd, key=key)
+    lead = max(pd)
     lc = pd[lead]
     quot = {}
-    rem = dict(pn)
-    steps = 0
     while rem:
-        steps += 1
-        if steps > 512:
+        if len(quot) == 512:
             return None
-        mlead = max(rem, key=key)
+        mlead = max(rem)
         if any(a < b for a, b in zip(mlead, lead)):
             return None
         qm = tuple(a - b for a, b in zip(mlead, lead))
-        qc = Fraction(rem[mlead], lc)
-        quot[qm] = quot.get(qm, 0) + qc
+        qc = quot[qm] = Fraction(rem[mlead], lc)
         for m, c in pd.items():
             mm = tuple(a + b for a, b in zip(m, qm))
             rem[mm] = rem.get(mm, 0) - c * qc
             if not rem[mm]:
                 del rem[mm]
-    terms = []
-    for v, c in quot.items():
-        fmap = {atoms[i]: k for i, k in enumerate(v) if k}
-        terms.append(_from_factor_map(c, fmap))
-    return _norm_add(terms)
+    return _norm_add([_from_factor_map(c, dict(zip(atoms, v[1:])))
+                      for v, c in quot.items()])

@@ -23,7 +23,7 @@ from .engel import (EngelData, EngelError, analyze, dbeta2_criterion,
                     identity_suite, integrability_report, rho_criterion,
                     transform_forms)
 from .expr import CheckError, ExprError
-from .frames import fmt_field, fmt_form
+from .frames import fmt_field, fmt_form, zero
 from .kengel import (KEngelData, KEngelError, kengel_check, kengel_framing,
                      kengel_invariants)
 from .manifest import ManifestError
@@ -463,7 +463,7 @@ OPS = {
 # ---------------------------------------------------------------------------
 # expectation matching
 
-def match_expect(mf, raw, res):
+def match_expect(mf, raw, res, policy):
     parts = raw.split()
     if parts and parts[0] == "reeb":
         if len(parts) < 4 or parts[2] != "=" or parts[1] not in tuple("WXTR"):
@@ -481,11 +481,9 @@ def match_expect(mf, raw, res):
         if len(comps) != mf.space.dim:
             raise ManifestError(f"expectation {raw!r} needs "
                                 f"{mf.space.dim} components")
-        have = getattr(data, parts[1])
-        for want, got in zip(comps, have.comps):
-            if not ex.is_zero(ex.cleanup(ex.add(got, ex.neg(want)))):
-                return False
-        return True
+        have = getattr(data, parts[1]).comps
+        diff = [ex.add(got, ex.neg(want)) for got, want in zip(have, comps)]
+        return zero(diff, mf.space.coord_ranges, policy).ok
     return raw in res.tokens
 
 
@@ -555,9 +553,8 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def run_manifest(mf, policy, manifest_name=None):
-    name = manifest_name or mf.path.rsplit("/", 1)[-1]
-    report = RunReport(name, policy)
+def run_manifest(mf, policy):
+    report = RunReport(mf.path.rsplit("/", 1)[-1], policy)
     outputs = report.outputs
     for task in mf.tasks:
         res = TaskResult(task.name, task.op)
@@ -591,7 +588,8 @@ def run_manifest(mf, policy, manifest_name=None):
         outputs[task.name] = res.output
         try:
             for raw in task.expects:
-                res.expect_results.append((raw, match_expect(mf, raw, res)))
+                ok = match_expect(mf, raw, res, task_policy)
+                res.expect_results.append((raw, ok))
         except ManifestError as err:
             report.reference_error = f"{mf.path}:{task.lineno}: {err}"
             break

@@ -361,6 +361,47 @@ row = 0; 0; 0; 1
                            f"larger than 1000000000\n")
 
 
+POWER = "(1 + x + y)^14 - (1 + x + y)^14"
+SURD_POWER = "(1 + sqrt2 + sqrt3)^14"
+
+
+@pytest.mark.parametrize("text", [
+    TORUS_HEAD.replace("comps = -sin(2*pi*t); cos(2*pi*t); 0; 0",
+                       f"comps = -sin(2*pi*t); cos(2*pi*t); 0; {POWER}")
+    + """[task structure]
+op = engel
+alpha = alpha
+beta = beta
+W = W
+X = X
+expect = engel_pass
+""",
+    TORUS_HEAD + f"""[lattice L]
+gens = 2 3
+row = 1; 0; 0; 0
+row = 0; 1; 0; 0
+row = {SURD_POWER}; -sqrt3; 1; 0
+row = 0; 0; 0; 1
+
+[task quotient]
+op = lattice
+lattice = L
+expect = rank 3
+"""], ids=["form", "lattice"])
+def test_a_power_of_a_sum_runs_in_bounded_time(tmp_path, text):
+    # expanding the power by distributing over every choice of terms
+    # takes about 3^14 products; a subprocess, so that a regression fails
+    # by its timeout instead of stalling the suite
+    assert POWER in text or SURD_POWER in text
+    path = tmp_path / "case.ek"
+    path.write_text(text, encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, "-m", "engelkit.cli", "run", str(path)],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=10)
+    assert (done.returncode, done.stderr) == (0, "")
+
+
 def test_an_overflowing_sample_is_skipped_not_a_traceback(tmp_path,
                                                          capsys):
     # exp(exp(exp(10*z))) overflows a float at most samples

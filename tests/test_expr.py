@@ -3,6 +3,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from engelkit import expr as ex
@@ -223,7 +224,7 @@ def leaves():
 
 
 def exprs(max_depth=4, exponents=st.integers(1, 3), quotients=False,
-          leaf=None):
+          leaf=None, max_leaves=12):
     """Raw trees over leaf (default leaves()); with quotients, also div,
     exp and ln nodes.
 
@@ -244,7 +245,7 @@ def exprs(max_depth=4, exponents=st.integers(1, 3), quotients=False,
         return st.one_of(*out)
 
     return st.recursive(leaves() if leaf is None else leaf, nodes,
-                        max_leaves=12)
+                        max_leaves=max_leaves)
 
 
 ENV = {"t": 0.37, "x": -1.21, "y": 0.64}
@@ -498,17 +499,18 @@ def test_cleanup_preserves_value(e):
 
 ANGLES = (P("t"), P("2*t"), P("x"))
 TRIG_ATOMS = [f(u) for u in ANGLES for f in (ex.sin, ex.cos)]
-POLY_ATOMS = [ex.var("x"), ex.var("y"), ex.var("t")] + TRIG_ATOMS
+PLAIN_ATOMS = [ex.var("x"), ex.var("y"), ex.var("t")]
+POLY_ATOMS = PLAIN_ATOMS + TRIG_ATOMS
 
 
-def monomials():
-    powers = st.tuples(st.sampled_from(POLY_ATOMS), st.integers(1, 4))
+def monomials(atoms=POLY_ATOMS):
+    powers = st.tuples(st.sampled_from(atoms), st.integers(1, 4))
     return st.tuples(st.integers(-3, 3), st.lists(powers, max_size=3)).map(
         lambda cf: ex.mul(ex.rat(cf[0]), *(ex.pow_(b, n) for b, n in cf[1])))
 
 
-def polynomials():
-    return st.lists(monomials(), min_size=1, max_size=3).map(
+def polynomials(atoms=POLY_ATOMS):
+    return st.lists(monomials(atoms), min_size=1, max_size=3).map(
         lambda ms: ex.add(*ms))
 
 
@@ -521,6 +523,41 @@ def test_cleanup_of_a_pythagorean_ideal_member_is_zero(terms):
                                        ex.pow_(ex.cos(u), 2), ex.rat(-1)))
                       for u, p in terms))
     assert ex.cleanup(member) == ex.ZERO
+
+
+def to_sympy(e):
+    """A raw tree as a sympy expression, for an independent expansion."""
+    tag = e[0]
+    if tag == "rat":
+        return sympy.Rational(e[1].numerator, e[1].denominator)
+    if tag == "var":
+        return sympy.Symbol(e[1])
+    if tag in ("sin", "cos"):
+        return getattr(sympy, tag)(to_sympy(e[1]))
+    if tag == "pow":
+        return to_sympy(e[1]) ** e[2]
+    kids = [to_sympy(c) for c in e[1]]
+    return sympy.Add(*kids) if tag == "add" else sympy.Mul(*kids)
+
+
+@given(exprs(max_leaves=5), exprs(max_leaves=5), exprs(max_leaves=5))
+@settings(max_examples=100, deadline=None)
+def test_a_product_expands_to_one_node_in_either_grouping(a, b, c):
+    left = ex.normalize(ex.mul(a, ex.mul(b, c)))
+    assert ex.normalize(ex.mul(ex.mul(a, b), c)) is left
+    want = to_sympy(a) * to_sympy(b) * to_sympy(c)
+    assert sympy.expand(to_sympy(left) - want) == 0
+
+
+@given(polynomials(PLAIN_ATOMS), polynomials(PLAIN_ATOMS))
+@settings(max_examples=150, deadline=None)
+def test_a_product_divided_by_a_factor_cleans_to_the_other(a, b):
+    if ex.is_zero(ex.normalize(b)):
+        return
+    left = ex.normalize(ex.mul(a, ex.mul(b, b)))
+    assert left is ex.normalize(ex.mul(ex.mul(a, b), b))
+    assert sympy.expand(to_sympy(left) - to_sympy(a) * to_sympy(b) ** 2) == 0
+    assert ex.cleanup(ex.div(ex.mul(a, b), b)) == ex.normalize(a)
 
 
 def exponents_in(e):

@@ -243,3 +243,23 @@ def test_every_check_returns_a_dict_of_verdicts_only(monkeypatch):
             bad = {k: type(v).__name__ for k, v in verdicts.items()
                    if not isinstance(v, Verdict)}
             assert not bad, f"{name} returns non-verdicts {bad}"
+
+
+TORUS_REEB_T = "reeb T = -sin(2*pi*t); cos(2*pi*t); 0; 0"
+
+
+@pytest.mark.parametrize("want, mark", [
+    ("-2*sin(pi*t)*cos(pi*t); cos(pi*t)^2 - sin(pi*t)^2; 0; 0", "ok"),
+    ("-2*sin(pi*t)*cos(pi*t); cos(pi*t)^2 - sin(pi*t)^2 + 1/1000; 0; 0",
+     "MISMATCH"),
+])
+def test_reeb_expectation_is_decided_by_the_zero_check(want, mark):
+    # T equals the first expectation only through the double-angle
+    # identities, which cleanup does not apply
+    text = (ROOT / "corpus" / "torus.ek").read_text(encoding="utf-8")
+    assert TORUS_REEB_T in text
+    raw = f"reeb T = {want}"
+    report = run_manifest(parse_manifest(text.replace(TORUS_REEB_T, raw)),
+                          SamplingPolicy(seed=0, n_samples=64))
+    assert f"expect {raw} :: {mark}\n" in report.machine_text()
+    assert report.exit_code == (0 if mark == "ok" else 1)

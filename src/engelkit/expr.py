@@ -314,7 +314,7 @@ def _norm_mul(factors):
         powers[base] = powers.get(base, 0) + n
     if coeff == 0:
         return ZERO
-    return _from_factor_map(coeff, powers)
+    return _monomial(coeff, sorted(powers.items()))
 
 
 def split_coeff(term):
@@ -804,11 +804,12 @@ def _render(e, outer):
 def cleanup(e):
     """Apply sin(u)^2 + cos(u)^2 = 1 and cancel exact polynomial quotients.
 
-    Each sum becomes its sine normal form (every cos(u)^2 written as
-    1 - sin(u)^2) when that is strictly smaller: the remainder modulo the
-    Groebner basis {sin(u)^2 + cos(u)^2 - 1, one per angle} (Cox, Little &
-    O'Shea), so a polynomial that vanishes by the identity cleans to ZERO.
-    n/d becomes the quotient when d divides n as a polynomial.
+    Every sum with a cos power becomes its sine normal form, each cos(u)^2
+    written as 1 - sin(u)^2: the remainder modulo the Groebner basis
+    {sin(u)^2 + cos(u)^2 - 1, one per angle} (Cox, Little & O'Shea), so a
+    polynomial that vanishes by the identity cleans to ZERO.  n/d becomes
+    the quotient when d divides n as a polynomial, as they stand or in
+    sine normal form.  Returns an interned node.
     """
     e = normalize(e)
     out = _CLEAN.get(id(e))
@@ -820,36 +821,21 @@ def cleanup(e):
 
 
 def _cleanup(e):
-    if e[0] == "div":
-        n = _cleanup(e[1])
-        d = _cleanup(e[2])
+    if e[0] != "div":
+        return _pythagoras(normalize(_rebuild(e, _cleanup)))
+    # a sine normal form need not divide where the sum itself does
+    n, d = (normalize(_rebuild(c, _cleanup)) for c in e[1:])
+    q = _poly_quotient(n, d)
+    if q is None:
+        n, d = _pythagoras(n), _pythagoras(d)
         q = _poly_quotient(n, d)
-        if q is not None:
-            return _pythagoras(q)
-        return normalize(("div", n, d))
-    return _pythagoras(normalize(_rebuild(e, _cleanup)))
+    return _pythagoras(normalize(("div", n, d) if q is None else q))
 
 
-def _factor_map(key):
-    """Coefficient-free monomial key -> {base: multiplicity}, or None."""
-    if key is None:
-        return {}
-    out = {}
-    for f in _factors(key):
-        if f[0] == "div":
-            return None
-        base, n = (f[1], f[2]) if f[0] == "pow" else (f, 1)
-        out[base] = out.get(base, 0) + n
-    return out
-
-
-def _from_factor_map(q, fmap):
-    factors = []
-    for base in sorted(fmap):
-        n = fmap[base]
-        if n:
-            factors.append(base if n == 1 else ("pow", base, n))
-    return with_coeff(q, ("mul", tuple(factors)) if len(factors) > 1
+def _monomial(q, pairs):
+    """The canonical term q * b1^n1 * ... of sorted (base, n >= 1) pairs."""
+    factors = tuple(b if n == 1 else ("pow", b, n) for b, n in pairs)
+    return with_coeff(q, ("mul", factors) if len(factors) > 1
                       else (factors[0] if factors else None))
 
 
@@ -867,31 +853,32 @@ def _sine_factor(f):
 
 
 def _pythagoras(e):
-    """A sum's sine normal form if that is strictly smaller, else the sum."""
+    """The sine normal form of a sum with a cos power; any other e as is."""
     if e[0] != "add" or not any(_is_cos_power(f) for t in e[1]
                                 for f in _factors(t)):
         return e
-    cand = normalize(("add", tuple(
+    return normalize(("add", tuple(
         t if t[0] == "div" else ("mul", tuple(map(_sine_factor, _factors(t))))
         for t in e[1])))
-    return cand if size(cand) < size(e) else e
 
 
 def to_poly(e):
     """Canonical expr -> {monomial: coeff} over non-rational atomic bases.
 
-    Returns None if the expression contains quotients (not a polynomial).
-    Monomials are sorted tuples of (base, multiplicity).
+    Returns None if the expression contains quotients (not a polynomial),
+    and {} for zero.  A monomial is a term's own sorted tuple of (base,
+    multiplicity); a canonical sum repeats no monomial and has no zero term.
     """
     poly = {}
-    for t in _terms(e):
+    for t in () if is_zero(e) else _terms(e):
         q, key = split_coeff(t)
-        fmap = _factor_map(key)
-        if fmap is None:
-            return None
-        mono = tuple(sorted(fmap.items()))
-        poly[mono] = poly.get(mono, 0) + q
-    return {m: c for m, c in poly.items() if c}
+        pairs = []
+        for f in () if key is None else _factors(key):
+            if f[0] == "div":
+                return None
+            pairs.append((f[1], f[2]) if f[0] == "pow" else (f, 1))
+        poly[tuple(pairs)] = q
+    return poly
 
 
 def _poly_quotient(n, d):
@@ -934,5 +921,5 @@ def _poly_quotient(n, d):
             rem[mm] = rem.get(mm, 0) - c * qc
             if not rem[mm]:
                 del rem[mm]
-    return _norm_add([_from_factor_map(c, dict(zip(atoms, v[1:])))
+    return _norm_add([_monomial(c, [(b, k) for b, k in zip(atoms, v[1:]) if k])
                       for v, c in quot.items()])

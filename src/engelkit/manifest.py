@@ -3,8 +3,9 @@
 A manifest declares one frame space, any number of named forms, fields,
 metrics and lattices over it, and a sequence of tasks with their expected
 outcomes.  The grammar is line-oriented with `[section]` headers; see
-README.md for the full description.  Everything is parsed eagerly so that a
-bad manifest fails before any task runs.
+README.md for the full description.  All but a task's arguments is parsed
+eagerly, so that a bad manifest fails before any task runs; an op reads its
+task's arguments when the task runs.
 """
 
 import keyword
@@ -26,11 +27,31 @@ class ManifestError(Exception):
     pass
 
 
+class TaskArgs(dict):
+    """A task's arguments.  An op asks about each key it takes, with `in`
+    or `get`, before it runs, so `unread` lists the keys it does not take."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.asked = set()
+
+    def __contains__(self, key):
+        self.asked.add(key)
+        return super().__contains__(key)
+
+    def get(self, key, default=None):
+        self.asked.add(key)
+        return super().get(key, default)
+
+    def unread(self):
+        return [key for key in self if key not in self.asked]
+
+
 class Task:
     def __init__(self, name, op, args, expects, overrides, lineno):
         self.name = name
         self.op = op
-        self.args = args
+        self.args = TaskArgs(args)
         self.expects = expects
         self.overrides = overrides
         self.lineno = lineno

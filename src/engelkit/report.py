@@ -268,7 +268,6 @@ def op_geodesic(mf, task, policy, outputs, res):
         res.derived("witness", f"{bad[0]} = {ex.to_str(exprs[bad[0]])}")
     else:
         res.token("geodesic")
-    res.output = verdicts
 
 
 def op_pattern(mf, task, policy, outputs, res):
@@ -332,7 +331,6 @@ def op_commutant(mf, task, policy, outputs, res):
     res.token("commutant_dim", len(basis))
     for i, vec in enumerate(basis):
         res.derived(f"basis {i}", catalog.fmt_vec(lie.names, vec))
-    res.output = basis
 
 
 def op_framing(mf, task, policy, outputs, res):
@@ -357,7 +355,6 @@ def op_framing(mf, task, policy, outputs, res):
     else:
         res.token("framing_none")
         res.derived("certificate", search["certificate"])
-    res.output = search
 
 
 def op_lattice(mf, task, policy, outputs, res):
@@ -387,9 +384,7 @@ def op_bw(mf, task, policy, outputs, res):
 
 def op_filling(mf, task, policy, outputs, res):
     kdata = _data(outputs, task, want=(KEngelData,))
-    report = filling_check(kdata, policy)
-    res.verdicts("filling", report)
-    res.output = report
+    res.verdicts("filling", filling_check(kdata, policy))
 
 
 def op_t2(mf, task, policy, outputs, res):
@@ -585,6 +580,12 @@ def run_manifest(mf, policy):
             res.token("task_error", type(err).__name__)
             res.derived("error", str(err))
         res.seconds = time.monotonic() - start
+        stray = task.args.unread()
+        if stray:
+            report.reference_error = (f"{mf.path}:{task.lineno}: task "
+                                      f"'{task.name}': op {task.op} takes "
+                                      f"no argument '{stray[0]}'")
+            break
         outputs[task.name] = res.output
         try:
             for raw in task.expects:

@@ -584,7 +584,7 @@ def test_kframing_on_an_engel_task_exits_2(tmp_path, capsys):
 
 
 def test_identities_on_a_geodesic_task_exits_2(tmp_path, capsys):
-    # a geodesic task's output is its verdicts, not an analyzed pair
+    # a geodesic task has verdicts, but no analyzed pair as its output
     text = (ROOT / "corpus" / "torus.ek").read_text(encoding="utf-8") + """
 [task again]
 op = identities
@@ -595,6 +595,29 @@ data = reeb_plane
     assert f"{path}:{line_of(text, '[task again]')}:" in err
     assert ("task 'reeb_plane' did not produce EngelData or KEngelData"
             in err)
+
+
+@pytest.mark.parametrize("task, op, key, text", [
+    ("structure", "engel", "w", NIL4_HEAD.replace("W = W\n", "w = W\n")),
+    ("triple", "kengel", "metrc", NIL4_HEAD + """
+[task triple]
+op = kengel
+data = structure
+Z = R
+metrc = orthonormal
+"""),
+    ("plane", "geodesic", "plne", NIL4_HEAD + """
+[task plane]
+op = geodesic
+data = structure
+plne = R
+""")])
+def test_an_argument_the_op_does_not_take_exits_2(tmp_path, capsys, task, op,
+                                                  key, text):
+    code, err, path = run_text(tmp_path, capsys, text)
+    assert code == 2
+    assert err == (f"error: {path}:{line_of(text, f'[task {task}]')}: task "
+                   f"'{task}': op {op} takes no argument '{key}'\n")
 
 
 def test_unknown_geometry_exits_2_naming_the_geometries(capsys):

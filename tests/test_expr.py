@@ -4,10 +4,11 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from engelkit import expr as ex
-from engelkit.manifest import load_manifest
+from engelkit.frames import zero
+from engelkit.manifest import load_manifest, parse_manifest
 from engelkit.report import run_manifest
 from engelkit.sampling import (SamplingPolicy, halton_column, is_zero_expr,
                                nonvanishing)
@@ -179,6 +180,14 @@ def test_cleanup_mixed():
     ("x*cos(t)^2 + x*sin(t)^2 + y", "x + y")])
 def test_cleanup_applies_sin_squared_plus_cos_squared(text, want):
     assert ex.cleanup(P(text)) == P(want)
+
+
+def test_a_quotient_divides_in_sine_normal_form():
+    # the numerator is (cos(t)^2 + 1)*x plus a multiple of the identity
+    e = P("(x*cos(t)^2 + x + y*(sin(t)^2 + cos(t)^2 - 1))/(cos(t)^2 + 1) - x")
+    assert ex.cleanup(e) == ex.ZERO
+    coords = [("t", 0, 1), ("x", 0, 1), ("y", 0, 1)]
+    assert zero([e], coords, SamplingPolicy()).describe() == "zero=exact"
 
 
 def test_halton_starts_at_corner():
@@ -523,6 +532,57 @@ def test_cleanup_of_a_pythagorean_ideal_member_is_zero(terms):
                                        ex.pow_(ex.cos(u), 2), ex.rat(-1)))
                       for u, p in terms))
     assert ex.cleanup(member) == ex.ZERO
+
+
+@given(polynomials(), polynomials())
+@example(P("3*cos(x)^3*sin(t)"), P("y^3*sin(t) - cos(x)^2"))
+@example(P("3*sin(t)^2"), P("-x - 3*x*cos(t)^2"))
+@settings(max_examples=150, deadline=None)
+def test_a_trig_product_divided_by_a_factor_cleans_to_the_other(a, b):
+    """n/d divides whether or not the sine normal forms of n and d do."""
+    if not ex.is_zero(ex.cleanup(b)):
+        assert ex.cleanup(ex.div(ex.mul(a, b), b)) == ex.cleanup(a)
+
+
+@given(exprs(quotients=True))
+@example(P("(x^2 - 1)/(x - 1)"))
+@settings(max_examples=150, deadline=None)
+def test_cleanup_returns_an_interned_node(e):
+    try:
+        c = ex.cleanup(e)
+    except ex.EvalError:   # a quotient by an exact zero
+        return
+    assert c is ex.normalize(c)
+
+
+@given(exprs(exponents=st.integers(1, 4)))
+@settings(max_examples=150, deadline=None)
+def test_to_poly_round_trips_through_monomials(e):
+    e = ex.normalize(e)
+    poly = ex.to_poly(e)
+    for mono, q in poly.items():
+        assert q != 0 and all(n >= 1 for _, n in mono)
+        assert [b for b, _ in mono] == sorted(b for b, _ in mono)
+    terms = [ex._monomial(q, mono) for mono, q in poly.items()]
+    assert ex.normalize(ex.add(*terms)) is e
+    assert [ex.normalize(t) for t in terms] == \
+        ([] if ex.is_zero(e) else list(ex._terms(e)))
+
+
+def test_a_perturbed_lorentz_pair_derives_a_short_x():
+    """With beta's second component plus 1/7, X and v cancel to short
+    forms, not quotients whose denominators are cubics in cos(t)."""
+    text = (ROOT / "tests" / "manifests" / "unhinted_lorentz_k1.ek"
+            ).read_text(encoding="utf-8")
+    text = text.replace("comps = -sin(t); cos(t); 0; 0",
+                        "comps = -sin(t); (cos(t)) + 1/7; 0; 0")
+    mf = parse_manifest(text)
+    mf.tasks = mf.tasks[:1]
+    report = run_manifest(mf, SamplingPolicy(seed=0, n_samples=16))
+    derived = {name: text for kind, name, text in report.results[0].lines
+               if kind == "derived"}
+    assert derived["X"] == "0; 0; 0; -1/7*cos(t) - 1"
+    assert derived["v"] == "1"
 
 
 def to_sympy(e):

@@ -24,7 +24,8 @@ from .contact import promote_form, restrict_to_section, thicken_space
 from .engel import analyze
 from .frames import (FrameSpace, VectorField, d, interior, lie_form, minor,
                      nonzero, pair, wedge, zero)
-from .kengel import KEngelData, KEngelError, certify, kengel_check
+from .kengel import (KEngelData, KEngelError, certify, kengel_check,
+                     require_all)
 from .metric import orthonormal_metric
 from .sampling import failed, nonvanishing
 
@@ -37,10 +38,8 @@ def _certified(kd, Z, policy, rank, not_reeb, where, direction):
     """
     certify(kd, Z, policy, not_reeb, where)
     g = orthonormal_metric(kd)
-    bad = failed(kengel_check(kd, g, kd.R, policy))
-    if bad:
-        raise KEngelError(f"{direction} direction fails the triple check",
-                          bad)
+    require_all(kengel_check(kd, g, kd.R, policy),
+                f"{direction} direction fails the triple check")
     return KEngelData(kd, g, kd.R, rank=rank)
 
 
@@ -65,10 +64,7 @@ def boothby_wang(nspace, lam, L, a_loc, policy):
     omega = interior(L, vol)
     report["omega closed"] = zero(d(omega), ranges, policy)
     report["primitive matches"] = zero(d(a_loc) - omega, ranges, policy)
-    bad = failed(report)
-    if bad:
-        raise KEngelError("circle-bundle preconditions fail: "
-                          + ", ".join(bad), bad)
+    require_all(report, "circle-bundle preconditions fail")
     sp4 = thicken_space(nspace, "t", 0, 1)
     alpha = promote_form(sp4, a_loc) + \
         sp4.one_form([ex.ZERO, ex.ZERO, ex.ZERO, ex.ONE])
@@ -120,11 +116,9 @@ def t2_bundle_condition(sigma, f, g, alpha0, beta0, Omega, prim1, prim2,
         raise KEngelError(f"eps = {eps} is not in (0,1)", ["input"])
     ranges = sigma.coord_ranges
     for name, prim, n in (("first", prim1, n1), ("second", prim2, n2)):
-        v = zero(d(prim) - Omega.scale(ex.rat(n)), ranges, policy)
-        if not v.ok:
-            raise KEngelError(f"the {name} primitive does not integrate "
-                              f"{n} times the area form: {v.describe()}",
-                              ["input"])
+        zero(d(prim) - Omega.scale(ex.rat(n)), ranges, policy).require(
+            f"the {name} primitive does not integrate {n} times the area "
+            f"form", KEngelError, ["input"])
     N = Fraction(n1) - eps * Fraction(n2)
     n_ex = ex.rat(N)
     df = d(sigma.form(0, {(): f}))
@@ -270,7 +264,5 @@ def filling_check(kdata, policy):
     report["preserves boundary contact volume"] = zero(
         [ex.substitute(c, {"r": ex.ONE})
          for c in lie_form(L, vol).comps.values()], ranges, policy)
-    bad = failed(report)
-    if bad:
-        raise KEngelError("filling verdicts fail: " + ", ".join(bad), bad)
+    require_all(report, "filling verdicts fail")
     return report

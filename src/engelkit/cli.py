@@ -123,13 +123,12 @@ def cmd_run(args):
     policy = SamplingPolicy(seed=args.seed, n_samples=args.samples,
                             abs_tol=args.tol)
     report = run_manifest(mf, policy)
-    if report.reference_error is not None:
-        print(f"error: {report.reference_error}", file=sys.stderr)
-        return 2
     sys.stdout.write(report.human_text())
     if args.machine_out:
         with open(args.machine_out, "w", encoding="utf-8") as fh:
             fh.write(report.machine_text())
+    if report.reference_error is not None:
+        print(f"error: {report.reference_error}", file=sys.stderr)
     return report.exit_code
 
 

@@ -10,7 +10,7 @@ them to graph sections s = g(p), which the contact filling's boundary uses.
 
 from . import expr as ex
 from .frames import (DiffForm, FrameError, FrameSpace, VectorField, d,
-                     interior, kernel_line, pair, wedge, zero)
+                     interior, normalized_kernel_line, pair, wedge, zero)
 from .sampling import nonvanishing
 
 
@@ -57,12 +57,8 @@ def reeb_solved(sp5, eta, dd, policy):
     """The Reeb direction from eta and dd = deta ^ deta alone: K / eta(K)
     for the kernel line K of dd, so i_K deta = 0 (deta has rank 4), and
     eta(K) is the density of the contact volume eta ^ dd."""
-    K = kernel_line(dd)
-    norm = ex.cleanup(pair(eta, K))
-    verdict = nonvanishing([norm], sp5.coord_ranges, policy)
-    if not verdict.ok:
-        raise FrameError(f"contact Reeb field: eta(K) {verdict.describe()}")
-    return K.scale(ex.div(ex.ONE, norm)).cleanup()
+    return normalized_kernel_line(dd, eta, policy,
+                                  "contact Reeb field eta(K)", FrameError)
 
 
 def contactization_report(data, policy):

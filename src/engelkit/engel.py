@@ -14,7 +14,8 @@ curvature-type criteria expressed through the coframe dual to the framing.
 
 from . import expr as ex
 from .frames import (bracket, d, determinant, dual_coframe, interior,
-                     kernel_line, lie_form, nonzero, pair, wedge, zero)
+                     kernel_line, lie_form, nonzero, normalized_kernel_line,
+                     pair, wedge, zero)
 from .sampling import nonvanishing
 
 PAIRS = ("WX", "WT", "WR", "XT", "XR", "TR")
@@ -45,9 +46,8 @@ def characteristic_field(space, alpha, policy):
     """Span of ker(alpha ^ dalpha), normalized to a unit component.
 
     Each component K_k of K = kernel_line(alpha ^ dalpha) that vanishes
-    nowhere gives a candidate K / K_k; quotient-free candidates win first,
-    then structurally smallest, then the earliest frame direction.  When
-    some K_k is a nonzero constant, only those are divisors and nothing is
+    nowhere gives a candidate K / K_k, ranked by `_simplest`.  When some
+    K_k is a nonzero constant, only those are divisors and nothing is
     sampled; otherwise each K_k is sampled as nonvanishing.
     """
     w3 = wedge(alpha, d(alpha))
@@ -55,18 +55,11 @@ def characteristic_field(space, alpha, policy):
         raise EngelError("alpha ^ dalpha vanishes identically")
     K = kernel_line(w3)
     comps = list(map(ex.cleanup, K.comps))
-    pivots = [k for k, c in enumerate(comps) if _unit(c)] or [
-        k for k, c in enumerate(comps)
-        if nonvanishing([c], space.coord_ranges, policy).ok]
-    candidates = []
-    for k in pivots:
-        f = K.scale(ex.div(ex.ONE, comps[k])).cleanup()
-        quality = (any(ex.has_div(c) for c in f.comps),
-                   sum(ex.size(c) for c in f.comps), k)
-        candidates.append((quality, f))
-    if not candidates:
+    pivots = [c for c in comps if _unit(c)] or [
+        c for c in comps if nonvanishing([c], space.coord_ranges, policy).ok]
+    if not pivots:
         raise EngelError("no normalization pins down ker(alpha ^ dalpha)")
-    return min(candidates, key=lambda t: t[0])[1]
+    return _simplest(K.scale(ex.div(ex.ONE, c)).cleanup() for c in pivots)
 
 
 def complement_field(space, alpha, beta, W):
@@ -78,22 +71,26 @@ def complement_field(space, alpha, beta, W):
     W♭ = sum_i W_i e^i, with W♭(W) = |W|^2 > 0, when there is none.  K is
     divided by its first nonzero constant component if it has one; no
     step samples, and a K that vanishes somewhere is left to analyze's
-    determinant check.  Quotient-free candidates win first, then
-    structurally smallest, then the earliest k.
+    determinant check.  The candidates are ranked by `_simplest`.
     """
     ab = wedge(alpha, beta)
-    legs = [(k, space.form(1, {(k,): ex.ONE}))
-            for k, c in enumerate(map(ex.cleanup, W.comps)) if _unit(c)]
+    gammas = [space.form(1, {(k,): ex.ONE})
+              for k, c in enumerate(map(ex.cleanup, W.comps)) if _unit(c)]
     candidates = []
-    for k, gamma in legs or [(0, space.one_form(W.comps))]:
+    for gamma in gammas or [space.one_form(W.comps)]:
         K = kernel_line(wedge(ab, gamma)).cleanup()
         pivot = next(filter(_unit, K.comps), None)
         if pivot is not None:
             K = K.scale(ex.div(ex.ONE, pivot)).cleanup()
-        quality = (any(ex.has_div(c) for c in K.comps),
-                   sum(ex.size(c) for c in K.comps), k)
-        candidates.append((quality, K))
-    return min(candidates, key=lambda t: t[0])[1]
+        candidates.append(K)
+    return _simplest(candidates)
+
+
+def _simplest(fields):
+    """The structurally smallest quotient-free field, else the smallest
+    field; min keeps the first of equal keys."""
+    return min(fields, key=lambda f: (any(map(ex.has_div, f.comps)),
+                                      sum(map(ex.size, f.comps))))
 
 
 def _unit(c):
@@ -119,17 +116,11 @@ def reeb_pair(space, alpha, beta, policy):
     alpha(T) = 0 and beta(R) = 0 hold identically.
     """
     db = d(beta)
-    out = []
-    for name, w, theta in (("T", wedge(alpha, db), beta),
-                           ("R", wedge(beta, db), alpha)):
-        K = kernel_line(w)
-        norm = ex.cleanup(pair(theta, K))
-        verdict = nonvanishing([norm], space.coord_ranges, policy)
-        if not verdict.ok:
-            raise EngelError(f"transverse direction {name}: "
-                             f"{verdict.describe()}")
-        out.append(K.scale(ex.div(ex.ONE, norm)).cleanup())
-    return tuple(out)
+    return tuple(normalized_kernel_line(w, theta, policy,
+                                        f"transverse direction {name}",
+                                        EngelError)
+                 for name, w, theta in (("T", wedge(alpha, db), beta),
+                                        ("R", wedge(beta, db), alpha)))
 
 
 def bracket_table(framing):
@@ -146,34 +137,6 @@ def bracket_table(framing):
     table = {f"{letter}_{pq}": ex.cleanup(pair(theta[li], brackets[pq]))
              for pq in PAIRS for li, letter in enumerate(LETTERS)}
     return brackets, table
-
-
-def adapted_framing(space, alpha, beta, W, X, T, R, policy):
-    """Rescale W and X so that beta([W,X]) = 1 and alpha([X,T]) = 1.
-
-    Returns (W', X', u, v, c_wx, brackets, table) with W' = u W, X' = v X,
-    c_wx = beta([W,X]) and the bracket_table of (W', X', T, R), whose c_WX
-    and d_XT are beta([W',X']) and alpha([X',T]).  W' is independent of the
-    admissible W and X.
-    """
-    c_wx = ex.cleanup(pair(beta, bracket(W, X)))
-    if not nonvanishing([c_wx], space.coord_ranges, policy).ok:
-        raise EngelError("beta([W,X]) vanishes somewhere: framing degenerate")
-    d_xt = ex.cleanup(pair(alpha, bracket(X, T)))
-    if not nonvanishing([d_xt], space.coord_ranges, policy).ok:
-        raise EngelError("alpha([X,T]) vanishes somewhere: framing degenerate")
-    u = ex.cleanup(ex.div(d_xt, c_wx))
-    v = ex.cleanup(ex.div(ex.ONE, d_xt))
-    Wp = W.scale(u).cleanup()
-    Xp = X.scale(v).cleanup()
-    brackets, table = bracket_table((Wp, Xp, T, R))
-    for name, key in (("beta([W',X'])", "c_WX"), ("alpha([X',T])", "d_XT")):
-        verdict = zero([ex.add(table[key], ex.rat(-1))], space.coord_ranges,
-                       policy)
-        if not verdict.ok:
-            raise EngelError(f"{name} != 1 after rescaling: "
-                             f"{verdict.describe()}")
-    return Wp, Xp, u, v, c_wx, brackets, table
 
 
 class EngelData:
@@ -205,31 +168,38 @@ def analyze(space, alpha, beta, policy, W=None, X=None):
     """Full pipeline from a defining pair to adapted data.
 
     W and X hints are verified (kernel membership resp. annihilation) and
-    derived from scratch when absent.
+    derived from scratch when absent.  They are then rescaled to W' = u W
+    and X' = v X with beta([W',X']) = 1 and alpha([X',T]) = 1; W' is
+    independent of the admissible W and X.  A failed precondition raises
+    EngelError `<step>: <verdict>`.
     """
+    ranges = space.coord_ranges
     defining = check_defining_forms(space, alpha, beta, policy)
-    da = d(alpha)
     if W is not None:
-        v = zero(interior(W, wedge(alpha, da)), space.coord_ranges, policy)
-        if not v.ok:
-            raise EngelError(
-                f"W hint not in ker(alpha ^ dalpha): {v.describe()}")
+        zero(interior(W, wedge(alpha, d(alpha))), ranges, policy).require(
+            "W hint not in ker(alpha ^ dalpha)", EngelError)
     else:
         W = characteristic_field(space, alpha, policy)
     if X is not None:
-        v = zero([pair(alpha, X), pair(beta, X)], space.coord_ranges, policy)
-        if not v.ok:
-            raise EngelError(f"X hint not in ker alpha ∩ ker beta: "
-                             f"{v.describe()}")
+        zero([pair(alpha, X), pair(beta, X)], ranges, policy).require(
+            "X hint not in ker alpha ∩ ker beta", EngelError)
     else:
         X = complement_field(space, alpha, beta, W)
     T, R = reeb_pair(space, alpha, beta, policy)
-    det = ex.cleanup(determinant([W, X, T, R]))
-    if not nonvanishing([det], space.coord_ranges, policy).ok:
-        raise EngelError("framing (W, X, T, R) degenerates somewhere")
-    Wp, Xp, u, v, c_wx, brackets, table = adapted_framing(
-        space, alpha, beta, W, X, T, R, policy)
-    return EngelData(space, alpha, beta, Wp, Xp, T, R, u, v, c_wx,
+    nonvanishing([ex.cleanup(determinant([W, X, T, R]))], ranges,
+                 policy).require("framing det(W, X, T, R)", EngelError)
+    c_wx = ex.cleanup(pair(beta, bracket(W, X)))
+    nonvanishing([c_wx], ranges, policy).require("beta([W,X])", EngelError)
+    d_xt = ex.cleanup(pair(alpha, bracket(X, T)))
+    nonvanishing([d_xt], ranges, policy).require("alpha([X,T])", EngelError)
+    u = ex.cleanup(ex.div(d_xt, c_wx))
+    v = ex.cleanup(ex.div(ex.ONE, d_xt))
+    W, X = W.scale(u).cleanup(), X.scale(v).cleanup()
+    brackets, table = bracket_table((W, X, T, R))
+    for name, key in (("beta([W',X'])", "c_WX"), ("alpha([X',T])", "d_XT")):
+        zero([ex.add(table[key], ex.rat(-1))], ranges, policy).require(
+            f"{name} != 1 after rescaling", EngelError)
+    return EngelData(space, alpha, beta, W, X, T, R, u, v, c_wx,
                      defining, brackets, table)
 
 

@@ -493,6 +493,15 @@ def kernel_line(w):
     return VectorField(sp, comps)
 
 
+def normalized_kernel_line(w, theta, policy, what, error):
+    """K / theta(K) for K = kernel_line(w); raises error, naming what,
+    unless theta(K) vanishes nowhere."""
+    K = kernel_line(w)
+    norm = ex.cleanup(pair(theta, K))
+    nonvanishing([norm], w.space.coord_ranges, policy).require(what, error)
+    return K.scale(ex.div(ex.ONE, norm)).cleanup()
+
+
 # ---------------------------------------------------------------------------
 # rendering
 

@@ -14,7 +14,7 @@ from . import expr as ex
 from .engel import analyze
 from .frames import bracket, d, lie_form, pair, wedge, zero
 from .metric import killing_report
-from .sampling import failed, fmt_point, nonvanishing
+from .sampling import failed, nonvanishing
 
 
 class KEngelError(Exception):
@@ -23,6 +23,13 @@ class KEngelError(Exception):
     def __init__(self, message, names=()):
         super().__init__(message)
         self.names = list(names)
+
+
+def require_all(verdicts, what):
+    """Raise KEngelError naming each failing check of {name: Verdict}."""
+    bad = failed(verdicts)
+    if bad:
+        raise KEngelError(f"{what}: " + ", ".join(bad), bad)
 
 
 class KEngelData:
@@ -96,13 +103,9 @@ def certify(kd, Z, policy, not_reeb, where):
     Raises KEngelError with the text not_reeb, or naming the failing
     invariants on `where`.
     """
-    v = zero(kd.R - Z, kd.space.coord_ranges, policy)
-    if not v.ok:
-        raise KEngelError(f"{not_reeb}: {v.describe()}", ["Reeb direction"])
-    bad = failed(kengel_invariants(kd, policy))
-    if bad:
-        raise KEngelError(f"invariants fail on {where}: " + ", ".join(bad),
-                          bad)
+    zero(kd.R - Z, kd.space.coord_ranges, policy).require(
+        not_reeb, KEngelError, ["Reeb direction"])
+    require_all(kengel_invariants(kd, policy), f"invariants fail on {where}")
 
 
 def kengel_framing(data, g, Z, policy, rank=None):
@@ -112,15 +115,11 @@ def kengel_framing(data, g, Z, policy, rank=None):
     the re-analyzed pair must have Reeb direction Z and satisfy every
     K-Engel invariant.  rank is carried over to the result.
     """
-    bad = failed(kengel_check(data, g, Z, policy))
-    if bad:
-        raise KEngelError("the triple check fails: " + ", ".join(bad), bad)
+    require_all(kengel_check(data, g, Z, policy), "the triple check fails")
     sp = data.space
     a = ex.cleanup(pair(data.alpha, Z))
-    v = nonvanishing([a], sp.coord_ranges, policy)
-    if not v.ok:
-        raise KEngelError(f"alpha(Z) = {ex.to_str(a)} vanishes near "
-                          f"{fmt_point(v.point)}", ["alpha(Z)"])
+    nonvanishing([a], sp.coord_ranges, policy).require(
+        f"alpha(Z) = {ex.to_str(a)}", KEngelError, ["alpha(Z)"])
     alpha1 = data.alpha.scale(ex.div(ex.ONE, a)).cleanup()
     beta1 = lie_form(data.X, alpha1).scale(ex.rat(-1)).cleanup()
     kd = analyze(sp, alpha1, beta1, policy, W=data.W, X=data.X)

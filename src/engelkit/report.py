@@ -212,11 +212,12 @@ def op_kengel(mf, task, policy, outputs, res):
     Z = _field(mf, task, "Z")
     g = _metric(mf, task, data)
     rank = task.args.get("rank")
-    try:
-        rank = int(rank) if rank is not None else None
-    except ValueError:
-        raise ManifestError(f"task '{task.name}': rank must be an integer, "
-                            f"got {rank!r}")
+    if rank is not None:
+        if not (rank.isdecimal() and 1 <= int(rank) <= mf.space.dim):
+            raise ManifestError(f"task '{task.name}': rank must be an "
+                                f"integer from 1 to {mf.space.dim}, got "
+                                f"{rank!r}")
+        rank = int(rank)
     verdicts = kengel_check(data, g, Z, policy)
     killing = [v for name, v in verdicts.items()
                if name.startswith("Killing ")]
@@ -553,7 +554,6 @@ def run_manifest(mf, policy):
     outputs = report.outputs
     for task in mf.tasks:
         res = TaskResult(task.name, task.op)
-        report.results.append(res)
         if task.op not in OPS:
             report.reference_error = (f"{mf.path}:{task.lineno}: task "
                                       f"'{task.name}': unknown op "
@@ -596,4 +596,5 @@ def run_manifest(mf, policy):
             break
         if not task.expects and "task_error" in res.tokens:
             res.expect_results.append(("no unexpected error", False))
+        report.results.append(res)   # a reference error leaves it out
     return report

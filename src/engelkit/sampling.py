@@ -175,6 +175,11 @@ class Verdict:
         return (f"nonvanishing={word} min={fmt_float(self.value)} "
                 f"at {fmt_point(self.point)}")
 
+    def require(self, what, error, *args):
+        """Raise error(f"{what}: {describe()}", *args) unless it passed."""
+        if not self.ok:
+            raise error(f"{what}: {self.describe()}", *args)
+
 
 def failed(verdicts):
     """Names of the failing checks in a {name: Verdict} dict."""

@@ -112,6 +112,47 @@ rank = =
     assert "rank" in err
 
 
+@pytest.mark.parametrize("rank, code", [
+    ("0", 2), ("-1", 2), ("5", 2), ("7", 2), ("1", 0), ("4", 0)])
+def test_a_rank_outside_1_to_the_dimension_exits_2(tmp_path, capsys, rank,
+                                                   code):
+    text = NIL4_HEAD + f"""
+[task triple]
+op = kengel
+data = structure
+Z = R
+rank = {rank}
+"""
+    got, err, path = run_text(tmp_path, capsys, text)
+    assert got == code
+    if code == 2:
+        assert err == (f"error: {path}:{line_of(text, '[task triple]')}: "
+                       f"task 'triple': rank must be an integer from 1 to "
+                       f"4, got '{rank}'\n")
+
+
+def test_a_reference_error_keeps_the_tasks_before_it(tmp_path, capsys):
+    # the report of the tasks that ran is written, ending in exit 2, and
+    # the error follows on stderr
+    reports = []
+    for tail in ("", "\n[task reeb]\nop = integrability\ndata = nosuch\n"):
+        path = tmp_path / "case.ek"
+        out = tmp_path / "report.txt"
+        path.write_text(NIL4_HEAD + tail, encoding="utf-8")
+        code = main(["run", str(path), "--machine-out", str(out)])
+        reports.append((code, capsys.readouterr(),
+                        out.read_text(encoding="utf-8")))
+    (code0, std0, machine0), (code, std, machine) = reports
+    assert (code0, code) == (0, 2)
+    lineno = line_of(NIL4_HEAD + tail, "[task reeb]")
+    assert std.err == (f"error: {path}:{lineno}: task 'reeb': no prior task "
+                       f"'nosuch'\n")
+    assert "task structure [engel]" in std.out
+    assert std.out.endswith("\n1 task(s), 0 mismatch(es)\n")
+    assert machine0.endswith("exit 0\n")
+    assert machine == machine0[:-len("exit 0\n")] + "exit 2\n"
+
+
 def test_bad_reeb_expectation_exits_2(tmp_path, capsys):
     # a bad value, and a field name that is no single one of W, X, T, R
     for expect in ("reeb R = 0; 0; 1 +; 0", "reeb WX = 0; 0; 1; 0"):

@@ -206,6 +206,6 @@ def test_a_closed_eta_has_no_reeb_field():
     sp5 = thicken_space(FrameSpace([("coord", n, 0, 1)
                                     for n in "xyzt"]))
     eta = sp5.one_form([ex.ONE] + [ex.ZERO] * 4)
-    with pytest.raises(FrameError, match=r"^contact Reeb field: eta\(K\) "
+    with pytest.raises(FrameError, match=r"^contact Reeb field eta\(K\): "
                                          r"nonvanishing=NO min=0 at "):
         reeb_solved(sp5, eta, wedge(d(eta), d(eta)), POLICY)

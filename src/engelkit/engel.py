@@ -26,34 +26,38 @@ class EngelError(ex.CheckError):
     pass
 
 
-def check_defining_forms(space, alpha, beta, policy):
+def check_defining_forms(space, alpha, beta, policy, ada=None, db=None):
     """The three pointwise conditions on a defining pair.
 
     nonintegrability: alpha ^ dalpha has no zeros
     span:             alpha ^ beta ^ dbeta has no zeros
     flag:             alpha ^ dalpha ^ beta vanishes identically
+
+    ada and db are alpha ^ dalpha and dbeta, taken here unless given.
     """
-    da = d(alpha)
+    ada = wedge(alpha, d(alpha)) if ada is None else ada
+    db = d(beta) if db is None else db
     ranges = space.coord_ranges
     return {
-        "nonintegrability": nonzero(wedge(alpha, da), ranges, policy),
-        "span": nonzero(wedge(wedge(alpha, beta), d(beta)), ranges, policy),
-        "flag": zero(wedge(wedge(alpha, da), beta), ranges, policy),
+        "nonintegrability": nonzero(ada, ranges, policy),
+        "span": nonzero(wedge(wedge(alpha, beta), db), ranges, policy),
+        "flag": zero(wedge(ada, beta), ranges, policy),
     }
 
 
-def characteristic_field(space, alpha, policy):
+def characteristic_field(space, alpha, policy, ada=None):
     """Span of ker(alpha ^ dalpha), normalized to a unit component.
 
     Each component K_k of K = kernel_line(alpha ^ dalpha) that vanishes
     nowhere gives a candidate K / K_k, ranked by `_simplest`.  When some
     K_k is a nonzero constant, only those are divisors and nothing is
-    sampled; otherwise each K_k is sampled as nonvanishing.
+    sampled; otherwise each K_k is sampled as nonvanishing.  ada is
+    alpha ^ dalpha, taken here unless given.
     """
-    w3 = wedge(alpha, d(alpha))
-    if w3.is_structurally_zero():
+    ada = wedge(alpha, d(alpha)) if ada is None else ada
+    if ada.is_structurally_zero():
         raise EngelError("alpha ^ dalpha vanishes identically")
-    K = kernel_line(w3)
+    K = kernel_line(ada)
     comps = list(map(ex.cleanup, K.comps))
     pivots = [c for c in comps if _unit(c)] or [
         c for c in comps if nonvanishing([c], space.coord_ranges, policy).ok]
@@ -103,7 +107,7 @@ def _unit(c):
     return not ex.is_zero(c) and ex.is_constant(c)
 
 
-def reeb_pair(space, alpha, beta, policy):
+def reeb_pair(space, alpha, beta, policy, db=None):
     """The transverse pair: T spans the dbeta-characteristic direction of
     the span plane field, R the alpha-normalized one.
 
@@ -113,9 +117,10 @@ def reeb_pair(space, alpha, beta, policy):
     T = K_T / beta(K_T) and R = K_R / alpha(K_R) for the kernel lines of
     alpha ^ dbeta and beta ^ dbeta; the normalizers are minus and plus the
     density of alpha ^ beta ^ dbeta, nonvanishing by the span condition.
-    alpha(T) = 0 and beta(R) = 0 hold identically.
+    alpha(T) = 0 and beta(R) = 0 hold identically.  db is dbeta, taken
+    here unless given.
     """
-    db = d(beta)
+    db = d(beta) if db is None else db
     return tuple(normalized_kernel_line(w, theta, policy,
                                         f"transverse direction {name}",
                                         EngelError)
@@ -171,21 +176,23 @@ def analyze(space, alpha, beta, policy, W=None, X=None):
     derived from scratch when absent.  They are then rescaled to W' = u W
     and X' = v X with beta([W',X']) = 1 and alpha([X',T]) = 1; W' is
     independent of the admissible W and X.  A failed precondition raises
-    EngelError `<step>: <verdict>`.
+    EngelError `<step>: <verdict>`.  dalpha, dbeta and alpha ^ dalpha are
+    taken once and passed to each step.
     """
     ranges = space.coord_ranges
-    defining = check_defining_forms(space, alpha, beta, policy)
+    ada, db = wedge(alpha, d(alpha)), d(beta)
+    defining = check_defining_forms(space, alpha, beta, policy, ada, db)
     if W is not None:
-        zero(interior(W, wedge(alpha, d(alpha))), ranges, policy).require(
+        zero(interior(W, ada), ranges, policy).require(
             "W hint not in ker(alpha ^ dalpha)", EngelError)
     else:
-        W = characteristic_field(space, alpha, policy)
+        W = characteristic_field(space, alpha, policy, ada)
     if X is not None:
         zero([pair(alpha, X), pair(beta, X)], ranges, policy).require(
             "X hint not in ker alpha ∩ ker beta", EngelError)
     else:
         X = complement_field(space, alpha, beta, W)
-    T, R = reeb_pair(space, alpha, beta, policy)
+    T, R = reeb_pair(space, alpha, beta, policy, db)
     nonvanishing([ex.cleanup(determinant([W, X, T, R]))], ranges,
                  policy).require("framing det(W, X, T, R)", EngelError)
     c_wx = ex.cleanup(pair(beta, bracket(W, X)))

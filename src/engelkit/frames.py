@@ -11,6 +11,7 @@ brackets between coordinate and invariant directions are zero.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations
 
 from . import expr as ex
@@ -82,6 +83,15 @@ class FrameSpace:
                 self.structure[(ia, ib)] = vec
             else:
                 self.structure[(ib, ia)] = tuple(-c for c in vec)
+        # the directions along which a scalar can have a nonzero derivative,
+        # and, per row k, the nonzero constants c of [e_i, e_j] = ... + c e_k
+        # in the order of `structure`
+        self.coord_dirs = tuple(i for i, kind in enumerate(self.kinds)
+                                if kind == "coord")
+        self.rows = tuple(tuple((i, j, vec[k])
+                                for (i, j), vec in self.structure.items()
+                                if vec[k])
+                          for k in range(self.dim))
 
     # -- construction helpers ----------------------------------------------
 
@@ -117,8 +127,8 @@ class FrameSpace:
         return ex.ZERO
 
     def lie_scalar(self, V, f):
-        terms = [ex.mul(v, df) for i, v in enumerate(V.comps)
-                 if not ex.is_zero(v)
+        terms = [ex.mul(v, df) for i in self.coord_dirs
+                 for v in (V.comps[i],) if not ex.is_zero(v)
                  for df in (self.dir_deriv(i, f),) if not ex.is_zero(df)]
         return ex.normalize(ex.add(*terms)) if terms else ex.ZERO
 
@@ -172,16 +182,6 @@ class DiffForm:
 
     def comp(self, idx):
         return self.comps.get(tuple(idx), ex.ZERO)
-
-    def comp_signed(self, idx):
-        """Component lookup with unsorted/duplicate indices allowed."""
-        idx = tuple(idx)
-        if len(set(idx)) != len(idx):
-            return ex.ZERO
-        order = tuple(sorted(idx))
-        sign = perm_sign([idx.index(i) for i in order])
-        c = self.comps.get(order, ex.ZERO)
-        return c if sign == 1 else ex.normalize(ex.mul(ex.rat(-1), c))
 
     def is_structurally_zero(self):
         return not self.comps
@@ -277,28 +277,87 @@ def perm_sign(perm):
 
 
 # ---------------------------------------------------------------------------
+# index tables: the index combinatorics of each calculus operation, worked
+# out once per shape (dimension and degrees) and shared by every space
+
+@cache
+def _signed_index(idx):
+    """(sorted idx, the sign of the sort), or (sorted idx, 0) when an index
+    repeats, so that w_idx = sign * w_(sorted idx)."""
+    order = tuple(sorted(idx))
+    if len(set(idx)) != len(idx):
+        return order, 0
+    return order, perm_sign([idx.index(i) for i in order])
+
+
+@cache
+def _wedge_table(n, p, q):
+    """Per increasing K of length p + q in range(n): K and its splits
+    (I, J, sign), K's positions taken for I in increasing order, with
+    e^I ^ e^J = sign e^K."""
+    out = []
+    for K in combinations(range(n), p + q):
+        splits = []
+        for pos in combinations(range(p + q), p):
+            rest = tuple(t for t in range(p + q) if t not in pos)
+            splits.append((tuple(K[t] for t in pos), tuple(K[t] for t in rest),
+                           perm_sign(pos + rest)))
+        out.append((K, tuple(splits)))
+    return tuple(out)
+
+
+@cache
+def _d_table(n, p):
+    """Per increasing J of length p + 1 in range(n): J, its derivative
+    terms (J[a], J without J[a], a odd) and its bracket terms
+    (J[a], J[b], J without J[a] and J[b], (-1)^(a+b)) for a < b."""
+    out = []
+    for J in combinations(range(n), p + 1):
+        derivs = tuple((J[a], J[:a] + J[a + 1:], a % 2 == 1)
+                       for a in range(p + 1))
+        pairs = tuple((J[a], J[b],
+                       tuple(x for t, x in enumerate(J) if t not in (a, b)),
+                       1 if (a + b) % 2 == 0 else -1)
+                      for a, b in combinations(range(p + 1), 2))
+        out.append((J, derivs, pairs))
+    return tuple(out)
+
+
+@cache
+def _interior_table(n, p):
+    """Per increasing J of length p - 1 in range(n): J and the terms
+    (i, sorted (i,) + J, sign) of the i not in J."""
+    return tuple((J, tuple((i,) + _signed_index((i,) + J) for i in range(n)
+                           if i not in J))
+                 for J in combinations(range(n), p - 1))
+
+
+@cache
+def _pair_table(p):
+    """Each permutation sigma of p slots with its sign."""
+    return tuple((sigma, perm_sign(sigma)) for sigma in permutations(range(p)))
+
+
+# ---------------------------------------------------------------------------
 # calculus
 
 def bracket(X, Y):
     """Lie bracket of vector fields in frame components; no zero term built."""
     sp = X.space
-    n = sp.dim
     xs, ys = X.comps, Y.comps
     comps = []
-    for k in range(n):
+    for k, row in enumerate(sp.rows):
         terms = []
-        for i in range(n):
+        for i in sp.coord_dirs:
             for a, b, sign in ((xs[i], ys[k], 1), (ys[i], xs[k], -1)):
                 if not (ex.is_zero(a) or ex.is_zero(b)):
                     db = sp.dir_deriv(i, b)
                     if not ex.is_zero(db):
                         terms.append(ex.mul(ex.rat(sign), a, db))
-        for (i, j), vec in sp.structure.items():
-            if not vec[k]:
-                continue
+        for i, j, c in row:
             for a, b, sign in ((xs[i], ys[j], 1), (xs[j], ys[i], -1)):
                 if not (ex.is_zero(a) or ex.is_zero(b)):
-                    terms.append(ex.mul(ex.rat(sign * vec[k]), a, b))
+                    terms.append(ex.mul(ex.rat(sign * c), a, b))
         comps.append(ex.add(*terms) if terms else ex.ZERO)
     return VectorField(sp, comps)
 
@@ -310,61 +369,64 @@ def d(w):
     p = w.degree
     if p >= n:
         return DiffForm(sp, p + 1, {})
+    comps = w.comps
     out = {}
-    for J in combinations(range(n), p + 1):
+    for J, derivs, pairs in _d_table(n, p):
         terms = []
-        for a in range(p + 1):
-            rest = J[:a] + J[a + 1:]
-            df = sp.dir_deriv(J[a], w.comp(rest))
-            if not ex.is_zero(df):
-                terms.append(df if a % 2 == 0 else ex.neg(df))
-        for a in range(p + 1):
-            for b in range(a + 1, p + 1):
-                vec = sp.cbr(J[a], J[b])
-                rest = tuple(x for t, x in enumerate(J) if t not in (a, b))
-                for m, cm in enumerate(vec):
-                    if cm:
-                        val = w.comp_signed((m,) + rest)
-                        if not ex.is_zero(val):
-                            sgn = 1 if (a + b) % 2 == 0 else -1
-                            terms.append(ex.mul(ex.rat(sgn * cm), val))
+        for i, rest, odd in derivs:
+            c = comps.get(rest)
+            if c is not None:
+                df = sp.dir_deriv(i, c)
+                if not ex.is_zero(df):
+                    terms.append(ex.neg(df) if odd else df)
+        for i, j, rest, sgn in pairs:
+            vec = sp.structure.get((i, j))
+            if vec is None:
+                continue
+            for m, cm in enumerate(vec):
+                if cm:
+                    order, sign = _signed_index((m,) + rest)
+                    val = comps.get(order) if sign else None
+                    if val is not None:
+                        terms.append(ex.mul(ex.rat(sign * sgn * cm), val))
         if terms:
             out[J] = ex.add(*terms)
     return DiffForm(sp, p + 1, out)
 
 
 def wedge(a, b):
-    sp = a.space
-    p, q = a.degree, b.degree
+    """Exterior product; a form stores only its nonzero components, so an
+    absent one is a zero factor and builds no term."""
+    ac, bc = a.comps, b.comps
     out = {}
-    for K in combinations(range(sp.dim), p + q):
+    for K, splits in _wedge_table(a.space.dim, a.degree, b.degree):
         terms = []
-        for pos in combinations(range(p + q), p):
-            I = tuple(K[t] for t in pos)
-            J = tuple(K[t] for t in range(p + q) if t not in pos)
-            ca = a.comp(I)
-            cb = b.comp(J)
-            if ex.is_zero(ca) or ex.is_zero(cb):
+        for I, J, sign in splits:
+            ca = ac.get(I)
+            cb = bc.get(J)
+            if ca is None or cb is None:
                 continue
-            sgn = perm_sign([K.index(x) for x in I + J])
             term = ex.mul(ca, cb)
-            terms.append(term if sgn == 1 else ex.neg(term))
+            terms.append(term if sign == 1 else ex.neg(term))
         if terms:
             out[K] = ex.add(*terms)
-    return DiffForm(sp, p + q, out)
+    return DiffForm(a.space, a.degree + b.degree, out)
 
 
 def interior(V, w):
     sp = w.space
     if w.degree == 0:
         raise FrameError("cannot contract a scalar")
+    comps = w.comps
     out = {}
-    for J in combinations(range(sp.dim), w.degree - 1):
+    for J, slots in _interior_table(sp.dim, w.degree):
         terms = []
-        for i in range(sp.dim):
-            val = w.comp_signed((i,) + J)
-            if not (ex.is_zero(val) or ex.is_zero(V.comps[i])):
-                terms.append(ex.mul(V.comps[i], val))
+        for i, order, sign in slots:
+            v = V.comps[i]
+            c = comps.get(order)
+            if c is not None and not ex.is_zero(v):
+                term = ex.mul(v, c)
+                terms.append(term if sign == 1 else ex.neg(term))
         if terms:
             out[J] = ex.add(*terms)
     return DiffForm(sp, w.degree - 1, out)
@@ -373,14 +435,14 @@ def interior(V, w):
 def pair(w, *fields):
     """Full pairing w(V_1, ..., V_p) as a scalar."""
     assert len(fields) == w.degree
-    sp = w.space
+    cols = [f.comps for f in fields]
     terms = []
     for I, c in w.comps.items():
-        for sigma in permutations(range(w.degree)):
-            prod = [fields[slot].comps[I[t]] for slot, t in enumerate(sigma)]
+        for sigma, sign in _pair_table(w.degree):
+            prod = [cols[slot][I[t]] for slot, t in enumerate(sigma)]
             if not any(map(ex.is_zero, prod)):
                 term = ex.mul(c, *prod)
-                terms.append(term if perm_sign(sigma) == 1 else ex.neg(term))
+                terms.append(term if sign == 1 else ex.neg(term))
     return ex.normalize(ex.add(*terms)) if terms else ex.ZERO
 
 

@@ -11,6 +11,7 @@ human-readable output.
 """
 
 import importlib.util
+import os
 import sys
 import time
 from fractions import Fraction
@@ -550,7 +551,7 @@ class RunReport:
 
 
 def run_manifest(mf, policy):
-    report = RunReport(mf.path.rsplit("/", 1)[-1], policy)
+    report = RunReport(os.path.basename(mf.path), policy)
     outputs = report.outputs
     for task in mf.tasks:
         res = TaskResult(task.name, task.op)

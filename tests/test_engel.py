@@ -3,8 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from engelkit import engel, sampling
 from engelkit import expr as ex
-from engelkit import sampling
 from engelkit.engel import (EngelError, analyze, characteristic_field,
                             check_defining_forms, complement_field,
                             dbeta2_criterion, identity_suite,
@@ -244,6 +244,32 @@ def test_torus_analyze_without_hints(policy):
     assert data.table["c_WX"] == ex.ONE
     assert data.table["a_XT"] == ex.ONE
     assert data.table["d_XT"] == ex.ONE
+
+
+@pytest.mark.parametrize("hinted", [True, False])
+def test_analyze_differentiates_the_pair_once(hinted, policy, monkeypatch):
+    """dalpha, dbeta and alpha ^ dalpha are each taken once per analyze,
+    whether W and X are hinted or derived."""
+    sp = torus_space()
+    alpha, beta = torus_forms(sp)
+    hints = dict(zip("WX", torus_framing_hints(sp))) if hinted else {}
+    da = d(alpha)
+    derived, wedged = [], []
+
+    def counting_d(w):
+        derived.append(w)
+        return d(w)
+
+    def counting_wedge(a, b):
+        wedged.append((a, b))
+        return wedge(a, b)
+
+    monkeypatch.setattr(engel, "d", counting_d)
+    monkeypatch.setattr(engel, "wedge", counting_wedge)
+    analyze(sp, alpha, beta, policy, **hints)
+    assert [w.degree for w in derived] == [1, 1]
+    assert [(a, b) for a, b in wedged if a == alpha and b == da] == \
+        [(alpha, da)]
 
 
 def test_bad_hint_rejected(policy):

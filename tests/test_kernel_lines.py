@@ -97,8 +97,8 @@ def derived():
     R_eta) of each contact thickening, as the manifests derive them."""
     pairs, thickenings = [], []
 
-    def recording_pair(space, alpha, beta, policy):
-        T, R = reeb_pair(space, alpha, beta, policy)
+    def recording_pair(space, alpha, beta, policy, db):
+        T, R = reeb_pair(space, alpha, beta, policy, db)
         pairs.append((space, alpha, beta, T, R))
         return T, R
 
@@ -147,13 +147,20 @@ def values(exprs, env):
     return np.array([ex.evaluate(e, env) for e in exprs])
 
 
+def signed_value(w, idx, env):
+    """w on an unsorted index tuple at a point: 0 on a repeated index, else
+    the sorted component times (-1)^(inversions of idx)."""
+    if len(set(idx)) < len(idx):
+        return 0.0
+    inversions = sum(a > b for a, b in combinations(idx, 2))
+    return (-1) ** inversions * ex.evaluate(w.comp(sorted(idx)), env)
+
+
 def interior_rows(w, env):
     """The matrix of V -> i_V w at a point, one row per (p-1)-index."""
     n = w.space.dim
-    rows = []
-    for J in combinations(range(n), w.degree - 1):
-        rows.append(values([w.comp_signed((i,) + J) for i in range(n)], env))
-    return rows
+    return [np.array([signed_value(w, (i,) + J, env) for i in range(n)])
+            for J in combinations(range(n), w.degree - 1)]
 
 
 def least_squares(rows, rhs):

@@ -40,6 +40,15 @@ metric = g
 """)
 
 
+def test_a_manifest_loaded_from_a_path_reports_as_from_a_string():
+    path = ROOT / "corpus" / "nil4.ek"
+    policy = SamplingPolicy(seed=0, n_samples=16)
+    by_path = run_manifest(load_manifest(path), policy).machine_text()
+    assert "\nmanifest nil4.ek\n" in by_path
+    assert by_path == run_manifest(load_manifest(str(path)),
+                                   policy).machine_text()
+
+
 def triple_lines(mf):
     report = run_manifest(mf, SamplingPolicy(seed=0, n_samples=32))
     res = next(r for r in report.results if r.name == "triple")

@@ -31,7 +31,7 @@ from .sampling import failed, nonvanishing
 
 
 def _certified(kd, Z, policy, rank, not_reeb, where, direction):
-    """The tail both bundle constructions share.
+    """The tail every bundle construction shares.
 
     Z must be the Reeb direction of kd with every K-Engel invariant, and
     pass the triple check for the metric making the framing orthonormal.
@@ -215,8 +215,9 @@ def torus_family(rows, policy):
     rank = span_rank([[minor(matrix, (0, 1, 3), every[:k] + every[k + 1:],
                              memo) for k in range(4)]])
     data = standard_torus(policy)
-    g = orthonormal_metric(data)
-    return KEngelData(data, g, data.R, rank=rank), rank
+    return _certified(data, data.R, policy, rank,
+                      not_reeb="Reeb direction is not R",
+                      where="the standard torus", direction="Reeb"), rank
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +259,7 @@ def filling_check(kdata, policy):
     report["induced pair annihilates the plane"] = zero(
         [pair(form, V) for form in (induced_alpha, boundary)
          for V in (data.W, data.X)], ranges, policy)
-    even = wedge(data.alpha, d(data.alpha))
+    even = wedge(data.alpha, data.dalpha)
     report["alpha even contact"] = nonzero(even.cleanup(), ranges, policy)
     report["flag"] = zero(wedge(even, data.beta), ranges, policy)
     report["preserves boundary contact volume"] = zero(

@@ -25,7 +25,7 @@ from math import lcm, prod
 from . import expr as ex
 from .engel import analyze
 from .frames import FrameSpace, dual_coframe, jacobi_residuals
-from .kengel import KEngelData, kengel_check, kengel_invariants
+from .kengel import kengel_check, kengel_invariants
 from .metric import orthonormal_metric
 from .qfield import clear_denominators, rational_rank, reduce_rows
 from .sampling import SamplingPolicy, failed
@@ -332,7 +332,7 @@ def geometry_row(name, params=None, policy=None):
     R_field = data.space.field([ex.rat(c) for c in search["R"]])
     row["triple_ok"] = not failed(kengel_check(data, g, R_field, policy))
     row["invariants_ok"] = not failed(kengel_invariants(data, policy))
-    row["data"] = KEngelData(data, g, R_field)
+    row["data"] = data
     return row
 
 

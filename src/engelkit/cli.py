@@ -91,7 +91,7 @@ def geometry_manifest(row):
                   "", "[task commutes]", "op = commutant", "set = W X",
                   "expect = commutant_dim 0"]
         return "\n".join(lines) + "\n"
-    data = row["data"].data
+    data = row["data"]
     lines += ["", "[field R]",
               f"comps = {_vec_line(row['search']['R'])}",
               "", "[form alpha]", f"comps = {fmt_form(data.alpha)}",
@@ -112,6 +112,17 @@ def geometry_manifest(row):
 # ---------------------------------------------------------------------------
 # subcommands
 
+def write_file(path, text):
+    """Write text to path; False, with an error line, if it cannot."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as err:
+        print(f"error: cannot write {path}: {err.strerror}", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_run(args):
     from .manifest import ManifestError, load_manifest
     from .report import run_manifest
@@ -124,12 +135,11 @@ def cmd_run(args):
                             abs_tol=args.tol)
     report = run_manifest(mf, policy)
     sys.stdout.write(report.human_text())
-    if args.machine_out:
-        with open(args.machine_out, "w", encoding="utf-8") as fh:
-            fh.write(report.machine_text())
+    written = (not args.machine_out
+               or write_file(args.machine_out, report.machine_text()))
     if report.reference_error is not None:
         print(f"error: {report.reference_error}", file=sys.stderr)
-    return report.exit_code
+    return report.exit_code if written else 2
 
 
 def cmd_catalog(args):
@@ -145,9 +155,8 @@ def cmd_catalog(args):
         if args.emit_manifest:
             if args.geometry is None:
                 raise CatalogError("--emit-manifest needs --geometry")
-            text = geometry_manifest(rows[0])
-            with open(args.emit_manifest, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            if not write_file(args.emit_manifest, geometry_manifest(rows[0])):
+                return 2
             print(f"wrote {args.emit_manifest}")
             return 0
     except CatalogError as err:

@@ -26,35 +26,35 @@ class EngelError(ex.CheckError):
     pass
 
 
-def check_defining_forms(space, alpha, beta, policy, ada=None, db=None):
+def check_defining_forms(space, alpha, beta, policy):
     """The three pointwise conditions on a defining pair.
 
     nonintegrability: alpha ^ dalpha has no zeros
     span:             alpha ^ beta ^ dbeta has no zeros
     flag:             alpha ^ dalpha ^ beta vanishes identically
 
-    ada and db are alpha ^ dalpha and dbeta, taken here unless given.
+    Returns the verdicts and the forms they are read from, each taken
+    once: (dalpha, dbeta, alpha ^ dalpha, alpha ^ beta).
     """
-    ada = wedge(alpha, d(alpha)) if ada is None else ada
-    db = d(beta) if db is None else db
+    da, db = d(alpha), d(beta)
+    ada, ab = wedge(alpha, da), wedge(alpha, beta)
     ranges = space.coord_ranges
     return {
         "nonintegrability": nonzero(ada, ranges, policy),
-        "span": nonzero(wedge(wedge(alpha, beta), db), ranges, policy),
+        "span": nonzero(wedge(ab, db), ranges, policy),
         "flag": zero(wedge(ada, beta), ranges, policy),
-    }
+    }, (da, db, ada, ab)
 
 
-def characteristic_field(space, alpha, policy, ada=None):
+def characteristic_field(space, ada, policy):
     """Span of ker(alpha ^ dalpha), normalized to a unit component.
 
     Each component K_k of K = kernel_line(alpha ^ dalpha) that vanishes
     nowhere gives a candidate K / K_k, ranked by `_simplest`.  When some
     K_k is a nonzero constant, only those are divisors and nothing is
     sampled; otherwise each K_k is sampled as nonvanishing.  ada is
-    alpha ^ dalpha, taken here unless given.
+    alpha ^ dalpha.
     """
-    ada = wedge(alpha, d(alpha)) if ada is None else ada
     if ada.is_structurally_zero():
         raise EngelError("alpha ^ dalpha vanishes identically")
     K = kernel_line(ada)
@@ -66,18 +66,17 @@ def characteristic_field(space, alpha, policy, ada=None):
     return _simplest(K.scale(ex.div(ex.ONE, c)).cleanup() for c in pivots)
 
 
-def complement_field(space, alpha, beta, W):
+def complement_field(space, ab, W):
     """A direction X with alpha(X) = beta(X) = 0, independent of W.
 
-    X is the kernel line K of alpha ^ beta ^ gamma for a 1-form gamma with
-    gamma(W) != 0, so gamma(K) = 0 keeps K off the line of W.  gamma runs
-    over the frame legs e^k whose W_k is a nonzero constant, or is
-    W♭ = sum_i W_i e^i, with W♭(W) = |W|^2 > 0, when there is none.  K is
-    divided by its first nonzero constant component if it has one; no
-    step samples, and a K that vanishes somewhere is left to analyze's
-    determinant check.  The candidates are ranked by `_simplest`.
+    X is the kernel line K of ab ^ gamma, for ab = alpha ^ beta and a
+    1-form gamma with gamma(W) != 0, so gamma(K) = 0 keeps K off the line
+    of W.  gamma runs over the frame legs e^k whose W_k is a nonzero
+    constant, or is W♭ = sum_i W_i e^i, with W♭(W) = |W|^2 > 0, when there
+    is none.  K is divided by its first nonzero constant component if it
+    has one; no step samples, and a K that vanishes somewhere is left to
+    analyze's determinant check.  The candidates are ranked by `_simplest`.
     """
-    ab = wedge(alpha, beta)
     gammas = [space.form(1, {(k,): ex.ONE})
               for k, c in enumerate(map(ex.cleanup, W.comps)) if _unit(c)]
     candidates = []
@@ -107,7 +106,7 @@ def _unit(c):
     return not ex.is_zero(c) and ex.is_constant(c)
 
 
-def reeb_pair(space, alpha, beta, policy, db=None):
+def reeb_pair(space, alpha, beta, db, policy):
     """The transverse pair: T spans the dbeta-characteristic direction of
     the span plane field, R the alpha-normalized one.
 
@@ -117,10 +116,8 @@ def reeb_pair(space, alpha, beta, policy, db=None):
     T = K_T / beta(K_T) and R = K_R / alpha(K_R) for the kernel lines of
     alpha ^ dbeta and beta ^ dbeta; the normalizers are minus and plus the
     density of alpha ^ beta ^ dbeta, nonvanishing by the span condition.
-    alpha(T) = 0 and beta(R) = 0 hold identically.  db is dbeta, taken
-    here unless given.
+    alpha(T) = 0 and beta(R) = 0 hold identically.  db is dbeta.
     """
-    db = d(beta) if db is None else db
     return tuple(normalized_kernel_line(w, theta, policy,
                                         f"transverse direction {name}",
                                         EngelError)
@@ -145,15 +142,18 @@ def bracket_table(framing):
 
 
 class EngelData:
-    """A defining pair with its adapted framing (W, X, T, R), built once,
-    and the framing's brackets and bracket table; u and v rescaled the
-    derived W and X, and c_WX_raw is beta([W, X]) before the rescaling."""
+    """A defining pair with its differentials dalpha and dbeta, its
+    adapted framing (W, X, T, R), built once, and the framing's brackets
+    and bracket table; u and v rescaled the derived W and X, and c_WX_raw
+    is beta([W, X]) before the rescaling."""
 
-    def __init__(self, space, alpha, beta, W, X, T, R, u, v, c_WX_raw,
-                 defining, brackets, table):
+    def __init__(self, space, alpha, beta, dalpha, dbeta, W, X, T, R, u, v,
+                 c_WX_raw, defining, brackets, table):
         self.space = space
         self.alpha = alpha
         self.beta = beta
+        self.dalpha = dalpha
+        self.dbeta = dbeta
         self.W = W
         self.X = X
         self.T = T
@@ -176,23 +176,23 @@ def analyze(space, alpha, beta, policy, W=None, X=None):
     derived from scratch when absent.  They are then rescaled to W' = u W
     and X' = v X with beta([W',X']) = 1 and alpha([X',T]) = 1; W' is
     independent of the admissible W and X.  A failed precondition raises
-    EngelError `<step>: <verdict>`.  dalpha, dbeta and alpha ^ dalpha are
-    taken once and passed to each step.
+    EngelError `<step>: <verdict>`.  Each step gets the forms
+    check_defining_forms took once; dalpha and dbeta stay on the result.
     """
     ranges = space.coord_ranges
-    ada, db = wedge(alpha, d(alpha)), d(beta)
-    defining = check_defining_forms(space, alpha, beta, policy, ada, db)
+    defining, (da, db, ada, ab) = check_defining_forms(space, alpha, beta,
+                                                       policy)
     if W is not None:
         zero(interior(W, ada), ranges, policy).require(
             "W hint not in ker(alpha ^ dalpha)", EngelError)
     else:
-        W = characteristic_field(space, alpha, policy, ada)
+        W = characteristic_field(space, ada, policy)
     if X is not None:
         zero([pair(alpha, X), pair(beta, X)], ranges, policy).require(
             "X hint not in ker alpha ∩ ker beta", EngelError)
     else:
-        X = complement_field(space, alpha, beta, W)
-    T, R = reeb_pair(space, alpha, beta, policy, db)
+        X = complement_field(space, ab, W)
+    T, R = reeb_pair(space, alpha, beta, db, policy)
     nonvanishing([ex.cleanup(determinant([W, X, T, R]))], ranges,
                  policy).require("framing det(W, X, T, R)", EngelError)
     c_wx = ex.cleanup(pair(beta, bracket(W, X)))
@@ -206,7 +206,7 @@ def analyze(space, alpha, beta, policy, W=None, X=None):
     for name, key in (("beta([W',X'])", "c_WX"), ("alpha([X',T])", "d_XT")):
         zero([ex.add(table[key], ex.rat(-1))], ranges, policy).require(
             f"{name} != 1 after rescaling", EngelError)
-    return EngelData(space, alpha, beta, W, X, T, R, u, v, c_wx,
+    return EngelData(space, alpha, beta, da, db, W, X, T, R, u, v, c_wx,
                      defining, brackets, table)
 
 
@@ -273,12 +273,11 @@ def integrability_report(data, policy):
     sp = data.space
     W, X, T, R = data.framing()
     c_tr = data.table["c_TR"]
-    db = d(data.beta)
     ranges = sp.coord_ranges
     out = {"c_TR matches dbeta(R,T)": zero(
-        [ex.add(pair(db, R, T), ex.neg(c_tr))], ranges, policy)}
+        [ex.add(pair(data.dbeta, R, T), ex.neg(c_tr))], ranges, policy)}
     # the plane field span(T, R) is the kernel of dbeta + c_TR beta ^ alpha
-    omega = db + wedge(data.beta, data.alpha).scale(c_tr)
+    omega = data.dbeta + wedge(data.beta, data.alpha).scale(c_tr)
     for name, V in (("T", T), ("R", R)):
         out[f"kernel contains {name}"] = zero(interior(V, omega), ranges,
                                               policy)
@@ -391,8 +390,7 @@ def rho_criterion(data, policy):
     W, X, T, R = data.framing()
     ranges = sp.coord_ranges
     out = {}
-    da = d(data.alpha)
-    out["dalpha^2"] = zero(wedge(da, da), ranges, policy)
+    out["dalpha^2"] = zero(wedge(data.dalpha, data.dalpha), ranges, policy)
     out["beta + X(alpha)"] = zero(data.beta + lie_form(X, data.alpha),
                                   ranges, policy)
     rho = dual_coframe([W, X, T, R])[0]

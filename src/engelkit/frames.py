@@ -28,7 +28,8 @@ class FrameSpace:
     entries: sequence of ("coord", name, lo, hi) and ("lie", name) tuples,
              in frame order.
     brackets: {(nameA, nameB): [n rational components]} for invariant pairs,
-              kept in `structure` as a `rat` keeps them: ints when integral.
+              kept in `structure` under index pairs (i, j) with i < j, as
+              a `rat` keeps them: ints when integral.
               Construction does not check the Jacobi identity: the manifest
               parser rejects a space that fails it, and the catalog reports
               it through `catalog.jacobi_check`.
@@ -67,7 +68,6 @@ class FrameSpace:
         self.index = {n: i for i, n in enumerate(self.names)}
         self._coords = [name for name, *_ in self.coord_ranges]
         self.structure = {}
-        self._zero = (0,) * self.dim   # [e_i, e_j] when not stored
         for (a, b), comps in (brackets or {}).items():
             ia, ib = self.index[a], self.index[b]
             if self.kinds[ia] != "lie" or self.kinds[ib] != "lie":
@@ -113,12 +113,6 @@ class FrameSpace:
         return VectorField(self, comps)
 
     # -- structure ----------------------------------------------------------
-
-    def cbr(self, i, j):
-        """Constant bracket [e_i, e_j] as a tuple of ints and Fractions."""
-        if i <= j:
-            return self.structure.get((i, j), self._zero)
-        return tuple(-c for c in self.structure.get((j, i), self._zero))
 
     def dir_deriv(self, i, f):
         """Derivative of a scalar along frame direction i."""
@@ -251,16 +245,20 @@ def jacobi_residuals(space):
     direction commutes with every frame direction, so no other triple can
     fail.  Returns ((a, b, c), sum) pairs in triple order.
     """
+    st = space.structure
     lie = [i for i, kind in enumerate(space.kinds) if kind == "lie"]
     out = []
     for i, j, k in combinations(lie, 3):
         total = [0] * space.dim
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, cm in enumerate(space.cbr(b, c)):
-                if cm:
-                    outer = space.cbr(a, m)
-                    for r in range(space.dim):
-                        total[r] += cm * outer[r]
+        # [e_j, e_k] = st[j, k], [e_k, e_i] = -st[i, k], [e_i, e_j] = st[i, j]
+        for a, inner, sign in ((i, (j, k), 1), (j, (i, k), -1),
+                               (k, (i, j), 1)):
+            for m, cm in enumerate(st.get(inner, ())):
+                outer = st.get((a, m) if a < m else (m, a))
+                if cm and outer:
+                    coeff = cm * (sign if a < m else -sign)
+                    for r, c in enumerate(outer):
+                        total[r] += coeff * c
         if any(total):
             out.append(((i, j, k), total))
     return out

@@ -12,7 +12,7 @@ with it, and the table entries are constant along its orbits.
 
 from . import expr as ex
 from .engel import analyze
-from .frames import bracket, d, lie_form, pair, wedge, zero
+from .frames import bracket, lie_form, pair, wedge, zero
 from .metric import killing_report
 from .sampling import failed, nonvanishing
 
@@ -33,7 +33,7 @@ def require_all(verdicts, what):
 
 
 class KEngelData:
-    """An analyzed pair whose Reeb direction is the distinguished field.
+    """An analyzed pair, metric g and field Z that passed the triple check.
 
     rank, when known, is the dimension of the torus closing up the Z-orbits
     (1 for circle fibres); filling checks require rank 1.
@@ -46,14 +46,13 @@ class KEngelData:
         self.rank = rank
 
 
-def form_conditions(space, alpha, beta, policy):
+def form_conditions(data, policy):
     """The three closedness conditions the good defining pair satisfies."""
-    da = d(alpha)
-    db = d(beta)
-    return {name: zero(form, space.coord_ranges, policy)
+    da, db = data.dalpha, data.dbeta
+    return {name: zero(form, data.space.coord_ranges, policy)
             for name, form in (("d(alpha)^2", wedge(da, da)),
                                ("d(beta)^2", wedge(db, db)),
-                               ("beta ^ d(alpha)", wedge(beta, da)))}
+                               ("beta ^ d(alpha)", wedge(data.beta, da)))}
 
 
 def kengel_invariants(data, policy):
@@ -67,7 +66,7 @@ def kengel_invariants(data, policy):
     ranges = sp.coord_ranges
     R = data.R
     t = data.table
-    out = dict(form_conditions(sp, data.alpha, data.beta, policy))
+    out = dict(form_conditions(data, policy))
     for pq in ("WR", "XR", "TR"):
         out[f"[{pq[0]},{pq[1]}]"] = zero(data.brackets[pq], ranges, policy)
     for key in ("a_WX", "a_WT", "b_WT", "a_XT"):
@@ -108,21 +107,21 @@ def certify(kd, Z, policy, not_reeb, where):
     require_all(kengel_invariants(kd, policy), f"invariants fail on {where}")
 
 
-def kengel_framing(data, g, Z, policy, rank=None):
-    """Defining forms and framing adapted to the distinguished field Z.
+def kengel_framing(kd, policy):
+    """Defining forms and framing adapted to the field Z of a triple kd.
 
     alpha is rescaled so alpha(Z) = 1, beta is rebuilt as -L_X alpha, and
     the re-analyzed pair must have Reeb direction Z and satisfy every
-    K-Engel invariant.  rank is carried over to the result.
+    K-Engel invariant.  The metric and rank are carried over.
     """
-    require_all(kengel_check(data, g, Z, policy), "the triple check fails")
+    data, Z = kd.data, kd.Z
     sp = data.space
     a = ex.cleanup(pair(data.alpha, Z))
     nonvanishing([a], sp.coord_ranges, policy).require(
         f"alpha(Z) = {ex.to_str(a)}", KEngelError, ["alpha(Z)"])
     alpha1 = data.alpha.scale(ex.div(ex.ONE, a)).cleanup()
     beta1 = lie_form(data.X, alpha1).scale(ex.rat(-1)).cleanup()
-    kd = analyze(sp, alpha1, beta1, policy, W=data.W, X=data.X)
-    certify(kd, Z, policy, "Reeb direction of the rebuilt pair is not Z",
+    rebuilt = analyze(sp, alpha1, beta1, policy, W=data.W, X=data.X)
+    certify(rebuilt, Z, policy, "Reeb direction of the rebuilt pair is not Z",
             "the rebuilt pair")
-    return KEngelData(kd, g, Z, rank=rank)
+    return KEngelData(rebuilt, kd.g, Z, rank=kd.rank)

@@ -360,6 +360,6 @@ def load_manifest(path):
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ManifestError(f"cannot read manifest: {err}")
     return parse_manifest(text, path)

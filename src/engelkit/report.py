@@ -1,8 +1,8 @@
 """Run a manifest's tasks and build deterministic reports.
 
 Each task produces outcome tokens (matched against the manifest's expect
-lines), report lines (rendered verdicts and derived objects), and an
-optional output object later tasks can reference by task name.
+lines), report lines (rendered verdicts and derived objects), and, when its
+construction passed, an output object later tasks reference by task name.
 
 The machine-readable report is line-oriented with a versioned header and
 a stable field order; given the same manifest and seed, two runs emit
@@ -20,13 +20,12 @@ from . import expr as ex
 from .bundles import (T2_FIBRE, boothby_wang, filling_check,
                       t2_bundle_condition, torus_family)
 from .contact import contactization_report
-from .engel import (EngelData, EngelError, analyze, dbeta2_criterion,
-                    identity_suite, integrability_report, rho_criterion,
-                    transform_forms)
+from .engel import (EngelError, analyze, dbeta2_criterion, identity_suite,
+                    integrability_report, rho_criterion, transform_forms)
 from .expr import CheckError, ExprError
 from .frames import fmt_field, fmt_form, zero
 from .kengel import (KEngelData, KEngelError, kengel_check, kengel_framing,
-                     kengel_invariants)
+                     kengel_invariants, require_all)
 from .manifest import ManifestError
 from .metric import (bracket_pattern_report, orthonormal_metric,
                      tangency_report)
@@ -50,9 +49,15 @@ class TaskResult:
         self.op = op
         self.tokens = set()
         self.lines = []          # (kind, name, text)
-        self.output = None
+        self.output = None       # handed on only when the task passed
         self.expect_results = []  # (raw, matched)
         self.seconds = 0.0
+
+    @property
+    def pair(self):
+        """The analyzed pair in the output, alone or in a K-Engel triple."""
+        out = self.output
+        return out.data if isinstance(out, KEngelData) else out
 
     def token(self, *parts):
         self.tokens.add(" ".join(str(p) for p in parts if p != ""))
@@ -121,29 +126,36 @@ def _field(mf, task, key, optional=False):
     return _named(task, _need(task, key), mf.fields, "field")
 
 
-def _engel(out):
-    """The analyzed pair inside a task output."""
-    return out.data if isinstance(out, KEngelData) else out
+# every op that sets `res.output`: to a certified K-Engel triple, or a pair
+TRIPLE_OPS = ("kengel", "kframing", "lattice", "bw", "t2")
+PAIR_OPS = ("engel", "transform") + TRIPLE_OPS
 
 
-def _data(outputs, task, want=(EngelData, KEngelData)):
-    """The output of the task named by `data`, of a class in `want`."""
+def _data(results, task, triple=False):
+    """The pair, or with triple the K-Engel triple, that the earlier task
+    named by `data` handed on.  A name no earlier task has, or whose op hands
+    on no such object, is a manifest error; a failed task's fails as a
+    check, so an op reads its other arguments first."""
     name = _need(task, "data")
-    if name not in outputs:
+    prior = next((res for res in results if res.name == name), None)
+    if prior is None:
         raise ManifestError(f"task '{task.name}': no prior task '{name}'")
-    out = outputs[name]
-    if not isinstance(out, want):
+    if prior.op not in (TRIPLE_OPS if triple else PAIR_OPS):
         raise ManifestError(
             f"task '{task.name}': task '{name}' did not produce "
-            f"{' or '.join(cls.__name__ for cls in want)}")
-    return out
+            f"{'KEngelData' if triple else 'EngelData or KEngelData'}")
+    if prior.output is None:
+        raise CheckError(f"task '{name}' failed, so there is nothing to check")
+    return prior.output if triple else prior.pair
 
 
-def _metric(mf, task, data):
+def _data_metric(mf, task, results):
+    """The pair named by `data`, and the metric by `metric` or its own."""
     name = task.args.get("metric", "orthonormal")
-    if name == "orthonormal":
-        return orthonormal_metric(data)
-    return _named(task, name, mf.metrics, "metric")
+    g = None if name == "orthonormal" else _named(task, name, mf.metrics,
+                                                  "metric")
+    data = _data(results, task)
+    return data, g or orthonormal_metric(data)
 
 
 def _rational_vec(task, V):
@@ -178,7 +190,7 @@ def _scalar_arg(mf, task, key):
 # ---------------------------------------------------------------------------
 # operations
 
-def op_engel(mf, task, policy, outputs, res):
+def op_engel(mf, task, policy, results, res):
     if mf.space.dim != 4:
         raise ManifestError(f"task '{task.name}': needs a 4-dim space")
     alpha = _form(mf, task, "alpha", 1)
@@ -189,7 +201,7 @@ def op_engel(mf, task, policy, outputs, res):
         data = analyze(mf.space, alpha, beta, policy, W=W, X=X)
     except EngelError as err:
         # name the defining condition that broke, if one did
-        checks = check_defining_forms(mf.space, alpha, beta, policy)
+        checks, _ = check_defining_forms(mf.space, alpha, beta, policy)
         for name, v in checks.items():
             res.verdict(name, v)
         res.fail_tokens("engel_fail", failed(checks) or ["analysis"])
@@ -208,10 +220,8 @@ def op_engel(mf, task, policy, outputs, res):
     res.output = data
 
 
-def op_kengel(mf, task, policy, outputs, res):
-    data = _engel(_data(outputs, task))
+def op_kengel(mf, task, policy, results, res):
     Z = _field(mf, task, "Z")
-    g = _metric(mf, task, data)
     rank = task.args.get("rank")
     if rank is not None:
         if not (rank.isdecimal() and 1 <= int(rank) <= mf.space.dim):
@@ -219,6 +229,7 @@ def op_kengel(mf, task, policy, outputs, res):
                                 f"integer from 1 to {mf.space.dim}, got "
                                 f"{rank!r}")
         rank = int(rank)
+    data, g = _data_metric(mf, task, results)
     verdicts = kengel_check(data, g, Z, policy)
     killing = [v for name, v in verdicts.items()
                if name.startswith("Killing ")]
@@ -226,40 +237,37 @@ def op_kengel(mf, task, policy, outputs, res):
         if not name.startswith("Killing "):
             res.verdict(name, v)
     res.verdict("Killing equation", weakest(killing))
-    res.outcome("kengel", failed(verdicts))
+    require_all(verdicts, "the triple check fails")
+    res.token("kengel_pass")
     res.output = KEngelData(data, g, Z, rank=rank)
 
 
-def op_kframing(mf, task, policy, outputs, res):
-    kd = _data(outputs, task, want=(KEngelData,))
-    kdata = kengel_framing(kd.data, kd.g, kd.Z, policy, rank=kd.rank)
+def op_kframing(mf, task, policy, results, res):
+    kdata = kengel_framing(_data(results, task, triple=True), policy)
     res.token("kframing_pass")
     res.built(kdata)
 
 
-def op_kinvariants(mf, task, policy, outputs, res):
-    data = _engel(_data(outputs, task))
-    res.verdicts("invariants", kengel_invariants(data, policy))
+def op_kinvariants(mf, task, policy, results, res):
+    res.verdicts("invariants", kengel_invariants(_data(results, task),
+                                                 policy))
 
 
-def op_identities(mf, task, policy, outputs, res):
-    data = _engel(_data(outputs, task))
-    res.verdicts("identities", identity_suite(data, policy))
+def op_identities(mf, task, policy, results, res):
+    res.verdicts("identities", identity_suite(_data(results, task), policy))
 
 
-def op_contact(mf, task, policy, outputs, res):
-    data = _engel(_data(outputs, task))
-    verdicts, closed = contactization_report(data, policy)
+def op_contact(mf, task, policy, results, res):
+    verdicts, closed = contactization_report(_data(results, task), policy)
     res.verdicts("contact", verdicts)
     res.derived("closed form", fmt_field(closed))
 
 
-def op_geodesic(mf, task, policy, outputs, res):
-    data = _engel(_data(outputs, task))
+def op_geodesic(mf, task, policy, results, res):
     plane = task.args.get("plane", "D")
     if plane not in ("D", "R"):
         raise ManifestError(f"task '{task.name}': plane must be D or R")
-    g = _metric(mf, task, data)
+    data, g = _data_metric(mf, task, results)
     verdicts, exprs = tangency_report(data, g, plane, policy)
     for name, v in verdicts.items():
         res.verdict(name, v)
@@ -272,20 +280,19 @@ def op_geodesic(mf, task, policy, outputs, res):
         res.token("geodesic")
 
 
-def op_pattern(mf, task, policy, outputs, res):
-    data = _engel(_data(outputs, task))
-    res.verdicts("pattern", bracket_pattern_report(data, policy))
+def op_pattern(mf, task, policy, results, res):
+    res.verdicts("pattern", bracket_pattern_report(_data(results, task),
+                                                   policy))
 
 
-def op_dbeta2(mf, task, policy, outputs, res):
-    data = _engel(_data(outputs, task))
-    verdicts, mu = dbeta2_criterion(data, policy)
+def op_dbeta2(mf, task, policy, results, res):
+    verdicts, mu = dbeta2_criterion(_data(results, task), policy)
     res.verdicts("dbeta2", verdicts)
     res.derived("mu", ex.to_str(mu))
 
 
-def op_integrability(mf, task, policy, outputs, res):
-    data = _engel(_data(outputs, task))
+def op_integrability(mf, task, policy, results, res):
+    data = _data(results, task)
     report = integrability_report(data, policy)
     for name, v in report.items():
         res.verdict(name, v)
@@ -303,29 +310,27 @@ def op_integrability(mf, task, policy, outputs, res):
         res.token("integrable")
 
 
-def op_transform(mf, task, policy, outputs, res):
-    data = _engel(_data(outputs, task))
+def op_transform(mf, task, policy, results, res):
     moves = [key for key in ("lam", "mu", "nu") if key in task.args]
     if len(moves) != 1:
         raise ManifestError(f"task '{task.name}': transform needs exactly "
                             f"one of lam, mu, nu, got {len(moves)}")
-    new, checks = transform_forms(data, moves[0],
-                                  _scalar_arg(mf, task, moves[0]), policy)
+    by = _scalar_arg(mf, task, moves[0])
+    new, checks = transform_forms(_data(results, task), moves[0], by, policy)
     res.verdicts("transform", checks)
     res.derived("T", fmt_field(new.T))
     res.derived("R", fmt_field(new.R))
     res.output = new
 
 
-def op_rho(mf, task, policy, outputs, res):
-    data = _engel(_data(outputs, task))
-    verdicts, drho, drho_zero = rho_criterion(data, policy)
+def op_rho(mf, task, policy, results, res):
+    verdicts, drho, drho_zero = rho_criterion(_data(results, task), policy)
     res.verdicts("rho", verdicts)
     res.verdict("drho zero", drho_zero)
     res.derived("drho", fmt_form(drho))
 
 
-def op_commutant(mf, task, policy, outputs, res):
+def op_commutant(mf, task, policy, results, res):
     lie = _lie_algebra(mf, task)
     vecs = [_rational_vec(task, _named(task, name, mf.fields, "field"))
             for name in _need(task, "set").split()]
@@ -335,7 +340,7 @@ def op_commutant(mf, task, policy, outputs, res):
         res.derived(f"basis {i}", catalog.fmt_vec(lie.names, vec))
 
 
-def op_framing(mf, task, policy, outputs, res):
+def op_framing(mf, task, policy, results, res):
     lie = _lie_algebra(mf, task)
     W = _rational_vec(task, _field(mf, task, "W"))
     X = _rational_vec(task, _field(mf, task, "X"))
@@ -359,7 +364,7 @@ def op_framing(mf, task, policy, outputs, res):
         res.derived("certificate", search["certificate"])
 
 
-def op_lattice(mf, task, policy, outputs, res):
+def op_lattice(mf, task, policy, results, res):
     lattice = _named(task, _need(task, "lattice"), mf.lattices, "lattice")
     try:
         kdata, rank = torus_family(lattice, policy)
@@ -371,7 +376,7 @@ def op_lattice(mf, task, policy, outputs, res):
     res.output = kdata
 
 
-def op_bw(mf, task, policy, outputs, res):
+def op_bw(mf, task, policy, results, res):
     if mf.space.dim != 3:
         raise ManifestError(f"task '{task.name}': needs a 3-dim base space")
     lam = _form(mf, task, "lam", 1)
@@ -384,12 +389,12 @@ def op_bw(mf, task, policy, outputs, res):
     res.built(kdata)
 
 
-def op_filling(mf, task, policy, outputs, res):
-    kdata = _data(outputs, task, want=(KEngelData,))
-    res.verdicts("filling", filling_check(kdata, policy))
+def op_filling(mf, task, policy, results, res):
+    res.verdicts("filling", filling_check(_data(results, task, triple=True),
+                                          policy))
 
 
-def op_t2(mf, task, policy, outputs, res):
+def op_t2(mf, task, policy, results, res):
     if mf.space.dim != 2 or "lie" in mf.space.kinds:
         raise ManifestError(f"task '{task.name}': needs a 2-dim chart")
     f = _scalar_arg(mf, task, "f")
@@ -466,7 +471,7 @@ def match_expect(mf, raw, res, policy):
         if len(parts) < 4 or parts[2] != "=" or parts[1] not in tuple("WXTR"):
             raise ManifestError(f"bad expectation {raw!r}; usage: "
                                 f"reeb F = c1; c2; ...")
-        data = _engel(res.output)
+        data = res.pair
         if data is None or not hasattr(data, parts[1]):
             return False
         want_text = raw.split("=", 1)[1]
@@ -494,7 +499,6 @@ class RunReport:
         self.samples = policy.n_samples
         self.tol = policy.abs_tol
         self.results = []
-        self.outputs = {}
         self.reference_error = None
 
     @property
@@ -552,50 +556,41 @@ class RunReport:
 
 def run_manifest(mf, policy):
     report = RunReport(os.path.basename(mf.path), policy)
-    outputs = report.outputs
     for task in mf.tasks:
         res = TaskResult(task.name, task.op)
-        if task.op not in OPS:
-            report.reference_error = (f"{mf.path}:{task.lineno}: task "
-                                      f"'{task.name}': unknown op "
-                                      f"'{task.op}'")
-            break
-        task_policy = policy
-        if task.overrides:
-            task_policy = SamplingPolicy(
-                seed=policy.seed,
-                n_samples=task.overrides.get("samples", policy.n_samples),
-                abs_tol=task.overrides.get("tol", policy.abs_tol))
-        start = time.monotonic()
         try:
-            OPS[task.op](mf, task, task_policy, outputs, res)
-        except ManifestError as err:
-            report.reference_error = f"{mf.path}:{task.lineno}: {err}"
-            break
-        except KEngelError as err:
-            # a construction that cannot be built, whichever op tried
-            res.fail_tokens(f"{task.op}_fail", err.names)
-            res.derived("error", str(err))
-        except CheckError as err:
-            res.token("task_error")
-            res.token("task_error", type(err).__name__)
-            res.derived("error", str(err))
-        res.seconds = time.monotonic() - start
-        stray = task.args.unread()
-        if stray:
-            report.reference_error = (f"{mf.path}:{task.lineno}: task "
-                                      f"'{task.name}': op {task.op} takes "
-                                      f"no argument '{stray[0]}'")
-            break
-        outputs[task.name] = res.output
-        try:
+            if task.op not in OPS:
+                raise ManifestError(f"task '{task.name}': unknown op "
+                                    f"'{task.op}'")
+            task_policy = policy
+            if task.overrides:
+                task_policy = SamplingPolicy(
+                    seed=policy.seed,
+                    n_samples=task.overrides.get("samples", policy.n_samples),
+                    abs_tol=task.overrides.get("tol", policy.abs_tol))
+            start = time.monotonic()
+            try:
+                OPS[task.op](mf, task, task_policy, report.results, res)
+            except KEngelError as err:
+                # a construction that cannot be built, whichever op tried
+                res.fail_tokens(f"{task.op}_fail", err.names)
+                res.derived("error", str(err))
+            except CheckError as err:
+                res.token("task_error")
+                res.token("task_error", type(err).__name__)
+                res.derived("error", str(err))
+            res.seconds = time.monotonic() - start
+            stray = task.args.unread()
+            if stray:
+                raise ManifestError(f"task '{task.name}': op {task.op} "
+                                    f"takes no argument '{stray[0]}'")
             for raw in task.expects:
                 ok = match_expect(mf, raw, res, task_policy)
                 res.expect_results.append((raw, ok))
         except ManifestError as err:
             report.reference_error = f"{mf.path}:{task.lineno}: {err}"
-            break
+            break   # a reference error leaves the task out of the report
         if not task.expects and "task_error" in res.tokens:
             res.expect_results.append(("no unexpected error", False))
-        report.results.append(res)   # a reference error leaves it out
+        report.results.append(res)
     return report

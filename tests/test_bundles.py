@@ -43,7 +43,7 @@ def test_circle_product_keeps_brackets(policy):
     sp4 = thicken_space(su2_frame(), "t", 0, 1)
     assert sp4.dim == 4
     assert sp4.names == ["A", "B", "C", "t"]
-    assert list(sp4.cbr(0, 1)) == [0, 0, 1, 0]
+    assert list(sp4.structure[(0, 1)]) == [0, 0, 1, 0]
 
 
 def test_boothby_wang_invariant_frame(policy):
@@ -266,7 +266,7 @@ def test_flat_bundle_naive_twist_fails_flag(policy):
     sp = flat_bundle_space()
     alpha, beta = flat_bundle_forms(sp, 1, 0, "-cos(2*pi*v)",
                                     "-sin(2*pi*v)")
-    checks = check_defining_forms(sp, alpha, beta, policy)
+    checks, _ = check_defining_forms(sp, alpha, beta, policy)
     assert checks["nonintegrability"].ok
     assert checks["span"].ok
     assert not checks["flag"].ok

@@ -1,6 +1,7 @@
 """Exact checks for the invariant-geometry catalog."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -116,14 +117,20 @@ def test_commutant_shrinks_as_the_set_grows(vecs, keep, which):
         assert rational_rank(rows) == base or not small and not any(vec)
 
 
+def structure_constant(lie, i, j, k):
+    """The e_k-coefficient of [e_i, e_j], read from the i < j table."""
+    if i > j:
+        return -structure_constant(lie, j, i, k)
+    return lie.structure.get((i, j), (0,) * 4)[k]
+
+
 def dense_bracket_vec(lie, u, v):
     """[u, v] with every product of components built, zero or not."""
     out = [Fraction(0)] * 4
     for i, ui in enumerate(u):
         for j, vj in enumerate(v):
-            w = lie.cbr(i, j)
             for k in range(4):
-                out[k] += ui * vj * w[k]
+                out[k] += ui * vj * structure_constant(lie, i, j, k)
     return out
 
 
@@ -147,6 +154,21 @@ def test_bracket_vec_equals_the_dense_sum(brackets, u, v):
     (ui, su), (vi, sv) = clear_denominators(u), clear_denominators(v)
     want = [den * su * sv * c for c in dense_bracket_vec(lie, u, v)]
     assert bracket_vec(table, ui, vi) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(brackets=structures)
+def test_jacobi_check_equals_the_dense_cyclic_sum(brackets):
+    lie = algebra("ABCD", brackets)
+    want = []
+    for i, j, k in combinations(range(4), 3):
+        total = [sum(structure_constant(lie, b, c, m)
+                     * structure_constant(lie, a, m, r)
+                     for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
+                     for m in range(4)) for r in range(4)]
+        if any(total):
+            want.append((tuple("ABCD"[n] for n in (i, j, k)), total))
+    assert jacobi_check(lie) == (not want, want)
 
 
 def test_framing_search_product_geometry():
@@ -235,7 +257,7 @@ def test_catalog_outcome_vector(policy):
         if row["outcome"] == "+":
             assert row["triple_ok"], row["name"]
             assert row["invariants_ok"], row["name"]
-            table = rational_table(row["data"].data)
+            table = rational_table(row["data"])
             assert table == EXPECTED_TABLES[row["name"]], row["name"]
         else:
             assert row["certificate"] == "commutant is trivial"
@@ -259,7 +281,7 @@ def test_commutant_dimensions(policy):
 
 def test_exported_forms_weighted_translations(policy):
     row = geometry_row("sol_mn", {"c": (1, 0, -1)}, policy)
-    data = row["data"].data
+    data = row["data"]
     half = ex.rat(Fraction(1, 2))
     assert ex.normalize(ex.add(data.alpha.comp((0,)), half)) == ex.ZERO
     assert data.alpha.comp((1,)) == ex.ONE
@@ -269,7 +291,7 @@ def test_exported_forms_weighted_translations(policy):
 
 def test_exported_forms_match_nilpotent_fixture(policy, nil4):
     row = geometry_row("nil4", policy=policy)
-    data = row["data"].data
+    data = row["data"]
     for leg in range(4):
         assert ex.normalize(ex.add(
             data.alpha.comp((leg,)),
@@ -281,7 +303,7 @@ def test_exported_forms_match_nilpotent_fixture(policy, nil4):
 
 def test_hyperbolic_splitting_keeps_unit_scales(policy):
     row = geometry_row("sol1", policy=policy)
-    data = row["data"].data
+    data = row["data"]
     assert row["framing"]["R"] == "2*C"
     assert data.u == ex.ONE
     assert data.v == ex.ONE

@@ -510,11 +510,34 @@ expect = framing_rejected
 """, "search", ["task search :: framing", "token framing_rejected",
                 "derived error :: the plane span{W, X} does not "
                 "bracket-generate", "expect framing_rejected :: ok"]),
-    "kframing_fail": (NIL4_HEAD + """
+    "kengel_fail": (NIL4_HEAD + """
 [task triple]
 op = kengel
 data = structure
 Z = W
+expect = kengel_fail
+""", "triple", ["task triple :: kengel", "token kengel_fail",
+                "token kengel_fail Killing (B,D)",
+                "token kengel_fail [Z,X] stays in the plane",
+                "token kengel_fail g(Z,W)",
+                "verdict [Z,W] stays in the plane :: zero=exact",
+                "verdict [Z,X] stays in the plane :: zero=no value=1 at -",
+                "verdict g(Z,W) :: zero=no value=1 at -",
+                "verdict g(Z,X) :: zero=exact",
+                "verdict g(Z,[W,X]) :: zero=exact",
+                "verdict Killing equation :: zero=no value=1 at -",
+                "derived error :: the triple check fails: [Z,X] stays in "
+                "the plane, Killing (B,D), g(Z,W)",
+                "expect kengel_fail :: ok"]),
+    # Z = 0 passes the triple check, and the framing refuses it
+    "kframing_fail": (NIL4_HEAD + """
+[field Z]
+comps = 0; 0; 0; 0
+
+[task triple]
+op = kengel
+data = structure
+Z = Z
 rank = 1
 
 [task framing]
@@ -522,11 +545,8 @@ op = kframing
 data = triple
 expect = kframing_fail
 """, "framing", ["task framing :: kframing", "token kframing_fail",
-                 "token kframing_fail Killing (B,D)",
-                 "token kframing_fail [Z,X] stays in the plane",
-                 "token kframing_fail g(Z,W)",
-                 "derived error :: the triple check fails: [Z,X] stays in "
-                 "the plane, Killing (B,D), g(Z,W)",
+                 "token kframing_fail alpha(Z)",
+                 "derived error :: alpha(Z) = 0: nonvanishing=NO min=0 at -",
                  "expect kframing_fail :: ok"]),
     "lattice_error": (TORUS_HEAD + """[lattice L]
 gens = 2
@@ -624,6 +644,94 @@ def test_kframing_on_an_engel_task_exits_2(tmp_path, capsys):
     assert "task 'structure' did not produce KEngelData" in err
 
 
+def test_a_dependent_of_a_failed_triple_fails_as_a_check(tmp_path, capsys):
+    # the circle direction X fails the triple check, so the triple hands
+    # nothing on and the filling task has nothing to check
+    text = (ROOT / "corpus" / "torus.ek").read_text(
+        encoding="utf-8").replace("Z = R\n", "Z = X\n")
+    code, block = task_block(tmp_path, capsys, text, "fill")
+    assert code == 1
+    assert block == ["task fill :: filling", "token task_error",
+                     "token task_error CheckError",
+                     "derived error :: task 'triple' failed, so there is "
+                     "nothing to check",
+                     "expect filling_pass :: MISMATCH", "end fill"]
+
+
+def test_a_dependent_of_a_failed_transform_exits_1(tmp_path, capsys):
+    # lam = 0 leaves no defining pair to analyze
+    text = (ROOT / "corpus" / "torus.ek").read_text(encoding="utf-8") + """
+[task moved]
+op = transform
+data = structure
+lam = 0
+
+[task again]
+op = identities
+data = moved
+"""
+    code, block = task_block(tmp_path, capsys, text, "again")
+    assert code == 1
+    assert block[1:4] == ["token task_error", "token task_error CheckError",
+                          "derived error :: task 'moved' failed, so there "
+                          "is nothing to check"]
+
+
+def test_a_dependent_that_takes_arguments_fails_as_a_check(tmp_path,
+                                                         capsys):
+    # each dependent reads its arguments besides data (Z, metric and rank;
+    # plane; lam) before it finds that the transform it names failed
+    text = (ROOT / "corpus" / "torus.ek").read_text(encoding="utf-8") + """
+[task moved]
+op = transform
+data = structure
+lam = 0
+
+[task triple2]
+op = kengel
+data = moved
+Z = R
+metric = orthonormal
+rank = 1
+
+[task plane2]
+op = geodesic
+data = moved
+plane = R
+
+[task moved2]
+op = transform
+data = moved
+lam = 2
+"""
+    path = tmp_path / "case.ek"
+    out = tmp_path / "report.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["run", str(path), "--machine-out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    report = out.read_text(encoding="utf-8")
+    for task in ("triple2", "plane2", "moved2"):
+        assert (f"token task_error CheckError\nderived error :: task "
+                f"'moved' failed, so there is nothing to check\n"
+                in report.split(f"task {task} :: ")[1])
+    assert report.endswith("mismatches 4\nexit 1\n")
+
+
+@pytest.mark.parametrize("text, task", [
+    (FAILURE_TOKENS["lattice_error"][0], "quotient"),
+    ((ROOT / "corpus" / "t2_bundle_flat.ek").read_text(encoding="utf-8"),
+     "bundle")], ids=["lattice", "t2"])
+def test_a_dependent_of_a_failed_bundle_exits_1(tmp_path, capsys, text,
+                                                task):
+    # lattice and t2 report their own failures and hand nothing on
+    text += f"\n[task again]\nop = kinvariants\ndata = {task}\n"
+    code, block = task_block(tmp_path, capsys, text, "again")
+    assert code == 1
+    assert block[1:4] == ["token task_error", "token task_error CheckError",
+                          f"derived error :: task '{task}' failed, so there "
+                          f"is nothing to check"]
+
+
 def test_identities_on_a_geodesic_task_exits_2(tmp_path, capsys):
     # a geodesic task has verdicts, but no analyzed pair as its output
     text = (ROOT / "corpus" / "torus.ek").read_text(encoding="utf-8") + """
@@ -659,6 +767,34 @@ def test_an_argument_the_op_does_not_take_exits_2(tmp_path, capsys, task, op,
     assert code == 2
     assert err == (f"error: {path}:{line_of(text, f'[task {task}]')}: task "
                    f"'{task}': op {op} takes no argument '{key}'\n")
+
+
+def test_a_manifest_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.ek"
+    path.write_bytes("engelkit-manifest 1\n# caf\u00e9\n".encode("latin-1"))
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: cannot read manifest: 'utf-8' codec can't decode")
+
+
+def test_a_machine_report_into_a_missing_directory_exits_2(tmp_path,
+                                                           capsys):
+    out = tmp_path / "missing" / "report.txt"
+    code = main(["run", str(ROOT / "corpus" / "nil4.ek"),
+                 "--machine-out", str(out)])
+    std = capsys.readouterr()
+    assert code == 2
+    assert std.err == f"error: cannot write {out}: No such file or directory\n"
+    assert std.out.endswith("\n9 task(s), 0 mismatch(es)\n")
+
+
+def test_an_emitted_manifest_into_a_missing_directory_exits_2(tmp_path,
+                                                              capsys):
+    out = tmp_path / "missing" / "nil4.ek"
+    assert main(["catalog", "--geometry", "nil4",
+                 "--emit-manifest", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: cannot write {out}: No such "
+                                       f"file or directory\n")
 
 
 def test_unknown_geometry_exits_2_naming_the_geometries(capsys):

@@ -3,15 +3,18 @@ from pathlib import Path
 
 import pytest
 
-from engelkit import engel, sampling
+from engelkit import bundles, engel, kengel, sampling
 from engelkit import expr as ex
 from engelkit.engel import (EngelError, analyze, characteristic_field,
                             check_defining_forms, complement_field,
                             dbeta2_criterion, identity_suite,
                             integrability_report, reeb_pair, rho_criterion,
                             transform_forms)
+from engelkit.bundles import filling_check
 from engelkit.frames import d, fmt_field, interior, pair, wedge, zero
+from engelkit.kengel import KEngelData, kengel_invariants
 from engelkit.manifest import load_manifest
+from engelkit.metric import orthonormal_metric
 
 from conftest import torus_forms, torus_framing_hints, torus_space
 from oracle import FDFrame, framing_coefficient_sum
@@ -20,7 +23,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_torus_defining(torus, policy):
-    out = check_defining_forms(torus.space, torus.alpha, torus.beta, policy)
+    out, _ = check_defining_forms(torus.space, torus.alpha, torus.beta,
+                                  policy)
     assert out["nonintegrability"].ok
     assert out["span"].ok
     assert out["flag"].kind == "exact"
@@ -29,7 +33,7 @@ def test_torus_defining(torus, policy):
 def test_torus_characteristic_normalization(policy):
     sp = torus_space()
     alpha, _ = torus_forms(sp)
-    W = characteristic_field(sp, alpha, policy)
+    W = characteristic_field(sp, wedge(alpha, d(alpha)), policy)
     assert W.comps == (sp.scalar("cos(2*pi*t)"), sp.scalar("sin(2*pi*t)"),
                        ex.ONE, ex.ZERO)
 
@@ -38,7 +42,7 @@ def test_torus_complement(policy):
     sp = torus_space()
     alpha, beta = torus_forms(sp)
     W, _ = torus_framing_hints(sp)
-    X = complement_field(sp, alpha, beta, W)
+    X = complement_field(sp, wedge(alpha, beta), W)
     assert X.comps == (ex.ZERO, ex.ZERO, ex.ZERO, ex.ONE)
 
 
@@ -73,13 +77,14 @@ def _wrap_everywhere(monkeypatch, fn, calls):
 @pytest.mark.parametrize("case", CASES)
 def test_complement_field_samples_nothing(case, policy, monkeypatch):
     sp, alpha, beta, W, _ = CASES[case]()
+    ab, db = wedge(alpha, beta), d(beta)
     calls = []
     for fn in (sampling.nonvanishing, sampling.is_zero_many):
         _wrap_everywhere(monkeypatch, fn, calls)
-    X = complement_field(sp, alpha, beta, W)
+    X = complement_field(sp, ab, W)
     assert calls == []
     # the wrappers do see the sampled steps of the pipeline
-    reeb_pair(sp, alpha, beta, policy)
+    reeb_pair(sp, alpha, beta, db, policy)
     assert calls
     monkeypatch.undo()
     for theta in (alpha, beta):
@@ -106,13 +111,14 @@ def test_characteristic_field_samples_nothing(case, policy, monkeypatch):
     is -2*pi*(cos(2*pi*t), sin(2*pi*t), 1, 0): -2*pi*cos(2*pi*t) vanishes at
     t = 1/4 and is never a divisor."""
     sp, alpha, _, _, _ = CASES[case]()
+    ada = wedge(alpha, d(alpha))
     calls = []
     for fn in (sampling.nonvanishing, sampling.is_zero_many):
         _wrap_everywhere(monkeypatch, fn, calls)
-    W = characteristic_field(sp, alpha, policy)
+    W = characteristic_field(sp, ada, policy)
     assert calls == []
     monkeypatch.undo()
-    v = zero(interior(W, wedge(alpha, d(alpha))), sp.coord_ranges, policy)
+    v = zero(interior(W, ada), sp.coord_ranges, policy)
     assert v.kind == "exact"
 
 
@@ -122,11 +128,12 @@ def test_characteristic_field_samples_without_a_constant(policy,
     kernel line, so each component is sampled; W is unchanged."""
     sp = torus_space()
     alpha, _ = torus_forms(sp)
-    W = characteristic_field(sp, alpha, policy)
+    W = characteristic_field(sp, wedge(alpha, d(alpha)), policy)
+    scaled_alpha = alpha.scale(sp.scalar("1 + x^2"))
+    ada = wedge(scaled_alpha, d(scaled_alpha))
     calls = []
     _wrap_everywhere(monkeypatch, sampling.nonvanishing, calls)
-    scaled = characteristic_field(sp, alpha.scale(sp.scalar("1 + x^2")),
-                                  policy)
+    scaled = characteristic_field(sp, ada, policy)
     assert calls == ["nonvanishing"] * 4
     assert scaled.comps == W.comps
 
@@ -134,7 +141,7 @@ def test_characteristic_field_samples_without_a_constant(policy,
 def test_torus_transverse_pair(policy):
     sp = torus_space()
     alpha, beta = torus_forms(sp)
-    T, R = reeb_pair(sp, alpha, beta, policy)
+    T, R = reeb_pair(sp, alpha, beta, d(beta), policy)
     assert fmt_field(T) == "-sin(2*pi*t); cos(2*pi*t); 0; 0"
     assert fmt_field(R) == "0; 0; 1; 0"
 
@@ -248,8 +255,8 @@ def test_torus_analyze_without_hints(policy):
 
 @pytest.mark.parametrize("hinted", [True, False])
 def test_analyze_differentiates_the_pair_once(hinted, policy, monkeypatch):
-    """dalpha, dbeta and alpha ^ dalpha are each taken once per analyze,
-    whether W and X are hinted or derived."""
+    """dalpha, dbeta, alpha ^ dalpha and alpha ^ beta are each taken once
+    per analyze, whether W and X are hinted or derived."""
     sp = torus_space()
     alpha, beta = torus_forms(sp)
     hints = dict(zip("WX", torus_framing_hints(sp))) if hinted else {}
@@ -270,6 +277,33 @@ def test_analyze_differentiates_the_pair_once(hinted, policy, monkeypatch):
     assert [w.degree for w in derived] == [1, 1]
     assert [(a, b) for a, b in wedged if a == alpha and b == da] == \
         [(alpha, da)]
+    assert [(a, b) for a, b in wedged if a == alpha and b == beta] == \
+        [(alpha, beta)]
+
+
+def test_the_checks_read_the_stored_differentials(torus, policy,
+                                                  monkeypatch):
+    """kinvariants, integrability, rho and filling read dalpha and dbeta
+    from the analyzed pair: none of them takes d of alpha or beta through
+    the engel, kengel or bundles binding of `d` (rho's Lie derivative still
+    takes one inside `frames.lie_form`, which this does not count)."""
+    kd = KEngelData(torus, orthonormal_metric(torus), torus.R, rank=1)
+    taken = []
+
+    def counting_d(w):
+        taken.append(w)
+        return d(w)
+
+    for module in (engel, kengel, bundles):
+        monkeypatch.setattr(module, "d", counting_d, raising=False)
+    for name, check in (("kinvariants", kengel_invariants),
+                        ("integrability", integrability_report),
+                        ("rho", rho_criterion),
+                        ("filling", lambda data, policy: filling_check(
+                            kd, policy))):
+        check(torus, policy)
+        assert not [w for w in taken
+                    if w in (torus.alpha, torus.beta)], name
 
 
 def test_bad_hint_rejected(policy):

@@ -12,9 +12,10 @@ from engelkit import expr as ex
 from engelkit import frames, report
 from engelkit.engel import analyze, dbeta2_criterion, integrability_report
 from engelkit.frames import FrameSpace, bracket, determinant, zero
-from engelkit.kengel import (KEngelError, certify, form_conditions,
-                             kengel_check, kengel_framing, kengel_invariants)
-from engelkit.manifest import load_manifest
+from engelkit.kengel import (KEngelData, KEngelError, certify,
+                             form_conditions, kengel_check, kengel_framing,
+                             kengel_invariants)
+from engelkit.manifest import load_manifest, parse_manifest
 from engelkit.metric import (framing_metric, orthonormal_metric,
                              tangency_report)
 from engelkit.sampling import SamplingPolicy, failed, is_zero_many
@@ -68,7 +69,7 @@ def form_is_zero(w, policy):
 # -- form conditions and invariants ----------------------------------------
 
 def test_form_conditions_torus(torus, policy):
-    out = form_conditions(torus.space, torus.alpha, torus.beta, policy)
+    out = form_conditions(torus, policy)
     assert sorted(out) == ["beta ^ d(alpha)", "d(alpha)^2", "d(beta)^2"]
     assert all(v.ok for v in out.values())
     assert out["beta ^ d(alpha)"].kind == "exact"
@@ -205,8 +206,24 @@ def test_tangency_and_dbeta2_read_the_stored_brackets(
 
 # -- the adapted framing -----------------------------------------------------
 
+def triple(data, Z, rank=None):
+    """The triple (data, orthonormal metric, Z), as a kengel task hands
+    it on once it passes."""
+    return KEngelData(data, orthonormal_metric(data), Z, rank=rank)
+
+
+def circle_triple_run(tail):
+    """torus.ek with the triple's Z the circle direction X, then tail; the
+    results by task name."""
+    text = (CORPUS / "torus.ek").read_text(encoding="utf-8")
+    rep = report.run_manifest(parse_manifest(text.replace("Z = R\n",
+                                                          "Z = X\n") + tail),
+                              SamplingPolicy(seed=0, n_samples=64))
+    return {res.name: res for res in rep.results}
+
+
 def test_kengel_framing_torus_keeps_forms(torus, policy):
-    kd = kengel_framing(torus, orthonormal_metric(torus), torus.R, policy)
+    kd = kengel_framing(triple(torus, torus.R), policy)
     # alpha(R) = 1 already, and beta = -L_X alpha holds on the nose
     assert form_is_zero(kd.data.alpha - torus.alpha, policy)
     assert form_is_zero(kd.data.beta - torus.beta, policy)
@@ -214,10 +231,17 @@ def test_kengel_framing_torus_keeps_forms(torus, policy):
     assert kd.rank is None
 
 
-def test_kengel_framing_rejects_circle_direction(torus, policy):
-    with pytest.raises(KEngelError, match="triple check fails"):
-        kengel_framing(torus, orthonormal_metric(torus),
-                       torus.space.basis_field(3), policy)
+def test_kengel_framing_rejects_circle_direction():
+    # the kengel task refuses the circle direction and hands nothing on, so
+    # a kframing task on it fails as a check, naming the failed task
+    results = circle_triple_run("\n[task framing]\nop = kframing\n"
+                                "data = triple\n")
+    assert results["triple"].output is None
+    assert results["framing"].tokens == {"task_error",
+                                         "task_error CheckError"}
+    assert results["framing"].lines == [
+        ("derived", "error", "task 'triple' failed, so there is nothing to "
+                             "check")]
 
 
 def test_lorentz_prolongation_table(policy):
@@ -233,7 +257,7 @@ def test_lorentz_prolongation_table(policy):
 
 def test_lorentz_prolongation_is_kengel(policy):
     data = lorentz_data(policy)
-    kd = kengel_framing(data, orthonormal_metric(data), data.R, policy)
+    kd = kengel_framing(triple(data, data.R), policy)
     out = kengel_invariants(kd.data, policy)
     ok = not failed(out)
     assert ok
@@ -253,7 +277,7 @@ def test_cartan_prolongation_table(policy):
 
 def test_cartan_prolongation_is_kengel(policy):
     data = cartan_data(policy)
-    kd = kengel_framing(data, orthonormal_metric(data), data.R, policy)
+    kd = kengel_framing(triple(data, data.R), policy)
     out = kengel_invariants(kd.data, policy)
     ok = not failed(out)
     assert ok
@@ -275,7 +299,7 @@ def test_cartan_flipped_circle_direction_fails(policy):
 def test_kengel_framing_rescales_alpha(torus, policy):
     # 2R passes the triple check, so alpha is halved to make alpha(Z) = 1
     Z = torus.R.scale(ex.rat(2)).cleanup()
-    kd = kengel_framing(torus, orthonormal_metric(torus), Z, policy, rank=1)
+    kd = kengel_framing(triple(torus, Z, rank=1), policy)
     half = ex.rat(Fraction(1, 2))
     assert form_is_zero(kd.data.alpha - torus.alpha.scale(half), policy)
     assert field_is_zero(kd.data.R - Z, policy)
@@ -285,20 +309,21 @@ def test_kengel_framing_rescales_alpha(torus, policy):
 
 def test_rank1_perturbation_identity(torus, policy):
     # re-fibring along R itself leaves the forms alone and carries the rank
-    kd = kengel_framing(torus, orthonormal_metric(torus), torus.R, policy,
-                        rank=1)
+    kd = kengel_framing(triple(torus, torus.R, rank=1), policy)
     assert form_is_zero(kd.data.alpha - torus.alpha, policy)
     assert form_is_zero(kd.data.beta - torus.beta, policy)
     assert kd.rank == 1
 
 
-def test_rank1_perturbation_needs_commuting_field(torus, policy):
+def test_rank1_perturbation_needs_commuting_field():
     # the circle direction does not commute with the framing: it drags W
     # out of the plane, and that is named among the failed checks
-    with pytest.raises(KEngelError, match="triple check fails") as err:
-        kengel_framing(torus, orthonormal_metric(torus),
-                       torus.space.basis_field(3), policy, rank=1)
-    assert "[Z,W] stays in the plane" in err.value.names
+    res = circle_triple_run("")["triple"]
+    assert "kengel_fail [Z,W] stays in the plane" in res.tokens
+    assert "kengel_pass" not in res.tokens
+    kind, name, text = res.lines[-1]
+    assert (kind, name) == ("derived", "error")
+    assert text.startswith("the triple check fails: ")
 
 
 # -- the metric making the framing built from a section orthonormal ----------
@@ -358,8 +383,7 @@ def test_converse_metric_rejects_bad_forms(torus, policy):
     beta = torus.beta.scale(f).cleanup()
     data = analyze(sp, torus.alpha, beta, policy,
                    W=torus.W, X=torus.X)
-    assert failed(form_conditions(sp, data.alpha, data.beta,
-                                  policy)) == ["d(beta)^2"]
+    assert failed(form_conditions(data, policy)) == ["d(beta)^2"]
 
 
 def test_certify_passes_the_reeb_direction(torus, policy):

@@ -97,8 +97,8 @@ def derived():
     R_eta) of each contact thickening, as the manifests derive them."""
     pairs, thickenings = [], []
 
-    def recording_pair(space, alpha, beta, policy, db):
-        T, R = reeb_pair(space, alpha, beta, policy, db)
+    def recording_pair(space, alpha, beta, db, policy):
+        T, R = reeb_pair(space, alpha, beta, db, policy)
         pairs.append((space, alpha, beta, T, R))
         return T, R
 
@@ -206,7 +206,7 @@ def test_a_closed_beta_has_no_transverse_direction():
     beta = sp.one_form([ex.ONE, ex.ZERO, ex.ZERO, ex.ZERO])   # dbeta = 0
     with pytest.raises(EngelError, match=r"^transverse direction T: "
                                          r"nonvanishing=NO min=0 at "):
-        reeb_pair(sp, alpha, beta, POLICY)
+        reeb_pair(sp, alpha, beta, d(beta), POLICY)
 
 
 def test_a_closed_eta_has_no_reeb_field():

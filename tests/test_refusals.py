@@ -16,9 +16,10 @@ import pytest
 from engelkit import engel, frames
 from engelkit import expr as ex
 from engelkit.engel import EngelError, analyze
-from engelkit.kengel import KEngelError, kengel_framing
+from engelkit.kengel import (KEngelData, KEngelError, kengel_check,
+                             kengel_framing)
 from engelkit.metric import orthonormal_metric
-from engelkit.sampling import Verdict
+from engelkit.sampling import Verdict, failed
 
 from conftest import torus_forms, torus_framing_hints, torus_space
 
@@ -116,7 +117,9 @@ def test_an_analyze_refusal_names_its_step(policy, monkeypatch, name, index,
 
 def test_a_zero_field_passes_the_triple_check_but_not_alpha_z(torus, policy):
     Z = torus.space.field([ex.ZERO] * 4)
+    g = orthonormal_metric(torus)
+    assert not failed(kengel_check(torus, g, Z, policy))
     err = refusal(KEngelError, "alpha(Z) = 0", VANISHING,
-                  lambda: kengel_framing(torus, orthonormal_metric(torus), Z,
-                                         policy, rank=1))
+                  lambda: kengel_framing(KEngelData(torus, g, Z, rank=1),
+                                         policy))
     assert err.names == ["alpha(Z)"]

@@ -22,8 +22,8 @@ from fractions import Fraction
 from . import expr as ex
 from .contact import promote_form, restrict_to_section, thicken_space
 from .engel import analyze
-from .frames import (FrameSpace, VectorField, d, interior, lie_form, minor,
-                     nonzero, pair, wedge, zero)
+from .frames import (FrameSpace, VectorField, cartan, d, interior,
+                     lie_form, minor, nonzero, pair, wedge, zero)
 from .kengel import (KEngelData, KEngelError, certify, kengel_check,
                      require_all)
 from .metric import orthonormal_metric
@@ -72,8 +72,9 @@ def boothby_wang(nspace, lam, L, a_loc, policy):
     drop = ex.cleanup(ex.neg(pair(a_loc, L)))
     W_hint = VectorField(sp4, list(L.comps) + [drop])
     kd = analyze(sp4, alpha.cleanup(), beta, policy, W=W_hint)
-    for name, form in (("L_R alpha", kd.alpha), ("L_R beta", kd.beta)):
-        report[name] = zero(lie_form(kd.R, form), sp4.coord_ranges, policy)
+    for name, w, dw in (("L_R alpha", kd.alpha, kd.dalpha),
+                        ("L_R beta", kd.beta, kd.dbeta)):
+        report[name] = zero(cartan(kd.R, w, dw), sp4.coord_ranges, policy)
     return report, _certified(kd, sp4.basis_field(3), policy, rank=1,
                               not_reeb="Reeb direction is not the fibre",
                               where="the circle product", direction="fibre")

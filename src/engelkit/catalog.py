@@ -20,14 +20,15 @@ No sampling appears anywhere in this module; every verdict is exact.
 """
 
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 
 from . import expr as ex
 from .engel import analyze
-from .frames import FrameSpace, dual_coframe, jacobi_residuals
+from .frames import (FrameSpace, clear_denominators, dual_coframe,
+                     jacobi_residuals, rational_det, reduce_rows)
 from .kengel import kengel_check, kengel_invariants
 from .metric import orthonormal_metric
-from .qfield import clear_denominators, rational_rank, reduce_rows
+from .qfield import rational_rank
 from .sampling import SamplingPolicy, failed
 
 
@@ -117,13 +118,6 @@ def commutant(lie, elements):
     return basis
 
 
-def det4(vectors):
-    """Exact determinant of four rational vectors: that of the vectors
-    cleared to ints, each by its own lcm, over the product of the lcms."""
-    rows, scales = zip(*map(clear_denominators, vectors))
-    return Fraction(reduce_rows(list(rows), 4)[1], prod(scales))
-
-
 def kengel_framing_search(lie, W, X, R_hint=None):
     """A framing {W, X, Y=[W,X], R} with commuting transverse R, if any.
 
@@ -152,7 +146,7 @@ def kengel_framing_search(lie, W, X, R_hint=None):
                 f"commute with the framing")
         candidates.append([Fraction(x, sr) for x in Ri])
     for R in candidates + basis:
-        det = det4([W, X, Y, R])
+        det = rational_det([W, X, Y, R])
         if det:
             out.update({"R": R, "det": det, "found": True})
             return out

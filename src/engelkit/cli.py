@@ -8,7 +8,9 @@ and can emit any single geometry as a manifest that re-verifies under
 """
 
 import argparse
+import os
 import sys
+import tempfile
 from fractions import Fraction
 
 from .frames import fmt_form
@@ -112,9 +114,14 @@ def geometry_manifest(row):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def write_file(path, text):
-    """Write text to path; False, with an error line, if it cannot."""
+def write_file(path, text=None):
+    """Write text to path; False, with an error line, if it cannot.  With
+    no text, only probe that path's directory takes a new file: an
+    anonymous temporary one, so nothing is left behind."""
     try:
+        if text is None:
+            tempfile.TemporaryFile(dir=os.path.dirname(path) or ".").close()
+            return True
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as err:
@@ -126,6 +133,9 @@ def write_file(path, text):
 def cmd_run(args):
     from .manifest import ManifestError, load_manifest
     from .report import run_manifest
+    out = args.machine_out
+    if out and not write_file(out):
+        return 2
     try:
         mf = load_manifest(args.manifest)
     except ManifestError as err:
@@ -135,8 +145,7 @@ def cmd_run(args):
                             abs_tol=args.tol)
     report = run_manifest(mf, policy)
     sys.stdout.write(report.human_text())
-    written = (not args.machine_out
-               or write_file(args.machine_out, report.machine_text()))
+    written = not out or write_file(out, report.machine_text())
     if report.reference_error is not None:
         print(f"error: {report.reference_error}", file=sys.stderr)
     return report.exit_code if written else 2

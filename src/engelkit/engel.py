@@ -13,8 +13,8 @@ curvature-type criteria expressed through the coframe dual to the framing.
 """
 
 from . import expr as ex
-from .frames import (bracket, d, determinant, dual_coframe, interior,
-                     kernel_line, lie_form, nonzero, normalized_kernel_line,
+from .frames import (bracket, cartan, d, determinant, dual_coframe,
+                     interior, kernel_line, nonzero, normalized_kernel_line,
                      pair, wedge, zero)
 from .sampling import nonvanishing
 
@@ -391,13 +391,14 @@ def rho_criterion(data, policy):
     ranges = sp.coord_ranges
     out = {}
     out["dalpha^2"] = zero(wedge(data.dalpha, data.dalpha), ranges, policy)
-    out["beta + X(alpha)"] = zero(data.beta + lie_form(X, data.alpha),
-                                  ranges, policy)
+    out["beta + X(alpha)"] = zero(
+        data.beta + cartan(X, data.alpha, data.dalpha), ranges, policy)
     rho = dual_coframe([W, X, T, R])[0]
-    out["(L_R rho) ^ beta"] = zero(wedge(lie_form(R, rho), data.beta),
+    drho = d(rho)
+    out["(L_R rho) ^ beta"] = zero(wedge(cartan(R, rho, drho), data.beta),
                                    ranges, policy)
     out["a_WR"] = zero([data.table["a_WR"]], ranges, policy)
     out["a_XR"] = zero([data.table["a_XR"]], ranges, policy)
-    drho = d(rho).cleanup()
+    drho = drho.cleanup()
     return out, drho, zero(drho, ranges, policy)
 

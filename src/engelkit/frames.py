@@ -13,6 +13,7 @@ brackets between coordinate and invariant directions are zero.
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
+from math import lcm, prod
 
 from . import expr as ex
 from .sampling import is_zero_many, nonvanishing
@@ -446,8 +447,59 @@ def pair(w, *fields):
 
 def lie_form(V, w):
     """Lie derivative of a form (Cartan formula)."""
-    return interior(V, d(w)) + d(interior(V, w)) if w.degree > 0 else \
+    return cartan(V, w, d(w)) if w.degree > 0 else \
         DiffForm(w.space, 0, {(): w.space.lie_scalar(V, w.comp(()))})
+
+
+def cartan(V, w, dw):
+    """L_V w = i_V dw + d(i_V w), for w of positive degree and dw = d(w)."""
+    return interior(V, dw) + d(interior(V, w))
+
+
+def clear_denominators(vec):
+    """(s * vec, s) for s the lcm of a rational vector's denominators."""
+    s = lcm(*(x.denominator for x in vec))
+    return [x.numerator * (s // x.denominator) for x in vec], s
+
+
+def reduce_rows(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination in place (Bareiss, Math.
+    Comp. 22, 1968), over int entries.
+
+    Pivots are sought in the first ncols columns; later columns ride along.
+    For a pivot p, the previous one prev (at first 1), every other row
+    becomes (p * row - row[col] * pivot row) // prev, exactly: each entry
+    stays a minor of the input.  Each pivot row ends with the last pivot d
+    at its pivot column, so the rows over d are the reduced row echelon
+    form.  Returns the pivot columns and the determinant of the leading
+    ncols x ncols block: zero when some column has no pivot, else +-d.
+    """
+    pivots, prev, sign = [], 1, 1
+    for col in range(ncols):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]),
+                   None)
+        if piv is None:
+            continue
+        if piv != rank:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            sign = -sign
+        top = rows[rank]
+        p = top[col]
+        for r, row in enumerate(rows):
+            if r != rank:
+                f = row[col]
+                rows[r] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        pivots.append(col)
+        prev = p
+    return pivots, prev * sign if len(pivots) == ncols else 0
+
+
+def rational_det(vectors):
+    """Exact determinant of n rational n-vectors: that of the vectors
+    cleared to ints, each by its own lcm, over the product of the lcms."""
+    rows, scales = zip(*map(clear_denominators, vectors))
+    return Fraction(reduce_rows(list(rows), len(rows))[1], prod(scales))
 
 
 def determinant(fields):
@@ -511,9 +563,11 @@ _COFRAMES = {}
 
 
 def dual_coframe(fields):
-    """1-forms theta^k with theta^k(fields[j]) = delta_kj, via exact Cramer.
-
-    The components are computed once per component matrix and kept in
+    """1-forms theta^k with theta^k(fields[j]) = delta_kj: the columns of
+    M^-1, for M the matrix whose rows are the fields.  When every component
+    is a `rat`, `reduce_rows` takes [M | I], each row cleared to ints, to
+    [d I | d M^-1]; else each theta^k is solved by exact Cramer.  The
+    components are computed once per component matrix and kept in
     _COFRAMES; they name no space, so the forms are built on the fields'
     space at every call.  Raises FrameError for dependent fields or for
     other than one field per frame direction."""
@@ -524,12 +578,22 @@ def dual_coframe(fields):
     matrix = tuple(f.comps for f in fields)
     comps = _COFRAMES.get(matrix)
     if comps is None:
-        det = ex.cleanup(determinant(fields))
-        if ex.is_zero(det):
-            raise FrameError("frame fields are linearly dependent")
-        units = [[ex.ONE if j == k else ex.ZERO for j in range(n)]
-                 for k in range(n)]
-        comps = [cramer(matrix, e, det) for e in units]
+        if all(c[0] == "rat" for row in matrix for c in row):
+            cleared = (clear_denominators([c[1] for c in row])
+                       for row in matrix)
+            rows = [row + [s * (j == k) for k in range(n)]
+                    for j, (row, s) in enumerate(cleared)]
+            if not reduce_rows(rows, n)[1]:
+                raise FrameError("frame fields are linearly dependent")
+            comps = [[ex.normalize(ex.rat(Fraction(row[n + k], row[i])))
+                      for i, row in enumerate(rows)] for k in range(n)]
+        else:
+            det = ex.cleanup(determinant(fields))
+            if ex.is_zero(det):
+                raise FrameError("frame fields are linearly dependent")
+            units = [[ex.ONE if j == k else ex.ZERO for j in range(n)]
+                     for k in range(n)]
+            comps = [cramer(matrix, e, det) for e in units]
         if len(_COFRAMES) > ex.TABLE_LIMIT:
             _COFRAMES.clear()
         _COFRAMES[matrix] = comps

@@ -7,13 +7,14 @@ sqrt(6).  With pairwise coprime square-free radicands > 1, distinct keys
 are Q-linearly independent (Besicovitch, J. London Math. Soc. 15, 1940),
 so a value is zero exactly when its dict is empty, and ranks split into
 rational rows per key.  Every rank runs through the one fraction-free
-eliminator, `reduce_rows`, on rational rows cleared to ints.
+eliminator, `frames.reduce_rows`, on rational rows cleared to ints.
 """
 
 import re
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 from . import expr as ex
+from .frames import clear_denominators, reduce_rows
 
 # the largest radicand a generator may have, so that trial division decides
 # square-freeness in at most sqrt(MAX_RADICAND) steps
@@ -44,45 +45,6 @@ class Generators:
                         f"radicands {a} and {b} share a factor; declare "
                         f"coprime generators")
         self.radicands = rads
-
-
-def clear_denominators(vec):
-    """(s * vec, s) for s the lcm of a rational vector's denominators."""
-    s = lcm(*(x.denominator for x in vec))
-    return [x.numerator * (s // x.denominator) for x in vec], s
-
-
-def reduce_rows(rows, ncols):
-    """Fraction-free Gauss-Jordan elimination in place (Bareiss, Math.
-    Comp. 22, 1968), over int entries.
-
-    Pivots are sought in the first ncols columns; later columns ride along.
-    For a pivot p, the previous one prev (at first 1), every other row
-    becomes (p * row - row[col] * pivot row) // prev, exactly: each entry
-    stays a minor of the input.  Each pivot row ends with the last pivot d
-    at its pivot column, so the rows over d are the reduced row echelon
-    form.  Returns the pivot columns and the determinant of the leading
-    ncols x ncols block: zero when some column has no pivot, else +-d.
-    """
-    pivots, prev, sign = [], 1, 1
-    for col in range(ncols):
-        rank = len(pivots)
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]),
-                   None)
-        if piv is None:
-            continue
-        if piv != rank:
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            sign = -sign
-        top = rows[rank]
-        p = top[col]
-        for r, row in enumerate(rows):
-            if r != rank:
-                f = row[col]
-                rows[r] = [(p * x - f * y) // prev for x, y in zip(row, top)]
-        pivots.append(col)
-        prev = p
-    return pivots, prev * sign if len(pivots) == ncols else 0
 
 
 _ROOT = re.compile(r"sqrt[0-9]+")

@@ -207,7 +207,7 @@ def op_engel(mf, task, policy, results, res):
         res.fail_tokens("engel_fail", failed(checks) or ["analysis"])
         res.derived("error", str(err))
         return
-    res.verdicts("engel", data.defining)
+    passed = res.verdicts("engel", data.defining)
     for name, V in (("W", data.W), ("X", data.X), ("T", data.T),
                     ("R", data.R)):
         res.derived(name, fmt_field(V))
@@ -217,7 +217,8 @@ def op_engel(mf, task, policy, results, res):
         e = ex.cleanup(data.table[key])
         if not ex.is_zero(e):
             res.derived(f"table {key}", ex.to_str(e))
-    res.output = data
+    if passed:
+        res.output = data
 
 
 def op_kengel(mf, task, policy, results, res):

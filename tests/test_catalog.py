@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from engelkit import expr as ex
 from engelkit.catalog import (CatalogError, GEOMETRIES, algebra,
-                              bracket_vec, catalog_run, commutant, det4,
+                              bracket_vec, catalog_run, commutant,
                               fmt_vec, geometry_row, jacobi_check,
                               kengel_framing_search, structure_table)
-from engelkit.qfield import clear_denominators, rational_rank
+from engelkit.frames import clear_denominators, rational_det
+from engelkit.qfield import rational_rank
 
 
 def build(name, params=None):
@@ -44,9 +45,9 @@ def test_fmt_vec():
 
 def test_det4():
     eye = [[int(i == j) for i in range(4)] for j in range(4)]
-    assert det4(eye) == 1
-    assert det4([eye[0], eye[1], eye[2], eye[0]]) == 0
-    assert det4([eye[1], eye[0], eye[2], eye[3]]) == -1
+    assert rational_det(eye) == 1
+    assert rational_det([eye[0], eye[1], eye[2], eye[0]]) == 0
+    assert rational_det([eye[1], eye[0], eye[2], eye[3]]) == -1
 
 
 def test_jacobi_passes_on_every_registry_entry():

@@ -87,6 +87,8 @@ def test_corpus_manifest_exits_zero(tmp_path, capsys):
                  "--machine-out", str(out)])
     assert code == 0
     assert out.read_text(encoding="utf-8").endswith("exit 0\n")
+    # the probe of the report's directory leaves no file behind
+    assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
 
 
 @pytest.mark.parametrize("bound", ["1/0", "pi/0"])
@@ -658,6 +660,51 @@ def test_a_dependent_of_a_failed_triple_fails_as_a_check(tmp_path, capsys):
                      "expect filling_pass :: MISMATCH", "end fill"]
 
 
+FLAT_PAIR = """engelkit-manifest 1
+
+[space]
+coord x 0 1
+coord y 0 1
+coord u 0 1
+coord v 0 1
+
+[form alpha]
+comps = -cos(2*pi*v); -sin(2*pi*v); 1; x
+
+[form beta]
+comps = -sin(2*pi*v); cos(2*pi*v); 0; 0
+
+[field Z]
+comps = 0; 0; 1; 0
+
+[task flat]
+op = engel
+alpha = alpha
+beta = beta
+
+[task triple]
+op = kengel
+data = flat
+Z = Z
+expect = kengel_pass
+"""
+
+
+def test_a_dependent_of_a_pair_that_is_not_engel_fails_as_a_check(
+        tmp_path, capsys):
+    # the flat-bundle pair fails its flag condition although it analyzes,
+    # so the engel task hands nothing on
+    _, block = task_block(tmp_path, capsys, FLAT_PAIR, "flat")
+    assert "token engel_fail flag" in block
+    code, block = task_block(tmp_path, capsys, FLAT_PAIR, "triple")
+    assert code == 1
+    assert block == ["task triple :: kengel", "token task_error",
+                     "token task_error CheckError",
+                     "derived error :: task 'flat' failed, so there is "
+                     "nothing to check", "expect kengel_pass :: MISMATCH",
+                     "end triple"]
+
+
 def test_a_dependent_of_a_failed_transform_exits_1(tmp_path, capsys):
     # lam = 0 leaves no defining pair to analyze
     text = (ROOT / "corpus" / "torus.ek").read_text(encoding="utf-8") + """
@@ -785,7 +832,20 @@ def test_a_machine_report_into_a_missing_directory_exits_2(tmp_path,
     std = capsys.readouterr()
     assert code == 2
     assert std.err == f"error: cannot write {out}: No such file or directory\n"
-    assert std.out.endswith("\n9 task(s), 0 mismatch(es)\n")
+    assert std.out == ""   # refused before any task ran
+
+
+def test_a_machine_report_under_a_regular_file_exits_2(tmp_path, capsys):
+    # the operating system's reason is reported, not a missing directory
+    parent = tmp_path / "notes.txt"
+    parent.write_text("", encoding="utf-8")
+    out = parent / "report.txt"
+    code = main(["run", str(ROOT / "corpus" / "nil4.ek"),
+                 "--machine-out", str(out)])
+    std = capsys.readouterr()
+    assert code == 2
+    assert std.err == f"error: cannot write {out}: Not a directory\n"
+    assert std.out == ""
 
 
 def test_an_emitted_manifest_into_a_missing_directory_exits_2(tmp_path,

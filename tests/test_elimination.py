@@ -1,5 +1,6 @@
-"""The exact eliminator behind det4, rational_rank and commutant, checked
-against the independent Fraction oracle, on integer entries and on
+"""The exact eliminator behind rational_det, rational_rank, commutant and
+the all-rational dual coframe, checked against the independent Fraction
+oracle and the symbolic Laplace/Cramer path, on integer entries and on
 fractions with denominators up to 6, as the catalog sweep draws them; and
 the minors behind the lattice rank, over Q(sqrt2, sqrt3), against sympy."""
 
@@ -12,11 +13,12 @@ from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from engelkit import expr as ex
-from engelkit.catalog import (CatalogError, algebra, commutant, det4,
+from engelkit.catalog import (CatalogError, algebra, commutant,
                               kengel_framing_search)
-from engelkit.frames import minor
-from engelkit.qfield import (clear_denominators, rational_rank, reduce_rows,
-                             surd_terms)
+from engelkit.frames import (FrameError, FrameSpace, clear_denominators,
+                             cramer, dual_coframe, minor, rational_det,
+                             reduce_rows)
+from engelkit.qfield import rational_rank, surd_terms
 from oracle import (ExactLie, frac_det, frac_rank, frac_rref,
                     surd_coefficients)
 
@@ -56,7 +58,7 @@ low_rank = st.tuples(st.integers(1, 5), st.integers(1, 3),
 @given(m=matrix(4, 4))
 def test_det4_matches_oracle(m):
     columns = [[m[i][j] for i in range(4)] for j in range(4)]
-    assert det4(columns) == frac_det(fractions(m))
+    assert rational_det(columns) == frac_det(fractions(m))
 
 
 @settings(max_examples=80, deadline=None)
@@ -111,11 +113,42 @@ def test_reduce_rows_divided_by_its_pivot_is_the_rref(nrows, ncols, extra,
             [row[:ncols] for row in m])
 
 
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 5), dependent=st.integers(0, 2), data=st.data())
+def test_a_rational_frame_solves_as_laplace_and_cramer(n, dependent, data):
+    """On an all-invariant space, rational fields take `reduce_rows` in
+    `dual_coframe`, which returns the nodes the symbolic path does:
+    `cramer` over the `minor` determinant cleaned up.  A third of the
+    matrices repeat a combination of the rows above in the last row, so
+    they are singular."""
+    m = data.draw(matrix(n, n, fraction))
+    if dependent == 0:
+        coeffs = data.draw(st.lists(fraction, min_size=n - 1,
+                                    max_size=n - 1))
+        m[-1] = [sum(c * row[j] for c, row in zip(coeffs, m))
+                 for j in range(n)]
+    sp = FrameSpace([("lie", f"e{i}") for i in range(n)])
+    fields = [sp.field([ex.rat(x) for x in row]) for row in m]
+    every = tuple(range(n))
+    det = minor([[f.comps[i] for f in fields] for i in range(n)], every,
+                every, {})
+    if ex.is_zero(det):
+        with pytest.raises(FrameError,
+                           match="^frame fields are linearly dependent$"):
+            dual_coframe(fields)
+        return
+    rows = [f.comps for f in fields]
+    for k, theta in enumerate(dual_coframe(fields)):
+        unit = [ex.ONE if j == k else ex.ZERO for j in range(n)]
+        want = cramer(rows, unit, ex.cleanup(det))
+        assert repr([theta.comp((i,)) for i in range(n)]) == repr(want)
+
+
 @settings(max_examples=80, deadline=None)
 @given(m=matrix(4, 4, fraction))
 def test_det4_of_fraction_columns_matches_oracle(m):
     columns = [[m[i][j] for i in range(4)] for j in range(4)]
-    got = det4(columns)
+    got = rational_det(columns)
     assert type(got) is Fraction and got == frac_det(m)
 
 

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from engelkit import bundles, engel, kengel, sampling
+from engelkit import bundles, engel, frames, kengel, sampling
 from engelkit import expr as ex
 from engelkit.engel import (EngelError, analyze, characteristic_field,
                             check_defining_forms, complement_field,
@@ -18,6 +18,7 @@ from engelkit.metric import orthonormal_metric
 
 from conftest import torus_forms, torus_framing_hints, torus_space
 from oracle import FDFrame, framing_coefficient_sum
+from test_bundles import su2_contact_data, su2_frame
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -284,9 +285,10 @@ def test_analyze_differentiates_the_pair_once(hinted, policy, monkeypatch):
 def test_the_checks_read_the_stored_differentials(torus, policy,
                                                   monkeypatch):
     """kinvariants, integrability, rho and filling read dalpha and dbeta
-    from the analyzed pair: none of them takes d of alpha or beta through
-    the engel, kengel or bundles binding of `d` (rho's Lie derivative still
-    takes one inside `frames.lie_form`, which this does not count)."""
+    from the analyzed pair: none of them takes d of alpha or beta, through
+    the engel, kengel or bundles binding of `d` or inside `frames`' own
+    Lie derivative; and a Boothby-Wang construction takes each once, in
+    its analysis, and not again for L_R alpha and L_R beta."""
     kd = KEngelData(torus, orthonormal_metric(torus), torus.R, rank=1)
     taken = []
 
@@ -294,7 +296,7 @@ def test_the_checks_read_the_stored_differentials(torus, policy,
         taken.append(w)
         return d(w)
 
-    for module in (engel, kengel, bundles):
+    for module in (engel, kengel, bundles, frames):
         monkeypatch.setattr(module, "d", counting_d, raising=False)
     for name, check in (("kinvariants", kengel_invariants),
                         ("integrability", integrability_report),
@@ -304,6 +306,11 @@ def test_the_checks_read_the_stored_differentials(torus, policy,
         check(torus, policy)
         assert not [w for w in taken
                     if w in (torus.alpha, torus.beta)], name
+    sp = su2_frame()
+    report, bw = bundles.boothby_wang(sp, *su2_contact_data(sp), policy)
+    assert report["L_R alpha"].ok and report["L_R beta"].ok
+    pair_forms = (bw.data.alpha, bw.data.beta)
+    assert [w for w in taken if w in pair_forms] == list(pair_forms)
 
 
 def test_bad_hint_rejected(policy):

@@ -1,8 +1,8 @@
 """Run a manifest's tasks and build deterministic reports.
 
 Each task produces outcome tokens (matched against the manifest's expect
-lines), report lines (rendered verdicts and derived objects), and, when its
-construction passed, an output object later tasks reference by task name.
+lines), report lines (rendered verdicts and derived objects), and the
+object its op built, which run_manifest hands on to later tasks by name.
 
 The machine-readable report is line-oriented with a versioned header and
 a stable field order; given the same manifest and seed, two runs emit
@@ -20,8 +20,9 @@ from . import expr as ex
 from .bundles import (T2_FIBRE, boothby_wang, filling_check,
                       t2_bundle_condition, torus_family)
 from .contact import contactization_report
-from .engel import (EngelError, analyze, dbeta2_criterion, identity_suite,
-                    integrability_report, rho_criterion, transform_forms)
+from .engel import (EngelData, EngelError, analyze, dbeta2_criterion,
+                    identity_suite, integrability_report, rho_criterion,
+                    transform_forms)
 from .expr import CheckError, ExprError
 from .frames import fmt_field, fmt_form, zero
 from .kengel import (KEngelData, KEngelError, kengel_check, kengel_framing,
@@ -49,15 +50,9 @@ class TaskResult:
         self.op = op
         self.tokens = set()
         self.lines = []          # (kind, name, text)
-        self.output = None       # handed on only when the task passed
+        self.output = None       # what run_manifest hands on
         self.expect_results = []  # (raw, matched)
         self.seconds = 0.0
-
-    @property
-    def pair(self):
-        """The analyzed pair in the output, alone or in a K-Engel triple."""
-        out = self.output
-        return out.data if isinstance(out, KEngelData) else out
 
     def token(self, *parts):
         self.tokens.add(" ".join(str(p) for p in parts if p != ""))
@@ -88,11 +83,11 @@ class TaskResult:
         self.lines.append(("derived", name, text))
 
     def built(self, kdata):
-        """A constructed K-Engel pair: its forms and Reeb field, as output."""
+        """A built triple, returned, with its pair's forms and Reeb field."""
         self.derived("alpha", fmt_form(kdata.data.alpha))
         self.derived("beta", fmt_form(kdata.data.beta))
         self.derived("R", fmt_field(kdata.data.R))
-        self.output = kdata
+        return kdata
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +121,9 @@ def _field(mf, task, key, optional=False):
     return _named(task, _need(task, key), mf.fields, "field")
 
 
-# every op that sets `res.output`: to a certified K-Engel triple, or a pair
-TRIPLE_OPS = ("kengel", "kframing", "lattice", "bw", "t2")
-PAIR_OPS = ("engel", "transform") + TRIPLE_OPS
+def _pair(obj):
+    """The analyzed pair of a handed-on object: itself, or a triple's."""
+    return obj.data if isinstance(obj, KEngelData) else obj
 
 
 def _data(results, task, triple=False):
@@ -140,13 +135,23 @@ def _data(results, task, triple=False):
     prior = next((res for res in results if res.name == name), None)
     if prior is None:
         raise ManifestError(f"task '{task.name}': no prior task '{name}'")
-    if prior.op not in (TRIPLE_OPS if triple else PAIR_OPS):
+    if not issubclass(MAKES[prior.op],
+                      KEngelData if triple else (EngelData, KEngelData)):
         raise ManifestError(
             f"task '{task.name}': task '{name}' did not produce "
             f"{'KEngelData' if triple else 'EngelData or KEngelData'}")
     if prior.output is None:
         raise CheckError(f"task '{name}' failed, so there is nothing to check")
-    return prior.output if triple else prior.pair
+    return prior.output if triple else _pair(prior.output)
+
+
+def _on_pair(task, key, obj, data):
+    """Refuse a manifest field or metric off the `data` pair's dimension."""
+    if obj is not None and obj.space.dim != data.space.dim:
+        raise ManifestError(
+            f"task '{task.name}': '{key}' is {obj.space.dim}-dim, but the "
+            f"pair of task '{task.args['data']}' lives on a "
+            f"{data.space.dim}-dim space")
 
 
 def _data_metric(mf, task, results):
@@ -155,6 +160,7 @@ def _data_metric(mf, task, results):
     g = None if name == "orthonormal" else _named(task, name, mf.metrics,
                                                   "metric")
     data = _data(results, task)
+    _on_pair(task, "metric", g, data)
     return data, g or orthonormal_metric(data)
 
 
@@ -188,9 +194,10 @@ def _scalar_arg(mf, task, key):
 
 
 # ---------------------------------------------------------------------------
-# operations
+# operations: each returns what it built, or None, and its return annotation
+# says what it can hand on; run_manifest alone decides whether it does.
 
-def op_engel(mf, task, policy, results, res):
+def op_engel(mf, task, policy, results, res) -> EngelData:
     if mf.space.dim != 4:
         raise ManifestError(f"task '{task.name}': needs a 4-dim space")
     alpha = _form(mf, task, "alpha", 1)
@@ -207,9 +214,8 @@ def op_engel(mf, task, policy, results, res):
         res.fail_tokens("engel_fail", failed(checks) or ["analysis"])
         res.derived("error", str(err))
         return
-    passed = res.verdicts("engel", data.defining)
-    for name, V in (("W", data.W), ("X", data.X), ("T", data.T),
-                    ("R", data.R)):
+    res.verdicts("engel", data.defining)
+    for name, V in zip("WXTR", data.framing()):
         res.derived(name, fmt_field(V))
     res.derived("u", ex.to_str(data.u))
     res.derived("v", ex.to_str(data.v))
@@ -217,11 +223,10 @@ def op_engel(mf, task, policy, results, res):
         e = ex.cleanup(data.table[key])
         if not ex.is_zero(e):
             res.derived(f"table {key}", ex.to_str(e))
-    if passed:
-        res.output = data
+    return data
 
 
-def op_kengel(mf, task, policy, results, res):
+def op_kengel(mf, task, policy, results, res) -> KEngelData:
     Z = _field(mf, task, "Z")
     rank = task.args.get("rank")
     if rank is not None:
@@ -231,6 +236,7 @@ def op_kengel(mf, task, policy, results, res):
                                 f"{rank!r}")
         rank = int(rank)
     data, g = _data_metric(mf, task, results)
+    _on_pair(task, "Z", Z, data)
     verdicts = kengel_check(data, g, Z, policy)
     killing = [v for name, v in verdicts.items()
                if name.startswith("Killing ")]
@@ -240,13 +246,13 @@ def op_kengel(mf, task, policy, results, res):
     res.verdict("Killing equation", weakest(killing))
     require_all(verdicts, "the triple check fails")
     res.token("kengel_pass")
-    res.output = KEngelData(data, g, Z, rank=rank)
+    return KEngelData(data, g, Z, rank=rank)
 
 
-def op_kframing(mf, task, policy, results, res):
+def op_kframing(mf, task, policy, results, res) -> KEngelData:
     kdata = kengel_framing(_data(results, task, triple=True), policy)
     res.token("kframing_pass")
-    res.built(kdata)
+    return res.built(kdata)
 
 
 def op_kinvariants(mf, task, policy, results, res):
@@ -274,8 +280,7 @@ def op_geodesic(mf, task, policy, results, res):
         res.verdict(name, v)
     bad = failed(verdicts)
     if bad:
-        res.token("not_geodesic")
-        res.token("not_geodesic", bad[0])
+        res.fail_tokens("not_geodesic", bad[:1])
         res.derived("witness", f"{bad[0]} = {ex.to_str(exprs[bad[0]])}")
     else:
         res.token("geodesic")
@@ -311,7 +316,7 @@ def op_integrability(mf, task, policy, results, res):
         res.token("integrable")
 
 
-def op_transform(mf, task, policy, results, res):
+def op_transform(mf, task, policy, results, res) -> EngelData:
     moves = [key for key in ("lam", "mu", "nu") if key in task.args]
     if len(moves) != 1:
         raise ManifestError(f"task '{task.name}': transform needs exactly "
@@ -321,7 +326,7 @@ def op_transform(mf, task, policy, results, res):
     res.verdicts("transform", checks)
     res.derived("T", fmt_field(new.T))
     res.derived("R", fmt_field(new.R))
-    res.output = new
+    return new
 
 
 def op_rho(mf, task, policy, results, res):
@@ -365,7 +370,7 @@ def op_framing(mf, task, policy, results, res):
         res.derived("certificate", search["certificate"])
 
 
-def op_lattice(mf, task, policy, results, res):
+def op_lattice(mf, task, policy, results, res) -> KEngelData:
     lattice = _named(task, _need(task, "lattice"), mf.lattices, "lattice")
     try:
         kdata, rank = torus_family(lattice, policy)
@@ -374,10 +379,10 @@ def op_lattice(mf, task, policy, results, res):
         res.derived("error", str(err))
         return
     res.token("rank", rank)
-    res.output = kdata
+    return kdata
 
 
-def op_bw(mf, task, policy, results, res):
+def op_bw(mf, task, policy, results, res) -> KEngelData:
     if mf.space.dim != 3:
         raise ManifestError(f"task '{task.name}': needs a 3-dim base space")
     lam = _form(mf, task, "lam", 1)
@@ -387,7 +392,7 @@ def op_bw(mf, task, policy, results, res):
     res.verdicts("bw", verdicts)
     # boothby_wang raises unless the built pair passes the triple check
     res.lines.append(("verdict", "triple check", "yes"))
-    res.built(kdata)
+    return res.built(kdata)
 
 
 def op_filling(mf, task, policy, results, res):
@@ -395,7 +400,7 @@ def op_filling(mf, task, policy, results, res):
                                           policy))
 
 
-def op_t2(mf, task, policy, results, res):
+def op_t2(mf, task, policy, results, res) -> KEngelData:
     if mf.space.dim != 2 or "lie" in mf.space.kinds:
         raise ManifestError(f"task '{task.name}': needs a 2-dim chart")
     f = _scalar_arg(mf, task, "f")
@@ -438,55 +443,44 @@ def op_t2(mf, task, policy, results, res):
             res.verdict(name, v)
     res.verdict("third condition (unweighted twist)", unweighted)
     if res.outcome("t2", failed(verdicts)):
-        res.built(kdata)
+        return res.built(kdata)
 
 
-OPS = {
-    "engel": op_engel,
-    "kengel": op_kengel,
-    "kframing": op_kframing,
-    "kinvariants": op_kinvariants,
-    "identities": op_identities,
-    "contact": op_contact,
-    "geodesic": op_geodesic,
-    "pattern": op_pattern,
-    "dbeta2": op_dbeta2,
-    "integrability": op_integrability,
-    "transform": op_transform,
-    "rho": op_rho,
-    "commutant": op_commutant,
-    "framing": op_framing,
-    "lattice": op_lattice,
-    "bw": op_bw,
-    "filling": op_filling,
-    "t2": op_t2,
-}
+OPS = {op.__name__.removeprefix("op_"): op for op in (
+    op_engel, op_kengel, op_kframing, op_kinvariants, op_identities,
+    op_contact, op_geodesic, op_pattern, op_dbeta2, op_integrability,
+    op_transform, op_rho, op_commutant, op_framing, op_lattice, op_bw,
+    op_filling, op_t2)}
+# what each op can hand on, read now, since a caller may wrap an op in OPS
+MAKES = {name: op.__annotations__.get("return", type(None))
+         for name, op in OPS.items()}
 
 
 # ---------------------------------------------------------------------------
 # expectation matching
 
-def match_expect(mf, raw, res, policy):
+def match_expect(raw, res, policy):
+    """Whether an expectation holds; `reeb` reads the handed-on pair."""
     parts = raw.split()
     if parts and parts[0] == "reeb":
         if len(parts) < 4 or parts[2] != "=" or parts[1] not in tuple("WXTR"):
             raise ManifestError(f"bad expectation {raw!r}; usage: "
                                 f"reeb F = c1; c2; ...")
-        data = res.pair
-        if data is None or not hasattr(data, parts[1]):
+        if res.output is None:
             return False
+        data = _pair(res.output)
+        sp = data.space
         want_text = raw.split("=", 1)[1]
         try:
-            comps = [mf.space.scalar(p.strip())
-                     for p in want_text.split(";")]
+            comps = [sp.scalar(p.strip()) for p in want_text.split(";")]
         except ExprError as err:
             raise ManifestError(f"bad expectation {raw!r}: {err}")
-        if len(comps) != mf.space.dim:
-            raise ManifestError(f"expectation {raw!r} needs "
-                                f"{mf.space.dim} components")
+        if len(comps) != sp.dim:
+            raise ManifestError(f"expectation {raw!r} needs {sp.dim} "
+                                f"components")
         have = getattr(data, parts[1]).comps
         diff = [ex.add(got, ex.neg(want)) for got, want in zip(have, comps)]
-        return zero(diff, mf.space.coord_ranges, policy).ok
+        return zero(diff, sp.coord_ranges, policy).ok
     return raw in res.tokens
 
 
@@ -571,7 +565,11 @@ def run_manifest(mf, policy):
                     abs_tol=task.overrides.get("tol", policy.abs_tol))
             start = time.monotonic()
             try:
-                OPS[task.op](mf, task, task_policy, report.results, res)
+                built = OPS[task.op](mf, task, task_policy, report.results,
+                                     res)
+                # the one hand-on rule: its pair passed every defining check
+                if built is not None and not failed(_pair(built).defining):
+                    res.output = built
             except KEngelError as err:
                 # a construction that cannot be built, whichever op tried
                 res.fail_tokens(f"{task.op}_fail", err.names)
@@ -586,7 +584,7 @@ def run_manifest(mf, policy):
                 raise ManifestError(f"task '{task.name}': op {task.op} "
                                     f"takes no argument '{stray[0]}'")
             for raw in task.expects:
-                ok = match_expect(mf, raw, res, task_policy)
+                ok = match_expect(raw, res, task_policy)
                 res.expect_results.append((raw, ok))
         except ManifestError as err:
             report.reference_error = f"{mf.path}:{task.lineno}: {err}"

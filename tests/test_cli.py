@@ -165,6 +165,66 @@ def test_bad_reeb_expectation_exits_2(tmp_path, capsys):
         assert "bad expectation" in err
 
 
+BUNDLES = {op: (ROOT / "corpus" / name).read_text(encoding="utf-8")
+           for op, name in (("bw", "heisenberg_bw.ek"),
+                            ("t2", "t2_bundle.ek"))}
+
+
+def _bundle_expecting(op, expect):
+    """The corpus bundle manifest with one more expectation on its bundle
+    task."""
+    text = BUNDLES[op]
+    return text.replace(f"expect = {op}_pass\n",
+                        f"expect = {op}_pass\nexpect = {expect}\n")
+
+
+@pytest.mark.parametrize("op, expect, mark", [
+    ("bw", "reeb R = 0; 0; 0; 1", "ok"),
+    ("bw", "reeb X = 0; 1; x; -z", "ok"),
+    ("bw", "reeb R = 0; 0; 1; 0", "MISMATCH"),
+    ("t2", "reeb R = 0; 0; 1/2; 1", "ok"),
+    ("t2", "reeb R = 0; 0; 1; 1/2", "MISMATCH")],
+    ids=["bw R", "bw X", "bw wrong R", "t2 R", "t2 wrong R"])
+def test_a_reeb_expectation_on_a_bundle_reads_the_total_space(
+        tmp_path, capsys, op, expect, mark):
+    # the bw and t2 pairs live on the total space: the base coordinates
+    # and the fibre legs t, resp. p and q
+    code, block = task_block(tmp_path, capsys, _bundle_expecting(op, expect),
+                             "bundle")
+    assert code == (0 if mark == "ok" else 1)
+    assert f"expect {expect} :: {mark}" in block
+
+
+@pytest.mark.parametrize("op, expect", [("bw", "reeb R = 0; 0; 0"),
+                                        ("t2", "reeb R = 0; 0")],
+                         ids=["bw", "t2"])
+def test_a_reeb_expectation_on_the_base_space_exits_2(tmp_path, capsys, op,
+                                                     expect):
+    # the base has fewer components than the pair's space, so no such
+    # expectation can be read, let alone hold
+    text = _bundle_expecting(op, expect)
+    code, err, path = run_text(tmp_path, capsys, text)
+    assert code == 2
+    assert err == (f"error: {path}:{line_of(text, '[task bundle]')}: "
+                   f"expectation '{expect}' needs 4 components\n")
+
+
+@pytest.mark.parametrize("tail, task, key", [
+    ("[task k]\nop = kengel\ndata = bundle\nZ = L\n", "k", "Z"),
+    ("[metric g]\ndiag = 1; 1; 1\n\n[task geo]\nop = geodesic\n"
+     "data = bundle\nmetric = g\n", "geo", "metric")], ids=["Z", "metric"])
+def test_a_base_object_on_a_bundle_pair_exits_2(tmp_path, capsys, tail,
+                                                task, key):
+    # a manifest field or metric has the 3-dim base's components, and the
+    # bw pair lives on the 4-dim total space
+    text = BUNDLES["bw"] + "\n" + tail
+    code, err, path = run_text(tmp_path, capsys, text)
+    assert code == 2
+    assert err == (f"error: {path}:{line_of(text, f'[task {task}]')}: task "
+                   f"'{task}': '{key}' is 3-dim, but the pair of task "
+                   f"'bundle' lives on a 4-dim space\n")
+
+
 def test_space_failing_jacobi_exits_2(tmp_path, capsys):
     text = """engelkit-manifest 1
 

@@ -1,5 +1,6 @@
 """Report rendering of task verdicts."""
 
+import copy
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ from engelkit import report as report_module
 from engelkit.catalog import CatalogError
 from engelkit.engel import EngelError
 from engelkit.frames import FrameError
-from engelkit.kengel import KEngelError
+from engelkit.kengel import KEngelData, KEngelError
 from engelkit.manifest import ManifestError, load_manifest, parse_manifest
 from engelkit.report import run_manifest
 from engelkit.qfield import FieldError
@@ -139,6 +140,81 @@ def test_a_construction_error_fails_its_op_with_the_failing_checks(
                           "the Reeb field is not the torus direction")]
     assert res.output is None
     assert report.exit_code == 1
+
+
+def _read(*parts):
+    return ROOT.joinpath(*parts).read_text(encoding="utf-8")
+
+
+TORUS = _read("corpus", "torus.ek")
+# per op that hands on an object: a manifest with a task of that op, and
+# the task's name
+HANDING_ON = {
+    "engel": (TORUS, "structure"),
+    "kengel": (TORUS, "triple"),
+    "kframing": (TORUS + "\n[task framed]\nop = kframing\ndata = triple\n",
+                 "framed"),
+    "transform": (TORUS + "\n[task moved]\nop = transform\n"
+                          "data = structure\nlam = 2\n", "moved"),
+    "lattice": (_read("tests", "manifests", "lattice.ek"), "circle"),
+    "bw": (_read("corpus", "heisenberg_bw.ek"), "bundle"),
+    "t2": (_read("corpus", "t2_bundle.ek"), "bundle"),
+}
+PRODUCERS = sorted(op for op, made in report_module.MAKES.items()
+                   if made is not type(None))
+
+
+def _failing_flag(built):
+    """A copy of a built object whose pair fails its flag condition."""
+    if built is None:
+        return None
+    pair = copy.copy(built.data if isinstance(built, KEngelData) else built)
+    pair.defining = dict(pair.defining,
+                         flag=Verdict("nonzero", 1.0, {"x": 0.0}))
+    if not isinstance(built, KEngelData):
+        return pair
+    built = copy.copy(built)
+    built.data = pair
+    return built
+
+
+@pytest.mark.parametrize("op", PRODUCERS)
+def test_an_object_is_handed_on_only_when_its_pair_passed(monkeypatch, op):
+    # one rule in run_manifest, for every op that can hand on: the object
+    # whose pair fails a defining check is not handed on, whatever the op
+    # reported, and a task naming it fails as a check
+    text, task = HANDING_ON[op]
+    text += f"\n[task again]\nop = kinvariants\ndata = {task}\n"
+    policy = SamplingPolicy(seed=0, n_samples=32)
+
+    def results():
+        report = run_manifest(parse_manifest(text), policy)
+        return {res.name: res for res in report.results}
+
+    passed = results()
+    assert isinstance(passed[task].output, report_module.MAKES[op])
+    assert passed["again"].tokens == {"invariants_pass"}
+    real = report_module.OPS[op]
+    monkeypatch.setitem(report_module.OPS, op,
+                        lambda *args: _failing_flag(real(*args)))
+    failing = results()
+    assert failing[task].tokens == passed[task].tokens
+    assert failing[task].output is None
+    assert failing["again"].tokens == {"task_error", "task_error CheckError"}
+    assert failing["again"].lines == [
+        ("derived", "error",
+         f"task '{task}' failed, so there is nothing to check")]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "corpus").glob("*.ek"))
+                         + sorted((ROOT / "tests" / "manifests").glob("*.ek")),
+                         ids=lambda p: f"{p.parent.name}/{p.stem}")
+def test_a_handed_on_object_has_the_type_its_op_declares(path):
+    report = run_manifest(load_manifest(path),
+                          SamplingPolicy(seed=0, n_samples=64))
+    for res in report.results:
+        if res.output is not None:
+            assert isinstance(res.output, report_module.MAKES[res.op])
 
 
 @pytest.mark.parametrize("cls", [EngelError, CatalogError, FieldError,

@@ -27,17 +27,19 @@ Canonical nodes are hash-consed (Filliatre & Conchon, "Type-Safe Modular
 Hash-Consing", 2006): `normalize` returns the one interned node of each
 canonical value, and `normalize` of an interned node is that node itself.
 The invariant: an interned node is canonical, and no node is ever mutated.
-`cleanup`, `derivative` (the normalized partial derivative by each
-coordinate), and the Python function that evaluates an expression over a
-whole column set of points, which `evaluate` calls for one point, are
-remembered per interned node.  The tables live for the process
-and are dropped together once one holds more than TABLE_LIMIT entries.
+`cleanup` and `derivative` (the normalized partial derivative by each
+coordinate) are remembered per interned node.  The tables live for the
+process and are dropped together once one holds more than TABLE_LIMIT
+entries.  Evaluation generates no code: `evaluate_columns` interprets an
+expression over a block of points, one column per node.
 """
 
 import ast
 import math
+import operator
 import re
 from fractions import Fraction
+from itertools import repeat
 
 SINGULAR_EPS = 1e-14
 
@@ -159,9 +161,9 @@ def size(e) -> int:
 # tree.  The tables hold every node whose identity a key names, so no
 # identity is reused while it is a key.  Errors are never stored.
 
-# Entries one table may hold before all are dropped together; _CLEAN and
-# _EVAL are keyed by identities that _CANON holds, so they are no larger,
-# and _DIFF holds at most one entry per such identity and coordinate.
+# Entries one table may hold before all are dropped together; _CLEAN is
+# keyed by identities that _CANON holds, so it is no larger, and _DIFF
+# holds at most one entry per such identity and coordinate.
 # An entry takes 0.2-0.5 kB; a corpus manifest makes at most ~720 keys, and
 # 100 catalog rows about 2,000.
 TABLE_LIMIT = 20_000
@@ -170,13 +172,12 @@ _CANON = {}    # id(node) -> node, for every interned canonical node
 _VALUES = {}   # canonical node -> the one interned node of that value
 _NODES = {}    # shallow key of a raw node -> interned normal form
 _CLEAN = {}    # id(interned node) -> its cleanup
-_EVAL = {}     # id(interned node) -> its compiled float function
 _DIFF = {}     # (id(interned node), coordinate) -> its interned derivative
 
 
 def clear_tables():
     """Forget every interned node; later calls rebuild what they need."""
-    for table in (_CANON, _VALUES, _NODES, _CLEAN, _EVAL, _DIFF):
+    for table in (_CANON, _VALUES, _NODES, _CLEAN, _DIFF):
         table.clear()
 
 
@@ -478,45 +479,18 @@ def substitute(e, mapping):
     return _rebuild(e, lambda c: substitute(c, mapping))
 
 
-# Evaluation compiles an expression into one Python function over a column
-# set (name -> the name's value at each point): a loop over the points whose
-# body is one straight-line statement per distinct node, in the order of a
-# recursive walk that evaluates a denominator before its numerator.  So the
-# float operations, their order and the first error raised at a point are
-# those of the walk, and a shared subexpression is computed once per point
-# (evaluation is pure).  The loop raises at a failing point, and
-# `evaluate_columns` records the error for that point and resumes at the
-# next: a loop without exception handling compiles in about half the time,
-# and compiling is a large share of a 64-sample check.  A sum is `sum` of a
-# flat tuple and a product a chain from 1.0 cut into short statements, so
-# the code nests no deeper as terms are added.  Names enter the source only
-# as repr() literals, and rationals only through the function's globals.
-
-_CHUNK = 32   # factors per product statement
-
-
-class _Unbound:
-    """The column of a name that a column set lacks: reading it raises."""
-
-    def __init__(self, kind, name):
-        self.text = f"unbound {kind} '{name}'"
-
-    def __getitem__(self, i):
-        raise EvalError(self.text)
-
-
-def _failure(err):
-    """The ExprError that `evaluate` raises for an error of compiled code."""
-    if isinstance(err, ExprError):
-        return err.with_traceback(None)
-    if isinstance(err, OverflowError):
-        return SingularPoint("value overflows a float")
-    return SingularPoint("value outside a function's domain")
-
-
-_GLOBALS = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
-            "log": math.log, "pi": math.pi, "EPS": SINGULAR_EPS,
-            "SingularPoint": SingularPoint, "ExprError": ExprError}
+# Evaluation interprets an expression over a block of points of a column set
+# (name -> the name's value at each point).  A pass walks the DAG once, in
+# the post-order of a recursive walk that evaluates a denominator before its
+# numerator, and computes each distinct node's column for the whole block
+# with C-level `map`.  A value the same at every point (a rational, pi, a
+# subtree of those) stays one float until a column needs it.  So each point
+# sees the walk's float operations in the walk's order: a sum adds its terms
+# to 0.0 from the left, as `sum` does, and a product multiplies 1.0 by its
+# factors.  A pass raises at the first failure anywhere in its block, and
+# `evaluate_columns` halves a failed block until each failing point stands
+# alone, where the error raised is the walk's first error there: k failing
+# points cost O(k log n) passes.
 
 
 def evaluate(e, env) -> float:
@@ -543,21 +517,19 @@ def evaluate_columns(e, columns, start, stop):
     evaluation fails, and errors[i] is the ExprError that `evaluate` raises
     at point i, for each point where it fails.
     """
-    f = _EVAL.get(id(e))
-    if f is None:
-        f = _compile(e)
-        if id(e) in _CANON:
-            _EVAL[id(e)] = f
     values, errors = [], {}
-    put = values.append
-    i = start
-    while i < stop:   # a failure ends its point; the next call resumes
+    blocks = [(start, stop)] if start < stop else []
+    while blocks:
+        a, b = blocks.pop()
         try:
-            f(columns, i, stop, put)
-        except (ExprError, OverflowError, ValueError) as err:
-            errors[start + len(values)] = _failure(err)
-            put(0.0)
-        i = start + len(values)
+            v = _interpret(e, columns, a, b)
+        except ExprError as err:
+            if b - a > 1:
+                blocks += [((a + b) // 2, b), (a, (a + b) // 2)]
+                continue
+            errors[a] = err.with_traceback(None)
+            v = 0.0
+        values += [v] * (b - a) if type(v) is float else v
     if not all(map(math.isfinite, values)):
         for p, value in enumerate(values):
             if not math.isfinite(value):
@@ -566,31 +538,18 @@ def evaluate_columns(e, columns, start, stop):
     return values, errors
 
 
-_LOOP = """\
-def f(columns, start, stop, put):
-{head}    for i in range(start, stop):
-{body}        put({out})
-"""
-
-
-def _compile(e):
-    """The column function of e: f(columns, start, stop, put) puts the value
-    of e at each point start..stop-1 and raises at a point where the walk
-    would, with the error of compiled code."""
-    space = dict(_GLOBALS)
-    head = []    # once per call: each name's column
-    lines = []   # once per point
-    named = {}   # a leaf, or the identity of an inner node -> its name
+def _interpret(e, columns, start, stop):
+    """One pass: e at points start..stop-1 of a column set, as a list, or
+    as one float where it is the same at every point.  Raises the walk's
+    first error at the first point where it fails."""
+    vals = {}   # _key(node) -> its value
     todo = [(e, "walk")]
     while todo:
         node, step = todo.pop()
-        tag = node[0]
-        leaf = tag in ("rat", "const", "var")
-        key = _key(node)
-        if step == "walk" and key in named:
+        tag, key = node[0], _key(node)
+        if step == "walk" and key in vals:
             continue
-        v = f"v{len(named)}"
-        if step == "walk" and not leaf:
+        if step == "walk" and tag not in ("rat", "const", "var"):
             todo.append((node, "emit"))
             if tag == "div":
                 todo += [(node[1], "walk"), (node, "check"),
@@ -599,57 +558,83 @@ def _compile(e):
                 todo += [(k, "walk") for k in reversed(children(node))]
             continue
         if step == "check":
-            lines.append(f"if abs({named[_key(node[2])]}) < EPS: "
-                         "raise SingularPoint('vanishing denominator')")
+            if _below(_apply(abs, [vals[_key(node[2])]])):
+                raise SingularPoint("vanishing denominator")
             continue
-        args = [named[_key(k)] for k in children(node)]
-        if tag == "rat":
-            c = f"c{len(named)}"
-            try:
-                space[c] = float(node[1])
-                v = c
-            except OverflowError:   # raise it where the walk would
-                space[c] = node[1]
-                lines.append(f"{v} = float({c})")
-        elif tag == "const" and node[1] == "pi":
-            v = "pi"
-        elif leaf:
+        try:
+            vals[key] = _node(node, [vals[_key(k)] for k in children(node)],
+                              columns, start, stop)
+        except OverflowError:
+            raise SingularPoint("value overflows a float") from None
+        except ValueError:
+            raise SingularPoint("value outside a function's domain") from None
+    return vals[_key(e)]
+
+
+def _node(node, args, columns, start, stop):
+    """The value of node, given the values of its children."""
+    tag = node[0]
+    if tag == "rat":
+        return float(node[1])
+    if tag == "const" and node[1] == "pi":
+        return math.pi
+    if tag == "const" or tag == "var":
+        col = columns.get(node[1])
+        if col is None:
             kind = "constant" if tag == "const" else "variable"
-            name = repr(node[1])
-            col = f"k{len(named)}"
-            space[f"u{len(named)}"] = _Unbound(kind, node[1])
-            head.append(f"{col} = columns.get({name}, u{len(named)})")
-            lines.append(f"{v} = {col}[i]")
-        elif tag == "add":
-            lines.append(f"{v} = sum(({''.join(a + ', ' for a in args)}))")
-        elif tag == "mul":
-            acc = "1.0"
-            for i in range(0, max(len(args), 1), _CHUNK):
-                lines.append(f"{v} = {' * '.join([acc] + args[i:i + _CHUNK])}")
-                acc = v
-        elif tag == "pow":
-            if node[2] < 0:
-                lines.append(f"if abs({args[0]}) < EPS: raise SingularPoint("
-                             "'negative power of a vanishing base')")
-            space[f"n{len(named)}"] = node[2]
-            lines.append(f"{v} = {args[0]} ** n{len(named)}")
-        elif tag == "div":
-            lines.append(f"{v} = {args[0]} / {args[1]}")
-        elif tag == "ln":
-            lines.append(f"if {args[0]} < EPS: "
-                         "raise SingularPoint('log of a non-positive value')")
-            lines.append(f"{v} = log({args[0]})")
-        elif tag in FUNCS:
-            lines.append(f"{v} = {tag}({args[0]})")
+            raise EvalError(f"unbound {kind} '{node[1]}'")
+        return col[start:stop]
+    if tag == "add" or tag == "mul":
+        op, unit = (operator.add, 0.0) if tag == "add" else (operator.mul, 1.0)
+        return _fold(op, unit, args)
+    if tag == "pow":
+        if node[2] < 0 and _below(_apply(abs, args)):
+            raise SingularPoint("negative power of a vanishing base")
+        # a float exponent repeats; x ** n converts an int n to this double
+        return _apply(pow, args + [float(node[2])])
+    if tag == "div":
+        return _apply(operator.truediv, args)
+    if tag == "ln" and _below(args[0]):
+        raise SingularPoint("log of a non-positive value")
+    if tag in FUNCS:
+        return _apply(getattr(math, "log" if tag == "ln" else tag), args)
+    raise ExprError(f"cannot evaluate {tag!r}")
+
+
+def _column(v):
+    """A value as an iterable over the points: a float repeats."""
+    return repeat(v) if type(v) is float else v
+
+
+def _fold(op, acc, args):
+    """acc op a1 op a2 ... at each point, from the left.  A float while
+    each operand so far is one; then one lazy map per operand, listed
+    every _NEST operands so that no map chain nests deeper."""
+    for n, a in enumerate(args, 1):
+        if type(acc) is float and type(a) is float:
+            acc = op(acc, a)
         else:
-            lines.append(f"raise ExprError({f'cannot evaluate {tag!r}'!r})")
-        named[key] = v
-    source = _LOOP.format(
-        head="".join(f"    {line}\n" for line in head),
-        body="".join(f"        {line}\n" for line in lines),
-        out=named[_key(e)])
-    exec(source, space)
-    return space["f"]
+            acc = map(op, _column(acc), _column(a))
+            if n % _NEST == 0:
+                acc = list(acc)
+    return acc if type(acc) is float else list(acc)
+
+
+_NEST = 32
+
+
+def _apply(f, args):
+    """f at each point of its argument values: a float if each is one."""
+    if any(type(a) is not float for a in args):
+        return list(map(f, *map(_column, args)))
+    return f(*args)
+
+
+def _below(v):
+    """Is v, or some value in v, below SINGULAR_EPS?  A NaN is not."""
+    if type(v) is float:
+        return v < SINGULAR_EPS
+    return any(map(SINGULAR_EPS.__gt__, v))
 
 
 def _key(node):

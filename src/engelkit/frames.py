@@ -567,10 +567,11 @@ def dual_coframe(fields):
     M^-1, for M the matrix whose rows are the fields.  When every component
     is a `rat`, `reduce_rows` takes [M | I], each row cleared to ints, to
     [d I | d M^-1]; else each theta^k is solved by exact Cramer.  The
-    components are computed once per component matrix and kept in
-    _COFRAMES; they name no space, so the forms are built on the fields'
-    space at every call.  Raises FrameError for dependent fields or for
-    other than one field per frame direction."""
+    forms' canonical components are computed once per component matrix and
+    kept in _COFRAMES; they name no space, so each call wraps them, as they
+    are, in forms on the fields' space.  No form's components are ever
+    mutated, so the forms may share them.  Raises FrameError for dependent
+    fields or for other than one field per frame direction."""
     sp = fields[0].space
     n = sp.dim
     if len(fields) != n:
@@ -596,8 +597,11 @@ def dual_coframe(fields):
             comps = [cramer(matrix, e, det) for e in units]
         if len(_COFRAMES) > ex.TABLE_LIMIT:
             _COFRAMES.clear()
-        _COFRAMES[matrix] = comps
-    return [sp.one_form(c) for c in comps]
+        comps = _COFRAMES[matrix] = [sp.one_form(c).comps for c in comps]
+    forms = [object.__new__(DiffForm) for _ in comps]
+    for form, c in zip(forms, comps):
+        form.space, form.degree, form.comps = sp, 1, c
+    return forms
 
 
 def kernel_line(w):

@@ -146,12 +146,21 @@ def _data(results, task, triple=False):
 
 
 def _on_pair(task, key, obj, data):
-    """Refuse a manifest field or metric off the `data` pair's dimension."""
-    if obj is not None and obj.space.dim != data.space.dim:
+    """Refuse a manifest field or metric off the `data` pair's frame."""
+    if obj is None:
+        return
+    have, want = obj.space, data.space
+    if have.dim != want.dim:
         raise ManifestError(
-            f"task '{task.name}': '{key}' is {obj.space.dim}-dim, but the "
+            f"task '{task.name}': '{key}' is {have.dim}-dim, but the "
             f"pair of task '{task.args['data']}' lives on a "
-            f"{data.space.dim}-dim space")
+            f"{want.dim}-dim space")
+    if (have.kinds, have.names) != (want.kinds, want.names):
+        frame = [", ".join(map(" ".join, zip(s.kinds, s.names)))
+                 for s in (have, want)]
+        raise ManifestError(
+            f"task '{task.name}': '{key}' is on the frame ({frame[0]}), but "
+            f"the pair of task '{task.args['data']}' lives on ({frame[1]})")
 
 
 def _data_metric(mf, task, results):

@@ -11,6 +11,20 @@ def policy():
     return SamplingPolicy(n_samples=32)
 
 
+@pytest.fixture
+def passes(monkeypatch):
+    """(expression, start, stop) of every pass of the column interpreter."""
+    calls = []
+    interpret = ex._interpret
+
+    def counted(e, columns, start, stop):
+        calls.append((e, start, stop))
+        return interpret(e, columns, start, stop)
+
+    monkeypatch.setattr(ex, "_interpret", counted)
+    return calls
+
+
 def torus_space():
     return FrameSpace([("coord", n, 0, 1) for n in "xyzt"])
 

@@ -225,6 +225,27 @@ def test_a_base_object_on_a_bundle_pair_exits_2(tmp_path, capsys, tail,
                    f"'bundle' lives on a 4-dim space\n")
 
 
+@pytest.mark.parametrize("tail, task, key", [
+    ("[field Z]\ncomps = 0; 0; 1 + xx; 0\n\n[task k]\nop = kengel\n"
+     "data = circle\nZ = Z\n", "k", "Z"),
+    ("[metric g]\ndiag = 1; 1; 1; 1\n\n[task geo]\nop = geodesic\n"
+     "data = circle\nmetric = g\n", "geo", "metric")], ids=["Z", "metric"])
+def test_an_object_on_another_chart_of_the_same_dimension_exits_2(
+        tmp_path, capsys, tail, task, key):
+    # the lattice pair lives on the torus chart x y z t, whatever the
+    # manifest's [space] calls its coordinates
+    text = (ROOT / "tests" / "manifests" / "lattice.ek").read_text()
+    for c in "xyzt":
+        text = text.replace(f"coord {c} ", f"coord {c}{c} ")
+    text += "\n" + tail
+    code, err, path = run_text(tmp_path, capsys, text)
+    assert code == 2
+    assert err == (f"error: {path}:{line_of(text, f'[task {task}]')}: task "
+                   f"'{task}': '{key}' is on the frame (coord xx, coord yy, "
+                   "coord zz, coord tt), but the pair of task 'circle' "
+                   "lives on (coord x, coord y, coord z, coord t)\n")
+
+
 def test_space_failing_jacobi_exits_2(tmp_path, capsys):
     text = """engelkit-manifest 1
 

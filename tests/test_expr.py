@@ -642,11 +642,11 @@ def test_to_str_reparses(e):
     assert ex.parse(ex.to_str(n), ("t", "x", "y")) == n
 
 
-# --- the compiled evaluator against a tree walk ---------------------------
+# --- the column interpreter against a tree walk ---------------------------
 
 def walk(e, env):
-    """The recursive evaluator the compiled one replaced, kept as a
-    reference: same float operations, same order, same first error.  As in
+    """A recursive evaluator, kept as a reference for the column
+    interpreter: same float operations, same order, same first error.  As in
     `evaluate`, an overflow, a non-finite value and a math domain error
     are singular points."""
     try:
@@ -726,8 +726,8 @@ def shared(trees):
 
 
 def agree(e):
-    """The compiled evaluator and the walk agree on e and on its normal
-    form (interned, so compiled once and reused), at every point."""
+    """The interpreter and the walk agree on e and on its normal form
+    (interned), at every point."""
     trees = [e]
     try:
         trees.append(ex.normalize(e))
@@ -740,15 +740,15 @@ def agree(e):
 
 @given(st.one_of(exprs(quotients=True), shared(exprs(quotients=True))))
 @settings(max_examples=120, deadline=None)
-def test_compiled_evaluate_equals_the_tree_walk(e):
+def test_interpreted_evaluate_equals_the_tree_walk(e):
     agree(e)
 
 
 @given(st.lists(exprs(quotients=True), min_size=1, max_size=3))
 @settings(max_examples=30, deadline=None)
-def test_compiled_evaluate_survives_dropped_tables(es):
+def test_interpreted_evaluate_survives_dropped_tables(es):
     limit = ex.TABLE_LIMIT
-    ex.TABLE_LIMIT = 3   # so the tables, _EVAL too, are dropped in most calls
+    ex.TABLE_LIMIT = 3   # so the tables are dropped in most calls
     try:
         for e in es + es:
             agree(e)
@@ -848,7 +848,7 @@ def test_an_unknown_node_raises_where_the_walk_reaches_it():
 
 @pytest.mark.parametrize("n", [3000, 20000])
 def test_long_sums_evaluate(n):
-    # `0 + v1 + v2 + ...` as one expression cannot even be compiled
+    # `0 + v1 + v2 + ...` as one Python expression cannot even be compiled
     e = ex.add(*[ex.mul(ex.rat(Fraction(k, 7)), X) for k in range(n)])
     env = {"x": 0.3}
     assert ex.evaluate(e, env) == walk(e, env)
@@ -867,22 +867,32 @@ def test_a_max_depth_chain_evaluates():
     agree(e)
 
 
-def test_an_interned_node_is_compiled_once(monkeypatch):
-    built = []
-    compile_ = ex._compile
-
-    def counted(e):
-        built.append(e)
-        return compile_(e)
-
-    monkeypatch.setattr(ex, "_compile", counted)
+def test_each_evaluation_is_one_pass(passes):
     raw = ex.add(ex.sin(ex.var("x")), ex.div(ex.var("x"), ex.var("t")))
     e = ex.normalize(raw)
     for env in (ENV, ENVS[2], {"x": 0.5, "t": 1.0}):
         ex.evaluate(e, env)
         ex.evaluate(raw, env)
-    assert built.count(e) == 1
-    assert sum(1 for b in built if b is raw) == 3
+    assert [p for p in passes if p[0] is e] == [(e, 0, 1)] * 3
+    assert [p for p in passes if p[0] is raw] == [(raw, 0, 1)] * 3
     ex.clear_tables()
     ex.evaluate(e, ENV)
-    assert built.count(e) == 2
+    assert passes[6:] == [(e, 0, 1)]
+
+
+def test_failing_points_cost_log_n_passes_each(passes):
+    # 1/x over 1024 points, three of them singular: halving a failed block
+    # reaches each failing point in at most 2 log2(1024) further passes
+    xs = [(i + 1) / 1024 for i in range(1024)]
+    singular = (5, 517, 518)
+    for i in singular:
+        xs[i] = 0.0
+    e = ex.div(ex.ONE, X)
+    values, errors = ex.evaluate_columns(e, {"x": xs}, 0, 1024)
+    assert len(passes) <= 1 + 2 * 10 * len(singular)
+    assert sorted(errors) == list(singular)
+    assert {str(err) for err in errors.values()} == {"vanishing denominator"}
+    assert all(type(err) is ex.SingularPoint for err in errors.values())
+    assert [v.hex() for v in values] == [
+        0.0.hex() if i in singular else (1.0 / x).hex()
+        for i, x in enumerate(xs)]

@@ -271,18 +271,13 @@ def test_a_rational_past_the_float_range_is_nonvanishing(exprs):
     (["pi^2 - 9", "0"], "nonvanishing"), (["(pi - 3)^3/10^9"], "vanishing"),
     (["pi^3 + 2*pi", "-7/2"], "nonvanishing")])
 def test_constant_nonvanishing_matches_the_sampling_loop(
-        monkeypatch, texts, kind):
+        passes, texts, kind):
     # a polynomial in pi is evaluated once, at sample 0, and a rational
-    # component is not compiled at all
+    # component is not evaluated at all
     pol = SamplingPolicy(seed=2, n_samples=8)
-    ex.clear_tables()   # so that no compiled function is remembered
     exprs = [ex.parse(t) for t in texts]
-    compiled = []
-    compile_ = ex._compile
-    monkeypatch.setattr(ex, "_compile",
-                        lambda e: compiled.append(e) or compile_(e))
     v = nonvanishing(exprs, COORDS, pol)
-    assert compiled == [e for e in exprs if e[0] != "rat"]
+    assert passes == [(e, 0, 1) for e in exprs if e[0] != "rat"]
     want_kind, want_value, want_point = sampled_nonvanishing(exprs, COORDS,
                                                              pol)
     assert (v.kind, v.value.hex(), v.point) \
@@ -564,36 +559,16 @@ def test_column_verdicts_equal_the_per_point_ones(texts, seed, n):
     same_verdicts(texts, SamplingPolicy(seed=seed, n_samples=n))
 
 
-def counted_calls(monkeypatch):
-    """(expression, start, stop) of every call of a compiled function."""
-    calls = []
-    compile_ = ex._compile
-
-    def counted(e):
-        f = compile_(e)
-
-        def g(*args):   # (columns, start, stop, put)
-            calls.append((e,) + args[1:3])
-            return f(*args)
-        return g
-
-    monkeypatch.setattr(ex, "_compile", counted)
-    ex.clear_tables()   # so that no compiled function is remembered
-    return calls
-
-
-def test_a_dense_nonvanishing_calls_the_compiled_function_once(monkeypatch):
-    calls = counted_calls(monkeypatch)
+def test_a_dense_nonvanishing_makes_one_pass(passes):
     e = ex.normalize(ex.parse("2 + sin(x)*y", ("x", "y")))
     pol = SamplingPolicy(seed=137, n_samples=1024)
     assert nonvanishing([e], BOX, pol).ok
-    assert calls == [(e, 0, 1024)]
+    assert passes == [(e, 0, 1024)]
 
 
-def test_a_zero_check_stops_at_its_first_witness(monkeypatch):
-    calls = counted_calls(monkeypatch)
+def test_a_zero_check_stops_at_its_first_witness(passes):
     x_minus_2, y = (ex.normalize(ex.parse(t, ("x", "y")))
                     for t in ("x - 2", "y"))
     pol = SamplingPolicy(seed=137, n_samples=1024)
     assert is_zero_many([x_minus_2, y], BOX, pol).kind == "nonzero"
-    assert calls == [(x_minus_2, 0, 1)]
+    assert passes == [(x_minus_2, 0, 1)]
